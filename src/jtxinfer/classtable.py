@@ -14,7 +14,7 @@ from importlib import resources
 from .errors import (ArityMismatch, DuplicateClass, UnknownImport,
                      UnsupportedFeature)
 from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
-                        substitute)
+                        fun_type, instantiate)
 from . import syntax as S
 
 
@@ -25,15 +25,10 @@ class MethodSig:
     params: list      # list[TypeTerm | None]; None = not yet inferred
     ret: object       # TypeTerm | None
 
-    @property
-    def complete(self):
-        return self.ret is not None and all(p is not None for p in self.params)
-
 
 @dataclass
 class Entry:
     name: str
-    kind: str = "class"           # 'class' | 'builtin'
     qualified: str = ""
     params: list = field(default_factory=list)
     variance: list = field(default_factory=list)
@@ -79,7 +74,6 @@ def load_builtin_entries(path=None):
         ]
         entries[raw["name"]] = Entry(
             name=raw["name"],
-            kind="builtin",
             qualified=raw.get("qualified", raw["name"]),
             params=list(raw.get("params", [])),
             variance=list(raw.get("variance", [])),
@@ -114,9 +108,6 @@ class ClassTable:
     def entry(self, name):
         return self.entries[name]
 
-    def names(self):
-        return list(self.entries)
-
     def extend_typevars(self, tvars):
         merged = dict(self.typevars)
         merged.update(tvars)
@@ -133,20 +124,7 @@ class ClassTable:
     # -- declared subtyping -------------------------------------------------
 
     def _instantiate(self, template, entry, args):
-        sigma = {}
-        mapping = dict(zip(entry.params, args))
-
-        def walk(t):
-            if isinstance(t, ClassType):
-                if not t.args and t.name in mapping:
-                    return mapping[t.name]
-                return ClassType(t.name, tuple(walk(a) for a in t.args))
-            if isinstance(t, FunType):
-                return FunType(tuple(walk(a) for a in t.args), walk(t.ret))
-            return t
-
-        del sigma
-        return walk(template)
+        return instantiate(template, dict(zip(entry.params, args)))
 
     def direct_supertype(self, term):
         """Instantiated direct supertype of a ClassType/FunType, or None."""
@@ -273,10 +251,8 @@ class ClassTable:
         for sig in entry.methods:
             if sig.name != name or len(sig.params) != arity:
                 continue
-            mapping = dict(zip(entry.params, term.args))
             inst = lambda t: (None if t is None else
                               self._instantiate(t, entry, term.args))
-            del mapping
             out.append(MethodSig(
                 name,
                 [(tp, inst(b)) for tp, b in sig.typeparams],
@@ -319,9 +295,7 @@ def resolve_src_type(src, table, generic_scope=()):
             raise ArityMismatch(
                 f"{name} expects {want} type argument(s)",
                 src.pos.line, src.pos.col)
-        if is_void:
-            return FunType(tuple(args), VOID)
-        return FunType(tuple(args[:-1]), args[-1])
+        return fun_type(is_void, args)
     if name in generic_scope or table.is_typevar(ClassType(name)):
         if src.args:
             raise ArityMismatch(
@@ -388,8 +362,7 @@ def build_class_table(program, builtin_path=None):
     # user classes extend Object directly; declared member signatures are
     # resolved where annotations permit (used when re-checking typed output)
     for cls in user:
-        entries[cls.name] = Entry(name=cls.name, kind="class",
-                                  qualified=cls.name,
+        entries[cls.name] = Entry(name=cls.name, qualified=cls.name,
                                   super_template=ClassType("Object"))
     for cls in user:
         entry = entries[cls.name]

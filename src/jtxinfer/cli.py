@@ -54,7 +54,8 @@ def main(argv=None):
             src = path.read_text()
         except OSError as exc:
             print(f"tx-infer: {exc}", file=sys.stderr)
-            return 2
+            status = 2
+            continue
         try:
             result = run_source(src, table_path=table,
                                 max_solutions=args.max_solutions,
@@ -62,10 +63,12 @@ def main(argv=None):
         except Untypable as exc:
             print(f"tx-infer: {path.name}: untypable: {exc}",
                   file=sys.stderr)
-            return 1
+            status = max(status, 1)
+            continue
         except JtxError as exc:
             print(f"tx-infer: {path.name}: error: {exc}", file=sys.stderr)
-            return 2
+            status = 2
+            continue
         for stage in args.dump_stages:
             print(f"== {stage} ==")
             print(result.dumps.get(stage, ""))

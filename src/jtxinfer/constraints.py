@@ -16,7 +16,8 @@ from . import syntax as S
 from .classtable import resolve_src_type
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
-from .typeterms import VOID, ClassType, FunType, TPH, is_ground
+from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
+                        fun_type, instantiate, is_ground, tph_name, tph_number)
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,6 @@ def doteq(a, b):
     return Constraint("doteq", a, b)
 
 
-def _name_seq(n):
-    """0 -> A, 25 -> Z, 26 -> AA, ... (bijective base 26)."""
-    out = []
-    n += 1
-    while n > 0:
-        n, rem = divmod(n - 1, 26)
-        out.append(chr(ord("A") + rem))
-    return "".join(reversed(out))
-
-
 class FreshNames:
     """Placeholder factory; remembers which member scope created each name.
 
@@ -60,10 +51,17 @@ class FreshNames:
         self.scope = {}
 
     def tph(self, scope):
-        name = _name_seq(self._n)
+        name = tph_name(self._n)
         self._n += 1
         self.scope[name] = scope
         return TPH(name)
+
+    def adopt(self, name, scope=("class",)):
+        """Take in a placeholder made elsewhere; fresh names follow it."""
+        self.scope.setdefault(name, scope)
+        n = tph_number(name)
+        if n is not None:
+            self._n = max(self._n, n + 1)
 
     def scope_of(self, name):
         return self.scope.get(name)
@@ -380,7 +378,8 @@ class _Generator:
                 return self.table._instantiate(
                     entry.fields[e.name], entry, recv.args)
         raise UnknownMember(
-            f"no field '{e.name}' on {recv}", e.pos.line, e.pos.col)
+            f"no field '{e.name}' on {_receiver(e, recv)}",
+            e.pos.line, e.pos.col)
 
     # -- calls ------------------------------------------------------------
 
@@ -399,17 +398,16 @@ class _Generator:
             if not alts:
                 raise UnknownMember(
                     f"no member '{e.name}' taking {len(e.args)} argument(s) "
-                    f"on {recv}", e.pos.line, e.pos.col)
+                    f"on {_receiver(e, recv)}", e.pos.line, e.pos.col)
         self._add_group(alts)
         return result
 
     def _add_group(self, alts):
-        if len(alts) == 1 and self._sink is None:
-            self.result.base.extend(alts[0].constraints)
-            self.result.base_call_sites.extend(alts[0].call_sites)
-        elif len(alts) == 1:
-            self._sink.constraints.extend(alts[0].constraints)
-            self._sink.call_sites.extend(alts[0].call_sites)
+        if len(alts) == 1:
+            for c in alts[0].constraints:
+                self.emit(c)
+            for site in alts[0].call_sites:
+                self.record_call(site)
         elif self._sink is None:
             self.result.groups.append(alts)
         else:
@@ -424,48 +422,24 @@ class _Generator:
             if m.name != e.name or len(m.params) != len(arg_terms):
                 continue
             gen = self.result.methods[i]
-            params, ret, bounds = self._freshen_declared(m, gen)
-            alt = Alternative()
-            with self._into(alt):
-                for c in bounds:
-                    self.emit(c)
-                for node, t, p in zip(e.args, arg_terms, params):
-                    self.flow(node, t, p)
-                self.emit(doteq(result, ret))
-            alt.call_sites.append(CallSite(
-                caller=self.method_index,
-                arg_terms=list(arg_terms),
-                param_terms=list(params),
-                ret_term=ret,
-                callee=i,
-            ))
-            alts.append(alt)
+            names = self.generic_names | {g.name for g in m.generics}
+            typeparams = [(g.name, None if g.bound is None else
+                           resolve_src_type(g.bound, self.table, names))
+                          for g in m.generics]
+            alts.append(self._sig_alternative(
+                e, arg_terms, result,
+                *self._freshen(typeparams, gen.param_terms, gen.ret_term),
+                callee=i))
         return alts
 
-    def _freshen_declared(self, m, gen):
-        """Instantiate a same-class callee's declared type parameters with
-        fresh placeholders at the call site."""
-        if not m.generics:
-            return gen.param_terms, gen.ret_term, []
-        names = self.generic_names | {g.name for g in m.generics}
-        mapping = {g.name: self.fresh.tph(self.scope) for g in m.generics}
-
-        def inst(t):
-            if isinstance(t, ClassType):
-                if not t.args and t.name in mapping:
-                    return mapping[t.name]
-                return ClassType(t.name, tuple(inst(a) for a in t.args))
-            if isinstance(t, FunType):
-                return FunType(tuple(inst(a) for a in t.args), inst(t.ret))
-            return t
-
-        bounds = []
-        for g in m.generics:
-            if g.bound is not None:
-                bound = resolve_src_type(g.bound, self.table, names)
-                bounds.append(lessdot(mapping[g.name], inst(bound)))
-        return ([inst(p) for p in gen.param_terms], inst(gen.ret_term),
-                bounds)
+    def _freshen(self, typeparams, params, ret):
+        """Instantiate a callee's own type parameters with fresh placeholders
+        at the call site; returns (params, ret, bound constraints)."""
+        mapping = {tp: self.fresh.tph(self.scope) for tp, _ in typeparams}
+        bounds = [lessdot(mapping[tp], instantiate(bound, mapping))
+                  for tp, bound in typeparams if bound is not None]
+        return ([instantiate(p, mapping) for p in params],
+                instantiate(ret, mapping), bounds)
 
     def _member_alternatives(self, e, recv, arg_terms, result):
         arity = len(arg_terms)
@@ -494,53 +468,25 @@ class _Generator:
             rterm = self._entry_term(cname, fresh_args)
             for sig in self.table.instantiated_methods(
                     ClassType(cname, fresh_args), e.name, arity):
-                alt = self._sig_alternative(
-                    e, arg_terms, result, *self._instantiate_sig(sig),
-                    extra=[doteq(recv, rterm)])
-                alts.append(alt)
+                alts.append(self._sig_alternative(
+                    e, arg_terms, result,
+                    *self._freshen(sig.typeparams, sig.params, sig.ret),
+                    extra=[doteq(recv, rterm)]))
         return alts
 
     def _ground_receiver_alternatives(self, e, recv, arg_terms, result):
         sigs = self.table.instantiated_methods(recv, e.name, len(arg_terms))
-        alts = []
-        for sig in sigs:
-            params, ret = self._instantiate_sig(sig)
-            alts.append(self._sig_alternative(e, arg_terms, result,
-                                              params, ret))
-        return alts
-
-    def _instantiate_sig(self, sig):
-        """Freshen a signature's own type parameters at the call site."""
-        mapping = {tp: self.fresh.tph(self.scope)
-                   for tp, _ in sig.typeparams}
-
-        def inst(t):
-            if isinstance(t, ClassType):
-                if not t.args and t.name in mapping:
-                    return mapping[t.name]
-                return ClassType(t.name, tuple(inst(a) for a in t.args))
-            if isinstance(t, FunType):
-                return FunType(tuple(inst(a) for a in t.args), inst(t.ret))
-            return t
-
-        params = [inst(p) for p in sig.params]
-        ret = inst(sig.ret)
-        self._pending_bounds = [
-            lessdot(mapping[tp], inst(bound))
-            for tp, bound in sig.typeparams
-            if bound is not None and tp in mapping
-        ]
-        return params, ret
+        return [self._sig_alternative(
+                    e, arg_terms, result,
+                    *self._freshen(sig.typeparams, sig.params, sig.ret))
+                for sig in sigs]
 
     def _sig_alternative(self, e, arg_terms, result, params, ret,
-                         extra=None):
+                         bounds=(), extra=(), callee=None):
         alt = Alternative()
         with self._into(alt):
-            for c in (extra or []):
+            for c in (*extra, *bounds):
                 self.emit(c)
-            for c in getattr(self, "_pending_bounds", []):
-                self.emit(c)
-            self._pending_bounds = []
             for node, t, p in zip(e.args, arg_terms, params):
                 self.flow(node, t, p)
             self.emit(doteq(result, ret))
@@ -549,19 +495,15 @@ class _Generator:
             arg_terms=list(arg_terms),
             param_terms=list(params),
             ret_term=ret,
-            callee=None,
+            callee=callee,
         ))
         return alt
 
     def _entry_term(self, name, args):
-        from .typeterms import fun_head_arity
         fh = fun_head_arity(name)
         if fh is None:
             return ClassType(name, args)
-        is_void, _ = fh
-        if is_void:
-            return FunType(tuple(args), VOID)
-        return FunType(tuple(args[:-1]), args[-1])
+        return fun_type(fh[0], args)
 
     @contextmanager
     def _into(self, alt):
@@ -571,6 +513,14 @@ class _Generator:
             yield
         finally:
             self._sink = prev
+
+
+def _receiver(e, recv):
+    """How a diagnostic names a member's receiver: by its type once that is
+    known, else by the receiver expression."""
+    if is_ground(recv):
+        return str(recv)
+    return f"'{S.print_expr(e.recv)}'"
 
 
 def _returns_value(stmts):

@@ -3,12 +3,14 @@ method descriptors."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
-from .typeterms import (VOID, ClassType, FunType, TPH, substitute, tphs_of)
+from .typeterms import (VOID, ClassType, FunType, TPH, instantiate,
+                        substitute, tph_name, tphs_of)
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -55,7 +57,8 @@ def _canonical(t):
     sigma = {k: TPH(v) for k, v in ren.items()}
 
     def sub(term):
-        return substitute(_as_tph(term, names), sigma)
+        # type-variable references and placeholders both take the new names
+        return substitute(instantiate(term, sigma), sigma)
 
     gens = tuple(sorted(
         (ren.get(name, name),
@@ -65,34 +68,15 @@ def _canonical(t):
 
 
 def _term_names(term):
-    out = []
-    def walk(t):
-        if isinstance(t, TPH):
-            out.append(t.name)
-        elif isinstance(t, ClassType):
-            if not t.args:
-                out.append(t.name)
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, FunType):
-            for a in t.args:
-                walk(a)
-            walk(t.ret)
-    walk(term)
-    return out
-
-
-def _as_tph(term, names):
-    """Type-variable references rendered as placeholders for renaming."""
+    """Placeholder and type-variable names of a term, in order of use."""
+    if isinstance(term, TPH) or (isinstance(term, ClassType)
+                                 and not term.args):
+        return [term.name]
     if isinstance(term, ClassType):
-        if not term.args and term.name in names:
-            return TPH(term.name)
-        return ClassType(term.name, tuple(_as_tph(a, names)
-                                          for a in term.args))
+        return [n for a in term.args for n in _term_names(a)]
     if isinstance(term, FunType):
-        return FunType(tuple(_as_tph(a, names) for a in term.args),
-                       _as_tph(term.ret, names))
-    return term
+        return [n for a in (*term.args, term.ret) for n in _term_names(a)]
+    return []
 
 
 def assemble_intersection_types(typings):
@@ -155,23 +139,12 @@ def term_to_srctype(term):
 def canonical_renaming(names_in_order, reserved=()):
     """First-use order renaming onto the alphabetic sequence A, B, …
     skipping any name in `reserved` (declared type variables)."""
-    reserved = set(reserved)
+    free = (name for name in map(tph_name, itertools.count())
+            if name not in reserved)
     ren = {}
-    counter = 0
     for n in names_in_order:
-        if n in ren:
-            continue
-        while True:
-            i = counter + 1
-            out = []
-            while i > 0:
-                i, rem = divmod(i - 1, 26)
-                out.append(chr(ord("A") + rem))
-            name = "".join(reversed(out))
-            counter += 1
-            if name not in reserved:
-                break
-        ren[n] = name
+        if n not in ren:
+            ren[n] = next(free)
     return ren
 
 
@@ -290,45 +263,6 @@ def _annotate_stmt(st, ann, conv):
                        body=[_annotate_stmt(s, ann, conv) for s in st.body],
                        pos=st.pos, uid=st.uid)
     return st
-
-
-def emit_typed_source(program, typed_classes, comments=None):
-    """Full typed compilation unit; methods with an intersection type get
-    their signature list as a comment block above the representative."""
-    comments = comments or {}
-    out = []
-    for imp in program.imports:
-        out.append(f"import {imp};")
-    if program.imports:
-        out.append("")
-    for cls in typed_classes:
-        out.extend(_render_class(cls, comments.get(cls.name, {})))
-        out.append("")
-    return "\n".join(out).rstrip() + "\n"
-
-
-def _render_class(cls, method_comments):
-    lines = [f"class {cls.name}{S._generics_clause(cls.generics)} {{"]
-    for f in cls.fields:
-        ann = f"{f.annotation} " if f.annotation is not None else ""
-        init = f" = {S.print_expr(f.init)}" if f.init is not None else ""
-        lines.append(f"    {ann}{f.name}{init};")
-    for i, m in enumerate(cls.methods):
-        for comment in method_comments.get(i, []):
-            lines.append(f"    // {comment}")
-        gen = S._generics_clause(m.generics)
-        gen = gen + " " if gen else ""
-        ret = f"{m.ret} " if m.ret is not None else ""
-        params = ", ".join(
-            (f"{p.annotation} {p.name}" if p.annotation is not None
-             else p.name)
-            for p in m.params)
-        lines.append(f"    {gen}{ret}{m.name}({params}) {{")
-        for st in m.body:
-            lines.extend(S._print_stmt(st, 2))
-        lines.append("    }")
-    lines.append("}")
-    return lines
 
 
 # --- descriptors -----------------------------------------------------------

@@ -9,14 +9,13 @@ mangling injective over the supported alphabet.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import JtxError
-from .typeterms import VOID, ClassType, FunType, is_ground
+from .typeterms import (FUN_HEAD, VOID, ClassType, FunType, fun_subterms,
+                        fun_type, is_ground)
 
 SEP = "$_$"
-_HEAD = re.compile(r"^Fun(Void)?(\d+)\$\$")
 
 
 def _qualified(name, table):
@@ -63,7 +62,7 @@ def decode_funtype_name(name, table=None):
 
 
 def _decode(s, table):
-    m = _HEAD.match(s)
+    m = FUN_HEAD.match(s)
     if not m:
         raise JtxError(f"not a mangled function-type name: {s!r}")
     is_void, n = m.group(1) is not None, int(m.group(2))
@@ -75,7 +74,7 @@ def _decode(s, table):
         rest = rest[len(SEP):]
     parts = []
     for _ in range(count):
-        if _HEAD.match(rest):
+        if FUN_HEAD.match(rest):
             inner, rest = _decode(rest, table)
             parts.append(inner)
             if not rest.startswith(SEP):
@@ -88,9 +87,7 @@ def _decode(s, table):
             qualified = rest[:idx].replace("$", ".")
             parts.append(_class_by_qualified(qualified, table))
             rest = rest[idx + len(SEP):]
-    if is_void:
-        return FunType(tuple(parts), VOID), rest
-    return FunType(tuple(parts[:-1]), parts[-1]), rest
+    return fun_type(is_void, parts), rest
 
 
 def _class_by_qualified(qualified, table):
@@ -104,7 +101,6 @@ def _class_by_qualified(qualified, table):
 def collect_used_funtypes(terms):
     """Every function-type instantiation in the given type terms, in a
     deterministic order."""
-    from .typeterms import fun_subterms
     seen = {}
     for t in terms:
         for f in fun_subterms(t):

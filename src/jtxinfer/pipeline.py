@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import emit as E
 from .classtable import build_class_table, resolve_src_type
-from .constraints import CallSite, FreshNames, flatten, generate_constraints
+from .constraints import CallSite, flatten, generate_constraints
 from .errors import Untypable
 from .generics import (CLASS, OBJECT, build_fgg, complete_fgg,
                        compute_owners, enforce_java_conformance,
@@ -18,6 +18,7 @@ from .generics import (CLASS, OBJECT, build_fgg, complete_fgg,
 from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
+from .syntax import Program, print_program
 from .typeterms import VOID, ClassType, TPH, is_ground, substitute, tphs_of
 from .unify import format_solution, unify
 
@@ -380,8 +381,8 @@ def typed_source(result):
                           + " & ".join(E.format_typing(t) for t in typings)]
         if per:
             comments[r.cls.name] = per
-    return E.emit_typed_source(result.program, result.typed_classes,
-                               comments)
+    return print_program(Program(result.program.imports,
+                                 result.typed_classes), comments)
 
 
 def signature_lines(result):

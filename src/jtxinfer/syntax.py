@@ -198,14 +198,17 @@ class Program:
 # --- printer ---------------------------------------------------------------
 
 
-def print_program(program):
+def print_program(program, comments=None):
+    """Source text of a program.  `comments` maps a class name to
+    {method index: [line, ...]}, printed as `//` lines above the method."""
+    comments = comments or {}
     out = []
     for imp in program.imports:
         out.append(f"import {imp};")
     if program.imports:
         out.append("")
     for cls in program.classes:
-        out.extend(_print_class(cls))
+        out.extend(_print_class(cls, comments.get(cls.name, {})))
         out.append("")
     return "\n".join(out).rstrip() + "\n"
 
@@ -222,13 +225,15 @@ def _generics_clause(generics):
     return "<" + ", ".join(parts) + ">"
 
 
-def _print_class(cls):
+def _print_class(cls, method_comments=None):
     lines = [f"class {cls.name}{_generics_clause(cls.generics)} {{"]
     for f in cls.fields:
         ann = f"{f.annotation} " if f.annotation is not None else ""
         init = f" = {print_expr(f.init)}" if f.init is not None else ""
         lines.append(f"    {ann}{f.name}{init};")
-    for m in cls.methods:
+    for i, m in enumerate(cls.methods):
+        for comment in (method_comments or {}).get(i, []):
+            lines.append(f"    // {comment}")
         gen = _generics_clause(m.generics)
         gen = gen + " " if gen else ""
         ret = f"{m.ret} " if m.ret is not None else ""
@@ -446,13 +451,8 @@ def _match_method(ma, mb, ta, tb, fwd, bwd, k):
 
     def after_generics(fw, bw):
         def after_ret(fw2, bw2):
-            def match_param(pa, pb, ta, tb, f, b, kk):
-                if pa.name != pb.name:
-                    return False
-                return _match_type(pa.annotation, pb.annotation, ta, tb, f, b, kk)
-
             return _match_seq(
-                ma.params, mb.params, match_param, ta, tb, fw2, bw2,
+                ma.params, mb.params, _match_param, ta, tb, fw2, bw2,
                 lambda fw3, bw3: _match_seq(ma.body, mb.body, _match_stmt,
                                             ta, tb, fw3, bw3, k))
 
@@ -460,6 +460,12 @@ def _match_method(ma, mb, ta, tb, fwd, bwd, k):
 
     return _match_generics(ma.generics, mb.generics, ta, tb, fwd, bwd,
                            after_generics)
+
+
+def _match_param(pa, pb, ta, tb, fwd, bwd, k):
+    if pa.name != pb.name:
+        return False
+    return _match_type(pa.annotation, pb.annotation, ta, tb, fwd, bwd, k)
 
 
 def _match_stmt(sa, sb, ta, tb, fwd, bwd, k):
@@ -520,11 +526,6 @@ def _match_expr(ea, eb, ta, tb, fwd, bwd, k):
         if len(ea.params) != len(eb.params):
             return False
 
-        def match_param(pa, pb, ta, tb, f, b, kk):
-            if pa.name != pb.name:
-                return False
-            return _match_type(pa.annotation, pb.annotation, ta, tb, f, b, kk)
-
         def after_params(fw, bw):
             if isinstance(ea.body, list) != isinstance(eb.body, list):
                 return False
@@ -533,7 +534,7 @@ def _match_expr(ea, eb, ta, tb, fwd, bwd, k):
                                   ta, tb, fw, bw, k)
             return _match_expr(ea.body, eb.body, ta, tb, fw, bw, k)
 
-        return _match_seq(ea.params, eb.params, match_param, ta, tb,
+        return _match_seq(ea.params, eb.params, _match_param, ta, tb,
                           fwd, bwd, after_params)
     if isinstance(ea, Binary):
         if ea.op != eb.op:

@@ -46,7 +46,8 @@ class VoidType(TypeTerm):
 
 VOID = VoidType()
 
-_FUN_HEAD = re.compile(r"^Fun(Void)?(\d+)\$\$$")
+# FunN$$ / FunVoidN$$ head; `match` finds it at the start of a mangled name
+FUN_HEAD = re.compile(r"Fun(Void)?(\d+)\$\$")
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,40 @@ class FunType(TypeTerm):
 
 def fun_head_arity(name):
     """Return (is_void, arity) when `name` is a FunN$$/FunVoidN$$ head."""
-    m = _FUN_HEAD.match(name)
+    m = FUN_HEAD.fullmatch(name)
     if not m:
         return None
     return (m.group(1) is not None, int(m.group(2)))
+
+
+def fun_type(is_void, args):
+    """The FunType a FunN$$/FunVoidN$$ head denotes over its type arguments:
+    all are parameters when void, else the last one is the return type."""
+    args = tuple(args)
+    if is_void:
+        return FunType(args, VOID)
+    return FunType(args[:-1], args[-1])
+
+
+def tph_name(n):
+    """Name of the n-th generated placeholder: 0 -> A, 25 -> Z, 26 -> AA, ...
+    (bijective base 26)."""
+    out = []
+    n += 1
+    while n > 0:
+        n, rem = divmod(n - 1, 26)
+        out.append(chr(ord("A") + rem))
+    return "".join(reversed(out))
+
+
+def tph_number(name):
+    """Inverse of `tph_name`; None for a name it does not produce."""
+    if not name or not all("A" <= ch <= "Z" for ch in name):
+        return None
+    value = 0
+    for ch in name:
+        value = value * 26 + (ord(ch) - ord("A") + 1)
+    return value - 1
 
 
 def substitute(term, sigma):
@@ -93,6 +124,20 @@ def substitute(term, sigma):
             tuple(substitute(a, sigma) for a in term.args),
             substitute(term.ret, sigma),
         )
+    return term
+
+
+def instantiate(term, mapping):
+    """Replace each type-variable reference (an arg-less ClassType whose
+    name is in `mapping`) by its image."""
+    if isinstance(term, ClassType):
+        if not term.args:
+            return mapping.get(term.name, term)
+        return ClassType(term.name,
+                         tuple(instantiate(a, mapping) for a in term.args))
+    if isinstance(term, FunType):
+        return FunType(tuple(instantiate(a, mapping) for a in term.args),
+                       instantiate(term.ret, mapping))
     return term
 
 
@@ -124,10 +169,6 @@ def is_ground(term):
     if isinstance(term, FunType):
         return all(is_ground(a) for a in term.args) and is_ground(term.ret)
     return True
-
-
-def occurs_in(name, term):
-    return name in tphs_of(term)
 
 
 def fun_subterms(term):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .constraints import Constraint, FreshNames, doteq, lessdot
 from .errors import Untypable
-from .typeterms import (VOID, ClassType, FunType, TPH, substitute, tphs_of)
+from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
+                        fun_type, substitute, tphs_of)
 
 _MAX_STEPS = 500_000
 
@@ -44,6 +45,19 @@ def _age(name):
     """Creation-order key of a generated placeholder name (A < ... < Z <
     AA < ...)."""
     return (len(name), name)
+
+
+def _bind(cons, sigma, name, term):
+    """Apply the binding name -> term to the constraints and to sigma, and
+    add it to sigma; None when `name` occurs in `term`."""
+    if name in tphs_of(term):
+        return None
+    one = {name: term}
+    cons = [Constraint(x.kind, substitute(x.lhs, one), substitute(x.rhs, one))
+            for x in cons]
+    sigma = {k: substitute(v, one) for k, v in sigma.items()}
+    sigma[name] = term
+    return cons, sigma
 
 
 def _head(t):
@@ -87,15 +101,9 @@ class _Unifier:
         idx, c = branch
         rest = cons[:idx] + cons[idx + 1:]
         for bind_name, term, extra in self._branches(c):
-            if bind_name in tphs_of(term):
-                continue
-            one = {bind_name: term}
-            nxt = [Constraint(x.kind, substitute(x.lhs, one),
-                              substitute(x.rhs, one))
-                   for x in rest + extra]
-            nsigma = {k: substitute(v, one) for k, v in sigma.items()}
-            nsigma[bind_name] = term
-            self.solve(nxt, nsigma)
+            state = _bind(rest + extra, sigma, bind_name, term)
+            if state is not None:
+                self.solve(*state)
 
     # -- deterministic simplification ------------------------------------
 
@@ -119,14 +127,11 @@ class _Unifier:
                 continue
             if isinstance(out, tuple) and out[0] == "bind":
                 _, name, term = out
-                if name in tphs_of(term):
-                    return None
-                one = {name: term}
                 del cons[i]
-                cons[:] = [Constraint(x.kind, substitute(x.lhs, one),
-                                      substitute(x.rhs, one)) for x in cons]
-                sigma = {k: substitute(v, one) for k, v in sigma.items()}
-                sigma[name] = term
+                state = _bind(cons, sigma, name, term)
+                if state is None:
+                    return None
+                cons, sigma = state
                 i = 0
                 continue
             # list of replacement constraints
@@ -236,12 +241,11 @@ class _Unifier:
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
         the placeholder being refined."""
-        from .typeterms import fun_head_arity
         fh = fun_head_arity(name)
         if fh is not None:
             is_void, n = fh
-            args = tuple(self._fresh_like(like) for _ in range(n))
-            return FunType(args, VOID if is_void else self._fresh_like(like))
+            return fun_type(is_void, [self._fresh_like(like)
+                                      for _ in range(n if is_void else n + 1)])
         if name in self.table.typevars:
             return ClassType(name)
         entry = self.table.entry(name)
@@ -268,12 +272,7 @@ def unify(constraints, table, fresh=None, max_solutions=None):
         fresh = FreshNames()
         for c in constraints:
             for n in tphs_of(c.lhs) | tphs_of(c.rhs):
-                fresh.scope.setdefault(n, ("class",))
-                if all("A" <= ch <= "Z" for ch in n):
-                    value = 0
-                    for ch in n:
-                        value = value * 26 + (ord(ch) - ord("A") + 1)
-                    fresh._n = max(fresh._n, value)
+                fresh.adopt(n)
     u = _Unifier(table, fresh, max_solutions)
     u.solve(list(constraints), {})
     return sorted(u.solutions,

@@ -1,5 +1,6 @@
 """The tx-infer command line front end."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ from jtxinfer.cli import main
 
 from conftest import CYCLE_SRC, FAC_SRC, OLFUN_SRC
 
-BUILTINS = Path(__file__).resolve().parents[1] / "src" / "jtxinfer" / \
-    "builtins.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+BUILTINS = SRC / "jtxinfer" / "builtins.json"
 
 
 def write(tmp_path, name, src):
@@ -110,6 +111,24 @@ def test_multiple_inputs_processed(tmp_path):
     assert (tmp_path / "Cycle.typed.jtx").exists()
 
 
+def test_batch_continues_past_a_bad_file(tmp_path, capsys):
+    bad = write(tmp_path, "Broken.jtx", "class {")
+    good = write(tmp_path, "Fac.jtx", FAC_SRC)
+    assert main([str(bad), str(good)]) == 2
+    for suffix in ("typed.jtx", "sigs.txt", "desc.txt", "funifaces.txt"):
+        assert (tmp_path / f"Fac.{suffix}").exists()
+    assert "Broken.jtx" in capsys.readouterr().err
+
+
+def test_batch_exit_code_is_the_worst(tmp_path):
+    untypable = write(tmp_path, "Bad.jtx",
+                      "class Bad { Boolean m() { var x = 1; return x; } }")
+    broken = write(tmp_path, "Broken.jtx", "class {")
+    assert main([str(untypable), str(tmp_path / "Fac.jtx")]) == 2
+    assert main([str(broken), str(untypable)]) == 2
+    assert main([str(untypable), str(untypable)]) == 1
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     p = write(tmp_path, "OLFun.jtx", OLFUN_SRC)
     assert main([str(p)]) == 0
@@ -123,7 +142,11 @@ def test_outputs_byte_identical_across_runs(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     p = write(tmp_path, "Fac.jtx", FAC_SRC)
+    # the child finds the package the way this test run does, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "jtxinfer.cli", str(p)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert (tmp_path / "Fac.typed.jtx").exists()

@@ -100,6 +100,18 @@ def test_unknown_member():
         gen_for("class A { m() { var p = 1; return p.nosuch(); } }")
 
 
+def test_member_diagnostics_name_the_receiver_expression():
+    with pytest.raises(UnknownMember) as field:
+        gen_for("class C { m(x) { return x.foo; } }")
+    assert str(field.value) == "1:26: no field 'foo' on 'x'"
+    with pytest.raises(UnknownMember) as call:
+        gen_for("class C { m(f) { return f.apply(1, 2, 3).bar(); } }")
+    assert "on 'f.apply(1, 2, 3)'" in str(call.value)
+    with pytest.raises(UnknownMember) as ground:
+        gen_for("class C { m() { Integer p = 1; return p.foo; } }")
+    assert "no field 'foo' on Integer" in str(ground.value)
+
+
 def test_constructor_arity_mismatch():
     with pytest.raises(ArityMismatch):
         gen_for("import java.util.Pair;\n"

@@ -2,15 +2,16 @@
 
 import pytest
 
-from jtxinfer import parse
+from jtxinfer import parse, print_program
 from jtxinfer.classtable import build_class_table
 from jtxinfer.emit import (AnnotatedClass, MethodTyping,
                            assemble_intersection_types, build_typed_class,
                            canonical_renaming, emit_descriptors,
-                           emit_typed_source, format_typing,
+                           format_typing,
                            method_descriptor, signature_report,
                            term_to_srctype, typing_sort_key)
 from jtxinfer.errors import DescriptorCollision, Untypable
+from jtxinfer.syntax import Program
 from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
 
 INT = ClassType("Integer")
@@ -122,8 +123,8 @@ def test_build_typed_class_bound_order_names_before_bounds():
 def test_emit_typed_source_with_comment_block():
     prog = parse("class C { m(x) { return x; } }")
     typed, _ = build_typed_class(_annotated_identity())
-    text = emit_typed_source(prog, [typed],
-                             {"C": {0: ["C.m : Integer -> Integer"]}})
+    text = print_program(Program(prog.imports, [typed]),
+                         {"C": {0: ["C.m : Integer -> Integer"]}})
     lines = text.splitlines()
     assert "    // C.m : Integer -> Integer" in lines
     comment_at = lines.index("    // C.m : Integer -> Integer")
@@ -132,7 +133,7 @@ def test_emit_typed_source_with_comment_block():
 
 def test_emit_typed_source_imports_kept():
     prog = parse("import java.util.Pair;\nclass C { }")
-    text = emit_typed_source(prog, [prog.classes[0]])
+    text = print_program(prog)
     assert text.splitlines()[0] == "import java.util.Pair;"
 
 
