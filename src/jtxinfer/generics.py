@@ -111,8 +111,9 @@ def _qualifying_bounds(t, param, ret, owners, caller_tphs,
     for t_prime in tphs_of(param):
         if (t, t_prime) not in cs_closure:
             continue
-        callee_owner = owners.get(t_prime)
-        callee_closure = closures.get(callee_owner, set())
+        # a callee instantiated from another class has no owner here; its
+        # bound chain is then only visible in the call site's constraints
+        callee_closure = closures.get(owners.get(t_prime), cs_closure)
         for r_prime in tphs_of(ret):
             if (t_prime, r_prime) not in callee_closure:
                 continue

@@ -177,6 +177,15 @@ def test_max_solutions_still_covers_or_groups():
     assert len(typings) == 3
 
 
+def test_cross_class_call_keeps_callee_bound():
+    src = ("class D0 { f(x) { return x; } }\n"
+           "class D1 { f(x) { return new D0().f(x); } }\n")
+    first = run(src)
+    assert J.signature_lines(first)[1] == "D1.f : <A extends B, B> A -> B"
+    second = run(J.typed_source(first))
+    assert J.signature_lines(second) == J.signature_lines(first)
+
+
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))
 def test_outputs_deterministic(name):
     src = ALL_GOLDEN_SRCS[name]
