@@ -56,9 +56,9 @@ class FreshNames:
         self.scope[name] = scope
         return TPH(name)
 
-    def adopt(self, name, scope=("class",)):
-        """Take in a placeholder made elsewhere; fresh names follow it."""
-        self.scope.setdefault(name, scope)
+    def adopt(self, name):
+        """Take in a class-scoped placeholder; fresh names come after it."""
+        self.scope.setdefault(name, ("class",))
         n = tph_number(name)
         if n is not None:
             self._n = max(self._n, n + 1)

@@ -225,14 +225,14 @@ def _generics_clause(generics):
     return "<" + ", ".join(parts) + ">"
 
 
-def _print_class(cls, method_comments=None):
+def _print_class(cls, method_comments):
     lines = [f"class {cls.name}{_generics_clause(cls.generics)} {{"]
     for f in cls.fields:
         ann = f"{f.annotation} " if f.annotation is not None else ""
         init = f" = {print_expr(f.init)}" if f.init is not None else ""
         lines.append(f"    {ann}{f.name}{init};")
     for i, m in enumerate(cls.methods):
-        for comment in (method_comments or {}).get(i, []):
+        for comment in method_comments.get(i, []):
             lines.append(f"    // {comment}")
         gen = _generics_clause(m.generics)
         gen = gen + " " if gen else ""
