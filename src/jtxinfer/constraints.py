@@ -108,7 +108,6 @@ class GenResult:
     base_call_sites: list = field(default_factory=list)
     field_terms: dict = field(default_factory=dict)
     methods: list = field(default_factory=list)
-    expr_terms: dict = field(default_factory=dict)    # expr uid -> term
     lambda_param_terms: dict = field(default_factory=dict)  # (uid, i) -> term
     fresh: FreshNames = None
 
@@ -245,11 +244,6 @@ class _Generator:
     # -- expressions -----------------------------------------------------
 
     def expr(self, e, env):
-        term = self._expr(e, env)
-        self.result.expr_terms[e.uid] = term
-        return term
-
-    def _expr(self, e, env):
         if isinstance(e, S.IntLit):
             t = self.fresh.tph(self.scope)
             self.emit(doteq(t, ClassType("Integer")))

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
-from .typeterms import (VOID, ClassType, FunType, TPH, instantiate,
-                        substitute, tph_name, tphs_of)
+from .typeterms import (VOID, FunType, TPH, instantiate, substitute,
+                        tph_name, tphs_of)
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -37,46 +37,19 @@ def typing_sort_key(t):
 
 def _canonical(t):
     """Typing with generics renamed positionally (dedup modulo renaming)."""
-    order = []
-    for p in t.params:
-        for n in _term_names(p):
-            if n not in order:
-                order.append(n)
-    for n in _term_names(t.ret):
-        if n not in order:
-            order.append(n)
-    for name, bound in t.generics:
-        for n in (name, bound):
-            if n is not None and n not in order:
-                order.append(n)
-    names = {name for name, _ in t.generics}
-    ren = {}
-    for n in order:
-        if n in names:
-            ren[n] = f"#{len(ren)}"
+    # type-variable references take part in the order like placeholders
+    as_tph = {name: TPH(name) for name, _ in t.generics}
+    terms = [instantiate(x, as_tph) for x in (*t.params, t.ret)]
+    order = dict.fromkeys(n for x in terms for n in tphs_of(x))
+    order |= dict.fromkeys(n for pair in t.generics for n in pair
+                           if n is not None)
+    ren = {n: f"#{i}" for i, n in enumerate(n for n in order if n in as_tph)}
     sigma = {k: TPH(v) for k, v in ren.items()}
-
-    def sub(term):
-        # type-variable references and placeholders both take the new names
-        return substitute(instantiate(term, sigma), sigma)
-
     gens = tuple(sorted(
-        (ren.get(name, name),
-         None if bound is None else ren.get(bound, bound))
+        (ren[name], None if bound is None else ren.get(bound, bound))
         for name, bound in t.generics))
-    return (gens, tuple(str(sub(p)) for p in t.params), str(sub(t.ret)))
-
-
-def _term_names(term):
-    """Placeholder and type-variable names of a term, in order of use."""
-    if isinstance(term, TPH) or (isinstance(term, ClassType)
-                                 and not term.args):
-        return [term.name]
-    if isinstance(term, ClassType):
-        return [n for a in term.args for n in _term_names(a)]
-    if isinstance(term, FunType):
-        return [n for a in (*term.args, term.ret) for n in _term_names(a)]
-    return []
+    return (gens, tuple(str(substitute(x, sigma)) for x in terms[:-1]),
+            str(substitute(terms[-1], sigma)))
 
 
 def assemble_intersection_types(typings):
@@ -153,9 +126,9 @@ class AnnotatedClass:
     """A class with every slot term resolved, ready for printing."""
 
     cls: object                      # original ClassDecl
-    class_generics: list             # [(name, bound-or-None)]
+    class_generics: list             # clause: [(name, bound-or-None)]
     field_terms: dict                # field name -> TypeTerm
-    method_generics: list            # per method: [(name, bound-or-None)]
+    method_generics: list            # per method: clause
     method_params: list              # per method: [TypeTerm]
     method_rets: list                # per method: TypeTerm
     local_terms: dict = field(default_factory=dict)  # LocalDecl uid -> term
@@ -164,63 +137,28 @@ class AnnotatedClass:
 
 def build_typed_class(ann):
     """Annotated ClassDecl (new AST) with canonical placeholder names."""
-    order = []
 
-    def note(term):
-        if isinstance(term, str):
-            if term not in ann.reserved and term not in order:
-                order.append(term)
-            return
-        for n in tphs_of(term):
-            if n not in order:
-                order.append(n)
+    def names(terms, clause=()):
+        yield from (n for t in terms for n in tphs_of(t))
+        yield from (n for pair in clause for n in pair
+                    if n is not None and n not in ann.reserved)
 
-    for t in ann.field_terms.values():
-        note(t)
-    for name, bound in ann.class_generics:
-        note(name)
-        if bound is not None:
-            note(bound)
-    for i, m in enumerate(ann.cls.methods):
-        for t in ann.method_params[i]:
-            note(t)
-        note(ann.method_rets[i])
-        for name, bound in ann.method_generics[i]:
-            note(name)
-            if bound is not None:
-                note(bound)
-    for t in ann.local_terms.values():
-        note(t)
-
+    order = list(names(ann.field_terms.values(), ann.class_generics))
+    for i in range(len(ann.cls.methods)):
+        order += names([*ann.method_params[i], ann.method_rets[i]],
+                       ann.method_generics[i])
+    order += names(ann.local_terms.values())
     ren = canonical_renaming(order, ann.reserved)
     sigma = {old: TPH(new) for old, new in ren.items()}
 
     def conv(term):
         return term_to_srctype(substitute(term, sigma))
 
-    def gen_params(pairs, terms_in_order):
-        # declaration order follows first use within the member
-        local_order = []
-        for t in terms_in_order:
-            for n in tphs_of(t):
-                if n not in local_order:
-                    local_order.append(n)
-        for name, _ in pairs:
-            if name not in local_order:
-                local_order.append(name)
-        for _, bound in pairs:
-            if bound is not None and bound not in local_order:
-                local_order.append(bound)
-        by_name = dict(pairs)
-        out = []
-        for n in local_order:
-            if n not in by_name:
-                continue
-            bound = by_name[n]
-            bound_src = (None if bound is None or bound == "Object"
-                         else S.SrcType(ren.get(bound, bound)))
-            out.append(S.GenericParam(ren.get(n, n), bound_src))
-        return out
+    def gen_params(clause):
+        return [S.GenericParam(ren.get(n, n),
+                               None if bound is None or bound == "Object"
+                               else S.SrcType(ren.get(bound, bound)))
+                for n, bound in clause]
 
     fields = [
         S.FieldDecl(name=f.name, annotation=conv(ann.field_terms[f.name]),
@@ -232,19 +170,17 @@ def build_typed_class(ann):
         params = [S.Param(p.name, conv(t))
                   for p, t in zip(m.params, ann.method_params[i])]
         body = [_annotate_stmt(st, ann, conv) for st in m.body]
-        sig_terms = list(ann.method_params[i]) + [ann.method_rets[i]]
         methods.append(S.MethodDecl(
             name=m.name,
-            generics=gen_params(ann.method_generics[i], sig_terms),
+            generics=gen_params(ann.method_generics[i]),
             ret=conv(ann.method_rets[i]),
             params=params,
             body=body,
             pos=m.pos,
         ))
-    class_order_terms = [ann.field_terms[f.name] for f in ann.cls.fields]
     typed = S.ClassDecl(
         name=ann.cls.name,
-        generics=gen_params(ann.class_generics, class_order_terms),
+        generics=gen_params(ann.class_generics),
         fields=fields,
         methods=methods,
         pos=ann.cls.pos,

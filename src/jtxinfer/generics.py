@@ -147,7 +147,9 @@ def enforce_java_conformance(cfgg, fresh, owners):
         h.update(mapping)
 
     def collapse(names, owner):
-        scope = owners.get(next(iter(names)), owner)
+        # a method's bound set also holds class placeholders; merging one
+        # of them makes the fresh name a class generic
+        scope = CLASS if any(owners.get(n) == CLASS for n in names) else owner
         x = fresh.tph(scope).name
         owners[x] = scope
         apply_map({n: x for n in names})
@@ -167,8 +169,10 @@ def enforce_java_conformance(cfgg, fresh, owners):
                 collapse(inf, owner)
                 changed = True
                 break
-    # restore Object bounds for collapsed placeholders left unbounded
+    # restore Object bounds for collapsed placeholders left unbounded, and
+    # leave a name collapsed into the class out of a method's clause
     for owner, pairs in family.items():
+        pairs -= {(l, r) for (l, r) in pairs if owners.get(l) != owner}
         tphs = ({l for l, _ in pairs}
                 | {r for _, r in pairs if r != OBJECT
                    if owners.get(r) == owner})
@@ -183,9 +187,9 @@ def enforce_java_conformance(cfgg, fresh, owners):
 
 
 def _cycle(pairs):
-    """Names on some bound cycle within one member, or None."""
+    """Names on the first bound cycle (by name) within one member, or None."""
     closure = _tph_closure(pairs)
-    for (a, b) in closure:
+    for (a, b) in sorted(closure):
         if a != b and (b, a) in closure:
             return {n for (n, m) in closure
                     if (a, n) in closure and (n, a) in closure}

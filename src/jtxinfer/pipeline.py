@@ -29,10 +29,9 @@ DUMP_STAGES = ("constraints", "solutions", "generics")
 class SolvedClass:
     """One surviving solution for a class, after generalization."""
 
-    sigma: dict                 # name -> term (placeholder substitution)
     remaining: tuple
-    family: dict                # owner -> {(name, bound-name)}
-    owners: dict
+    class_generics: list        # generics clause: [(name, bound-or-None)]
+    method_generics: list       # per method: generics clause
     field_terms: dict           # field name -> term
     method_params: list
     method_rets: list
@@ -106,7 +105,7 @@ def _infer_class(cls, table, max_solutions, dumps):
     if not solved:
         raise Untypable(f"class {cls.name} has no typing")
     finished = [s.generalize(scoped, dumps) for s in solved]
-    return _assemble(cls, gen, finished, scoped)
+    return _assemble(cls, finished, scoped)
 
 
 class _Solved:
@@ -207,15 +206,23 @@ class _Solved:
                 family, [CLASS] + [("method", i)
                                    for i in range(len(gen.methods))]))
 
+        field_terms = {n: final(t) for n, t in gen.field_terms.items()}
+        method_params = [[final(t) for t in m.param_terms]
+                         for m in gen.methods]
+        method_rets = [final(m.ret_term) for m in gen.methods]
         return SolvedClass(
-            sigma=self.sigma,
             remaining=tuple(sorted(self.remaining)),
-            family=family,
-            owners=owners,
-            field_terms={n: final(t) for n, t in gen.field_terms.items()},
-            method_params=[[final(t) for t in m.param_terms]
-                           for m in gen.methods],
-            method_rets=[final(m.ret_term) for m in gen.methods],
+            class_generics=_generics_clause(
+                _declared_pairs(gen.cls.generics)
+                + _family_pairs(family, CLASS), field_terms.values()),
+            method_generics=[_generics_clause(
+                _declared_pairs(m.generics)
+                + _family_pairs(family, ("method", i)),
+                [*method_params[i], method_rets[i]])
+                for i, m in enumerate(gen.cls.methods)],
+            field_terms=field_terms,
+            method_params=method_params,
+            method_rets=method_rets,
             local_terms={uid: final(t)
                          for m in gen.methods
                          for uid, t in m.local_terms.items()},
@@ -285,20 +292,26 @@ def _declared_pairs(generics):
              else str(g.bound)) for g in generics]
 
 
-def _assemble(cls, gen, finished, table):
+def _generics_clause(pairs, terms):
+    """A member's generics clause: its (name, bound) pairs in order of the
+    names' first use in the signature `terms`; unused names last, as given."""
+    rank = {n: i for i, n in enumerate(
+        dict.fromkeys(n for t in terms for n in tphs_of(t)))}
+    return sorted(dict(pairs).items(),
+                  key=lambda pair: rank.get(pair[0], len(rank)))
+
+
+def _assemble(cls, finished, table):
     finished = sorted(finished, key=lambda s: [
         E.typing_sort_key(E.MethodTyping((), tuple(s.method_params[i]),
                                          s.method_rets[i]))
         for i in range(len(cls.methods))])
     rep = finished[0]
-    decl_m = [_declared_pairs(m.generics) for m in cls.methods]
     ann = E.AnnotatedClass(
         cls=cls,
-        class_generics=(_declared_pairs(cls.generics)
-                        + _family_pairs(rep.family, CLASS)),
+        class_generics=rep.class_generics,
         field_terms=rep.field_terms,
-        method_generics=[decl_m[i] + _family_pairs(rep.family, ("method", i))
-                         for i in range(len(cls.methods))],
+        method_generics=rep.method_generics,
         method_params=rep.method_params,
         method_rets=rep.method_rets,
         local_terms=rep.local_terms,
@@ -315,14 +328,12 @@ def _assemble(cls, gen, finished, table):
     for i, m in enumerate(cls.methods):
         typings = []
         for s in finished:
-            params = tuple(rename(t) for t in s.method_params[i])
-            ret = rename(s.method_rets[i])
             gens = tuple((ren.get(l, l), None if r is None else ren.get(r, r))
-                         for l, r in (decl_m[i]
-                                      + _family_pairs(s.family,
-                                                      ("method", i))))
-            typings.append(E.MethodTyping(generics=gens, params=params,
-                                          ret=ret))
+                         for l, r in s.method_generics[i])
+            typings.append(E.MethodTyping(
+                generics=gens,
+                params=tuple(rename(t) for t in s.method_params[i]),
+                ret=rename(s.method_rets[i])))
         typings = E.assemble_intersection_types(typings)
         signatures.append((m.name, typings))
         for t in typings:
@@ -343,16 +354,10 @@ def _register(cls, table, signatures, rep, rename):
     for (mname, typings) in signatures:
         for t in typings:
             bound_by = dict(t.generics)
-            names = []
-            for p in t.params:
-                names.extend(n for n in tphs_of(p) if n not in names)
-            for n in tphs_of(t.ret):
-                if n not in names:
-                    names.append(n)
-            for n, b in t.generics:
-                for x in (n, b):
-                    if x is not None and x not in names:
-                        names.append(x)
+            names = dict.fromkeys(n for x in (*t.params, t.ret)
+                                  for n in tphs_of(x))
+            names |= dict.fromkeys(n for pair in t.generics for n in pair
+                                   if n is not None)
             as_var = {n: ClassType(n) for n in names}
             conv = lambda term: substitute(term, as_var)
             tps = [(n, None if bound_by.get(n) is None

@@ -142,15 +142,16 @@ def instantiate(term, mapping):
 
 
 def tphs_of(term):
-    """Set of TPH names occurring in a term."""
-    out = set()
+    """TPH names occurring in a term, in left-to-right order of first
+    occurrence (a dict used as an ordered set)."""
+    out = {}
     _collect_tphs(term, out)
     return out
 
 
 def _collect_tphs(term, out):
     if isinstance(term, TPH):
-        out.add(term.name)
+        out.setdefault(term.name)
     elif isinstance(term, ClassType):
         for a in term.args:
             _collect_tphs(a, out)

@@ -75,7 +75,7 @@ class _Unifier:
         self.table = table
         self.fresh = fresh
         self.max_solutions = max_solutions
-        self.solutions = []
+        self.solutions = {}   # ordered set, so sort ties keep found order
         self.steps = 0
 
     def _tick(self):
@@ -262,8 +262,7 @@ class _Unifier:
             pairs.add((c.lhs.name, c.rhs.name))
         sol = Solution(tuple(sorted(pairs)),
                        tuple(sorted(sigma.items(), key=lambda kv: kv[0])))
-        if sol not in self.solutions:
-            self.solutions.append(sol)
+        self.solutions.setdefault(sol)
 
 
 def unify(constraints, table, fresh=None, max_solutions=None):

@@ -90,6 +90,19 @@ class OLFun {
 }
 """
 
+# id2's parameter is bounded by its own return and by the class generic of
+# id's parameter; the merged name has to become a class generic
+CAPTURE_SRC = """\
+class T { id = x -> x; id2(x) { id.apply(x); return x; } }
+"""
+
+# two separate bound cycles in one member, collapsed one after the other
+TWO_CYCLES_SRC = """\
+class TwoCycles {
+    m(a, b, c, d) { a = b; b = a; c = d; d = c; }
+}
+"""
+
 ALL_GOLDEN_SRCS = {
     "Fac": FAC_SRC,
     "TPHsToGenerics": TPHS_SRC,

@@ -9,7 +9,8 @@ import pytest
 
 from jtxinfer.cli import main
 
-from conftest import CYCLE_SRC, FAC_SRC, OLFUN_SRC
+from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
+                      OLFUN_SRC, TWO_CYCLES_SRC)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUILTINS = SRC / "jtxinfer" / "builtins.json"
@@ -19,6 +20,16 @@ def write(tmp_path, name, src):
     p = tmp_path / name
     p.write_text(src)
     return p
+
+
+def tx_infer(args, **env):
+    """Run the command line front end in a child interpreter."""
+    # the child finds the package the way this test run does, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "jtxinfer.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def test_success_writes_all_outputs(tmp_path):
@@ -142,11 +153,23 @@ def test_outputs_byte_identical_across_runs(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     p = write(tmp_path, "Fac.jtx", FAC_SRC)
-    # the child finds the package the way this test run does, installed or not
-    path = os.pathsep.join(filter(None, [str(SRC),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "jtxinfer.cli", str(p)],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    proc = tx_infer([str(p)])
     assert proc.returncode == 0
     assert (tmp_path / "Fac.typed.jtx").exists()
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    sources = dict(ALL_GOLDEN_SRCS, Capture=CAPTURE_SRC,
+                   TwoCycles=TWO_CYCLES_SRC)
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        out.mkdir()
+        files = [str(write(out, f"{n}.jtx", s)) for n, s in sources.items()]
+        proc = tx_infer([*files, "--dump-stage", "generics"],
+                        PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, {p.name: p.read_bytes()
+                                   for p in sorted(out.iterdir())}))
+    assert len(runs[0][1]) == 5 * len(sources)
+    assert runs[0] == runs[1]

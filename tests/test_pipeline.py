@@ -6,8 +6,8 @@ import jtxinfer as J
 from jtxinfer.errors import Untypable
 from jtxinfer.syntax import alpha_equivalent
 
-from conftest import (ALL_GOLDEN_SRCS, CYCLE_SRC, FAC_SRC, INFIMUM_SRC,
-                      MUTUAL_SRC, OL_SRC, OLFUN_SRC, TPHS_SRC)
+from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
+                      INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, TPHS_SRC)
 
 FAC_TYPED = """\
 class Fac {
@@ -184,6 +184,23 @@ def test_cross_class_call_keeps_callee_bound():
     assert J.signature_lines(first)[1] == "D1.f : <A extends B, B> A -> B"
     second = run(J.typed_source(first))
     assert J.signature_lines(second) == J.signature_lines(first)
+
+
+def test_method_generic_does_not_capture_class_generic():
+    first = run(CAPTURE_SRC)
+    assert J.signature_lines(first) == ["T.id2 : A -> A"]
+    second = run(J.typed_source(first))
+    assert J.signature_lines(second) == J.signature_lines(first)
+
+
+def test_signature_clause_is_the_typed_source_clause():
+    r = run(MUTUAL_SRC)
+    assert J.signature_lines(r)[0].startswith(
+        "Mutual.m1 : <A extends C, B extends A, C> ")
+    for cr in run(TPHS_SRC).class_results + r.class_results:
+        for m, (_, typings) in zip(cr.typed_cls.methods, cr.signatures):
+            assert [(g.name, g.bound and str(g.bound)) for g in m.generics] \
+                == list(typings[0].generics)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))

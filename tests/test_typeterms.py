@@ -1,7 +1,7 @@
 """Term helpers: type-variable instantiation and placeholder naming."""
 
 from jtxinfer.typeterms import (VOID, ClassType, FunType, TPH, instantiate,
-                                tph_name, tph_number)
+                                tph_name, tph_number, tphs_of)
 from jtxinfer.unify import _age
 
 INT = ClassType("Integer")
@@ -36,3 +36,10 @@ def test_placeholder_number_rejects_other_names():
     assert tph_number("?0") is None
     assert tph_number("Ab") is None
     assert tph_number("") is None
+
+
+def test_tphs_of_lists_names_in_first_occurrence_order():
+    pair = ClassType("Pair", (TPH("Q"), FunType((TPH("C"),), TPH("Q"))))
+    term = FunType((pair, TPH("AB"), TPH("C")), TPH("B"))
+    assert list(tphs_of(term)) == ["Q", "C", "AB", "B"]
+    assert "AB" in tphs_of(term) and "A" not in tphs_of(term)
