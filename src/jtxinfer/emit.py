@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
-from .typeterms import (VOID, FunType, TPH, instantiate, substitute,
-                        tph_name, tphs_of)
+from .typeterms import (VOID, ClassType, FunType, TPH, substitute, tph_name,
+                        tphs_of)
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -19,7 +19,7 @@ _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 class MethodTyping:
     """One member of a method's intersection type."""
 
-    generics: tuple   # ((name, bound-name-or-None), ...)
+    generics: tuple   # ((TPH/ClassType, bound-term-or-None), ...)
     params: tuple     # TypeTerm per parameter
     ret: object       # TypeTerm
 
@@ -36,20 +36,26 @@ def typing_sort_key(t):
 
 
 def _canonical(t):
-    """Typing with generics renamed positionally (dedup modulo renaming)."""
-    # type-variable references take part in the order like placeholders
-    as_tph = {name: TPH(name) for name, _ in t.generics}
-    terms = [instantiate(x, as_tph) for x in (*t.params, t.ret)]
-    order = dict.fromkeys(n for x in terms for n in tphs_of(x))
-    order |= dict.fromkeys(n for pair in t.generics for n in pair
-                           if n is not None)
-    ren = {n: f"#{i}" for i, n in enumerate(n for n in order if n in as_tph)}
-    sigma = {k: TPH(v) for k, v in ren.items()}
-    gens = tuple(sorted(
-        (ren[name], None if bound is None else ren.get(bound, bound))
-        for name, bound in t.generics))
-    return (gens, tuple(str(substitute(x, sigma)) for x in terms[:-1]),
-            str(substitute(terms[-1], sigma)))
+    """Typing with its placeholder generics renamed positionally (dedup
+    modulo renaming); declared type variables stay as they are."""
+    variables = {v for v, _ in t.generics}
+    order = dict.fromkeys(
+        TPH(n) for x in (*t.params, t.ret, *clause_terms(t.generics))
+        for n in tphs_of(x))
+    sigma = {v.name: TPH(f"#{i}") for i, v in enumerate(
+        v for v in order if v in variables)}
+
+    def canon(x):
+        return str(substitute(x, sigma))
+
+    return (tuple(sorted((canon(v), None if b is None else canon(b))
+                         for v, b in t.generics)),
+            tuple(canon(x) for x in t.params), canon(t.ret))
+
+
+def clause_terms(clause):
+    """The variables and bounds of a generics clause."""
+    return [x for pair in clause for x in pair if x is not None]
 
 
 def assemble_intersection_types(typings):
@@ -71,11 +77,9 @@ def format_typing(t):
     gens = ""
     if t.generics:
         parts = []
-        for name, bound in t.generics:
-            if bound is None or bound == "Object":
-                parts.append(name)
-            else:
-                parts.append(f"{name} extends {bound}")
+        for var, bound in t.generics:
+            parts.append(str(var) if bound is None
+                         else f"{var} extends {bound}")
         gens = "<" + ", ".join(parts) + "> "
     if len(t.params) == 1:
         head = str(t.params[0])
@@ -126,39 +130,38 @@ class AnnotatedClass:
     """A class with every slot term resolved, ready for printing."""
 
     cls: object                      # original ClassDecl
-    class_generics: list             # clause: [(name, bound-or-None)]
+    class_generics: list             # clause: [(TPH/ClassType, bound)]
     field_terms: dict                # field name -> TypeTerm
     method_generics: list            # per method: clause
     method_params: list              # per method: [TypeTerm]
     method_rets: list                # per method: TypeTerm
     local_terms: dict = field(default_factory=dict)  # LocalDecl uid -> term
-    reserved: set = field(default_factory=set)       # declared type variables
 
 
 def build_typed_class(ann):
     """Annotated ClassDecl (new AST) with canonical placeholder names."""
 
     def names(terms, clause=()):
-        yield from (n for t in terms for n in tphs_of(t))
-        yield from (n for pair in clause for n in pair
-                    if n is not None and n not in ann.reserved)
+        return [n for t in (*terms, *clause_terms(clause))
+                for n in tphs_of(t)]
 
-    order = list(names(ann.field_terms.values(), ann.class_generics))
+    order = names(ann.field_terms.values(), ann.class_generics)
     for i in range(len(ann.cls.methods)):
         order += names([*ann.method_params[i], ann.method_rets[i]],
                        ann.method_generics[i])
     order += names(ann.local_terms.values())
-    ren = canonical_renaming(order, ann.reserved)
+    declared = {v.name for clause in (ann.class_generics, *ann.method_generics)
+                for v, _ in clause if isinstance(v, ClassType)}
+    ren = canonical_renaming(order, declared)
     sigma = {old: TPH(new) for old, new in ren.items()}
 
     def conv(term):
         return term_to_srctype(substitute(term, sigma))
 
     def gen_params(clause):
-        return [S.GenericParam(ren.get(n, n),
-                               None if bound is None or bound == "Object"
-                               else S.SrcType(ren.get(bound, bound)))
-                for n, bound in clause]
+        return [S.GenericParam(conv(v).name,
+                               None if bound is None else conv(bound))
+                for v, bound in clause]
 
     fields = [
         S.FieldDecl(name=f.name, annotation=conv(ann.field_terms[f.name]),

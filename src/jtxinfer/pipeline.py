@@ -30,7 +30,9 @@ class SolvedClass:
     """One surviving solution for a class, after generalization."""
 
     remaining: tuple
-    class_generics: list        # generics clause: [(name, bound-or-None)]
+    # generics clause: [(variable, bound-or-None)] of terms; the variable
+    # is a TPH when inferred and a ClassType when declared
+    class_generics: list
     method_generics: list       # per method: generics clause
     field_terms: dict           # field name -> term
     method_params: list
@@ -72,17 +74,12 @@ def run_source(src, table_path=None, max_solutions=None, dump_stages=()):
 
 
 def _infer_class(cls, table, max_solutions, dumps):
-    scoped = table
-    declared = list(cls.generics) + [g for m in cls.methods
-                                     for g in m.generics]
-    if declared:
-        names = {g.name for g in declared}
-        tvars = {}
-        for g in declared:
-            bound = (resolve_src_type(g.bound, table, names)
-                     if g.bound is not None else ClassType("Object"))
-            tvars[g.name] = bound
-        scoped = table.extend_typevars(tvars)
+    # each member's declared clause, its bounds resolved in its own scope
+    declared = [_declared_pairs(cls.generics, cls.generics, table)] + [
+        _declared_pairs(m.generics, cls.generics + m.generics, table)
+        for m in cls.methods]
+    scoped = table.extend_typevars(
+        {v.name: b for pairs in declared for v, b in pairs})
     gen = generate_constraints(cls, scoped)
     solved = []
     for cand in flatten(gen, scoped):
@@ -104,7 +101,7 @@ def _infer_class(cls, table, max_solutions, dumps):
     solved = _minimal(solved, scoped)
     if not solved:
         raise Untypable(f"class {cls.name} has no typing")
-    finished = [s.generalize(scoped, dumps) for s in solved]
+    finished = [s.generalize(declared, dumps) for s in solved]
     return _assemble(cls, finished, scoped)
 
 
@@ -167,7 +164,9 @@ class _Solved:
         return (tuple(sorted(self.remaining)),
                 tuple(str(t) for _, ts in self.slot_groups() for t in ts))
 
-    def generalize(self, table, dumps):
+    def generalize(self, declared, dumps):
+        """The solution's SolvedClass; `declared` holds the declared
+        generics clause of the class and then of each method."""
         gen = self.gen
         groups = self.slot_groups()
         owners = compute_owners(groups)
@@ -213,13 +212,12 @@ class _Solved:
         return SolvedClass(
             remaining=tuple(sorted(self.remaining)),
             class_generics=_generics_clause(
-                _declared_pairs(gen.cls.generics)
-                + _family_pairs(family, CLASS), field_terms.values()),
+                declared[0] + _family_pairs(family, CLASS),
+                field_terms.values()),
             method_generics=[_generics_clause(
-                _declared_pairs(m.generics)
-                + _family_pairs(family, ("method", i)),
+                declared[i + 1] + _family_pairs(family, ("method", i)),
                 [*method_params[i], method_rets[i]])
-                for i, m in enumerate(gen.cls.methods)],
+                for i in range(len(gen.methods))],
             field_terms=field_terms,
             method_params=method_params,
             method_rets=method_rets,
@@ -246,56 +244,49 @@ def _atomic(t):
 
 
 def _minimal(solved, table):
-    """Among fully resolved solutions keep the ones whose placeholder
-    assignments are pointwise minimal in the subtype order.  Comparison
-    happens at atomic positions only (composite terms are determined by
-    the atomic bindings); symbolic solutions are kept as-is."""
-    ground = [s for s in solved if not s.remaining]
-    symbolic = [s for s in solved if s.remaining]
+    """Keep the solutions whose placeholder assignments are pointwise
+    minimal in the subtype order among the solutions with the same
+    remaining constraints.  Comparison happens at atomic positions only
+    (composite terms are determined by the atomic bindings)."""
 
     def below(b, a):
         """b strictly below a pointwise."""
-        if set(b.sigma) != set(a.sigma):
+        if b.remaining != a.remaining or b.sigma.keys() != a.sigma.keys():
             return False
         strict = False
         for k, va in a.sigma.items():
             vb = b.sigma[k]
-            if vb == va:
-                continue
-            if not (_atomic(va) and _atomic(vb)):
-                continue  # composite terms are determined by atomic entries
-            if is_ground(va) and is_ground(vb) and table.is_subtype(vb, va):
+            if vb != va and _atomic(va) and _atomic(vb):
+                if not table.is_subtype(vb, va):
+                    return False
                 strict = True
-            else:
-                return False
         return strict
 
-    keep = []
-    for a in ground:
-        if not any(below(b, a) for b in ground if b is not a):
-            keep.append(a)
-    return keep + symbolic
+    return [a for a in solved
+            if not any(below(b, a) for b in solved if b is not a)]
 
 
 def _family_pairs(family, owner):
-    out = {}
-    for (l, r) in family.get(owner, ()):
-        if l not in out or out[l] == OBJECT:
-            out[l] = r
-        elif r != OBJECT:
-            out[l] = r
-    return [(l, None if r == OBJECT else r) for l, r in sorted(out.items())]
+    """Inferred clause pairs; conformance left one bound per placeholder."""
+    return [(TPH(l), None if r == OBJECT else TPH(r))
+            for l, r in sorted(family.get(owner, ()))]
 
 
-def _declared_pairs(generics):
-    return [(g.name, None if g.bound is None or str(g.bound) == "Object"
-             else str(g.bound)) for g in generics]
+def _declared_pairs(generics, scope, table):
+    """Declared clause pairs, each bound resolved among the type variables
+    of its member's `scope`; an `Object` bound is no bound."""
+    names = {g.name for g in scope}
+    bounds = [g.bound and resolve_src_type(g.bound, table, names)
+              for g in generics]
+    return [(ClassType(g.name), None if b == ClassType("Object") else b)
+            for g, b in zip(generics, bounds)]
 
 
 def _generics_clause(pairs, terms):
-    """A member's generics clause: its (name, bound) pairs in order of the
-    names' first use in the signature `terms`; unused names last, as given."""
-    rank = {n: i for i, n in enumerate(
+    """A member's generics clause: its (variable, bound) pairs in order of
+    the placeholders' first use in the signature `terms`; declared and
+    unused variables last, as given."""
+    rank = {TPH(n): i for i, n in enumerate(
         dict.fromkeys(n for t in terms for n in tphs_of(t)))}
     return sorted(dict(pairs).items(),
                   key=lambda pair: rank.get(pair[0], len(rank)))
@@ -315,21 +306,18 @@ def _assemble(cls, finished, table):
         method_params=rep.method_params,
         method_rets=rep.method_rets,
         local_terms=rep.local_terms,
-        reserved={g.name for g in cls.generics}
-                 | {g.name for m in cls.methods for g in m.generics},
     )
     typed_cls, ren = E.build_typed_class(ann)
-
-    def rename(t):
-        return substitute(t, {old: TPH(new) for old, new in ren.items()})
+    sigma = {old: TPH(new) for old, new in ren.items()}
+    rename = lambda t: substitute(t, sigma)
 
     signatures = []
     used = []
     for i, m in enumerate(cls.methods):
         typings = []
         for s in finished:
-            gens = tuple((ren.get(l, l), None if r is None else ren.get(r, r))
-                         for l, r in s.method_generics[i])
+            gens = tuple((rename(v), None if b is None else rename(b))
+                         for v, b in s.method_generics[i])
             typings.append(E.MethodTyping(
                 generics=gens,
                 params=tuple(rename(t) for t in s.method_params[i]),
@@ -353,15 +341,15 @@ def _register(cls, table, signatures, rep, rename):
     """Make the inferred typings callable from later classes."""
     for (mname, typings) in signatures:
         for t in typings:
-            bound_by = dict(t.generics)
-            names = dict.fromkeys(n for x in (*t.params, t.ret)
-                                  for n in tphs_of(x))
-            names |= dict.fromkeys(n for pair in t.generics for n in pair
-                                   if n is not None)
+            bound_by = {v.name: b for v, b in t.generics}
+            names = dict.fromkeys(
+                n for x in (*t.params, t.ret, *E.clause_terms(t.generics))
+                for n in tphs_of(x))
+            names |= dict.fromkeys(bound_by)
             as_var = {n: ClassType(n) for n in names}
             conv = lambda term: substitute(term, as_var)
             tps = [(n, None if bound_by.get(n) is None
-                    else ClassType(bound_by[n])) for n in names]
+                    else conv(bound_by[n])) for n in names]
             table.register_inferred(
                 cls.name, mname,
                 (tps, [conv(p) for p in t.params], conv(t.ret)))

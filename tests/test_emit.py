@@ -33,8 +33,8 @@ def test_sort_key_builtin_order_then_lexicographic():
 
 
 def test_assemble_dedups_modulo_renaming():
-    a = mt([TPH("X")], TPH("X"), [("X", None)])
-    b = mt([TPH("Y")], TPH("Y"), [("Y", None)])
+    a = mt([TPH("X")], TPH("X"), [(TPH("X"), None)])
+    b = mt([TPH("Y")], TPH("Y"), [(TPH("Y"), None)])
     out = assemble_intersection_types([a, b])
     assert len(out) == 1
 
@@ -45,8 +45,15 @@ def test_assemble_keeps_distinct_typings_sorted():
 
 
 def test_assemble_distinguishes_bounds():
-    a = mt([TPH("X")], TPH("X"), [("X", None)])
-    b = mt([TPH("X")], TPH("X"), [("X", "Number")])
+    a = mt([TPH("X")], TPH("X"), [(TPH("X"), None)])
+    b = mt([TPH("X")], TPH("X"), [(TPH("X"), ClassType("Number"))])
+    assert len(assemble_intersection_types([a, b])) == 2
+
+
+def test_assemble_keeps_declared_variables_rigid():
+    gens = [(ClassType("T"), None), (TPH("X"), None)]
+    a = mt([ClassType("T"), TPH("X")], VOID, gens)
+    b = mt([TPH("X"), ClassType("T")], VOID, gens)
     assert len(assemble_intersection_types([a, b])) == 2
 
 
@@ -58,9 +65,8 @@ def test_assemble_empty_is_untypable():
 def test_format_typing_forms():
     assert format_typing(mt([INT], BOOL)) == "Integer -> Boolean"
     assert format_typing(mt([INT, DBL], VOID)) == "(Integer, Double) -> void"
-    t = mt([TPH("A")], TPH("B"),
-           [("A", "B"), ("B", None), ("C", "Object")])
-    assert format_typing(t) == "<A extends B, B, C> A -> B"
+    t = mt([TPH("A")], TPH("B"), [(TPH("A"), TPH("B")), (TPH("B"), None)])
+    assert format_typing(t) == "<A extends B, B> A -> B"
 
 
 def test_signature_report_lines():
@@ -94,7 +100,7 @@ def _annotated_identity():
     cls = parse("class C { m(x) { return x; } }").classes[0]
     return AnnotatedClass(
         cls=cls, class_generics=[], field_terms={},
-        method_generics=[[("QQ", None)]],
+        method_generics=[[(TPH("QQ"), None)]],
         method_params=[[TPH("QQ")]], method_rets=[TPH("QQ")])
 
 
@@ -111,7 +117,8 @@ def test_build_typed_class_bound_order_names_before_bounds():
     cls = parse("class C { m(x, y) { return x; } }").classes[0]
     ann = AnnotatedClass(
         cls=cls, class_generics=[], field_terms={},
-        method_generics=[[("P", "R"), ("Q", "S"), ("R", None), ("S", None)]],
+        method_generics=[[(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
+                          (TPH("R"), None), (TPH("S"), None)]],
         method_params=[[TPH("P"), TPH("Q")]], method_rets=[TPH("P")])
     typed, _ = build_typed_class(ann)
     gens = [(g.name, str(g.bound) if g.bound else None)
@@ -138,7 +145,7 @@ def test_emit_typed_source_imports_kept():
 
 
 def test_method_descriptor_erasure():
-    t = mt([TPH("X"), INT], TPH("X"), [("X", None)])
+    t = mt([TPH("X"), INT], TPH("X"), [(TPH("X"), None)])
     assert method_descriptor(t) == \
         "(Ljava$lang$Object;LInteger;)Ljava$lang$Object;"
 
@@ -147,13 +154,13 @@ def test_emit_descriptors_lines_and_collision():
     lines = emit_descriptors("C", [("m", [mt([INT], INT), mt([DBL], DBL)])])
     assert lines == ["C.m : (LInteger;)LInteger;",
                      "C.m : (LDouble;)LDouble;"]
-    clash = [("m", [mt([TPH("X")], INT, [("X", None)]),
-                    mt([TPH("Y")], INT, [("Y", "Number")])])]
+    clash = [("m", [mt([TPH("X")], INT, [(TPH("X"), None)]),
+                    mt([TPH("Y")], INT, [(TPH("Y"), ClassType("Number"))])])]
     with pytest.raises(DescriptorCollision):
         emit_descriptors("C", clash)
 
 
 def test_duplicate_typings_share_descriptor_without_error():
-    same = [("m", [mt([TPH("X")], TPH("X"), [("X", None)])] * 2)]
+    same = [("m", [mt([TPH("X")], TPH("X"), [(TPH("X"), None)])] * 2)]
     lines = emit_descriptors("C", same)
     assert len(lines) == 2

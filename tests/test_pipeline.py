@@ -5,6 +5,7 @@ import pytest
 import jtxinfer as J
 from jtxinfer.errors import Untypable
 from jtxinfer.syntax import alpha_equivalent
+from jtxinfer.typeterms import ClassType
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
                       INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, TPHS_SRC)
@@ -200,7 +201,63 @@ def test_signature_clause_is_the_typed_source_clause():
     for cr in run(TPHS_SRC).class_results + r.class_results:
         for m, (_, typings) in zip(cr.typed_cls.methods, cr.signatures):
             assert [(g.name, g.bound and str(g.bound)) for g in m.generics] \
-                == list(typings[0].generics)
+                == [(str(v), b and str(b)) for v, b in typings[0].generics]
+
+
+def _sigs_reenter(src):
+    """Signature lines of `src`, checked to survive re-entry of the typed
+    output unchanged."""
+    first = run(src)
+    second = run(J.typed_source(first))
+    assert J.signature_lines(second) == J.signature_lines(first)
+    return J.signature_lines(first), first
+
+
+def test_declared_class_generic_keeps_its_name():
+    sigs, r = _sigs_reenter(
+        "class C<A> { f; m(A x, y) { f = y; return x; } }")
+    assert sigs == ["C.m : <C extends B> (A, C) -> A"]
+    typed = r.class_results[0].typed_cls
+    assert sorted(g.name for g in typed.generics) == ["A", "B"]
+    assert str(typed.fields[0].annotation) == "B"
+
+
+def test_declared_bound_is_kept():
+    sigs, _ = _sigs_reenter(
+        "class C { <T extends Number> m(T x, y) { return y; } }")
+    assert sigs == ["C.m : <A extends B, B, T extends Number> (T, A) -> B"]
+
+
+def test_cross_class_call_to_declared_bound():
+    sigs, _ = _sigs_reenter(
+        "import java.lang.Integer;\n"
+        "class P { <T extends Number> a(T x) { return x; } }\n"
+        "class Q { r() { return new P().a(1); } }\n")
+    assert sigs == ["P.a : <T extends Number> T -> T", "Q.r : () -> Integer"]
+
+
+def test_declared_bound_resolved_in_its_own_method():
+    sigs, _ = _sigs_reenter(
+        "class S { <T extends Number> a(T x) { return x; } "
+        "<T> b(T y) { return y; } }")
+    assert sigs == ["S.a : <T extends Number> T -> T", "S.b : <T> T -> T"]
+
+
+def test_object_bound_is_no_bound():
+    sigs, r = _sigs_reenter(
+        "class C { <T extends Object> m(T x) { return x; } }")
+    assert sigs == ["C.m : <T> T -> T"]
+    (typing,) = r.class_results[0].signatures[0][1]
+    assert typing.generics == ((ClassType("T"), None),)
+
+
+def test_symbolic_solutions_keep_only_minimal_typings():
+    sigs, _ = _sigs_reenter(
+        "class N { n(x, y) { var z = x; y = z; return 1; } }")
+    assert sigs == ["N.n : <A extends C, B, C extends B> (A, B) -> Integer"]
+    sigs, _ = _sigs_reenter(
+        "class G<T extends Number> { f; m(T x, y) { f = y; return x; } }")
+    assert sigs == ["G.m : <B extends A> (T, B) -> T"]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))
