@@ -3,9 +3,9 @@
 from .classtable import ClassTable, build_class_table
 from .constraints import flatten, generate_constraints
 from .errors import (ArityMismatch, DescriptorCollision, DuplicateClass,
-                     JtxError, JtxSyntaxError, UnknownIdentifier,
-                     UnknownImport, UnknownMember, UnsupportedFeature,
-                     Untypable)
+                     JtxError, JtxSyntaxError, ResourceLimit,
+                     UnknownIdentifier, UnknownImport, UnknownMember,
+                     UnsupportedFeature, Untypable)
 from .funtypes import (decode_funtype_name, fun_interface_hierarchy,
                        mangle_funtype_name, render_manifest)
 from .generics import (build_fgg, complete_fgg, enforce_java_conformance,
@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch", "ClassTable", "ClassType", "DescriptorCollision",
-    "DuplicateClass", "FunType", "JtxError", "JtxSyntaxError", "TPH",
-    "UnknownIdentifier", "UnknownImport", "UnknownMember",
-    "UnsupportedFeature", "Untypable", "VOID", "alpha_equivalent",
-    "build_class_table", "build_fgg", "complete_fgg",
+    "DuplicateClass", "FunType", "JtxError", "JtxSyntaxError",
+    "ResourceLimit", "TPH", "UnknownIdentifier", "UnknownImport",
+    "UnknownMember", "UnsupportedFeature", "Untypable", "VOID",
+    "alpha_equivalent", "build_class_table", "build_fgg", "complete_fgg",
     "decode_funtype_name", "descriptor_lines", "enforce_java_conformance",
     "flatten", "format_generics", "format_solution",
     "fun_interface_hierarchy", "funiface_manifest", "generate_constraints",

@@ -89,13 +89,17 @@ class ClassTable:
     """Immutable view of the type universe.
 
     `typevars` maps declared generic names (rigid type variables of the
-    compilation scope) to their bound terms; `extend_typevars` returns a
-    widened view for checking annotated inputs.
+    compilation scope) to their bound terms, and `typevar_scopes` maps
+    them to the member scopes that declare them (``("class",)`` or
+    ``("method", i)``); `extend_typevars` returns a widened view for
+    checking annotated inputs.
     """
 
-    def __init__(self, entries, typevars=None, inferred=None):
+    def __init__(self, entries, typevars=None, inferred=None,
+                 typevar_scopes=None):
         self.entries = entries
         self.typevars = dict(typevars or {})
+        self.typevar_scopes = dict(typevar_scopes or {})
         # class name -> method name -> list of inferred typings
         # (typeparams, param terms, ret term); filled by the pipeline
         self.inferred = inferred if inferred is not None else {}
@@ -108,10 +112,22 @@ class ClassTable:
     def entry(self, name):
         return self.entries[name]
 
-    def extend_typevars(self, tvars):
+    def extend_typevars(self, tvars, scope=None):
+        """A view that also holds `tvars`, declared by member `scope`; a
+        variable no scope declares is in scope everywhere."""
         merged = dict(self.typevars)
         merged.update(tvars)
-        return ClassTable(self.entries, merged, self.inferred)
+        scopes = dict(self.typevar_scopes)
+        if scope is not None:
+            for name in tvars:
+                scopes[name] = scopes.get(name, ()) + (scope,)
+        return ClassTable(self.entries, merged, self.inferred, scopes)
+
+    def in_scope(self, typevar, scope):
+        """Whether a placeholder of member `scope` may be `typevar`: the
+        class's variables are seen by every member, a method's by itself."""
+        scopes = self.typevar_scopes.get(typevar)
+        return scopes is None or ("class",) in scopes or scope in scopes
 
     def is_typevar(self, term):
         return (isinstance(term, ClassType) and not term.args
@@ -209,9 +225,10 @@ class ClassTable:
                 return False
         return True
 
-    def subtype_heads(self, name):
+    def subtype_heads(self, name, scope=None):
         """Entry names whose supertype chain reaches `name` (incl. itself),
-        in table order, plus in-scope type variables below it."""
+        in table order, plus the type variables below it that are in
+        scope for member `scope` (all of them when `scope` is None)."""
         out = []
         for cand in self.entries:
             chain = self.supertype_chain(ClassType(
@@ -221,6 +238,8 @@ class ClassTable:
                    for t in chain):
                 out.append(cand)
         for tv in self.typevars:
+            if scope is not None and not self.in_scope(tv, scope):
+                continue
             chain = self.supertype_chain(ClassType(tv))
             if any(isinstance(t, ClassType) and t.name == name
                    for t in chain):

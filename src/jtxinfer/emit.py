@@ -212,14 +212,20 @@ def method_descriptor(typing, table=None):
     return f"({args}){descriptor_term(typing.ret, table)}"
 
 
-def emit_descriptors(class_name, method_signatures, table=None):
+def emit_descriptors(class_name, method_signatures, table=None,
+                     declared=None):
     """`Class.method : (Largs;)Lret;` lines; typings of one declaration
-    must map to pairwise distinct descriptors."""
+    must map to pairwise distinct descriptors.  `declared` lists, per
+    method, the type-variable names in its scope (the class's and its
+    own), which erase like placeholders."""
     lines = []
-    for mname, typings in method_signatures:
+    for i, (mname, typings) in enumerate(method_signatures):
+        scoped = table
+        if declared and declared[i]:
+            scoped = table.extend_typevars(dict.fromkeys(declared[i]))
         seen = {}
         for t in typings:
-            d = method_descriptor(t, table)
+            d = method_descriptor(t, scoped)
             if d in seen and _canonical(seen[d]) != _canonical(t):
                 raise DescriptorCollision(
                     f"{class_name}.{mname}: descriptor {d} is shared by "

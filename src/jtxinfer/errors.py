@@ -50,5 +50,9 @@ class Untypable(JtxError):
     """No candidate constraint set has a solution."""
 
 
+class ResourceLimit(JtxError):
+    """A search ran out of its step budget; says nothing about typability."""
+
+
 class DescriptorCollision(JtxError):
     """Two typings of one method mangled to the same descriptor (internal error)."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from . import emit as E
 from .classtable import build_class_table, resolve_src_type
 from .constraints import CallSite, flatten, generate_constraints
-from .errors import Untypable
+from .errors import ResourceLimit, Untypable
 from .generics import (CLASS, OBJECT, build_fgg, complete_fgg,
                        compute_owners, enforce_java_conformance,
                        format_generics, member_tph_sets)
@@ -20,7 +20,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
 from .parser import parse
 from .syntax import Program, print_program
 from .typeterms import VOID, ClassType, TPH, is_ground, substitute, tphs_of
-from .unify import format_solution, unify
+from .unify import MAX_STEPS, format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
 
@@ -61,25 +61,32 @@ class PipelineResult:
         return [r.typed_cls for r in self.class_results]
 
 
-def run_source(src, table_path=None, max_solutions=None, dump_stages=()):
+def run_source(src, table_path=None, max_solutions=None, dump_stages=(),
+               max_steps=MAX_STEPS):
     program = parse(src)
     table = build_class_table(program, table_path)
     dumps = {s: [] for s in dump_stages}
     results = []
     for cls in program.classes:
-        results.append(_infer_class(cls, table, max_solutions, dumps))
+        results.append(_infer_class(cls, table, max_solutions, max_steps,
+                                    dumps))
     return PipelineResult(program=program, table=table,
                           class_results=results,
                           dumps={k: "\n".join(v) for k, v in dumps.items()})
 
 
-def _infer_class(cls, table, max_solutions, dumps):
+def _infer_class(cls, table, max_solutions, max_steps, dumps):
     # each member's declared clause, its bounds resolved in its own scope
     declared = [_declared_pairs(cls.generics, cls.generics, table)] + [
         _declared_pairs(m.generics, cls.generics + m.generics, table)
         for m in cls.methods]
-    scoped = table.extend_typevars(
-        {v.name: b for pairs in declared for v, b in pairs})
+    scoped = table
+    for scope, pairs in zip(
+            [CLASS] + [("method", i) for i in range(len(cls.methods))],
+            declared):
+        if pairs:
+            scoped = scoped.extend_typevars({v.name: b for v, b in pairs},
+                                            scope)
     gen = generate_constraints(cls, scoped)
     solved = []
     for cand in flatten(gen, scoped):
@@ -88,8 +95,12 @@ def _infer_class(cls, table, max_solutions, dumps):
                 f"# {cls.name} candidate {cand.choice}")
             dumps["constraints"].extend(str(c) for c in cand.constraints)
         fresh = gen.fresh.clone()
-        for sol in unify(cand.constraints, scoped, fresh,
-                         max_solutions=max_solutions):
+        try:
+            sols = unify(cand.constraints, scoped, fresh,
+                         max_solutions=max_solutions, max_steps=max_steps)
+        except ResourceLimit as exc:
+            raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
+        for sol in sols:
             if "solutions" in dumps:
                 dumps["solutions"].append(f"# {cls.name}")
                 dumps["solutions"].append(format_solution(sol))
@@ -388,8 +399,10 @@ def signature_lines(result):
 def descriptor_lines(result):
     lines = []
     for r in result.class_results:
+        declared = [[g.name for g in r.cls.generics + m.generics]
+                    for m in r.cls.methods]
         lines.extend(E.emit_descriptors(r.cls.name, r.signatures,
-                                        result.table))
+                                        result.table, declared))
     return lines
 
 

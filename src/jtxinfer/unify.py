@@ -5,18 +5,46 @@ substitution plus the remaining placeholder-pair subtype constraints that
 were left symbolic.  Branch points are the lower-bound expansion (a
 placeholder below a class type ranges over the finitely many table types
 below it) and the dual upper-bound expansion along the supertype chain.
+
+The search works on one store and never copies it:
+
+* A worklist holds the pending constraints.  A constraint is resolved
+  against sigma when it is popped, and each pop is one step of the
+  `max_steps` budget; running out raises `ResourceLimit`.
+* Sigma is triangular: a bound term may mention placeholders that were
+  bound after it, and `_Sigma.get` resolves them, so a bind writes one
+  entry.  Solutions hold the fully resolved terms.
+* Stuck constraints (placeholder < placeholder, and the one-sided lessdots
+  that are branch points) are parked in an occurrence index keyed by the
+  placeholders on their two sides.  Binding a name re-queues that name's
+  parked constraints and nothing else.
+* A trail logs every bind, park and unpark, and an explicit stack holds one
+  frame per open branch point: its trail mark and its untried
+  alternatives.  Trying the next alternative first undoes the trail to the
+  frame's mark, so a refuted alternative costs only what it touched.
+
+The branch point taken is the parked one-sided lessdot that comes first
+in constraint order: the input order, with a rewritten constraint's parts
+in its place and a branch's extra constraint after all the others.  Each
+constraint carries its place as a key, and a heap of the parked one-sided
+ones yields the first.  Alternatives are made lazily, in `_branches`
+order, so solutions are found, and fresh placeholders named, in the order
+of a recursive search that rewrites the whole constraint list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
-from .constraints import Constraint, FreshNames, doteq, lessdot
-from .errors import Untypable
+from .constraints import FreshNames, doteq, lessdot
+from .errors import ResourceLimit
 from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
                         fun_type, substitute, tphs_of)
 
-_MAX_STEPS = 500_000
+# worklist pops per `unify` call
+MAX_STEPS = 500_000
 
 
 @dataclass(frozen=True)
@@ -47,19 +75,6 @@ def _age(name):
     return (len(name), name)
 
 
-def _bind(cons, sigma, name, term):
-    """Apply the binding name -> term to the constraints and to sigma, and
-    add it to sigma; None when `name` occurs in `term`."""
-    if name in tphs_of(term):
-        return None
-    one = {name: term}
-    cons = [Constraint(x.kind, substitute(x.lhs, one), substitute(x.rhs, one))
-            for x in cons]
-    sigma = {k: substitute(v, one) for k, v in sigma.items()}
-    sigma[name] = term
-    return cons, sigma
-
-
 def _head(t):
     if isinstance(t, TPH):
         return ("tph",)
@@ -70,77 +85,186 @@ def _head(t):
     return ("class", t.name)
 
 
+class _Sigma(dict):
+    """Triangular substitution: `get` resolves the names a bound term
+    mentions, so `substitute(t, sigma)` is the fully resolved term."""
+
+    def get(self, name, default=None):
+        term = dict.get(self, name)
+        return default if term is None else substitute(term, self)
+
+
+class _Parked:
+    """A stuck lessdot in the occurrence index; `key` is its place in
+    constraint order."""
+
+    __slots__ = ("key", "lhs", "rhs", "parked")
+
+    def __init__(self, key, lhs, rhs):
+        self.key = key
+        self.lhs = lhs
+        self.rhs = rhs
+        self.parked = False
+
+    def names(self):
+        """The placeholder names on its two sides."""
+        if not isinstance(self.lhs, TPH):
+            return (self.rhs.name,)
+        if not isinstance(self.rhs, TPH):
+            return (self.lhs.name,)
+        return (self.lhs.name, self.rhs.name)
+
+
+_BIND, _PARK, _UNPARK = range(3)
+
+
 class _Unifier:
-    def __init__(self, table, fresh, max_solutions):
+    def __init__(self, table, fresh, max_solutions, max_steps):
         self.table = table
         self.fresh = fresh
         self.max_solutions = max_solutions
+        self.max_steps = max_steps
         self.solutions = {}   # ordered set, so sort ties keep found order
         self.steps = 0
-
-    def _tick(self):
-        self.steps += 1
-        if self.steps > _MAX_STEPS:
-            raise Untypable("unification did not terminate")
+        self.branch_points = 0
+        self.sigma = _Sigma()
+        self.work = []        # stack of (key, kind, lhs, rhs), next last
+        self.index = {}       # placeholder name -> {_Parked: None}
+        self.branchable = []  # heap of (key, seq, one-sided _Parked)
+        self.seq = count()
+        self.trail = []
+        self.last = 0         # next top-level key, after all the others
 
     def _fresh_like(self, tph):
         scope = self.fresh.scope_of(tph.name) or ("class",)
         return self.fresh.tph(scope)
 
-    def solve(self, cons, sigma):
-        if self.max_solutions and len(self.solutions) >= self.max_solutions:
+    def solve(self, cons):
+        """Collect the solutions of `cons` into `self.solutions`."""
+        self.work = [((i,), c.kind, c.lhs, c.rhs)
+                     for i, c in enumerate(cons)]
+        self.work.reverse()
+        self.last = len(cons)
+        stack = []            # (trail mark, untried alternatives)
+        self._advance(stack)
+        while stack:
+            mark, alternatives = stack[-1]
+            self._undo(mark)
+            alt = next(alternatives, None)
+            if alt is None:
+                stack.pop()
+                continue
+            # past the cap, alternatives are still drawn: each names its
+            # fresh placeholders, and later stages number on from them
+            if self.max_solutions and \
+                    len(self.solutions) >= self.max_solutions:
+                continue
+            name, term, extra = alt
+            if self._bind(name, term):
+                for c in extra:
+                    self.work.append(((self.last,), c.kind, c.lhs, c.rhs))
+                    self.last += 1
+                self._advance(stack)
+
+    def _advance(self, stack):
+        """Simplify; then emit a solution or open the next branch point."""
+        if not self._simplify():
             return
-        state = self._simplify(list(cons), dict(sigma))
-        if state is None:
+        heap = self.branchable
+        while heap and not heap[0][2].parked:
+            heappop(heap)
+        if not heap:
+            self._emit()
             return
-        cons, sigma = state
-        branch = self._pick_branch(cons)
-        if branch is None:
-            self._emit(cons, sigma)
-            return
-        idx, c = branch
-        rest = cons[:idx] + cons[idx + 1:]
-        for bind_name, term, extra in self._branches(c):
-            state = _bind(rest + extra, sigma, bind_name, term)
-            if state is not None:
-                self.solve(*state)
+        c = heap[0][2]
+        self._unpark(c)
+        self.branch_points += 1
+        sigma = self.sigma
+        c = lessdot(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
+        stack.append((len(self.trail), self._branches(c)))
+
+    # -- the store -------------------------------------------------------
+
+    def _bind(self, name, term):
+        """Bind `name` and re-queue its parked constraints; False when
+        `name` occurs in `term`."""
+        if name in tphs_of(term):
+            return False
+        self.sigma[name] = term
+        self.trail.append((_BIND, name))
+        for c in list(self.index.get(name, ())):
+            self._unpark(c)
+            self.work.append((c.key, "lessdot", c.lhs, c.rhs))
+        return True
+
+    def _unpark(self, c):
+        self._unlink(c)
+        self.trail.append((_UNPARK, c))
+
+    def _link(self, c):
+        c.parked = True
+        index = self.index
+        names = c.names()
+        for n in names:
+            if n in index:
+                index[n][c] = None
+            else:
+                index[n] = {c: None}
+        if len(names) == 1:
+            heappush(self.branchable, (c.key, next(self.seq), c))
+
+    def _unlink(self, c):
+        c.parked = False
+        for n in c.names():
+            del self.index[n][c]
+
+    def _undo(self, mark):
+        trail = self.trail
+        while len(trail) > mark:
+            op, x = trail.pop()
+            if op == _BIND:
+                del self.sigma[x]
+            elif op == _PARK:
+                self._unlink(x)
+            else:
+                self._link(x)
 
     # -- deterministic simplification ------------------------------------
 
-    def _simplify(self, cons, sigma):
-        """Apply non-branching rules to a fixpoint; None on contradiction."""
-        i = 0
-        while i < len(cons):
-            self._tick()
-            c = cons[i]
-            if c.lhs == c.rhs:
-                del cons[i]
+    def _simplify(self):
+        """Apply non-branching rules until the worklist is empty; False on
+        contradiction."""
+        work, sigma = self.work, self.sigma
+        while work:
+            if self.steps == self.max_steps:
+                raise ResourceLimit(
+                    f"unification needs more than {self.max_steps} steps")
+            self.steps += 1
+            key, kind, a, b = work.pop()
+            if sigma:
+                a, b = substitute(a, sigma), substitute(b, sigma)
+            if a == b:
                 continue
-            if c.kind == "doteq":
-                out = self._step_doteq(c)
+            if kind == "doteq":
+                out = self._step_doteq(a, b)
             else:
-                out = self._step_lessdot(c)
-            if out == "fail":
-                return None
+                out = self._step_lessdot(a, b)
             if out == "keep":
-                i += 1
-                continue
-            if isinstance(out, tuple) and out[0] == "bind":
-                _, name, term = out
-                del cons[i]
-                state = _bind(cons, sigma, name, term)
-                if state is None:
-                    return None
-                cons, sigma = state
-                i = 0
-                continue
-            # list of replacement constraints
-            cons[i:i + 1] = out
-            continue
-        return cons, sigma
+                c = _Parked(key, a, b)
+                self._link(c)
+                self.trail.append((_PARK, c))
+            elif out == "fail" or (isinstance(out, tuple)
+                                   and not self._bind(out[1], out[2])):
+                work.clear()
+                return False
+            elif isinstance(out, list):
+                # replacement constraints, in the popped one's place
+                for i in reversed(range(len(out))):
+                    x = out[i]
+                    work.append((key + (i,), x.kind, x.lhs, x.rhs))
+        return True
 
-    def _step_doteq(self, c):
-        a, b = c.lhs, c.rhs
+    def _step_doteq(self, a, b):
         if isinstance(a, TPH) and isinstance(b, TPH):
             if _age(a.name) >= _age(b.name):
                 return ("bind", a.name, b)
@@ -163,8 +287,7 @@ class _Unifier:
             return "fail"
         return [doteq(x, y) for x, y in zip(a.args, b.args)]
 
-    def _step_lessdot(self, c):
-        a, b = c.lhs, c.rhs
+    def _step_lessdot(self, a, b):
         if a == VOID or b == VOID:
             return "fail"
         if isinstance(b, ClassType) and b.name == "Object" and not b.args:
@@ -202,31 +325,25 @@ class _Unifier:
 
     # -- branching --------------------------------------------------------
 
-    def _pick_branch(self, cons):
-        for i, c in enumerate(cons):
-            if c.kind != "lessdot":
-                continue
-            l_tph = isinstance(c.lhs, TPH)
-            r_tph = isinstance(c.rhs, TPH)
-            if l_tph != r_tph:
-                return (i, c)
-        return None
-
     def _branches(self, c):
         """(bind name, term, extra constraints) triples for a constraint
-        with a placeholder on exactly one side."""
-        if isinstance(c.lhs, TPH):
-            t, bound = c.lhs, c.rhs
-            for name in self.table.subtype_heads(_head(bound)[1]) \
+        with a placeholder on exactly one side.  A declared type variable
+        is offered only to placeholders of the members it is in scope for."""
+        t = c.lhs if isinstance(c.lhs, TPH) else c.rhs
+        scope = self.fresh.scope_of(t.name) or ("class",)
+        if t is c.lhs:
+            bound = c.rhs
+            for name in self.table.subtype_heads(_head(bound)[1], scope) \
                     if isinstance(bound, ClassType) else [bound.head]:
                 term = self._shape(name, t)
                 yield (t.name, term, [lessdot(term, bound)])
         else:
-            t, low = c.rhs, c.lhs
+            low = c.lhs
             seen = set()
             for sup in self.table.supertype_chain(low):
                 h = _head(sup)
-                if h in seen:
+                if h in seen or (self.table.is_typevar(sup) and
+                                 not self.table.in_scope(sup.name, scope)):
                     continue
                 seen.add(h)
                 if isinstance(sup, FunType):
@@ -254,26 +371,34 @@ class _Unifier:
 
     # -- results -----------------------------------------------------------
 
-    def _emit(self, cons, sigma):
-        pairs = set()
-        for c in cons:
-            if c.lhs == c.rhs:
-                continue
-            pairs.add((c.lhs.name, c.rhs.name))
+    def _emit(self):
+        pairs = {(c.lhs.name, c.rhs.name)
+                 for parked in self.index.values() for c in parked}
+        sigma = self.sigma
         sol = Solution(tuple(sorted(pairs)),
-                       tuple(sorted(sigma.items(), key=lambda kv: kv[0])))
+                       tuple((n, substitute(sigma[n], sigma))
+                             for n in sorted(sigma)))
         self.solutions.setdefault(sol)
 
 
-def unify(constraints, table, fresh=None, max_solutions=None):
-    """All maximal solutions of a constraint set over the given table."""
+def unify(constraints, table, fresh=None, max_solutions=None,
+          max_steps=MAX_STEPS, stats=None):
+    """All maximal solutions of a constraint set over the given table.
+
+    Raises `ResourceLimit` after `max_steps` worklist pops.  When `stats`
+    (a `collections.Counter`) is given, the search adds its `steps` and
+    `branch_points` to it."""
     if fresh is None:
         fresh = FreshNames()
         for c in constraints:
             for n in tphs_of(c.lhs) | tphs_of(c.rhs):
                 fresh.adopt(n)
-    u = _Unifier(table, fresh, max_solutions)
-    u.solve(list(constraints), {})
+    u = _Unifier(table, fresh, max_solutions, max_steps)
+    try:
+        u.solve(list(constraints))
+    finally:
+        if stats is not None:
+            stats.update(steps=u.steps, branch_points=u.branch_points)
     return sorted(u.solutions,
                   key=lambda s: (s.remaining,
                                  tuple((k, str(v)) for k, v in s.sigma)))

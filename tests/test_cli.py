@@ -82,6 +82,24 @@ def test_bad_max_solutions_exits_2(tmp_path, capsys):
     assert "max-solutions" in capsys.readouterr().err
 
 
+def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys):
+    p = write(tmp_path, "Fac.jtx", FAC_SRC)
+    assert main([str(p), "--max-steps", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "Fac.jtx" in err and "steps" in err
+    assert "untypable" not in err
+    assert not (tmp_path / "Fac.sigs.txt").exists()
+    broken = write(tmp_path, "Broken.jtx", "class {")
+    assert main([str(p), str(broken), "--max-steps", "3"]) == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_bad_max_steps_exits_2(tmp_path, capsys, value):
+    p = write(tmp_path, "Fac.jtx", FAC_SRC)
+    assert main([str(p), "--max-steps", value]) == 2
+    assert "max-steps" in capsys.readouterr().err
+
+
 def test_dump_stage_prints_blocks(tmp_path, capsys):
     p = write(tmp_path, "Fac.jtx", FAC_SRC)
     assert main([str(p), "--dump-stage", "constraints",

@@ -3,7 +3,7 @@
 import pytest
 
 import jtxinfer as J
-from jtxinfer.errors import Untypable
+from jtxinfer.errors import ResourceLimit, Untypable
 from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import ClassType
 
@@ -172,6 +172,12 @@ def test_untypable_program_raises():
         run("class B { Boolean m() { var x = 1; return x; } }")
 
 
+def test_step_budget_is_a_resource_limit_not_untypable():
+    with pytest.raises(ResourceLimit, match="class Fac"):
+        run(FAC_SRC, max_steps=3)
+    assert not issubclass(ResourceLimit, Untypable)
+
+
 def test_max_solutions_still_covers_or_groups():
     r = run(OL_SRC, max_solutions=1)
     (_, typings) = r.class_results[0].signatures[0]
@@ -241,6 +247,23 @@ def test_declared_bound_resolved_in_its_own_method():
         "class S { <T extends Number> a(T x) { return x; } "
         "<T> b(T y) { return y; } }")
     assert sigs == ["S.a : <T extends Number> T -> T", "S.b : <T> T -> T"]
+
+
+def test_method_type_variable_stays_in_its_method():
+    sigs, _ = _sigs_reenter(
+        "class S { <T extends Number> a(T x) { return x; } "
+        "c(z) { return a(z); } }")
+    assert sigs == ["S.a : <T extends Number> T -> T",
+                    "S.c : Number -> Number"]
+
+
+def test_declared_type_variables_erase_in_descriptors():
+    r = run("class C { <T extends Number> m(T x, y) { return y; } }")
+    assert J.descriptor_lines(r) == [
+        "C.m : (Ljava$lang$Object;Ljava$lang$Object;)Ljava$lang$Object;"]
+    r = run("class G<T extends Number> { f; m(T x, y) { f = y; return x; } }")
+    assert J.descriptor_lines(r) == [
+        "G.m : (Ljava$lang$Object;Ljava$lang$Object;)Ljava$lang$Object;"]
 
 
 def test_object_bound_is_no_bound():

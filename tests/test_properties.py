@@ -2,8 +2,9 @@
 and monotonicity/conformance of the bound-relation repair map."""
 
 import itertools
+from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jtxinfer import parse
 from jtxinfer.classtable import build_class_table
@@ -63,21 +64,54 @@ def _solution_admits(sol, assign):
     return True
 
 
+def _oracle(cons):
+    return {values for values in itertools.product(GROUND, repeat=len(TPHS))
+            if _satisfies(cons, dict(zip(TPHS, values)))}
+
+
+def _admitted(solutions):
+    return {values for values in itertools.product(GROUND, repeat=len(TPHS))
+            if any(_solution_admits(sol, dict(zip(TPHS, values)))
+                   for sol in solutions)}
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(constraint_st, min_size=1, max_size=6))
 def test_unify_sound_and_complete_vs_brute_force(cons):
     solutions = unify(list(cons), _TABLE)
-    oracle = set()
-    for values in itertools.product(GROUND, repeat=len(TPHS)):
-        assign = dict(zip(TPHS, values))
-        if _satisfies(cons, assign):
-            oracle.add(values)
-    engine = set()
-    for values in itertools.product(GROUND, repeat=len(TPHS)):
-        assign = dict(zip(TPHS, values))
-        if any(_solution_admits(sol, assign) for sol in solutions):
-            engine.add(values)
-    assert engine == oracle
+    assert _admitted(solutions) == _oracle(cons)
+
+
+# a placeholder against a class type on either side: a branch point
+one_sided_st = st.one_of(
+    st.builds(lessdot, st.sampled_from(TPHS).map(TPH),
+              st.sampled_from(GROUND).map(ClassType)),
+    st.builds(lessdot, st.sampled_from(GROUND).map(ClassType),
+              st.sampled_from(TPHS).map(TPH)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(one_sided_st, min_size=2, max_size=4),
+       st.lists(constraint_st, max_size=4), st.randoms())
+def test_branching_search_vs_brute_force_and_capped_prefixes(
+        branch_points, others, rnd):
+    cons = branch_points + others
+    rnd.shuffle(cons)
+    stats = Counter()
+    solutions = unify(list(cons), _TABLE, stats=stats)
+    assume(stats["branch_points"] > 1)
+    assert _admitted(solutions) == _oracle(cons)
+    # a cap of k keeps the first k solutions found: each capped run adds
+    # one solution to the previous one, and lists them in the uncapped
+    # run's order
+    previous = []
+    for k in range(1, len(solutions) + 1):
+        capped = unify(list(cons), _TABLE, max_solutions=k)
+        assert len(capped) == k
+        assert set(previous) < set(capped)
+        assert capped == [s for s in solutions if s in capped]
+        previous = capped
+    assert previous == solutions
 
 
 # --- conformance repair map -------------------------------------------------

@@ -1,10 +1,13 @@
 """Subtype unification: simplification, branching, maximality."""
 
+from collections import Counter
+
 import pytest
 
-from jtxinfer import Untypable, parse, unify
+from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
+                      signature_lines, unify)
 from jtxinfer.classtable import build_class_table
-from jtxinfer.constraints import doteq, lessdot
+from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
 from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
 from jtxinfer.unify import format_solution, transitive_closure
 
@@ -135,3 +138,36 @@ def test_transitive_closure():
 
 def test_untypable_constraint_set(table):
     assert solve(table, lessdot(BOOL, NUM)) == []
+
+
+def test_step_budget_raises_resource_limit(table):
+    cons = [lessdot(TPH("T"), NUM), lessdot(INT, TPH("U"))]
+    assert len(solve(table, *cons, max_steps=20)) == 9
+    with pytest.raises(ResourceLimit):
+        solve(table, *cons, max_steps=3)
+
+
+def long_method(n):
+    """One method of n statements, `var vi = v(i-1) * 2;`, that returns
+    the last variable."""
+    body = ["var v0 = 1;"] + [f"var v{i} = v{i - 1} * 2;" for i in range(1, n)]
+    return f"class L {{ m() {{ {' '.join(body)} return v{n - 1}; }} }}"
+
+
+def long_method_steps(n):
+    program = parse(long_method(n))
+    table = build_class_table(program)
+    gen = generate_constraints(program.classes[0], table)
+    (cand,) = flatten(gen, table)
+    stats = Counter()
+    unify(cand.constraints, table, gen.fresh.clone(), stats=stats)
+    return stats["steps"]
+
+
+def test_work_grows_linearly_with_method_length():
+    assert long_method_steps(400) <= 2.5 * long_method_steps(200)
+
+
+def test_thousand_statement_method_types():
+    result = run_source(long_method(1000))
+    assert signature_lines(result) == ["L.m : () -> Integer"]
