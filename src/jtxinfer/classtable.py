@@ -225,10 +225,10 @@ class ClassTable:
                 return False
         return True
 
-    def subtype_heads(self, name, scope=None):
+    def subtype_heads(self, name, scope):
         """Entry names whose supertype chain reaches `name` (incl. itself),
         in table order, plus the type variables below it that are in
-        scope for member `scope` (all of them when `scope` is None)."""
+        scope for member `scope`."""
         out = []
         for cand in self.entries:
             chain = self.supertype_chain(ClassType(
@@ -238,7 +238,7 @@ class ClassTable:
                    for t in chain):
                 out.append(cand)
         for tv in self.typevars:
-            if scope is not None and not self.in_scope(tv, scope):
+            if not self.in_scope(tv, scope):
                 continue
             chain = self.supertype_chain(ClassType(tv))
             if any(isinstance(t, ClassType) and t.name == name

@@ -10,7 +10,6 @@ from pathlib import Path
 from .errors import JtxError, ResourceLimit, Untypable
 from .pipeline import (DUMP_STAGES, descriptor_lines, funiface_manifest,
                        run_source, signature_lines, typed_source)
-from .unify import MAX_STEPS
 
 EMIT_TARGETS = ("typed", "sigs", "desc", "funifaces")
 
@@ -34,9 +33,6 @@ def _parser():
                         "(repeatable)")
     p.add_argument("--max-solutions", type=int, default=None, metavar="N",
                    help="stop the unifier after N solutions per candidate")
-    p.add_argument("--max-steps", type=int, default=MAX_STEPS, metavar="N",
-                   help="step budget of the unifier per candidate; running "
-                        "out exits 3 (default: %(default)s)")
     return p
 
 
@@ -48,11 +44,9 @@ def main(argv=None):
             print(f"tx-infer: unknown emit target '{e}'", file=sys.stderr)
             return 2
     table = args.table or os.environ.get("TXINFER_TABLE") or None
-    for flag, value in (("--max-solutions", args.max_solutions),
-                        ("--max-steps", args.max_steps)):
-        if value is not None and value < 1:
-            print(f"tx-infer: {flag} must be positive", file=sys.stderr)
-            return 2
+    if args.max_solutions is not None and args.max_solutions < 1:
+        print("tx-infer: --max-solutions must be positive", file=sys.stderr)
+        return 2
     status = 0
     for fname in args.files:
         path = Path(fname)
@@ -65,16 +59,15 @@ def main(argv=None):
         try:
             result = run_source(src, table_path=table,
                                 max_solutions=args.max_solutions,
-                                dump_stages=tuple(args.dump_stages),
-                                max_steps=args.max_steps)
+                                dump_stages=tuple(args.dump_stages))
         except Untypable as exc:
             print(f"tx-infer: {path.name}: untypable: {exc}",
                   file=sys.stderr)
             status = max(status, 1)
             continue
         except ResourceLimit as exc:
-            print(f"tx-infer: {path.name}: resource limit: {exc} "
-                  f"(see --max-steps)", file=sys.stderr)
+            print(f"tx-infer: {path.name}: resource limit: {exc}",
+                  file=sys.stderr)
             status = max(status, 3)
             continue
         except JtxError as exc:

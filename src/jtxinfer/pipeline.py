@@ -20,7 +20,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
 from .parser import parse
 from .syntax import Program, print_program
 from .typeterms import VOID, ClassType, TPH, is_ground, substitute, tphs_of
-from .unify import MAX_STEPS, format_solution, unify
+from .unify import format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
 
@@ -61,21 +61,19 @@ class PipelineResult:
         return [r.typed_cls for r in self.class_results]
 
 
-def run_source(src, table_path=None, max_solutions=None, dump_stages=(),
-               max_steps=MAX_STEPS):
+def run_source(src, table_path=None, max_solutions=None, dump_stages=()):
     program = parse(src)
     table = build_class_table(program, table_path)
     dumps = {s: [] for s in dump_stages}
     results = []
     for cls in program.classes:
-        results.append(_infer_class(cls, table, max_solutions, max_steps,
-                                    dumps))
+        results.append(_infer_class(cls, table, max_solutions, dumps))
     return PipelineResult(program=program, table=table,
                           class_results=results,
                           dumps={k: "\n".join(v) for k, v in dumps.items()})
 
 
-def _infer_class(cls, table, max_solutions, max_steps, dumps):
+def _infer_class(cls, table, max_solutions, dumps):
     # each member's declared clause, its bounds resolved in its own scope
     declared = [_declared_pairs(cls.generics, cls.generics, table)] + [
         _declared_pairs(m.generics, cls.generics + m.generics, table)
@@ -97,7 +95,7 @@ def _infer_class(cls, table, max_solutions, max_steps, dumps):
         fresh = gen.fresh.clone()
         try:
             sols = unify(cand.constraints, scoped, fresh,
-                         max_solutions=max_solutions, max_steps=max_steps)
+                         max_solutions=max_solutions)
         except ResourceLimit as exc:
             raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
         for sol in sols:

@@ -10,7 +10,7 @@ The search works on one store and never copies it:
 
 * A worklist holds the pending constraints.  A constraint is resolved
   against sigma when it is popped, and each pop is one step of the
-  `max_steps` budget; running out raises `ResourceLimit`.
+  `MAX_STEPS` budget; running out raises `ResourceLimit`.
 * Sigma is triangular: a bound term may mention placeholders that were
   bound after it, and `_Sigma.get` resolves them, so a bind writes one
   entry.  Solutions hold the fully resolved terms.
@@ -119,11 +119,11 @@ _BIND, _PARK, _UNPARK = range(3)
 
 
 class _Unifier:
-    def __init__(self, table, fresh, max_solutions, max_steps):
+    def __init__(self, table, fresh, max_solutions):
         self.table = table
         self.fresh = fresh
         self.max_solutions = max_solutions
-        self.max_steps = max_steps
+        self.max_steps = MAX_STEPS
         self.solutions = {}   # ordered set, so sort ties keep found order
         self.steps = 0
         self.branch_points = 0
@@ -381,11 +381,10 @@ class _Unifier:
         self.solutions.setdefault(sol)
 
 
-def unify(constraints, table, fresh=None, max_solutions=None,
-          max_steps=MAX_STEPS, stats=None):
+def unify(constraints, table, fresh=None, max_solutions=None, stats=None):
     """All maximal solutions of a constraint set over the given table.
 
-    Raises `ResourceLimit` after `max_steps` worklist pops.  When `stats`
+    Raises `ResourceLimit` after `MAX_STEPS` worklist pops.  When `stats`
     (a `collections.Counter`) is given, the search adds its `steps` and
     `branch_points` to it."""
     if fresh is None:
@@ -393,7 +392,7 @@ def unify(constraints, table, fresh=None, max_solutions=None,
         for c in constraints:
             for n in tphs_of(c.lhs) | tphs_of(c.rhs):
                 fresh.adopt(n)
-    u = _Unifier(table, fresh, max_solutions, max_steps)
+    u = _Unifier(table, fresh, max_solutions)
     try:
         u.solve(list(constraints))
     finally:

@@ -84,7 +84,7 @@ def test_pair_is_invariant():
 
 def test_subtype_heads_below_number():
     t = table_for("import java.lang.Double;\nclass A { m() { return 1; } }")
-    heads = t.subtype_heads("Number")
+    heads = t.subtype_heads("Number", ("class",))
     assert "Integer" in heads and "Double" in heads and "Number" in heads
     assert "Boolean" not in heads
 

@@ -1,5 +1,6 @@
 """The tx-infer command line front end."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,9 @@ from jtxinfer.cli import main
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
                       OLFUN_SRC, TWO_CYCLES_SRC)
+
+# `jtxinfer.unify` is the function; the budget lives in the module
+UNIFY = importlib.import_module("jtxinfer.unify")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUILTINS = SRC / "jtxinfer" / "builtins.json"
@@ -82,22 +86,17 @@ def test_bad_max_solutions_exits_2(tmp_path, capsys):
     assert "max-solutions" in capsys.readouterr().err
 
 
-def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys):
+def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(UNIFY, "MAX_STEPS", 3)
     p = write(tmp_path, "Fac.jtx", FAC_SRC)
-    assert main([str(p), "--max-steps", "3"]) == 3
+    assert main([str(p)]) == 3
     err = capsys.readouterr().err
     assert "Fac.jtx" in err and "steps" in err
     assert "untypable" not in err
     assert not (tmp_path / "Fac.sigs.txt").exists()
     broken = write(tmp_path, "Broken.jtx", "class {")
-    assert main([str(p), str(broken), "--max-steps", "3"]) == 3
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_bad_max_steps_exits_2(tmp_path, capsys, value):
-    p = write(tmp_path, "Fac.jtx", FAC_SRC)
-    assert main([str(p), "--max-steps", value]) == 2
-    assert "max-steps" in capsys.readouterr().err
+    assert main([str(p), str(broken)]) == 3
 
 
 def test_dump_stage_prints_blocks(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Subtype unification: simplification, branching, maximality."""
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -10,6 +11,9 @@ from jtxinfer.classtable import build_class_table
 from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
 from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
 from jtxinfer.unify import format_solution, transitive_closure
+
+# `jtxinfer.unify` is the function; the budget lives in the module
+UNIFY = importlib.import_module("jtxinfer.unify")
 
 INT = ClassType("Integer")
 NUM = ClassType("Number")
@@ -140,11 +144,13 @@ def test_untypable_constraint_set(table):
     assert solve(table, lessdot(BOOL, NUM)) == []
 
 
-def test_step_budget_raises_resource_limit(table):
+def test_step_budget_raises_resource_limit(table, monkeypatch):
     cons = [lessdot(TPH("T"), NUM), lessdot(INT, TPH("U"))]
-    assert len(solve(table, *cons, max_steps=20)) == 9
+    monkeypatch.setattr(UNIFY, "MAX_STEPS", 20)
+    assert len(solve(table, *cons)) == 9
+    monkeypatch.setattr(UNIFY, "MAX_STEPS", 3)
     with pytest.raises(ResourceLimit):
-        solve(table, *cons, max_steps=3)
+        solve(table, *cons)
 
 
 def long_method(n):
