@@ -31,8 +31,6 @@ def _parser():
                    choices=list(DUMP_STAGES), dest="dump_stages",
                    help="print an intermediate stage to stdout "
                         "(repeatable)")
-    p.add_argument("--max-solutions", type=int, default=None, metavar="N",
-                   help="stop the unifier after N solutions per candidate")
     return p
 
 
@@ -44,9 +42,6 @@ def main(argv=None):
             print(f"tx-infer: unknown emit target '{e}'", file=sys.stderr)
             return 2
     table = args.table or os.environ.get("TXINFER_TABLE") or None
-    if args.max_solutions is not None and args.max_solutions < 1:
-        print("tx-infer: --max-solutions must be positive", file=sys.stderr)
-        return 2
     status = 0
     for fname in args.files:
         path = Path(fname)
@@ -58,7 +53,6 @@ def main(argv=None):
             continue
         try:
             result = run_source(src, table_path=table,
-                                max_solutions=args.max_solutions,
                                 dump_stages=tuple(args.dump_stages))
         except Untypable as exc:
             print(f"tx-infer: {path.name}: untypable: {exc}",

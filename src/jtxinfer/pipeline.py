@@ -61,19 +61,19 @@ class PipelineResult:
         return [r.typed_cls for r in self.class_results]
 
 
-def run_source(src, table_path=None, max_solutions=None, dump_stages=()):
+def run_source(src, table_path=None, dump_stages=()):
     program = parse(src)
     table = build_class_table(program, table_path)
     dumps = {s: [] for s in dump_stages}
     results = []
     for cls in program.classes:
-        results.append(_infer_class(cls, table, max_solutions, dumps))
+        results.append(_infer_class(cls, table, dumps))
     return PipelineResult(program=program, table=table,
                           class_results=results,
                           dumps={k: "\n".join(v) for k, v in dumps.items()})
 
 
-def _infer_class(cls, table, max_solutions, dumps):
+def _infer_class(cls, table, dumps):
     # each member's declared clause, its bounds resolved in its own scope
     declared = [_declared_pairs(cls.generics, cls.generics, table)] + [
         _declared_pairs(m.generics, cls.generics + m.generics, table)
@@ -94,8 +94,7 @@ def _infer_class(cls, table, max_solutions, dumps):
             dumps["constraints"].extend(str(c) for c in cand.constraints)
         fresh = gen.fresh.clone()
         try:
-            sols = unify(cand.constraints, scoped, fresh,
-                         max_solutions=max_solutions)
+            sols = unify(cand.constraints, scoped, fresh)
         except ResourceLimit as exc:
             raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
         for sol in sols:

@@ -23,20 +23,14 @@ The search works on one store and never copies it:
   alternatives.  Trying the next alternative first undoes the trail to the
   frame's mark, so a refuted alternative costs only what it touched.
 
-The branch point taken is the parked one-sided lessdot that comes first
-in constraint order: the input order, with a rewritten constraint's parts
-in its place and a branch's extra constraint after all the others.  Each
-constraint carries its place as a key, and a heap of the parked one-sided
-ones yields the first.  Alternatives are made lazily, in `_branches`
-order, so solutions are found, and fresh placeholders named, in the order
-of a recursive search that rewrites the whole constraint list.
+Branch points are taken in parking order: the oldest one-sided lessdot
+still parked is next, its alternatives made lazily in `_branches` order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import count
 
 from .constraints import FreshNames, doteq, lessdot
 from .errors import ResourceLimit
@@ -95,13 +89,11 @@ class _Sigma(dict):
 
 
 class _Parked:
-    """A stuck lessdot in the occurrence index; `key` is its place in
-    constraint order."""
+    """A stuck lessdot in the occurrence index."""
 
-    __slots__ = ("key", "lhs", "rhs", "parked")
+    __slots__ = ("lhs", "rhs", "parked")
 
-    def __init__(self, key, lhs, rhs):
-        self.key = key
+    def __init__(self, lhs, rhs):
         self.lhs = lhs
         self.rhs = rhs
         self.parked = False
@@ -119,21 +111,18 @@ _BIND, _PARK, _UNPARK = range(3)
 
 
 class _Unifier:
-    def __init__(self, table, fresh, max_solutions):
+    def __init__(self, table, fresh):
         self.table = table
         self.fresh = fresh
-        self.max_solutions = max_solutions
         self.max_steps = MAX_STEPS
         self.solutions = {}   # ordered set, so sort ties keep found order
         self.steps = 0
         self.branch_points = 0
         self.sigma = _Sigma()
-        self.work = []        # stack of (key, kind, lhs, rhs), next last
+        self.work = []        # stack of (kind, lhs, rhs), next last
         self.index = {}       # placeholder name -> {_Parked: None}
-        self.branchable = []  # heap of (key, seq, one-sided _Parked)
-        self.seq = count()
+        self.branchable = deque()  # one-sided _Parked, in parking order
         self.trail = []
-        self.last = 0         # next top-level key, after all the others
 
     def _fresh_like(self, tph):
         scope = self.fresh.scope_of(tph.name) or ("class",)
@@ -141,10 +130,7 @@ class _Unifier:
 
     def solve(self, cons):
         """Collect the solutions of `cons` into `self.solutions`."""
-        self.work = [((i,), c.kind, c.lhs, c.rhs)
-                     for i, c in enumerate(cons)]
-        self.work.reverse()
-        self.last = len(cons)
+        self.work = [(c.kind, c.lhs, c.rhs) for c in reversed(cons)]
         stack = []            # (trail mark, untried alternatives)
         self._advance(stack)
         while stack:
@@ -154,29 +140,22 @@ class _Unifier:
             if alt is None:
                 stack.pop()
                 continue
-            # past the cap, alternatives are still drawn: each names its
-            # fresh placeholders, and later stages number on from them
-            if self.max_solutions and \
-                    len(self.solutions) >= self.max_solutions:
-                continue
             name, term, extra = alt
             if self._bind(name, term):
-                for c in extra:
-                    self.work.append(((self.last,), c.kind, c.lhs, c.rhs))
-                    self.last += 1
+                self.work.extend((c.kind, c.lhs, c.rhs) for c in extra)
                 self._advance(stack)
 
     def _advance(self, stack):
         """Simplify; then emit a solution or open the next branch point."""
         if not self._simplify():
             return
-        heap = self.branchable
-        while heap and not heap[0][2].parked:
-            heappop(heap)
-        if not heap:
+        queue = self.branchable
+        while queue and not queue[0].parked:
+            queue.popleft()
+        if not queue:
             self._emit()
             return
-        c = heap[0][2]
+        c = queue[0]
         self._unpark(c)
         self.branch_points += 1
         sigma = self.sigma
@@ -194,7 +173,7 @@ class _Unifier:
         self.trail.append((_BIND, name))
         for c in list(self.index.get(name, ())):
             self._unpark(c)
-            self.work.append((c.key, "lessdot", c.lhs, c.rhs))
+            self.work.append(("lessdot", c.lhs, c.rhs))
         return True
 
     def _unpark(self, c):
@@ -211,7 +190,7 @@ class _Unifier:
             else:
                 index[n] = {c: None}
         if len(names) == 1:
-            heappush(self.branchable, (c.key, next(self.seq), c))
+            self.branchable.append(c)
 
     def _unlink(self, c):
         c.parked = False
@@ -240,7 +219,7 @@ class _Unifier:
                 raise ResourceLimit(
                     f"unification needs more than {self.max_steps} steps")
             self.steps += 1
-            key, kind, a, b = work.pop()
+            kind, a, b = work.pop()
             if sigma:
                 a, b = substitute(a, sigma), substitute(b, sigma)
             if a == b:
@@ -250,7 +229,7 @@ class _Unifier:
             else:
                 out = self._step_lessdot(a, b)
             if out == "keep":
-                c = _Parked(key, a, b)
+                c = _Parked(a, b)
                 self._link(c)
                 self.trail.append((_PARK, c))
             elif out == "fail" or (isinstance(out, tuple)
@@ -259,9 +238,7 @@ class _Unifier:
                 return False
             elif isinstance(out, list):
                 # replacement constraints, in the popped one's place
-                for i in reversed(range(len(out))):
-                    x = out[i]
-                    work.append((key + (i,), x.kind, x.lhs, x.rhs))
+                work.extend((x.kind, x.lhs, x.rhs) for x in reversed(out))
         return True
 
     def _step_doteq(self, a, b):
@@ -381,7 +358,7 @@ class _Unifier:
         self.solutions.setdefault(sol)
 
 
-def unify(constraints, table, fresh=None, max_solutions=None, stats=None):
+def unify(constraints, table, fresh=None, stats=None):
     """All maximal solutions of a constraint set over the given table.
 
     Raises `ResourceLimit` after `MAX_STEPS` worklist pops.  When `stats`
@@ -392,7 +369,7 @@ def unify(constraints, table, fresh=None, max_solutions=None, stats=None):
         for c in constraints:
             for n in tphs_of(c.lhs) | tphs_of(c.rhs):
                 fresh.adopt(n)
-    u = _Unifier(table, fresh, max_solutions)
+    u = _Unifier(table, fresh)
     try:
         u.solve(list(constraints))
     finally:

@@ -80,12 +80,6 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_bad_max_solutions_exits_2(tmp_path, capsys):
-    p = write(tmp_path, "Fac.jtx", FAC_SRC)
-    assert main([str(p), "--max-solutions", "0"]) == 2
-    assert "max-solutions" in capsys.readouterr().err
-
-
 def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setattr(UNIFY, "MAX_STEPS", 3)

@@ -184,12 +184,6 @@ def test_step_budget_is_a_resource_limit_not_untypable(monkeypatch):
     assert not issubclass(ResourceLimit, Untypable)
 
 
-def test_max_solutions_still_covers_or_groups():
-    r = run(OL_SRC, max_solutions=1)
-    (_, typings) = r.class_results[0].signatures[0]
-    assert len(typings) == 3
-
-
 def test_cross_class_call_keeps_callee_bound():
     src = ("class D0 { f(x) { return x; } }\n"
            "class D1 { f(x) { return new D0().f(x); } }\n")

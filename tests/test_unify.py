@@ -29,8 +29,8 @@ def table():
         "n() { var s = \"\"; return 1; } }"))
 
 
-def solve(table, *cons, **kw):
-    return unify(list(cons), table, **kw)
+def solve(table, *cons):
+    return unify(list(cons), table)
 
 
 def sigma_of(sol):
@@ -111,11 +111,6 @@ def test_fun_decomposition_contravariant(table):
 def test_occurs_check(table):
     p = lambda a, b: ClassType("Pair", (a, b))
     assert solve(table, doteq(TPH("T"), p(TPH("T"), INT))) == []
-
-
-def test_max_solutions_caps_enumeration(table):
-    sols = solve(table, lessdot(TPH("T"), NUM), max_solutions=2)
-    assert len(sols) == 2
 
 
 def test_solutions_are_maximal_and_distinct(table):
