@@ -124,9 +124,7 @@ class _Parser:
         if self.at("ident") and self.peek(1).kind == "punct" \
                 and self.peek(1).text == "(":
             name = self.advance().text
-            if generics:
-                return self.method_rest(name, None, generics, pos)
-            return self.method_rest(name, None, [], pos)
+            return self.method_rest(name, None, generics, pos)
         # bare field: ident ('=' expr)? ';'
         if self.at("ident") and self.peek(1).kind == "punct" \
                 and self.peek(1).text in ("=", ";"):
@@ -152,32 +150,44 @@ class _Parser:
         return S.FieldDecl(name=name, annotation=ann, init=init, pos=pos)
 
     def method_rest(self, name, ret, generics, pos):
-        self.expect("punct", "(")
-        params = []
         seen = set()
-        while not self.at_punct(")"):
+
+        def unique_param():
             ppos = self.pos()
-            if self.at("ident") and self.peek(1).kind == "ident":
-                ann = self.type_ref()
-                pname = self.expect("ident").text
-            elif self.at("ident") and self.peek(1).kind == "punct" \
-                    and self.peek(1).text in ("<", "."):
-                ann = self.type_ref()
-                pname = self.expect("ident").text
-            else:
-                ann = None
-                pname = self.expect("ident").text
-            if pname in seen:
-                raise JtxSyntaxError(f"duplicate parameter '{pname}'",
+            param = self.param()
+            if param.name in seen:
+                raise JtxSyntaxError(f"duplicate parameter '{param.name}'",
                                      ppos.line, ppos.col)
-            seen.add(pname)
-            params.append(S.Param(name=pname, annotation=ann))
-            if self.at_punct(","):
-                self.advance()
-        self.expect("punct", ")")
+            seen.add(param.name)
+            return param
+
+        params = self.paren_list(unique_param)
         body = self.block()
         return S.MethodDecl(name=name, generics=generics, ret=ret,
                             params=params, body=body, pos=pos)
+
+    def param(self):
+        """`name`, or `Type name` when a type comes first."""
+        ann = None
+        if self.at("ident") and (
+                self.peek(1).kind == "ident"
+                or (self.peek(1).kind == "punct"
+                    and self.peek(1).text in ("<", "."))):
+            ann = self.type_ref()
+        return S.Param(name=self.expect("ident").text, annotation=ann)
+
+    def paren_list(self, item):
+        """`(` items separated by `,` `)`: a missing or trailing comma is a
+        syntax error at the token where the next comma or item should be."""
+        self.expect("punct", "(")
+        items = []
+        if not self.at_punct(")"):
+            items.append(item())
+            while self.at_punct(","):
+                self.advance()
+                items.append(item())
+        self.expect("punct", ")")
+        return items
 
     def type_ref(self):
         pos = self.pos()
@@ -232,10 +242,11 @@ class _Parser:
             self.expect("punct", ";")
             return S.LocalDecl(name=name, annotation=None, init=init, pos=pos)
         # annotated local: type ident ('=' expr)? ';'
+        # the subset has no `<` operator, so ident `<` here starts a type
         if self.at("ident") and (
                 self.peek(1).kind == "ident"
-                or (self.peek(1).kind == "punct" and self.peek(1).text == "<"
-                    and self._looks_like_generic_type())):
+                or (self.peek(1).kind == "punct"
+                    and self.peek(1).text == "<")):
             ann = self.type_ref()
             name = self.expect("ident").text
             init = None
@@ -262,11 +273,6 @@ class _Parser:
             return S.Increment(target=expr, pos=pos)
         self.expect("punct", ";")
         return S.ExprStmt(expr=expr, pos=pos)
-
-    def _looks_like_generic_type(self):
-        """Disambiguate `Pair<A,B> x = ...` from expressions; the subset has
-        no bare `<` operator, so ident `<` at statement start is a type."""
-        return True
 
     # -- expressions --------------------------------------------------------
 
@@ -316,21 +322,11 @@ class _Parser:
             self.advance()
             name = self.expect("ident").text
             if self.at_punct("("):
-                args = self.call_args()
+                args = self.paren_list(self.expr)
                 e = S.Call(recv=e, name=name, args=args, pos=pos)
             else:
                 e = S.FieldAccess(recv=e, name=name, pos=pos)
         return e
-
-    def call_args(self):
-        self.expect("punct", "(")
-        args = []
-        while not self.at_punct(")"):
-            args.append(self.expr())
-            if self.at_punct(","):
-                self.advance()
-        self.expect("punct", ")")
-        return args
 
     def primary(self):
         pos = self.pos()
@@ -347,7 +343,7 @@ class _Parser:
         if self.at("keyword", "new"):
             self.advance()
             cls = self.type_ref()
-            args = self.call_args()
+            args = self.paren_list(self.expr)
             return S.New(cls=cls, args=args, pos=pos)
         if self.at_punct("("):
             if self._lambda_ahead():
@@ -361,7 +357,7 @@ class _Parser:
                 return self.lambda_expr(pos)
             self.advance()
             if self.at_punct("("):
-                args = self.call_args()
+                args = self.paren_list(self.expr)
                 return S.Call(recv=None, name=t.text, args=args, pos=pos)
             return S.Name(ident=t.text, pos=pos)
         raise JtxSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
@@ -386,27 +382,10 @@ class _Parser:
         return False
 
     def lambda_expr(self, pos):
-        params = []
         if self.at_punct("("):
-            self.advance()
-            while not self.at_punct(")"):
-                if self.at("ident") and self.peek(1).kind == "ident":
-                    ann = self.type_ref()
-                    name = self.expect("ident").text
-                elif self.at("ident") and self.peek(1).kind == "punct" \
-                        and self.peek(1).text in ("<", "."):
-                    ann = self.type_ref()
-                    name = self.expect("ident").text
-                else:
-                    ann = None
-                    name = self.expect("ident").text
-                params.append(S.Param(name=name, annotation=ann))
-                if self.at_punct(","):
-                    self.advance()
-            self.expect("punct", ")")
+            params = self.paren_list(self.param)
         else:
-            name = self.expect("ident").text
-            params.append(S.Param(name=name, annotation=None))
+            params = [S.Param(name=self.expect("ident").text, annotation=None)]
         self.expect("punct", "->")
         if self.at_punct("{"):
             body = self.block()

@@ -108,6 +108,13 @@ def test_string_and_bool_literals():
     "class A { m( { } }",
     "class A { m() { return 1 } }",
     "class A",
+    # comma lists: a missing comma, and a trailing one
+    "class C { m(a, b) { return a; } n() { return m(1 2); } }",
+    "class C { m(a b c) { return a; } }",
+    "class C { m(a,) { return a; } }",
+    "class C { m(a) { return a; } n() { return m(1,); } }",
+    "class C { m() { return new C(1,); } }",
+    "class C { f = (x,) -> x; }",
 ])
 def test_syntax_errors(src):
     with pytest.raises(JtxSyntaxError):
