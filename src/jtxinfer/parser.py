@@ -382,10 +382,8 @@ class _Parser:
         return False
 
     def lambda_expr(self, pos):
-        if self.at_punct("("):
-            params = self.paren_list(self.param)
-        else:
-            params = [S.Param(name=self.expect("ident").text, annotation=None)]
+        params = (self.paren_list(self.param) if self.at_punct("(")
+                  else [self.param()])
         self.expect("punct", "->")
         if self.at_punct("{"):
             body = self.block()
