@@ -150,6 +150,14 @@ class _Parser:
         return S.FieldDecl(name=name, annotation=ann, init=init, pos=pos)
 
     def method_rest(self, name, ret, generics, pos):
+        params = self.params()
+        body = self.block()
+        return S.MethodDecl(name=name, generics=generics, ret=ret,
+                            params=params, body=body, pos=pos)
+
+    def params(self):
+        """A parenthesized parameter list of a method or lambda; a repeated
+        name is a syntax error at its second occurrence."""
         seen = set()
 
         def unique_param():
@@ -161,10 +169,7 @@ class _Parser:
             seen.add(param.name)
             return param
 
-        params = self.paren_list(unique_param)
-        body = self.block()
-        return S.MethodDecl(name=name, generics=generics, ret=ret,
-                            params=params, body=body, pos=pos)
+        return self.paren_list(unique_param)
 
     def param(self):
         """`name`, or `Type name` when a type comes first."""
@@ -382,8 +387,7 @@ class _Parser:
         return False
 
     def lambda_expr(self, pos):
-        params = (self.paren_list(self.param) if self.at_punct("(")
-                  else [self.param()])
+        params = self.params() if self.at_punct("(") else [self.param()]
         self.expect("punct", "->")
         if self.at_punct("{"):
             body = self.block()

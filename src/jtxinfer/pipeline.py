@@ -255,7 +255,10 @@ def _minimal(solved, table):
     """Keep the solutions whose placeholder assignments are pointwise
     minimal in the subtype order among the solutions with the same
     remaining constraints.  Comparison happens at atomic positions only
-    (composite terms are determined by the atomic bindings)."""
+    (composite terms are determined by the atomic bindings).  The unifier
+    already gives each sink its least type, so what is left to drop are
+    solutions dominated across candidates, or at placeholders that are no
+    sink, such as `M` in `Integer < M, M < A`."""
 
     def below(b, a):
         """b strictly below a pointwise."""

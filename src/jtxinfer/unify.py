@@ -1,6 +1,6 @@
 """Finitary subtype unification over a finite class table.
 
-`unify` returns the complete set of maximal solutions; each solution is a
+`unify` returns the solutions of a constraint set; each solution is a
 substitution plus the remaining placeholder-pair subtype constraints that
 were left symbolic.  Branch points are the lower-bound expansion (a
 placeholder below a class type ranges over the finitely many table types
@@ -25,6 +25,16 @@ The search works on one store and never copies it:
 
 Branch points are taken in parking order: the oldest one-sided lessdot
 still parked is next, its alternatives made lazily in `_branches` order.
+
+An upper-bound expansion of a *sink* does not branch.  A sink is a
+placeholder mentioned only as the upper side of lessdots whose lower sides
+are class types without arguments, and whose every alternative is such a
+type; it gets the first alternative above all its lower bounds.  Every
+other alternative is refuted or yields the same solutions with a greater
+type at the sink, which the pipeline's minimality drops; and none draws a
+fresh name.  The search counts, per placeholder, the bound terms and the
+headed sides of parked constraints that mention it, so the test costs no
+scan of the store.
 """
 
 from __future__ import annotations
@@ -69,6 +79,10 @@ def _age(name):
     return (len(name), name)
 
 
+def _atomic(t):
+    return isinstance(t, ClassType) and not t.args
+
+
 def _head(t):
     if isinstance(t, TPH):
         return ("tph",)
@@ -91,12 +105,15 @@ class _Sigma(dict):
 class _Parked:
     """A stuck lessdot in the occurrence index."""
 
-    __slots__ = ("lhs", "rhs", "parked")
+    __slots__ = ("lhs", "rhs", "parked", "nested")
 
     def __init__(self, lhs, rhs):
         self.lhs = lhs
         self.rhs = rhs
         self.parked = False
+        # the names inside a headed side, which the index does not key
+        self.nested = [n for t in (lhs, rhs) if not isinstance(t, TPH)
+                       for n in tphs_of(t)]
 
     def names(self):
         """The placeholder names on its two sides."""
@@ -118,9 +135,13 @@ class _Unifier:
         self.solutions = {}   # ordered set, so sort ties keep found order
         self.steps = 0
         self.branch_points = 0
+        self.sinks = 0
         self.sigma = _Sigma()
         self.work = []        # stack of (kind, lhs, rhs), next last
         self.index = {}       # placeholder name -> {_Parked: None}
+        # placeholder name -> how many bound terms and headed sides of
+        # parked constraints mention it
+        self.nested = {}
         self.branchable = deque()  # one-sided _Parked, in parking order
         self.trail = []
 
@@ -167,9 +188,11 @@ class _Unifier:
     def _bind(self, name, term):
         """Bind `name` and re-queue its parked constraints; False when
         `name` occurs in `term`."""
-        if name in tphs_of(term):
+        names = tphs_of(term)
+        if name in names:
             return False
         self.sigma[name] = term
+        self._count(names, 1)
         self.trail.append((_BIND, name))
         for c in list(self.index.get(name, ())):
             self._unpark(c)
@@ -180,8 +203,14 @@ class _Unifier:
         self._unlink(c)
         self.trail.append((_UNPARK, c))
 
+    def _count(self, names, step):
+        nested = self.nested
+        for n in names:
+            nested[n] = nested.get(n, 0) + step
+
     def _link(self, c):
         c.parked = True
+        self._count(c.nested, 1)
         index = self.index
         names = c.names()
         for n in names:
@@ -194,6 +223,7 @@ class _Unifier:
 
     def _unlink(self, c):
         c.parked = False
+        self._count(c.nested, -1)
         for n in c.names():
             del self.index[n][c]
 
@@ -202,7 +232,7 @@ class _Unifier:
         while len(trail) > mark:
             op, x = trail.pop()
             if op == _BIND:
-                del self.sigma[x]
+                self._count(tphs_of(self.sigma.pop(x)), -1)
             elif op == _PARK:
                 self._unlink(x)
             else:
@@ -317,12 +347,23 @@ class _Unifier:
         else:
             low = c.lhs
             seen = set()
+            sups = []
             for sup in self.table.supertype_chain(low):
                 h = _head(sup)
                 if h in seen or (self.table.is_typevar(sup) and
                                  not self.table.in_scope(sup.name, scope)):
                     continue
                 seen.add(h)
+                sups.append(sup)
+            if self._is_sink(t, low, sups):
+                # each other choice refutes or differs only at `t`, above
+                # the least feasible one
+                self.sinks += 1
+                lows = [low] + [p.lhs for p in self.index.get(t.name, ())]
+                least = next((s for s in sups if all(
+                    self.table.is_subtype(l, s) for l in lows)), None)
+                sups = [] if least is None else [least]
+            for sup in sups:
                 if isinstance(sup, FunType):
                     term = self._shape(sup.head, t)
                     yield (t.name, term, [lessdot(low, term)])
@@ -331,6 +372,14 @@ class _Unifier:
                     yield (t.name, term, [lessdot(low, term)])
                 else:
                     yield (t.name, sup, [])
+
+    def _is_sink(self, t, low, sups):
+        """Whether placeholder `t` above `low` is a sink: it is mentioned
+        only as the upper side of lessdots from atomic types, and each of
+        its choices `sups` is atomic."""
+        return (not self.nested.get(t.name) and _atomic(low)
+                and all(_atomic(s) for s in sups)
+                and all(_atomic(p.lhs) for p in self.index.get(t.name, ())))
 
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
@@ -359,11 +408,14 @@ class _Unifier:
 
 
 def unify(constraints, table, fresh=None, stats=None):
-    """All maximal solutions of a constraint set over the given table.
+    """The solutions of a constraint set over the given table: every
+    solution, except those that differ from a returned one only in a
+    greater type at a sink.
 
     Raises `ResourceLimit` after `MAX_STEPS` worklist pops.  When `stats`
-    (a `collections.Counter`) is given, the search adds its `steps` and
-    `branch_points` to it."""
+    (a `collections.Counter`) is given, the search adds its `steps`,
+    `branch_points` and `sinks` (the branch points resolved without
+    branching) to it."""
     if fresh is None:
         fresh = FreshNames()
         for c in constraints:
@@ -374,7 +426,8 @@ def unify(constraints, table, fresh=None, stats=None):
         u.solve(list(constraints))
     finally:
         if stats is not None:
-            stats.update(steps=u.steps, branch_points=u.branch_points)
+            stats.update(steps=u.steps, branch_points=u.branch_points,
+                         sinks=u.sinks)
     return sorted(u.solutions,
                   key=lambda s: (s.remaining,
                                  tuple((k, str(v)) for k, v in s.sigma)))

@@ -2,10 +2,12 @@
 
 `tests/golden/<Name>.*` hold each program's four outputs and its
 `constraints`, `solutions` and `generics` dumps, as `tx-infer` writes and
-prints them.  A change that alters an output on purpose regenerates them
-with `PYTHONPATH=src python tests/test_golden.py` and says why.
+prints them; the dumps are compared stage by stage, so a failure names the
+stage.  A change that alters an output on purpose regenerates them with
+`PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -32,10 +34,21 @@ def render(src):
     }
 
 
+def stages(dumps):
+    """Stage name -> its section of a `dumps.txt` text."""
+    parts = re.split(r"^== (\w+) ==\n", dumps, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))
 def test_golden_snapshot(name):
     for suffix, text in render(ALL_GOLDEN_SRCS[name]).items():
-        assert (GOLDEN / f"{name}.{suffix}").read_text() == text, suffix
+        want = (GOLDEN / f"{name}.{suffix}").read_text()
+        if suffix == "dumps.txt":
+            got = stages(text)
+            for stage, section in stages(want).items():
+                assert got.get(stage) == section, f"{suffix}: {stage}"
+        assert want == text, suffix
 
 
 if __name__ == "__main__":

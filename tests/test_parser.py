@@ -115,6 +115,9 @@ def test_string_and_bool_literals():
     "class C { m(a) { return a; } n() { return m(1,); } }",
     "class C { m() { return new C(1,); } }",
     "class C { f = (x,) -> x; }",
+    # a repeated parameter, of a method or a lambda
+    "class C { m(x, x) { return x; } }",
+    "class C { f = (x, x) -> x; }",
 ])
 def test_syntax_errors(src):
     with pytest.raises(JtxSyntaxError):

@@ -1,7 +1,10 @@
 """Subtype unification: simplification, branching, maximality."""
 
 import importlib
+import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +18,14 @@ from jtxinfer.unify import format_solution, transitive_closure
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
+
 INT = ClassType("Integer")
 NUM = ClassType("Number")
 OBJ = ClassType("Object")
 BOOL = ClassType("Boolean")
+DBL = ClassType("Double")
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +82,39 @@ def test_lower_expansion_branches_over_subtypes(table):
 
 
 def test_upper_expansion_branches_over_chain(table):
-    sols = solve(table, lessdot(INT, TPH("T")))
+    # T also sits below U, so it is no sink: every chain member is tried
+    sols = solve(table, lessdot(INT, TPH("T")), lessdot(TPH("T"), TPH("U")))
     values = {str(sigma_of(s)["T"]) for s in sols}
     assert values == {"Integer", "Number", "Object"}
+
+
+def test_sink_takes_least_common_supertype(table):
+    stats = Counter()
+    (sol,) = unify([lessdot(INT, TPH("T")), lessdot(DBL, TPH("T"))], table,
+                   stats=stats)
+    assert sigma_of(sol)["T"] == NUM
+    assert stats["sinks"] == 1
+
+
+def test_placeholder_nested_in_parked_constraint_still_branches(table):
+    # T is nested in the lambda type below F; S is a sink
+    cons = [lessdot(INT, TPH("S")), lessdot(INT, TPH("T")),
+            lessdot(FunType((TPH("X"),), TPH("T")), TPH("F"))]
+    sols = solve(table, *cons)
+    assert {str(sigma_of(s)["T"]) for s in sols} == {
+        "Integer", "Number", "Object"}
+    assert {str(sigma_of(s)["S"]) for s in sols} == {"Integer"}
+
+
+def test_typevar_with_variant_bound_keeps_branching(table):
+    # X's chain holds a shaped Fun1$$ choice, so T is no sink; S is one
+    scoped = table.extend_typevars({"X": FunType((INT,), INT)})
+    sols = unify([lessdot(INT, TPH("S")), lessdot(ClassType("X"), TPH("T"))],
+                 scoped)
+    assert {str(sigma_of(s)["T"]) for s in sols} == {
+        "X", "Object", "Fun1$$<Integer, Integer>", "Fun1$$<Integer, Number>",
+        "Fun1$$<Integer, Object>"}
+    assert {str(sigma_of(s)["S"]) for s in sols} == {"Integer"}
 
 
 def test_object_upper_bound_dropped(table):
@@ -101,10 +138,10 @@ def test_pair_decomposition_invariant(table):
 
 def test_fun_decomposition_contravariant(table):
     f = lambda a, r: FunType((a,), r)
-    # Integer <. R upper-expands; all chain members are solutions
+    # Integer <. R makes R a sink, which takes its least type
     sols = solve(table, lessdot(f(NUM, INT), f(INT, TPH("R"))))
     values = {str(sigma_of(s)["R"]) for s in sols}
-    assert values == {"Integer", "Number", "Object"}
+    assert values == {"Integer"}
     assert solve(table, lessdot(f(INT, INT), f(NUM, INT))) == []
 
 
@@ -140,10 +177,11 @@ def test_untypable_constraint_set(table):
 
 
 def test_step_budget_raises_resource_limit(table, monkeypatch):
+    # three choices of T, each with the sink U = Integer: five pops
     cons = [lessdot(TPH("T"), NUM), lessdot(INT, TPH("U"))]
-    monkeypatch.setattr(UNIFY, "MAX_STEPS", 20)
-    assert len(solve(table, *cons)) == 9
-    monkeypatch.setattr(UNIFY, "MAX_STEPS", 3)
+    monkeypatch.setattr(UNIFY, "MAX_STEPS", 5)
+    assert len(solve(table, *cons)) == 3
+    monkeypatch.setattr(UNIFY, "MAX_STEPS", 4)
     with pytest.raises(ResourceLimit):
         solve(table, *cons)
 
@@ -163,6 +201,15 @@ def long_method_steps(n):
     stats = Counter()
     unify(cand.constraints, table, gen.fresh.clone(), stats=stats)
     return stats["steps"]
+
+
+def test_refutable_candidate_has_one_solution():
+    # five locals `var vi = a + i;` and the return: each is a sink
+    program = parse(corpus.refutable_unit(5, random.Random(0)).source)
+    table = build_class_table(program)
+    gen = generate_constraints(program.classes[0], table)
+    (cand,) = flatten(gen, table)
+    assert len(unify(cand.constraints, table, gen.fresh.clone())) == 1
 
 
 def test_work_grows_linearly_with_method_length():
