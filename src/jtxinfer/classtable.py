@@ -93,6 +93,13 @@ class ClassTable:
     them to the member scopes that declare them (``("class",)`` or
     ``("method", i)``); `extend_typevars` returns a widened view for
     checking annotated inputs.
+
+    Each view caches `supertype_chain` per term.  A chain depends only on
+    the entries' super templates and the view's `typevars`, and neither
+    changes once a view is queried: `build_class_table` adds every entry
+    before the first chain is walked, later writes (`register_inferred`,
+    the pipeline's field types) touch only `inferred` and `fields`, and
+    `extend_typevars` makes a new view with a cache of its own.
     """
 
     def __init__(self, entries, typevars=None, inferred=None,
@@ -103,6 +110,7 @@ class ClassTable:
         # class name -> method name -> list of inferred typings
         # (typeparams, param terms, ret term); filled by the pipeline
         self.inferred = inferred if inferred is not None else {}
+        self._chains = {}     # term -> tuple, see `supertype_chain`
 
     # -- basic lookup -------------------------------------------------------
 
@@ -163,7 +171,14 @@ class ClassTable:
         return self._instantiate(entry.super_template, entry, term.args)
 
     def supertype_chain(self, term):
-        """Term followed by its instantiated supertypes up to Object."""
+        """Term followed by its instantiated supertypes up to Object, as a
+        tuple cached per view."""
+        chain = self._chains.get(term)
+        if chain is None:
+            chain = self._chains[term] = tuple(self._walk_supertypes(term))
+        return chain
+
+    def _walk_supertypes(self, term):
         chain = [term]
         cur = term
         seen = set()

@@ -2,8 +2,11 @@
 equality (`=`) constraints over fresh type placeholders.
 
 Overloaded operators, overloaded callees and receiver-driven member
-resolution produce or-groups (sets of alternatives); `flatten` expands them
-into plain candidate constraint sets.
+resolution produce or-groups (sets of alternatives).  The unifier takes the
+or-groups as they are and tries their alternatives as its outermost branch
+points.  `flatten` expands them into plain candidate constraint sets; it
+renders the `constraints` dump and serves as the reference the tests check
+that search against.
 """
 
 from __future__ import annotations
@@ -65,6 +68,16 @@ class FreshNames:
 
     def scope_of(self, name):
         return self.scope.get(name)
+
+    def mark(self):
+        """How many names have been drawn; `reset` returns to it."""
+        return self._n
+
+    def reset(self, mark):
+        """Forget the names drawn since `mark`, so they are drawn again."""
+        for n in range(mark, self._n):
+            self.scope.pop(tph_name(n), None)
+        self._n = mark
 
     def clone(self):
         other = FreshNames()
@@ -543,19 +556,27 @@ class Candidate:
 def flatten(result, table=None):
     """Expand or-groups into plain candidate constraint sets (cartesian
     product, deterministic order).  Candidates with a directly contradictory
-    ground pair are pruned when a table is supplied."""
+    ground pair are pruned when a table is supplied; the unifier refutes
+    each of them on its own."""
     out = []
     indices = [range(len(g)) for g in result.groups]
     for choice in itertools.product(*indices):
         constraints = list(result.base)
-        sites = list(result.base_call_sites)
         for g, i in zip(result.groups, choice):
             constraints.extend(g[i].constraints)
-            sites.extend(g[i].call_sites)
         if table is not None and _contradictory(constraints, table):
             continue
-        out.append(Candidate(constraints, sites, choice))
+        out.append(Candidate(constraints, call_sites(result, choice), choice))
     return out
+
+
+def call_sites(result, choice):
+    """The call sites of the base constraints and of the alternative
+    `choice` takes in each or-group."""
+    sites = list(result.base_call_sites)
+    for g, i in zip(result.groups, choice):
+        sites.extend(g[i].call_sites)
+    return sites
 
 
 def _contradictory(constraints, table):

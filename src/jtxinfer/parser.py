@@ -98,7 +98,11 @@ class _Parser:
         self.expect("punct", "<")
         params = []
         while True:
+            npos = self.pos()
             name = self.expect("ident").text
+            if any(p.name == name for p in params):
+                raise JtxSyntaxError(f"duplicate type parameter '{name}'",
+                                     npos.line, npos.col)
             bound = None
             if self.at("keyword", "extends"):
                 self.advance()

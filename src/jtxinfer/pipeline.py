@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 from . import emit as E
 from .classtable import build_class_table, resolve_src_type
-from .constraints import CallSite, flatten, generate_constraints
+from .constraints import (CallSite, call_sites, flatten,
+                          generate_constraints)
 from .errors import ResourceLimit, Untypable
 from .generics import (CLASS, OBJECT, build_fgg, complete_fgg,
                        compute_owners, enforce_java_conformance,
@@ -86,23 +87,25 @@ def _infer_class(cls, table, dumps):
             scoped = scoped.extend_typevars({v.name: b for v, b in pairs},
                                             scope)
     gen = generate_constraints(cls, scoped)
-    solved = []
-    for cand in flatten(gen, scoped):
-        if "constraints" in dumps:
+    if "constraints" in dumps:
+        for cand in flatten(gen, scoped):
             dumps["constraints"].append(
                 f"# {cls.name} candidate {cand.choice}")
             dumps["constraints"].extend(str(c) for c in cand.constraints)
-        fresh = gen.fresh.clone()
-        try:
-            sols = unify(cand.constraints, scoped, fresh)
-        except ResourceLimit as exc:
-            raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
-        for sol in sols:
-            if "solutions" in dumps:
-                dumps["solutions"].append(f"# {cls.name}")
-                dumps["solutions"].append(format_solution(sol))
-            solved.append(_Solved(sol.sigma_dict(), set(sol.remaining),
-                                  cand, fresh.clone(), gen))
+    try:
+        sols = unify(gen.base, scoped, gen.fresh.clone(),
+                     groups=[[alt.constraints for alt in group]
+                             for group in gen.groups])
+    except ResourceLimit as exc:
+        raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
+    solved = []
+    for sol in sols:
+        if "solutions" in dumps:
+            dumps["solutions"].append(f"# {cls.name}")
+            dumps["solutions"].append(format_solution(sol))
+        solved.append(_Solved(sol.sigma_dict(), set(sol.remaining),
+                              call_sites(gen, sol.choice), sol.fresh.clone(),
+                              gen))
     for s in solved:
         s.normalize()
     solved = _dedup(solved)
@@ -114,12 +117,13 @@ def _infer_class(cls, table, dumps):
 
 
 class _Solved:
-    """Working state for one unifier solution of one candidate."""
+    """Working state for one unifier solution of one choice of or-group
+    alternatives."""
 
-    def __init__(self, sigma, remaining, cand, fresh, gen):
+    def __init__(self, sigma, remaining, sites, fresh, gen):
         self.sigma = sigma
         self.remaining = remaining
-        self.cand = cand
+        self.sites = sites
         self.fresh = fresh
         self.gen = gen
 
@@ -185,7 +189,7 @@ class _Solved:
                           param_terms=[self.term(t) for t in s.param_terms],
                           ret_term=self.term(s.ret_term),
                           callee=s.callee)
-                 for s in self.cand.call_sites]
+                 for s in self.sites]
         cfgg = complete_fgg(fgg, sorted(self.remaining), owners,
                             members, sites)
         family, h = enforce_java_conformance(cfgg, self.fresh, owners)

@@ -2,9 +2,10 @@
 
 `unify` returns the solutions of a constraint set; each solution is a
 substitution plus the remaining placeholder-pair subtype constraints that
-were left symbolic.  Branch points are the lower-bound expansion (a
-placeholder below a class type ranges over the finitely many table types
-below it) and the dual upper-bound expansion along the supertype chain.
+were left symbolic.  Branch points are the or-groups of alternative
+constraint sets, the lower-bound expansion (a placeholder below a class
+type ranges over the finitely many table types below it) and the dual
+upper-bound expansion along the supertype chain.
 
 The search works on one store and never copies it:
 
@@ -17,14 +18,27 @@ The search works on one store and never copies it:
 * Stuck constraints (placeholder < placeholder, and the one-sided lessdots
   that are branch points) are parked in an occurrence index keyed by the
   placeholders on their two sides.  Binding a name re-queues that name's
-  parked constraints and nothing else.
-* A trail logs every bind, park and unpark, and an explicit stack holds one
-  frame per open branch point: its trail mark and its untried
-  alternatives.  Trying the next alternative first undoes the trail to the
-  frame's mark, so a refuted alternative costs only what it touched.
+  parked constraints and nothing else.  An unparked constraint keeps its
+  place in the index, flagged, until the park itself is undone.
+* A trail logs every bind, park, unpark and move of the branch queue's
+  head, and an explicit stack holds one frame per open branch point: its
+  trail mark and its untried alternatives.  Trying the next alternative
+  first undoes the trail to the frame's mark, which restores the store
+  exactly, the order of the parked constraints included; so a refuted
+  alternative costs only what it touched.
 
-Branch points are taken in parking order: the oldest one-sided lessdot
-still parked is next, its alternatives made lazily in `_branches` order.
+The or-groups are the outermost branch points.  The base constraints are
+simplified once; then one frame per group is opened, in group order, each
+after the alternative of the group before it is simplified, and no
+lessdot is branched on before every group has its alternative.  A *choice*
+picks one alternative per group; its subtree is the search that the
+flattened candidate of base plus chosen constraints would run on its own,
+step for step and name for name: undoing to a group frame also resets the
+fresh-name counter and the step budget to what they were at its mark.
+
+The lessdot branch points are taken in parking order: the oldest one-sided
+lessdot still parked is next, its alternatives made lazily in `_branches`
+order.
 
 An upper-bound expansion of a *sink* does not branch.  A sink is a
 placeholder mentioned only as the upper side of lessdots whose lower sides
@@ -39,15 +53,14 @@ scan of the store.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constraints import FreshNames, doteq, lessdot
 from .errors import ResourceLimit
 from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
                         fun_type, substitute, tphs_of)
 
-# worklist pops per `unify` call
+# worklist pops per choice of or-group alternatives
 MAX_STEPS = 500_000
 
 
@@ -55,6 +68,9 @@ MAX_STEPS = 500_000
 class Solution:
     remaining: tuple      # sorted tuple of (lhs name, rhs name)
     sigma: tuple          # sorted tuple of (name, term)
+    choice: tuple = ()    # the alternative taken in each or-group
+    # the names drawn when the choice's search ended; clone it to draw more
+    fresh: FreshNames = field(default=None, compare=False, repr=False)
 
     def sigma_dict(self):
         return dict(self.sigma)
@@ -71,6 +87,10 @@ def format_solution(sol):
     for name, term in sol.sigma:
         lines.append(f"  {name} -> {term}")
     return "\n".join(lines)
+
+
+def _sort_key(sol):
+    return (sol.remaining, tuple((k, str(v)) for k, v in sol.sigma))
 
 
 def _age(name):
@@ -124,25 +144,31 @@ class _Parked:
         return (self.lhs.name, self.rhs.name)
 
 
-_BIND, _PARK, _UNPARK = range(3)
+_BIND, _PARK, _UNPARK, _HEAD = range(4)
 
 
 class _Unifier:
-    def __init__(self, table, fresh):
+    def __init__(self, table, fresh, groups):
         self.table = table
         self.fresh = fresh
-        self.max_steps = MAX_STEPS
-        self.solutions = {}   # ordered set, so sort ties keep found order
+        self.groups = groups
+        self.limit = MAX_STEPS  # `steps` at which the current choice is out
+        self.solutions = []   # of the finished choices, in choice order
+        self.found = {}       # the current choice's: an ordered set
+        self.choice = []      # the alternative taken in each group so far
         self.steps = 0
         self.branch_points = 0
         self.sinks = 0
+        self.alternatives = 0
         self.sigma = _Sigma()
         self.work = []        # stack of (kind, lhs, rhs), next last
-        self.index = {}       # placeholder name -> {_Parked: None}
+        # placeholder name -> {_Parked: None}, in parking order
+        self.index = {}
         # placeholder name -> how many bound terms and headed sides of
         # parked constraints mention it
         self.nested = {}
-        self.branchable = deque()  # one-sided _Parked, in parking order
+        self.branchable = []  # one-sided _Parked, in parking order
+        self.head = 0         # all of branchable[:head] are unparked
         self.trail = []
 
     def _fresh_like(self, tph):
@@ -150,38 +176,69 @@ class _Unifier:
         return self.fresh.tph(scope)
 
     def solve(self, cons):
-        """Collect the solutions of `cons` into `self.solutions`."""
-        self.work = [(c.kind, c.lhs, c.rhs) for c in reversed(cons)]
-        stack = []            # (trail mark, untried alternatives)
+        """Collect the solutions of `cons` plus one alternative of each
+        group into `self.solutions`."""
+        self._push(cons)
+        # frames of (trail mark, untried alternatives, group): `group` is
+        # None at a lessdot and (depth, fresh-name mark, steps left) at an
+        # or-group
+        stack = []
         self._advance(stack)
         while stack:
-            mark, alternatives = stack[-1]
+            mark, alternatives, group = stack[-1]
+            if group is not None:
+                self._close_choice()
+                depth, names, left = group
+                self.fresh.reset(names)
+                self.limit = self.steps + left
             self._undo(mark)
             alt = next(alternatives, None)
             if alt is None:
                 stack.pop()
                 continue
-            name, term, extra = alt
-            if self._bind(name, term):
-                self.work.extend((c.kind, c.lhs, c.rhs) for c in extra)
-                self._advance(stack)
+            if group is None:
+                name, term, extra = alt
+                if not self._bind(name, term):
+                    continue
+                self._push(extra)
+            else:
+                i, extra = alt
+                del self.choice[depth:]
+                self.choice.append(i)
+                self.alternatives += 1
+                self._push(extra)
+            self._advance(stack)
+        self._close_choice()
+
+    def _push(self, cons):
+        """Queue `cons` to be simplified in list order."""
+        self.work.extend((c.kind, c.lhs, c.rhs) for c in reversed(cons))
 
     def _advance(self, stack):
-        """Simplify; then emit a solution or open the next branch point."""
+        """Simplify; then open the next or-group or branch point, or emit a
+        solution."""
         if not self._simplify():
             return
-        queue = self.branchable
-        while queue and not queue[0].parked:
-            queue.popleft()
-        if not queue:
+        depth = len(self.choice)
+        if depth < len(self.groups):
+            stack.append((len(self.trail), enumerate(self.groups[depth]),
+                          (depth, self.fresh.mark(), self.limit - self.steps)))
+            return
+        queue, i = self.branchable, self.head
+        while i < len(queue) and not queue[i].parked:
+            i += 1
+        if i != self.head:
+            self.trail.append((_HEAD, self.head))
+            self.head = i
+        if i == len(queue):
             self._emit()
             return
-        c = queue[0]
+        c = queue[i]
         self._unpark(c)
         self.branch_points += 1
         sigma = self.sigma
         c = lessdot(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
-        stack.append((len(self.trail), self._branches(c)))
+        stack.append((len(self.trail), self._branches(c), None))
 
     # -- the store -------------------------------------------------------
 
@@ -194,21 +251,18 @@ class _Unifier:
         self.sigma[name] = term
         self._count(names, 1)
         self.trail.append((_BIND, name))
-        for c in list(self.index.get(name, ())):
-            self._unpark(c)
-            self.work.append(("lessdot", c.lhs, c.rhs))
+        for c in self.index.get(name, ()):
+            if c.parked:
+                self._unpark(c)
+                self.work.append(("lessdot", c.lhs, c.rhs))
         return True
-
-    def _unpark(self, c):
-        self._unlink(c)
-        self.trail.append((_UNPARK, c))
 
     def _count(self, names, step):
         nested = self.nested
         for n in names:
             nested[n] = nested.get(n, 0) + step
 
-    def _link(self, c):
+    def _park(self, c):
         c.parked = True
         self._count(c.nested, 1)
         index = self.index
@@ -220,12 +274,12 @@ class _Unifier:
                 index[n] = {c: None}
         if len(names) == 1:
             self.branchable.append(c)
+        self.trail.append((_PARK, c))
 
-    def _unlink(self, c):
+    def _unpark(self, c):
         c.parked = False
         self._count(c.nested, -1)
-        for n in c.names():
-            del self.index[n][c]
+        self.trail.append((_UNPARK, c))
 
     def _undo(self, mark):
         trail = self.trail
@@ -233,10 +287,20 @@ class _Unifier:
             op, x = trail.pop()
             if op == _BIND:
                 self._count(tphs_of(self.sigma.pop(x)), -1)
+            elif op == _UNPARK:
+                x.parked = True
+                self._count(x.nested, 1)
             elif op == _PARK:
-                self._unlink(x)
+                # the newest entry of its index slots and of the queue
+                x.parked = False
+                self._count(x.nested, -1)
+                names = x.names()
+                for n in names:
+                    del self.index[n][x]
+                if len(names) == 1:
+                    self.branchable.pop()
             else:
-                self._link(x)
+                self.head = x
 
     # -- deterministic simplification ------------------------------------
 
@@ -245,9 +309,9 @@ class _Unifier:
         contradiction."""
         work, sigma = self.work, self.sigma
         while work:
-            if self.steps == self.max_steps:
+            if self.steps == self.limit:
                 raise ResourceLimit(
-                    f"unification needs more than {self.max_steps} steps")
+                    f"unification needs more than {MAX_STEPS} steps")
             self.steps += 1
             kind, a, b = work.pop()
             if sigma:
@@ -259,9 +323,7 @@ class _Unifier:
             else:
                 out = self._step_lessdot(a, b)
             if out == "keep":
-                c = _Parked(a, b)
-                self._link(c)
-                self.trail.append((_PARK, c))
+                self._park(_Parked(a, b))
             elif out == "fail" or (isinstance(out, tuple)
                                    and not self._bind(out[1], out[2])):
                 work.clear()
@@ -359,7 +421,8 @@ class _Unifier:
                 # each other choice refutes or differs only at `t`, above
                 # the least feasible one
                 self.sinks += 1
-                lows = [low] + [p.lhs for p in self.index.get(t.name, ())]
+                lows = [low] + [p.lhs for p in self.index.get(t.name, ())
+                                if p.parked]
                 least = next((s for s in sups if all(
                     self.table.is_subtype(l, s) for l in lows)), None)
                 sups = [] if least is None else [least]
@@ -379,7 +442,8 @@ class _Unifier:
         its choices `sups` is atomic."""
         return (not self.nested.get(t.name) and _atomic(low)
                 and all(_atomic(s) for s in sups)
-                and all(_atomic(p.lhs) for p in self.index.get(t.name, ())))
+                and all(_atomic(p.lhs) for p in self.index.get(t.name, ())
+                        if p.parked))
 
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
@@ -399,55 +463,72 @@ class _Unifier:
 
     def _emit(self):
         pairs = {(c.lhs.name, c.rhs.name)
-                 for parked in self.index.values() for c in parked}
+                 for slot in self.index.values() for c in slot if c.parked}
         sigma = self.sigma
         sol = Solution(tuple(sorted(pairs)),
                        tuple((n, substitute(sigma[n], sigma))
                              for n in sorted(sigma)))
-        self.solutions.setdefault(sol)
+        self.found.setdefault(sol)
+
+    def _close_choice(self):
+        """Move the current choice's solutions to `solutions`, sorted, each
+        with the names drawn so far."""
+        if not self.found:
+            return
+        choice, fresh = tuple(self.choice), self.fresh.clone()
+        self.solutions.extend(Solution(s.remaining, s.sigma, choice, fresh)
+                              for s in sorted(self.found, key=_sort_key))
+        self.found = {}
 
 
-def unify(constraints, table, fresh=None, stats=None):
-    """The solutions of a constraint set over the given table: every
-    solution, except those that differ from a returned one only in a
-    greater type at a sink.
+def unify(constraints, table, fresh=None, stats=None, groups=()):
+    """The solutions of the base `constraints` plus one alternative of each
+    or-group in `groups` (a list of groups, each a list of alternative
+    constraint lists) over the given table: every solution, except those
+    that differ from a returned one only in a greater type at a sink.
 
-    Raises `ResourceLimit` after `MAX_STEPS` worklist pops.  When `stats`
-    (a `collections.Counter`) is given, the search adds its `steps`,
-    `branch_points` and `sinks` (the branch points resolved without
-    branching) to it."""
+    The search is the one `flatten` candidates would each get, merged: the
+    solutions come grouped by their `choice` of alternatives, in the
+    candidates' order, and sorted within a choice.  A solution's `fresh`
+    holds the names drawn when its choice's search ended.
+
+    Raises `ResourceLimit` when a choice takes more than `MAX_STEPS`
+    worklist pops, the pops it shares with other choices included.  When
+    `stats` (a `collections.Counter`) is given, the search adds its
+    `steps`, `branch_points`, `sinks` (the branch points resolved without
+    branching) and `alternatives` (the or-group alternatives tried) to
+    it."""
     if fresh is None:
         fresh = FreshNames()
-        for c in constraints:
+        for c in [*constraints, *(c for group in groups
+                                  for alt in group for c in alt)]:
             for n in tphs_of(c.lhs) | tphs_of(c.rhs):
                 fresh.adopt(n)
-    u = _Unifier(table, fresh)
+    u = _Unifier(table, fresh, groups)
     try:
         u.solve(list(constraints))
     finally:
         if stats is not None:
             stats.update(steps=u.steps, branch_points=u.branch_points,
-                         sinks=u.sinks)
-    return sorted(u.solutions,
-                  key=lambda s: (s.remaining,
-                                 tuple((k, str(v)) for k, v in s.sigma)))
+                         sinks=u.sinks, alternatives=u.alternatives)
+    return u.solutions
 
 
 def transitive_closure(pairs):
-    """Reflexive-transitive closure of a relation on placeholder names."""
-    names = set()
-    rel = set()
+    """Reflexive-transitive closure of a relation on placeholder names: the
+    pairs (a, b) with b reachable from a, by a search from each name."""
+    succ = {}
     for l, r in pairs:
-        names.update((l, r))
-        rel.add((l, r))
-    for n in names:
-        rel.add((n, n))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+        succ.setdefault(l, set()).add(r)
+        succ.setdefault(r, set())
+    rel = set()
+    for start in succ:
+        seen = {start}
+        todo = [start]
+        while todo:
+            for n in succ[todo.pop()]:
+                if n not in seen:
+                    seen.add(n)
+                    todo.append(n)
+        rel.update((start, n) for n in seen)
     return rel

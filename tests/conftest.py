@@ -114,6 +114,18 @@ ALL_GOLDEN_SRCS = {
 }
 
 
+def flattened_solutions(gen, table):
+    """The reference for the unifier's or-group search: one `unify` call
+    per `flatten` candidate.  [(candidate, solution, the names drawn when
+    the candidate's search ended)], in candidate order."""
+    out = []
+    for cand in flatten(gen, table):
+        fresh = gen.fresh.clone()
+        for sol in unify(cand.constraints, table, fresh):
+            out.append((cand, sol, fresh))
+    return out
+
+
 def stage_solutions(src, idx=0):
     """Replicate the per-class pipeline up to (and including) the
     normalization/dedup step, returning the generation result and the
@@ -123,13 +135,11 @@ def stage_solutions(src, idx=0):
     cls = prog.classes[idx]
     gen = generate_constraints(cls, table)
     out = []
-    for cand in flatten(gen, table):
-        fresh = gen.fresh.clone()
-        for sol in unify(cand.constraints, table, fresh):
-            s = P._Solved(sol.sigma_dict(), set(sol.remaining), cand,
-                          fresh.clone(), gen)
-            s.normalize()
-            out.append(s)
+    for cand, sol, fresh in flattened_solutions(gen, table):
+        s = P._Solved(sol.sigma_dict(), set(sol.remaining),
+                      cand.call_sites, fresh.clone(), gen)
+        s.normalize()
+        out.append(s)
     return gen, table, P._minimal(P._dedup(out), table)
 
 

@@ -60,7 +60,7 @@ def _generalization(src, idx=0):
                       arg_terms=[s.term(t) for t in c.arg_terms],
                       param_terms=[s.term(t) for t in c.param_terms],
                       ret_term=s.term(c.ret_term), callee=c.callee)
-             for c in s.cand.call_sites]
+             for c in s.sites]
     cfgg = complete_fgg(fgg, rem, owners, members, sites)
     return gen, s, owners, members, fgg, cfgg, sites
 

@@ -3,9 +3,10 @@
 import pytest
 
 from jtxinfer import DuplicateClass, UnknownImport, parse
-from jtxinfer.classtable import build_class_table, resolve_src_type
+from jtxinfer.classtable import (ClassTable, build_class_table,
+                                 load_builtin_entries, resolve_src_type)
 from jtxinfer.errors import ArityMismatch
-from jtxinfer.typeterms import VOID, ClassType, FunType
+from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
 
 
 def table_for(src):
@@ -56,6 +57,44 @@ def test_supertype_chain_of_integer():
     t = table_for("class A { m() { return 1; } }")
     chain = [str(x) for x in t.supertype_chain(ClassType("Integer"))]
     assert chain == ["Integer", "Number", "Object"]
+
+
+def _uncached_chain(table, term):
+    return tuple(table._walk_supertypes(term))
+
+
+def test_cached_chains_equal_the_walk():
+    table = ClassTable(load_builtin_entries())
+    for name, entry in table.entries.items():
+        term = ClassType(name, tuple(TPH(f"P{i}")
+                                     for i in range(entry.arity)))
+        assert table.supertype_chain(term) == _uncached_chain(table, term)
+        assert table.supertype_chain(term) is table.supertype_chain(term)
+    view = table.extend_typevars({"T": ClassType("Integer"), "U": None,
+                                  "V": ClassType("T")}, ("method", 0))
+    for name in ("T", "U", "V"):
+        term = ClassType(name)
+        assert view.supertype_chain(term) == _uncached_chain(view, term)
+    assert [str(x) for x in view.supertype_chain(ClassType("V"))] == [
+        "V", "T", "Integer", "Number", "Object"]
+
+
+def test_each_view_caches_its_own_chains():
+    table = ClassTable(load_builtin_entries())
+    bounded = table.extend_typevars({"T": ClassType("Number")})
+    unbounded = table.extend_typevars({"T": None})
+    t = ClassType("T")
+    assert [str(x) for x in bounded.supertype_chain(t)] == [
+        "T", "Number", "Object"]
+    assert [str(x) for x in unbounded.supertype_chain(t)] == ["T", "Object"]
+    assert table.supertype_chain(t) == (t,)
+
+
+def test_building_a_table_walks_no_chain():
+    # entries are still being added, so a chain walked now could go stale
+    t = table_for("class A<X extends Integer> { X f; "
+                  "<Y extends X> Y m(Y y) { return y; } }")
+    assert t._chains == {}
 
 
 def test_is_subtype_builtin_chain():

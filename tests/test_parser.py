@@ -118,6 +118,9 @@ def test_string_and_bool_literals():
     # a repeated parameter, of a method or a lambda
     "class C { m(x, x) { return x; } }",
     "class C { f = (x, x) -> x; }",
+    # a repeated type parameter, of a class or a method
+    "class C<A, A> { }",
+    "class C { <T, T> m(T x) { return x; } }",
 ])
 def test_syntax_errors(src):
     with pytest.raises(JtxSyntaxError):

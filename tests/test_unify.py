@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
                       signature_lines, unify)
@@ -170,6 +171,42 @@ def test_transitive_closure():
     assert ("A", "C") in rel
     assert ("A", "A") in rel and ("C", "C") in rel
     assert ("C", "A") not in rel
+
+
+def test_transitive_closure_of_a_cycle_and_a_self_loop():
+    cycle = transitive_closure([("A", "B"), ("B", "C"), ("C", "A")])
+    assert cycle == {(a, b) for a in "ABC" for b in "ABC"}
+    assert transitive_closure([("A", "A")]) == {("A", "A")}
+    assert transitive_closure([("A", "A"), ("A", "B")]) == {
+        ("A", "A"), ("A", "B"), ("B", "B")}
+
+
+def _fixed_point_closure(pairs):
+    """The closure by a fixed point over all pairs of pairs: cubic, kept
+    as the oracle."""
+    names = set()
+    rel = set()
+    for l, r in pairs:
+        names.update((l, r))
+        rel.add((l, r))
+    for n in names:
+        rel.add((n, n))
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ABCDEF"),
+                          st.sampled_from("ABCDEF")), max_size=12))
+def test_transitive_closure_vs_fixed_point(pairs):
+    assert transitive_closure(pairs) == _fixed_point_closure(pairs)
 
 
 def test_untypable_constraint_set(table):
