@@ -12,7 +12,6 @@ that search against.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import syntax as S
@@ -40,6 +39,14 @@ def lessdot(a, b):
 
 def doteq(a, b):
     return Constraint("doteq", a, b)
+
+
+def flow(node, term, target):
+    """Value flow into a declared/placeholder slot.  Lambdas are target
+    typed (the slot *is* the function type); other values may widen."""
+    if isinstance(node, S.Lambda):
+        return doteq(target, term)
+    return lessdot(term, target)
 
 
 class FreshNames:
@@ -133,29 +140,9 @@ class _Generator:
         self.result = GenResult(cls=cls, fresh=fresh)
         self.scope = ("class",)
         self.generic_names = {g.name for g in cls.generics}
-        self._sink = None  # current alternative, or None for base
-
-    # -- constraint emission --------------------------------------------
 
     def emit(self, c):
-        if self._sink is None:
-            self.result.base.append(c)
-        else:
-            self._sink.constraints.append(c)
-
-    def record_call(self, site):
-        if self._sink is None:
-            self.result.base_call_sites.append(site)
-        else:
-            self._sink.call_sites.append(site)
-
-    def flow(self, node, term, target):
-        """Value flow into a declared/placeholder slot.  Lambdas are target
-        typed (the slot *is* the function type); other values may widen."""
-        if isinstance(node, S.Lambda):
-            self.emit(doteq(target, term))
-        else:
-            self.emit(lessdot(term, target))
+        self.result.base.append(c)
 
     # -- driver ------------------------------------------------------------
 
@@ -174,7 +161,7 @@ class _Generator:
         for f in self.cls.fields:
             if f.init is not None:
                 t = self.expr(f.init, dict(res.field_terms))
-                self.flow(f.init, t, res.field_terms[f.name])
+                self.emit(flow(f.init, t, res.field_terms[f.name]))
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
             self.method_index = i
@@ -221,11 +208,11 @@ class _Generator:
             env[st.name] = term
             if st.init is not None:
                 t = self.expr(st.init, env)
-                self.flow(st.init, t, term)
+                self.emit(flow(st.init, t, term))
         elif isinstance(st, S.Assign):
             target = self.expr(st.target, env)
             value = self.expr(st.value, env)
-            self.flow(st.value, value, target)
+            self.emit(flow(st.value, value, target))
         elif isinstance(st, S.Increment):
             plus = S.Binary(op="+", left=st.target,
                             right=S.IntLit(value=1), pos=st.pos)
@@ -248,7 +235,7 @@ class _Generator:
                 raise Untypable(
                     "value returned from a void method",
                     st.pos.line, st.pos.col)
-            self.flow(st.value, t, gen.ret_term)
+            self.emit(flow(st.value, t, gen.ret_term))
         elif isinstance(st, S.ExprStmt):
             self.expr(st.expr, env)
         else:
@@ -342,7 +329,7 @@ class _Generator:
         else:
             ret = self.fresh.tph(self.scope)
             body_t = self.expr(e.body, inner)
-            self.flow(e.body, body_t, ret)
+            self.emit(flow(e.body, body_t, ret))
         return FunType(tuple(arg_components), ret)
 
     def _new(self, e, env):
@@ -371,7 +358,7 @@ class _Generator:
                 f"got {len(e.args)}", e.pos.line, e.pos.col)
         for arg, p in zip(e.args, ctor):
             t = self.expr(arg, env)
-            self.flow(arg, t, p)
+            self.emit(flow(arg, t, p))
         return term
 
     def _field_access(self, e, env):
@@ -411,17 +398,10 @@ class _Generator:
 
     def _add_group(self, alts):
         if len(alts) == 1:
-            for c in alts[0].constraints:
-                self.emit(c)
-            for site in alts[0].call_sites:
-                self.record_call(site)
-        elif self._sink is None:
-            self.result.groups.append(alts)
+            self.result.base.extend(alts[0].constraints)
+            self.result.base_call_sites.extend(alts[0].call_sites)
         else:
-            # nested group inside an alternative does not occur for the
-            # supported forms (operators/calls never nest inside a single
-            # emitted alternative)
-            raise Untypable("ambiguous nested overloading")
+            self.result.groups.append(alts)
 
     def _own_method_alternatives(self, e, arg_terms, result):
         alts = []
@@ -450,6 +430,11 @@ class _Generator:
 
     def _member_alternatives(self, e, recv, arg_terms, result):
         arity = len(arg_terms)
+        # a declared variable has the members of the first type on its
+        # supertype chain that is no variable
+        if self.table.is_typevar(recv):
+            recv = next((t for t in self.table.supertype_chain(recv)
+                         if not self.table.is_typevar(t)), recv)
         if isinstance(recv, FunType):
             if e.name != "apply" or recv.arity != arity:
                 return []
@@ -490,36 +475,20 @@ class _Generator:
 
     def _sig_alternative(self, e, arg_terms, result, params, ret,
                          bounds=(), extra=(), callee=None):
-        alt = Alternative()
-        with self._into(alt):
-            for c in (*extra, *bounds):
-                self.emit(c)
-            for node, t, p in zip(e.args, arg_terms, params):
-                self.flow(node, t, p)
-            self.emit(doteq(result, ret))
-        alt.call_sites.append(CallSite(
-            caller=self.method_index,
-            arg_terms=list(arg_terms),
-            param_terms=list(params),
-            ret_term=ret,
-            callee=callee,
-        ))
-        return alt
+        return Alternative(
+            [*extra, *bounds,
+             *(flow(node, t, p)
+               for node, t, p in zip(e.args, arg_terms, params)),
+             doteq(result, ret)],
+            [CallSite(caller=self.method_index, arg_terms=list(arg_terms),
+                      param_terms=list(params), ret_term=ret,
+                      callee=callee)])
 
     def _entry_term(self, name, args):
         fh = fun_head_arity(name)
         if fh is None:
             return ClassType(name, args)
         return fun_type(fh[0], args)
-
-    @contextmanager
-    def _into(self, alt):
-        prev = self._sink
-        self._sink = alt
-        try:
-            yield
-        finally:
-            self._sink = prev
 
 
 def _receiver(e, recv):

@@ -4,7 +4,7 @@ method descriptors."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
@@ -125,32 +125,21 @@ def canonical_renaming(names_in_order, reserved=()):
     return ren
 
 
-@dataclass
-class AnnotatedClass:
-    """A class with every slot term resolved, ready for printing."""
-
-    cls: object                      # original ClassDecl
-    class_generics: list             # clause: [(TPH/ClassType, bound)]
-    field_terms: dict                # field name -> TypeTerm
-    method_generics: list            # per method: clause
-    method_params: list              # per method: [TypeTerm]
-    method_rets: list                # per method: TypeTerm
-    local_terms: dict = field(default_factory=dict)  # LocalDecl uid -> term
-
-
-def build_typed_class(ann):
-    """Annotated ClassDecl (new AST) with canonical placeholder names."""
+def build_typed_class(cls, rep):
+    """ClassDecl `cls` annotated (new AST) with the slot terms and generics
+    clauses of `rep`, the class's representative `pipeline.SolvedClass`,
+    under canonical placeholder names."""
 
     def names(terms, clause=()):
         return [n for t in (*terms, *clause_terms(clause))
                 for n in tphs_of(t)]
 
-    order = names(ann.field_terms.values(), ann.class_generics)
-    for i in range(len(ann.cls.methods)):
-        order += names([*ann.method_params[i], ann.method_rets[i]],
-                       ann.method_generics[i])
-    order += names(ann.local_terms.values())
-    declared = {v.name for clause in (ann.class_generics, *ann.method_generics)
+    order = names(rep.field_terms.values(), rep.class_generics)
+    for i in range(len(cls.methods)):
+        order += names([*rep.method_params[i], rep.method_rets[i]],
+                       rep.method_generics[i])
+    order += names(rep.local_terms.values())
+    declared = {v.name for clause in (rep.class_generics, *rep.method_generics)
                 for v, _ in clause if isinstance(v, ClassType)}
     ren = canonical_renaming(order, declared)
     sigma = {old: TPH(new) for old, new in ren.items()}
@@ -164,42 +153,42 @@ def build_typed_class(ann):
                 for v, bound in clause]
 
     fields = [
-        S.FieldDecl(name=f.name, annotation=conv(ann.field_terms[f.name]),
+        S.FieldDecl(name=f.name, annotation=conv(rep.field_terms[f.name]),
                     init=f.init, pos=f.pos)
-        for f in ann.cls.fields
+        for f in cls.fields
     ]
     methods = []
-    for i, m in enumerate(ann.cls.methods):
+    for i, m in enumerate(cls.methods):
         params = [S.Param(p.name, conv(t))
-                  for p, t in zip(m.params, ann.method_params[i])]
-        body = [_annotate_stmt(st, ann, conv) for st in m.body]
+                  for p, t in zip(m.params, rep.method_params[i])]
+        body = [_annotate_stmt(st, rep, conv) for st in m.body]
         methods.append(S.MethodDecl(
             name=m.name,
-            generics=gen_params(ann.method_generics[i]),
-            ret=conv(ann.method_rets[i]),
+            generics=gen_params(rep.method_generics[i]),
+            ret=conv(rep.method_rets[i]),
             params=params,
             body=body,
             pos=m.pos,
         ))
     typed = S.ClassDecl(
-        name=ann.cls.name,
-        generics=gen_params(ann.class_generics),
+        name=cls.name,
+        generics=gen_params(rep.class_generics),
         fields=fields,
         methods=methods,
-        pos=ann.cls.pos,
+        pos=cls.pos,
     )
     return typed, ren
 
 
-def _annotate_stmt(st, ann, conv):
+def _annotate_stmt(st, rep, conv):
     if isinstance(st, S.LocalDecl):
-        term = ann.local_terms.get(st.uid)
+        term = rep.local_terms.get(st.uid)
         annotation = conv(term) if term is not None else st.annotation
         return S.LocalDecl(name=st.name, annotation=annotation,
                            init=st.init, pos=st.pos, uid=st.uid)
     if isinstance(st, S.While):
         return S.While(cond=st.cond,
-                       body=[_annotate_stmt(s, ann, conv) for s in st.body],
+                       body=[_annotate_stmt(s, rep, conv) for s in st.body],
                        pos=st.pos, uid=st.uid)
     return st
 

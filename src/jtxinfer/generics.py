@@ -1,10 +1,14 @@
 """Generalizing leftover placeholders into class/method generics.
 
 Stages: partition the remaining placeholder-pair constraints into per-member
-bound sets (``build_fgg``), upgrade Object bounds along the call graph
-(``complete_fgg``), and repair bound relations Java cannot express —
+bound sets (``build_fgg``), bound unbounded placeholders along the call
+graph (``complete_fgg``), and repair bound relations Java cannot express —
 cycles and multiple upper bounds — by collapsing placeholders through a
 surjective map h (``enforce_java_conformance``).
+
+Every stage works on placeholder-to-placeholder pairs only: a placeholder
+with no pair is unbounded, and ``Object`` appears only when a clause is
+rendered (``format_generics``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from .typeterms import tphs_of
 from .unify import transitive_closure
 
 CLASS = ("class",)
-OBJECT = "Object"
 
 
 def compute_owners(slot_groups):
@@ -42,32 +45,21 @@ def member_tph_sets(slot_groups, owners):
 
 
 def build_fgg(remaining, owners, member_tphs):
-    """Per-member bound sets: pairs within the member, method pairs bounded
-    by class placeholders, and Object for everything left unbounded."""
+    """Per-member bound sets, one for each member of `member_tphs`: pairs
+    within the member, and method pairs bounded by class placeholders.  A
+    member placeholder with no pair is unbounded."""
     fgg = {}
-    for owner, tphs in member_tphs.items():
-        pairs = set()
-        for (l, r) in remaining:
-            if owners.get(l) != owner:
-                continue
-            if owners.get(r) == owner:
-                pairs.add((l, r))
-            elif owner != CLASS and owners.get(r) == CLASS:
-                pairs.add((l, r))
-        bounded = {l for l, _ in pairs}
-        for t in sorted(tphs):
-            if t not in bounded:
-                pairs.add((t, OBJECT))
-        fgg[owner] = pairs
+    for owner in member_tphs:
+        fgg[owner] = {
+            (l, r) for (l, r) in remaining
+            if owners.get(l) == owner
+            and (owners.get(r) == owner
+                 or owner != CLASS and owners.get(r) == CLASS)}
     return fgg
 
 
-def _tph_closure(pairs):
-    return transitive_closure((l, r) for l, r in pairs if r != OBJECT)
-
-
 def complete_fgg(fgg, remaining, owners, member_tphs, call_sites):
-    """Replace Object bounds with placeholder bounds justified by a call:
+    """Bound an unbounded placeholder by placeholders justified by a call:
     an argument placeholder below a callee parameter whose bound chain
     reaches the callee return, which flows back into a caller placeholder.
     Iterated to a fixpoint since conditions reference callee results."""
@@ -76,7 +68,7 @@ def complete_fgg(fgg, remaining, owners, member_tphs, call_sites):
     changed = True
     while changed:
         changed = False
-        closures = {owner: _tph_closure(pairs)
+        closures = {owner: transitive_closure(pairs)
                     for owner, pairs in cfgg.items()}
         for site in call_sites:
             if site.caller is None:
@@ -89,16 +81,14 @@ def complete_fgg(fgg, remaining, owners, member_tphs, call_sites):
                 for t in tphs_of(arg):
                     if owners.get(t) != owner:
                         continue
-                    if (t, OBJECT) not in cfgg[owner]:
+                    if any(l == t for l, _ in cfgg[owner]):
                         continue
                     rs = _qualifying_bounds(
                         t, param, site.ret_term, owners, tphs,
                         cs_closure, closures)
                     if not rs:
                         continue
-                    cfgg[owner].discard((t, OBJECT))
-                    for r in rs:
-                        cfgg[owner].add((t, r))
+                    cfgg[owner] |= {(t, r) for r in rs}
                     changed = True
     return cfgg
 
@@ -128,17 +118,20 @@ def _qualifying_bounds(t, param, ret, owners, caller_tphs,
 
 def enforce_java_conformance(cfgg, fresh, owners):
     """Collapse bound cycles and multiple upper bounds per member into
-    fresh placeholders; returns the repaired family and the collapse map h
-    (old name -> new name, identity entries omitted)."""
+    fresh placeholders.  Returns the repaired family, in which each
+    placeholder has at most one pair, and the collapse map h (old name ->
+    new name, identity entries omitted).  A member's set may still hold a
+    pair of a name that a collapse moved into the class; `owners` is left
+    as it is."""
     family = {owner: set(pairs) for owner, pairs in cfgg.items()}
+    owners = dict(owners)
     h = {}
 
     def apply_map(mapping):
         for owner in family:
             out = set()
             for (l, r) in family[owner]:
-                nl = mapping.get(l, l)
-                nr = r if r == OBJECT else mapping.get(r, r)
+                nl, nr = mapping.get(l, l), mapping.get(r, r)
                 if nl != nr:
                     out.add((nl, nr))
             family[owner] = out
@@ -169,26 +162,12 @@ def enforce_java_conformance(cfgg, fresh, owners):
                 collapse(inf, owner)
                 changed = True
                 break
-    # restore Object bounds for collapsed placeholders left unbounded, and
-    # leave a name collapsed into the class out of a method's clause
-    for owner, pairs in family.items():
-        pairs -= {(l, r) for (l, r) in pairs if owners.get(l) != owner}
-        tphs = ({l for l, _ in pairs}
-                | {r for _, r in pairs if r != OBJECT
-                   if owners.get(r) == owner})
-        bounded = {l for l, _ in pairs}
-        for t in tphs - bounded:
-            pairs.add((t, OBJECT))
-        drop = {(l, r) for (l, r) in pairs
-                if r == OBJECT and any(l == l2 and r2 != OBJECT
-                                       for l2, r2 in pairs)}
-        pairs -= drop
     return family, h
 
 
 def _cycle(pairs):
     """Names on the first bound cycle (by name) within one member, or None."""
-    closure = _tph_closure(pairs)
+    closure = transitive_closure(pairs)
     for (a, b) in sorted(closure):
         if a != b and (b, a) in closure:
             return {n for (n, m) in closure
@@ -200,19 +179,19 @@ def _infimum(pairs):
     """A placeholder with several upper bounds, together with those bounds."""
     uppers = {}
     for (l, r) in pairs:
-        if r != OBJECT:
-            uppers.setdefault(l, set()).add(r)
+        uppers.setdefault(l, set()).add(r)
     for l, rs in sorted(uppers.items()):
         if len(rs) > 1:
             return {l} | rs
     return None
 
 
-def format_generics(family, order=None):
-    """Debug rendering: one ``T extends Bound`` line per pair."""
+def format_generics(clauses, order=None):
+    """Debug rendering of clauses ({owner: {name: bound or None}}): one
+    ``T extends Bound`` line per name, ``Object`` where it is unbounded."""
     lines = []
-    owners = order if order is not None else sorted(family, key=str)
+    owners = order if order is not None else sorted(clauses, key=str)
     for owner in owners:
-        for (l, r) in sorted(family.get(owner, ())):
-            lines.append(f"{l} extends {r}")
+        for name, bound in sorted(clauses.get(owner, {}).items()):
+            lines.append(f"{name} extends {bound or 'Object'}")
     return "\n".join(lines)

@@ -13,9 +13,9 @@ from .classtable import build_class_table, resolve_src_type
 from .constraints import (CallSite, call_sites, flatten,
                           generate_constraints)
 from .errors import ResourceLimit, Untypable
-from .generics import (CLASS, OBJECT, build_fgg, complete_fgg,
-                       compute_owners, enforce_java_conformance,
-                       format_generics, member_tph_sets)
+from .generics import (CLASS, build_fgg, complete_fgg, compute_owners,
+                       enforce_java_conformance, format_generics,
+                       member_tph_sets)
 from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
@@ -183,39 +183,37 @@ class _Solved:
         groups = self.slot_groups()
         owners = compute_owners(groups)
         members = member_tph_sets(groups, owners)
-        fgg = build_fgg(sorted(self.remaining), owners, members)
+        remaining = sorted(self.remaining)
+        fgg = build_fgg(remaining, owners, members)
         sites = [CallSite(caller=s.caller,
                           arg_terms=[self.term(t) for t in s.arg_terms],
                           param_terms=[self.term(t) for t in s.param_terms],
                           ret_term=self.term(s.ret_term),
                           callee=s.callee)
                  for s in self.sites]
-        cfgg = complete_fgg(fgg, sorted(self.remaining), owners,
-                            members, sites)
+        cfgg = complete_fgg(fgg, remaining, owners, members, sites)
         family, h = enforce_java_conformance(cfgg, self.fresh, owners)
         hmap = {old: TPH(new) for old, new in h.items()}
 
         def final(t):
             return substitute(self.term(t), hmap)
 
-        # every placeholder still visible in a declaration slot needs an
-        # entry in its member's generics clause, even if the collapse
-        # removed all of its bound pairs
-        fgroups = [(owner, [substitute(t, hmap) for t in terms])
-                   for owner, terms in groups]
-        fowners = compute_owners(fgroups)
-        for owner, names in member_tph_sets(fgroups, fowners).items():
-            fam = family.setdefault(owner, set())
-            bounded = {l for l, _ in fam}
-            for n in sorted(names):
-                if n not in bounded:
-                    fam.add((n, OBJECT))
+        # each member declares the images of its placeholders under h; an
+        # image shared with a class placeholder is the class's
+        in_class = {h.get(n, n) for n in members[CLASS]}
+        bounds = {owner: dict(pairs) for owner, pairs in family.items()}
+        clauses = {owner: {} for owner in members}
+        for owner, names in members.items():
+            for n in names:
+                x = h.get(n, n)
+                home = CLASS if x in in_class else owner
+                clauses[home][x] = bounds[home].get(x)
 
         if "generics" in dumps:
             dumps["generics"].append(f"# {gen.cls.name}")
             dumps["generics"].append(format_generics(
-                family, [CLASS] + [("method", i)
-                                   for i in range(len(gen.methods))]))
+                clauses, [CLASS] + [("method", i)
+                                    for i in range(len(gen.methods))]))
 
         field_terms = {n: final(t) for n, t in gen.field_terms.items()}
         method_params = [[final(t) for t in m.param_terms]
@@ -224,10 +222,10 @@ class _Solved:
         return SolvedClass(
             remaining=tuple(sorted(self.remaining)),
             class_generics=_generics_clause(
-                declared[0] + _family_pairs(family, CLASS),
+                declared[0] + _clause_pairs(clauses[CLASS]),
                 field_terms.values()),
             method_generics=[_generics_clause(
-                declared[i + 1] + _family_pairs(family, ("method", i)),
+                declared[i + 1] + _clause_pairs(clauses[("method", i)]),
                 [*method_params[i], method_rets[i]])
                 for i in range(len(gen.methods))],
             field_terms=field_terms,
@@ -281,10 +279,9 @@ def _minimal(solved, table):
             if not any(below(b, a) for b in solved if b is not a)]
 
 
-def _family_pairs(family, owner):
-    """Inferred clause pairs; conformance left one bound per placeholder."""
-    return [(TPH(l), None if r == OBJECT else TPH(r))
-            for l, r in sorted(family.get(owner, ()))]
+def _clause_pairs(clause):
+    """An inferred clause as (variable, bound) term pairs, by name."""
+    return [(TPH(n), r and TPH(r)) for n, r in sorted(clause.items())]
 
 
 def _declared_pairs(generics, scope, table):
@@ -313,16 +310,7 @@ def _assemble(cls, finished, table):
                                          s.method_rets[i]))
         for i in range(len(cls.methods))])
     rep = finished[0]
-    ann = E.AnnotatedClass(
-        cls=cls,
-        class_generics=rep.class_generics,
-        field_terms=rep.field_terms,
-        method_generics=rep.method_generics,
-        method_params=rep.method_params,
-        method_rets=rep.method_rets,
-        local_terms=rep.local_terms,
-    )
-    typed_cls, ren = E.build_typed_class(ann)
+    typed_cls, ren = E.build_typed_class(cls, rep)
     sigma = {old: TPH(new) for old, new in ren.items()}
     rename = lambda t: substitute(t, sigma)
 

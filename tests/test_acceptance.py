@@ -69,13 +69,11 @@ def _rename_pairs(pairs, ren):
     return {(ren.get(l, l), ren.get(r, r)) for (l, r) in pairs}
 
 
-def _family_matches(engine, expected, ren):
-    """Expected pairs must all be present; extra engine pairs may only be
-    Object bounds (the emitter elides those anyway)."""
-    got = _rename_pairs(engine, ren)
-    if not expected <= got:
-        return False
-    return all(r == "Object" for (_, r) in got - expected)
+def _families_match(engine, expected, ren):
+    """Each member's renamed pairs are exactly the expected ones; an
+    unbounded placeholder has no pair."""
+    return {owner: _rename_pairs(pairs, ren)
+            for owner, pairs in engine.items()} == expected
 
 
 # --- 1: factorial ------------------------------------------------------------
@@ -166,15 +164,15 @@ def test_criterion_02_tphs_to_generics():
     gen, s, owners, members, fgg, cfgg, _ = _generalization(TPHS_SRC)
     ren = _tphs_anchor_map(gen, s)
     ok = _rename_pairs(s.remaining, ren) == TPHS_CS
+    # ETX, AM, AI, AD and AE are unbounded
     expected_fgg = {
-        CLASS: {("UD", "DZP"), ("DZP", "ETX"), ("ETX", "Object")},
+        CLASS: {("UD", "DZP"), ("DZP", "ETX")},
         ("method", 0): {("V", "UD")},
-        ("method", 1): {("AN", "AI"), ("AM", "Object"), ("AI", "Object")},
-        ("method", 2): {("AB", "AA"), ("AD", "Object"), ("AE", "Object")},
+        ("method", 1): {("AN", "AI")},
+        ("method", 2): {("AB", "AA")},
     }
-    for owner, expected in expected_fgg.items():
-        ok &= _family_matches(fgg.get(owner, set()), expected, ren)
-    # completion changes exactly one bound: AD gains AE instead of Object
+    ok &= _families_match(fgg, expected_fgg, ren)
+    # completion changes exactly one bound: unbounded AD gains AE
     diffs = {}
     for owner in set(fgg) | set(cfgg):
         gone = _rename_pairs(fgg.get(owner, set()) - cfgg.get(owner, set()),
@@ -183,7 +181,7 @@ def test_criterion_02_tphs_to_generics():
                               ren)
         if gone or added:
             diffs[owner] = (gone, added)
-    ok &= diffs == {("method", 2): ({("AD", "Object")}, {("AD", "AE")})}
+    ok &= diffs == {("method", 2): (set(), {("AD", "AE")})}
     result = J.run_source(TPHS_SRC)
     ok &= alpha_equivalent(J.parse(J.typed_source(result)),
                            J.parse(TPHS_TYPED))
@@ -219,19 +217,17 @@ def _mutual_anchor_map(gen, s):
 
 
 def _completion_oracle(fgg, remaining, owners, members, sites):
-    """Independent reading of the completion rule: a placeholder bounded
-    only by Object gains every minimal caller placeholder R such that the
-    argument flows into a callee parameter whose bound chain reaches the
-    callee return, which flows back into R."""
+    """Independent reading of the completion rule: an unbounded
+    placeholder (one with no pair) gains every minimal caller placeholder R
+    such that the argument flows into a callee parameter whose bound chain
+    reaches the callee return, which flows back into R."""
     cs = set(transitive_closure(remaining))
     out = {o: set(p) for o, p in fgg.items()}
     changed = True
     while changed:
         changed = False
-        member_closures = {
-            o: set(transitive_closure(
-                [(l, r) for (l, r) in ps if r != "Object"]))
-            for o, ps in out.items()}
+        member_closures = {o: set(transitive_closure(ps))
+                           for o, ps in out.items()}
         for site in sites:
             caller = ("method", site.caller)
             if caller not in out:
@@ -240,7 +236,7 @@ def _completion_oracle(fgg, remaining, owners, members, sites):
                 for t in tphs_of(arg):
                     if owners.get(t) != caller:
                         continue
-                    if (t, "Object") not in out[caller]:
+                    if any(l == t for (l, _) in out[caller]):
                         continue
                     found = set()
                     for tp in tphs_of(param):
@@ -257,7 +253,6 @@ def _completion_oracle(fgg, remaining, owners, members, sites):
                              if not any(q != r and (q, r) in cs
                                         for q in found)}
                     if found:
-                        out[caller].discard((t, "Object"))
                         out[caller] |= {(t, r) for r in found}
                         changed = True
     return out
@@ -267,15 +262,14 @@ def test_criterion_03_mutual_recursion():
     gen, s, owners, members, fgg, cfgg, sites = _generalization(MUTUAL_SRC)
     ren = _mutual_anchor_map(gen, s)
     ok = _rename_pairs(s.remaining, ren) == MUTUAL_CS
+    # B, C, DD, BB, F, G, HH, GG and I are unbounded
     expected_fgg = {
-        ("method", 0): {("B", "Object"), ("C", "Object"), ("D", "DD"),
-                        ("DD", "Object"), ("BB", "Object")},
-        ("method", 1): {("F", "Object"), ("G", "Object"), ("H", "HH"),
-                        ("HH", "Object"), ("GG", "Object")},
-        ("method", 2): {("J", "I"), ("I", "Object")},
+        CLASS: set(),
+        ("method", 0): {("D", "DD")},
+        ("method", 1): {("H", "HH")},
+        ("method", 2): {("J", "I")},
     }
-    for owner, expected in expected_fgg.items():
-        ok &= _family_matches(fgg.get(owner, set()), expected, ren)
+    ok &= _families_match(fgg, expected_fgg, ren)
     oracle = _completion_oracle(fgg, sorted(s.remaining), owners, members,
                                 sites)
     ok &= {o: set(p) for o, p in cfgg.items()} == oracle

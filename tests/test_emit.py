@@ -4,13 +4,14 @@ import pytest
 
 from jtxinfer import parse, print_program
 from jtxinfer.classtable import build_class_table
-from jtxinfer.emit import (AnnotatedClass, MethodTyping,
+from jtxinfer.emit import (MethodTyping,
                            assemble_intersection_types, build_typed_class,
                            canonical_renaming, emit_descriptors,
                            format_typing,
                            method_descriptor, signature_report,
                            term_to_srctype, typing_sort_key)
 from jtxinfer.errors import DescriptorCollision, Untypable
+from jtxinfer.pipeline import SolvedClass
 from jtxinfer.syntax import Program
 from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
 
@@ -96,16 +97,22 @@ def test_canonical_renaming_past_alphabet():
     assert ren["N25"] == "Z" and ren["N26"] == "AA" and ren["N27"] == "AB"
 
 
-def _annotated_identity():
+def _solved(method_generics, method_params, method_rets):
+    """A SolvedClass of a class without fields or locals."""
+    return SolvedClass(
+        remaining=(), class_generics=[], method_generics=method_generics,
+        field_terms={}, method_params=method_params,
+        method_rets=method_rets, local_terms={})
+
+
+def _typed_identity():
     cls = parse("class C { m(x) { return x; } }").classes[0]
-    return AnnotatedClass(
-        cls=cls, class_generics=[], field_terms={},
-        method_generics=[[(TPH("QQ"), None)]],
-        method_params=[[TPH("QQ")]], method_rets=[TPH("QQ")])
+    return build_typed_class(cls, _solved(
+        [[(TPH("QQ"), None)]], [[TPH("QQ")]], [TPH("QQ")]))
 
 
 def test_build_typed_class_renames_canonically():
-    typed, ren = build_typed_class(_annotated_identity())
+    typed, ren = _typed_identity()
     assert ren == {"QQ": "A"}
     m = typed.methods[0]
     assert str(m.ret) == "A"
@@ -115,12 +122,10 @@ def test_build_typed_class_renames_canonically():
 
 def test_build_typed_class_bound_order_names_before_bounds():
     cls = parse("class C { m(x, y) { return x; } }").classes[0]
-    ann = AnnotatedClass(
-        cls=cls, class_generics=[], field_terms={},
-        method_generics=[[(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
-                          (TPH("R"), None), (TPH("S"), None)]],
-        method_params=[[TPH("P"), TPH("Q")]], method_rets=[TPH("P")])
-    typed, _ = build_typed_class(ann)
+    typed, _ = build_typed_class(cls, _solved(
+        [[(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
+          (TPH("R"), None), (TPH("S"), None)]],
+        [[TPH("P"), TPH("Q")]], [TPH("P")]))
     gens = [(g.name, str(g.bound) if g.bound else None)
             for g in typed.methods[0].generics]
     # every generic is introduced before any bound-only name
@@ -129,7 +134,7 @@ def test_build_typed_class_bound_order_names_before_bounds():
 
 def test_emit_typed_source_with_comment_block():
     prog = parse("class C { m(x) { return x; } }")
-    typed, _ = build_typed_class(_annotated_identity())
+    typed, _ = _typed_identity()
     text = print_program(Program(prog.imports, [typed]),
                          {"C": {0: ["C.m : Integer -> Integer"]}})
     lines = text.splitlines()

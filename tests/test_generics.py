@@ -34,7 +34,7 @@ def test_member_tph_sets_excludes_borrowed_placeholders():
     assert members[M0] == {"C"}
 
 
-def test_build_fgg_partitions_and_fills_object():
+def test_build_fgg_partitions_and_leaves_unbounded_out():
     g = groups(cls=[TPH("A")], m0=[TPH("C"), TPH("D")], m1=[TPH("E")])
     owners = compute_owners(g)
     members = member_tph_sets(g, owners)
@@ -42,12 +42,11 @@ def test_build_fgg_partitions_and_fills_object():
                  ("C", "A"),   # method below class placeholder: kept
                  ("E", "C")}   # crosses two methods: dropped
     fgg = build_fgg(remaining, owners, members)
-    assert fgg[M0] == {("C", "D"), ("C", "A"), ("D", "Object")}
-    assert fgg[M1] == {("E", "Object")}
-    assert fgg[CLASS] == {("A", "Object")}
+    # D, E and A are unbounded: they have no pair
+    assert fgg == {CLASS: set(), M0: {("C", "D"), ("C", "A")}, M1: set()}
 
 
-def test_complete_fgg_upgrades_object_bound_along_call():
+def test_complete_fgg_bounds_unbounded_along_call():
     # method 1 calls method 0: T flows into callee param P, whose bound
     # chain reaches the callee return Q, which flows back into caller R.
     g = groups(m0=[TPH("P"), TPH("Q")], m1=[TPH("T"), TPH("R")])
@@ -55,17 +54,16 @@ def test_complete_fgg_upgrades_object_bound_along_call():
     members = member_tph_sets(g, owners)
     remaining = {("T", "P"), ("P", "Q"), ("Q", "R")}
     fgg = build_fgg(remaining, owners, members)
-    assert ("T", "Object") in fgg[M1]
+    assert fgg[M1] == set()
     site = CallSite(caller=1, arg_terms=[TPH("T")], param_terms=[TPH("P")],
                     ret_term=TPH("Q"), callee=0)
     cfgg = complete_fgg(fgg, remaining, owners, members, [site])
-    assert ("T", "Object") not in cfgg[M1]
-    assert ("T", "R") in cfgg[M1]
+    assert cfgg[M1] == {("T", "R")}
     # callee bounds unchanged
-    assert cfgg[M0] == fgg[M0]
+    assert cfgg[M0] == fgg[M0] == {("P", "Q")}
 
 
-def test_complete_fgg_without_return_flow_keeps_object():
+def test_complete_fgg_without_return_flow_keeps_unbounded():
     g = groups(m0=[TPH("P"), TPH("Q")], m1=[TPH("T"), TPH("R")])
     owners = compute_owners(g)
     members = member_tph_sets(g, owners)
@@ -74,7 +72,8 @@ def test_complete_fgg_without_return_flow_keeps_object():
     site = CallSite(caller=1, arg_terms=[TPH("T")], param_terms=[TPH("P")],
                     ret_term=TPH("Q"), callee=0)
     cfgg = complete_fgg(fgg, remaining, owners, members, [site])
-    assert ("T", "Object") in cfgg[M1]
+    assert cfgg == fgg
+    assert cfgg[M1] == set()
 
 
 def test_conformance_collapses_cycle():
@@ -84,9 +83,9 @@ def test_conformance_collapses_cycle():
                                          fresh, owners)
     assert h["L"] == h["M"]
     x = h["L"]
-    assert owners[x] == M0
-    # the collapsed pair disappears; nothing points back at itself
-    assert all(l != r for l, r in family[M0])
+    assert fresh.scope_of(x) == M0
+    # the collapsed pair disappears and leaves x unbounded
+    assert family == {M0: set()}
 
 
 def test_conformance_collapses_infimum():
@@ -104,20 +103,35 @@ def test_conformance_keeps_surrounding_bounds():
     family, h = enforce_java_conformance(
         {M0: {("L", "M"), ("M", "L"), ("N", "L")}}, fresh, owners)
     x = h["L"]
-    assert family[M0] == {("N", x), (x, "Object")}
+    assert family == {M0: {("N", x)}}
 
 
 def test_conformance_identity_on_clean_family():
     owners = {"A": M0, "B": M0}
     fresh = FreshNames()
-    family, h = enforce_java_conformance(
-        {M0: {("A", "B"), ("B", "Object")}}, fresh, owners)
+    family, h = enforce_java_conformance({M0: {("A", "B")}}, fresh, owners)
     assert h == {}
-    assert family[M0] == {("A", "B"), ("B", "Object")}
+    assert family == {M0: {("A", "B")}}
+
+
+def test_conformance_leaves_owners_unchanged():
+    # method placeholder L has two upper bounds, one of them the class's
+    # K: the merged name is a class generic, recorded by `fresh` only
+    owners = {"K": CLASS, "L": M0, "M": M0}
+    given = dict(owners)
+    fresh = FreshNames()
+    family, h = enforce_java_conformance(
+        {CLASS: set(), M0: {("L", "K"), ("L", "M")}}, fresh, owners)
+    assert owners == given
+    x = h["K"]
+    assert x not in given
+    assert h == {"K": x, "L": x, "M": x}
+    assert fresh.scope_of(x) == CLASS
+    assert family == {CLASS: set(), M0: set()}
 
 
 def test_format_generics_lines():
-    family = {M0: {("A", "B"), ("B", "Object")}, CLASS: {("C", "Object")}}
-    text = format_generics(family, order=[CLASS, M0])
+    clauses = {M0: {"A": "B", "B": None}, CLASS: {"C": None}}
+    text = format_generics(clauses, order=[CLASS, M0])
     assert text.splitlines() == ["C extends Object", "A extends B",
                                  "B extends Object"]

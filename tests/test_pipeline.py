@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 import jtxinfer as J
-from jtxinfer.errors import ResourceLimit, Untypable
+from jtxinfer.errors import ResourceLimit, UnknownMember, Untypable
 from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import ClassType
 
@@ -272,6 +272,20 @@ def test_object_bound_is_no_bound():
     assert sigs == ["C.m : <T> T -> T"]
     (typing,) = r.class_results[0].signatures[0][1]
     assert typing.generics == ((ClassType("T"), None),)
+
+
+def test_member_call_on_declared_variable_uses_its_bound():
+    sigs, _ = _sigs_reenter(
+        "import java.util.Pair; class C { "
+        "<T extends Pair<Integer, Integer>> m(T x) { return x.fst(); } }")
+    assert sigs == ["C.m : <T extends Pair<Integer, Integer>> T -> Integer"]
+
+
+def test_member_missing_on_declared_variable_bound_is_unknown():
+    with pytest.raises(UnknownMember,
+                       match="no member 'fst' taking 0 argument\\(s\\) on T$"):
+        run("import java.util.Pair; class C { "
+            "<T extends Integer> m(T x) { return x.fst(); } }")
 
 
 def test_symbolic_solutions_keep_only_minimal_typings():

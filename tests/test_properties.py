@@ -136,7 +136,7 @@ def test_conformance_repair_is_monotone_and_java_conform(pairs):
     owners = {n: M0 for n in NODES}
     fresh = FreshNames()
     family, h = enforce_java_conformance({M0: set(pairs)}, fresh, owners)
-    out = {(l, r) for (l, r) in family[M0] if r != "Object"}
+    out = family[M0]
 
     def H(n):
         return h.get(n, n)
