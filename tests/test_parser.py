@@ -2,7 +2,8 @@
 
 import pytest
 
-from jtxinfer import JtxSyntaxError, UnsupportedFeature, parse, print_program
+from jtxinfer import (JtxError, JtxSyntaxError, UnsupportedFeature, parse,
+                      print_program, tokenize)
 from jtxinfer import syntax as S
 from jtxinfer.syntax import alpha_equivalent
 
@@ -163,3 +164,93 @@ def test_alpha_equivalent_rejects_structural_change():
     assert not alpha_equivalent(a, b)
     c = parse("class A { <T, U> T m(U x) { return x; } }")
     assert not alpha_equivalent(a, c)
+
+
+# --- pinned lexer and parser behaviour -------------------------------------
+
+PINNED_SRC = ('// header\n'
+              'class A {\n'
+              '\tf = "a b"; /* one\n'
+              '   two */ m(x) {\n'
+              '\t\treturn x <= 10; // tail\n'
+              '\t}\n'
+              '}')
+
+
+def test_token_stream_positions():
+    """Tabs count one column; comments, strings and newlines move the
+    position of the token after them."""
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(PINNED_SRC)] \
+        == [("keyword", "class", 2, 1), ("ident", "A", 2, 7),
+            ("punct", "{", 2, 9), ("ident", "f", 3, 2), ("punct", "=", 3, 4),
+            ("string", "a b", 3, 6), ("punct", ";", 3, 11),
+            ("ident", "m", 4, 11), ("punct", "(", 4, 12),
+            ("ident", "x", 4, 13), ("punct", ")", 4, 14),
+            ("punct", "{", 4, 16), ("keyword", "return", 5, 3),
+            ("ident", "x", 5, 10), ("punct", "<=", 5, 12),
+            ("int", "10", 5, 15), ("punct", ";", 5, 17),
+            ("punct", "}", 6, 2), ("punct", "}", 7, 1), ("eof", "", 7, 2)]
+
+
+@pytest.mark.parametrize("src, cls, message, line, col", [
+    ("class C { /* open\n", JtxSyntaxError, "unterminated comment", 1, 11),
+    ('class C { f = "ab\n"; }', JtxSyntaxError,
+     "unterminated string literal", 1, 15),
+    ('class C { f = "ab', JtxSyntaxError, "unterminated string literal",
+     1, 15),
+    ("class C { # }", JtxSyntaxError, "unexpected character '#'", 1, 11),
+    ("class C { m() { try { } } }", UnsupportedFeature,
+     "'try' is not part of the supported subset", 1, 17),
+    ("class C { f = 1.5; }", UnsupportedFeature,
+     "floating point literals are not supported", 1, 15),
+    ("class C { Pair<?> p; }", UnsupportedFeature,
+     "wildcard types are not supported", 1, 16),
+])
+def test_lexer_diagnostics(src, cls, message, line, col):
+    with pytest.raises(JtxError) as info:
+        parse(src)
+    exc = info.value
+    assert (type(exc), exc.message, exc.line, exc.col) \
+        == (cls, message, line, col)
+
+
+def _shape(e):
+    if isinstance(e, S.Binary):
+        return (e.op, (e.pos.line, e.pos.col), _shape(e.left), _shape(e.right))
+    return e.ident
+
+
+@pytest.mark.parametrize("expr, shape", [
+    ("a || b <= c + d * e + f",
+     ("||", (1, 42), "a",
+      ("<=", (1, 47), "b",
+       ("+", (1, 60), ("+", (1, 52), "c", ("*", (1, 56), "d", "e")), "f")))),
+    ("a * (b + c)", ("*", (1, 42), "a", ("+", (1, 47), "b", "c"))),
+])
+def test_binary_tree_shape_and_positions(expr, shape):
+    """Each operator binds by its precedence and left to right; a Binary
+    sits at its operator token."""
+    src = f"class C {{ m(a, b, c, d, e, f) {{ return {expr}; }} }}"
+    tree = parse(src).classes[0].methods[0].body[0].value
+    assert _shape(tree) == shape
+    assert print_program(parse(src)).splitlines()[2].strip() \
+        == f"return {expr};"
+
+
+@pytest.mark.parametrize("a, b", [
+    # the bound sits on the other variable
+    ("class A { <T extends U, U> T m(T x, U y) { return x; } }",
+     "class A { <T, U extends T> T m(T x, U y) { return x; } }"),
+    # a declared variable against a name no clause declares
+    ("class A { <T> T m(T x) { return x; } }",
+     "class A { <U> T m(T x) { return x; } }"),
+    ("class A<T> { T f; }", "class A<U> { T f; }"),
+    # a diamond against a raw `new`
+    ("class A { m() { var p = new Pair<>(1, 2); return p; } }",
+     "class A { m() { var p = new Pair(1, 2); return p; } }"),
+])
+def test_alpha_equivalent_negative_cases(a, b):
+    pa, pb = parse(a), parse(b)
+    assert not alpha_equivalent(pa, pb)
+    assert not alpha_equivalent(pb, pa)
+    assert alpha_equivalent(pa, parse(a))
