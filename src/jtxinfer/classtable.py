@@ -22,8 +22,8 @@ from . import syntax as S
 class MethodSig:
     name: str
     typeparams: list  # list[(name, bound TypeTerm | None)]
-    params: list      # list[TypeTerm | None]; None = not yet inferred
-    ret: object       # TypeTerm | None
+    params: list      # list[TypeTerm]
+    ret: object       # TypeTerm
 
 
 @dataclass
@@ -33,7 +33,9 @@ class Entry:
     params: list = field(default_factory=list)
     variance: list = field(default_factory=list)
     super_template: object = None  # TypeTerm over ClassType(param) refs
-    methods: list = field(default_factory=list)   # list[MethodSig] templates
+    # list[MethodSig] templates; a user class holds its fully annotated
+    # methods until the pipeline replaces them with the inferred typings
+    methods: list = field(default_factory=list)
     fields: dict = field(default_factory=dict)    # name -> TypeTerm | None
     constructor: list = field(default_factory=list)
 
@@ -97,19 +99,15 @@ class ClassTable:
     Each view caches `supertype_chain` per term.  A chain depends only on
     the entries' super templates and the view's `typevars`, and neither
     changes once a view is queried: `build_class_table` adds every entry
-    before the first chain is walked, later writes (`register_inferred`,
-    the pipeline's field types) touch only `inferred` and `fields`, and
+    before the first chain is walked, later writes (the pipeline's inferred
+    typings and field types) touch only `methods` and `fields`, and
     `extend_typevars` makes a new view with a cache of its own.
     """
 
-    def __init__(self, entries, typevars=None, inferred=None,
-                 typevar_scopes=None):
+    def __init__(self, entries, typevars=None, typevar_scopes=None):
         self.entries = entries
         self.typevars = dict(typevars or {})
         self.typevar_scopes = dict(typevar_scopes or {})
-        # class name -> method name -> list of inferred typings
-        # (typeparams, param terms, ret term); filled by the pipeline
-        self.inferred = inferred if inferred is not None else {}
         self._chains = {}     # term -> tuple, see `supertype_chain`
 
     # -- basic lookup -------------------------------------------------------
@@ -129,7 +127,7 @@ class ClassTable:
         if scope is not None:
             for name in tvars:
                 scopes[name] = scopes.get(name, ()) + (scope,)
-        return ClassTable(self.entries, merged, self.inferred, scopes)
+        return ClassTable(self.entries, merged, scopes)
 
     def in_scope(self, typevar, scope):
         """Whether a placeholder of member `scope` may be `typevar`: the
@@ -140,10 +138,6 @@ class ClassTable:
     def is_typevar(self, term):
         return (isinstance(term, ClassType) and not term.args
                 and term.name in self.typevars)
-
-    def register_inferred(self, clsname, methodname, typing):
-        self.inferred.setdefault(clsname, {}).setdefault(
-            methodname, []).append(typing)
 
     # -- declared subtyping -------------------------------------------------
 
@@ -265,55 +259,32 @@ class ClassTable:
 
     def instantiated_methods(self, term, name, arity):
         """Method signatures named `name` with `arity` parameters on the
-        ground class type `term`, instantiated with its type arguments.
-
-        For user classes, pipeline-registered inferred typings take
-        precedence over (possibly incomplete) declared signatures.
-        """
+        ground class type `term`, instantiated with its type arguments."""
         if not isinstance(term, ClassType):
             return []
         entry = self.entries.get(term.name)
         if entry is None:
             return []
-        out = []
-        inferred = self.inferred.get(term.name, {}).get(name)
-        if inferred:
-            for (tps, params, ret) in inferred:
-                if len(params) == arity:
-                    out.append(MethodSig(name, list(tps), list(params), ret))
-            return out
-        for sig in entry.methods:
-            if sig.name != name or len(sig.params) != arity:
-                continue
-            inst = lambda t: (None if t is None else
-                              self._instantiate(t, entry, term.args))
-            out.append(MethodSig(
-                name,
-                [(tp, inst(b)) for tp, b in sig.typeparams],
-                [inst(p) for p in sig.params],
-                inst(sig.ret),
-            ))
-        return out
+        inst = lambda t: (None if t is None else
+                          self._instantiate(t, entry, term.args))
+        return [MethodSig(name, [(tp, inst(b)) for tp, b in sig.typeparams],
+                          [inst(p) for p in sig.params], inst(sig.ret))
+                for sig in entry.methods
+                if sig.name == name and len(sig.params) == arity]
 
     def classes_with_method(self, name, arity):
         """Entry names of universe types declaring `name`/`arity`."""
-        out = []
-        for ename, entry in self.entries.items():
-            sigs = [m for m in entry.methods
-                    if m.name == name and len(m.params) == arity]
-            if not sigs and ename in self.inferred:
-                sigs = [t for t in self.inferred[ename].get(name, [])
-                        if len(t[1]) == arity]
-            if sigs:
-                out.append(ename)
-        return out
+        return [ename for ename, entry in self.entries.items()
+                if any(m.name == name and len(m.params) == arity
+                       for m in entry.methods)]
 
 
 # --- surface type resolution ----------------------------------------------
 
 
 def resolve_src_type(src, table, generic_scope=()):
-    """SrcType -> TypeTerm against a table and the enclosing generic names."""
+    """SrcType -> TypeTerm against a table and the type-variable names
+    `generic_scope` that the enclosing member sees."""
     if src.name == "void":
         return VOID
     if src.args is None:
@@ -330,7 +301,7 @@ def resolve_src_type(src, table, generic_scope=()):
                 f"{name} expects {want} type argument(s)",
                 src.pos.line, src.pos.col)
         return fun_type(is_void, args)
-    if name in generic_scope or table.is_typevar(ClassType(name)):
+    if name in generic_scope:
         if src.args:
             raise ArityMismatch(
                 f"type variable {name} takes no arguments",
@@ -393,8 +364,9 @@ def build_class_table(program, builtin_path=None):
 
     table = ClassTable(entries)
 
-    # user classes extend Object directly; declared member signatures are
-    # resolved where annotations permit (used when re-checking typed output)
+    # user classes extend Object directly; a method whose every slot is
+    # annotated is callable before its class is inferred (typed output
+    # re-enters this way)
     for cls in user:
         entries[cls.name] = Entry(name=cls.name, qualified=cls.name,
                                   super_template=ClassType("Object"))
@@ -409,19 +381,17 @@ def build_class_table(program, builtin_path=None):
             else:
                 entry.fields[f.name] = None
         for m in cls.methods:
+            if m.ret is None or any(p.annotation is None for p in m.params):
+                continue
             m_scope = cls_scope | {g.name for g in m.generics}
             tps = []
             for g in cls.generics + m.generics:
                 bound = (resolve_src_type(g.bound, table, m_scope)
                          if g.bound is not None else None)
                 tps.append((g.name, bound))
-            params = [
-                (resolve_src_type(p.annotation, table, m_scope)
-                 if p.annotation is not None else None)
-                for p in m.params
-            ]
-            ret = (resolve_src_type(m.ret, table, m_scope)
-                   if m.ret is not None else None)
+            params = [resolve_src_type(p.annotation, table, m_scope)
+                      for p in m.params]
+            ret = resolve_src_type(m.ret, table, m_scope)
             entry.methods.append(MethodSig(m.name, tps, params, ret))
     return table
 
@@ -447,6 +417,8 @@ def _scan_occurrences(program):
         elif isinstance(e, S.Lambda):
             forced.add(f"Fun{len(e.params)}$$")
             forced.add(f"FunVoid{len(e.params)}$$")
+            for p in e.params:
+                src_type(p.annotation)
             if isinstance(e.body, list):
                 for s in e.body:
                     stmt(s)

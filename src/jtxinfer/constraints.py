@@ -139,7 +139,12 @@ class _Generator:
         self.fresh = fresh
         self.result = GenResult(cls=cls, fresh=fresh)
         self.scope = ("class",)
-        self.generic_names = {g.name for g in cls.generics}
+        # the type-variable names each member sees: the class's, and each
+        # method's own besides; `names` is the current member's set
+        self.class_names = {g.name for g in cls.generics}
+        self.method_names = [self.class_names | {g.name for g in m.generics}
+                             for m in cls.methods]
+        self.names = self.class_names
 
     def emit(self, c):
         self.result.base.append(c)
@@ -151,7 +156,7 @@ class _Generator:
         for f in self.cls.fields:
             if f.annotation is not None:
                 res.field_terms[f.name] = resolve_src_type(
-                    f.annotation, self.table, self.generic_names)
+                    f.annotation, self.table, self.class_names)
             else:
                 res.field_terms[f.name] = self.fresh.tph(("class",))
         for i, m in enumerate(self.cls.methods):
@@ -165,6 +170,7 @@ class _Generator:
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
             self.method_index = i
+            self.names = self.method_names[i]
             gen = res.methods[i]
             env = dict(res.field_terms)
             for p, t in zip(m.params, gen.param_terms):
@@ -175,7 +181,7 @@ class _Generator:
 
     def _method_signature(self, m, index):
         scope = ("method", index)
-        names = self.generic_names | {g.name for g in m.generics}
+        names = self.method_names[index]
         gen = MethodGen(decl=m, index=index)
         for p in m.params:
             if p.annotation is not None:
@@ -198,10 +204,8 @@ class _Generator:
             if st.name in env:
                 raise UnknownIdentifier(
                     f"'{st.name}' is already defined", st.pos.line, st.pos.col)
-            names = self.generic_names | (
-                {g.name for g in gen.decl.generics} if gen.decl else set())
             if st.annotation is not None:
-                term = resolve_src_type(st.annotation, self.table, names)
+                term = resolve_src_type(st.annotation, self.table, self.names)
             else:
                 term = self.fresh.tph(self.scope)
             gen.local_terms[st.uid] = term
@@ -309,8 +313,7 @@ class _Generator:
         inner = dict(env)
         for i, p in enumerate(e.params):
             if p.annotation is not None:
-                names = self.generic_names
-                slot = resolve_src_type(p.annotation, self.table, names)
+                slot = resolve_src_type(p.annotation, self.table, self.names)
                 component = slot
             else:
                 component = self.fresh.tph(self.scope)
@@ -339,8 +342,7 @@ class _Generator:
                 f"unknown class '{e.cls.name}'", e.pos.line, e.pos.col)
         entry = self.table.entry(name)
         if e.cls.args:
-            names = self.generic_names
-            args = tuple(resolve_src_type(a, self.table, names)
+            args = tuple(resolve_src_type(a, self.table, self.names)
                          for a in e.cls.args)
             if len(args) != entry.arity:
                 raise ArityMismatch(
@@ -409,9 +411,9 @@ class _Generator:
             if m.name != e.name or len(m.params) != len(arg_terms):
                 continue
             gen = self.result.methods[i]
-            names = self.generic_names | {g.name for g in m.generics}
             typeparams = [(g.name, None if g.bound is None else
-                           resolve_src_type(g.bound, self.table, names))
+                           resolve_src_type(g.bound, self.table,
+                                            self.method_names[i]))
                           for g in m.generics]
             alts.append(self._sig_alternative(
                 e, arg_terms, result,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import JtxSyntaxError, UnsupportedFeature
@@ -20,10 +21,30 @@ UNSUPPORTED = {
     "package", "enum", "record",
 }
 
-PUNCT = [
-    "->", "<=", "++", "||", "==",
-    "(", ")", "{", "}", "<", ">", ";", ",", ".", "=", "+", "*", "?",
-]
+# One alternative per token kind, tried in order; the groups after `punct`
+# match only where no token can start, and `_ERRORS` names what each means.
+# A word must start with a letter, '_' or '$': `[^\W\d]` also takes digits
+# such as '²', which `tokenize` reports as unexpected.
+_TOKEN = re.compile(r"""
+      (?P<space>\s+)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<float>\d+\.)
+    | (?P<int>\d+)
+    | (?P<string>"[^"\n]*")
+    | (?P<punct>->|<=|\+\+|\|\||==|[(){}<>;,.=+*])
+    | (?P<open_comment>/\*)
+    | (?P<open_string>")
+    | (?P<wildcard>\?)
+    | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+_ERRORS = {
+    "float": (UnsupportedFeature, "floating point literals are not supported"),
+    "open_comment": (JtxSyntaxError, "unterminated comment"),
+    "open_string": (JtxSyntaxError, "unterminated string literal"),
+    "wildcard": (UnsupportedFeature, "wildcard types are not supported"),
+}
 
 
 @dataclass
@@ -37,91 +58,30 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
-def _is_ident_start(c):
-    return c.isalpha() or c in "_$"
-
-
-def _is_ident_char(c):
-    return c.isalnum() or c in "_$"
-
-
 def tokenize(source):
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "/" and source[i:i + 2] == "//":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c == "/" and source[i:i + 2] == "/*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise JtxSyntaxError("unterminated comment", line, col)
-            skipped = source[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            if word in UNSUPPORTED:
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "space" or kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "word" and (text[0].isalpha() or text[0] in "_$"):
+            if text in UNSUPPORTED:
                 raise UnsupportedFeature(
-                    f"'{word}' is not part of the supported subset", line, col)
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                raise UnsupportedFeature(
-                    "floating point literals are not supported", line, col)
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise JtxSyntaxError("unterminated string literal", line, col)
-                j += 1
-            if j >= n:
-                raise JtxSyntaxError("unterminated string literal", line, col)
-            tokens.append(Token("string", source[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                if p == "?":
-                    raise UnsupportedFeature(
-                        "wildcard types are not supported", line, col)
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+                    f"'{text}' is not part of the supported subset", line, col)
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident",
+                                text, line, col))
+        elif kind == "punct" or kind == "int":
+            tokens.append(Token(kind, text, line, col))
+        elif kind == "string":
+            tokens.append(Token(kind, text[1:-1], line, col))
         else:
-            raise JtxSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            cls, message = _ERRORS.get(kind) or (
+                JtxSyntaxError, f"unexpected character {text[0]!r}")
+            raise cls(message, line, col)
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens

@@ -26,12 +26,12 @@ class _Parser:
     def peek(self, offset=0):
         return self.toks[min(self.i + offset, len(self.toks) - 1)]
 
-    def at(self, kind, text=None):
-        t = self.peek()
+    def at(self, kind, text=None, offset=0):
+        t = self.peek(offset)
         return t.kind == kind and (text is None or t.text == text)
 
-    def at_punct(self, text):
-        return self.at("punct", text)
+    def at_punct(self, text, offset=0):
+        return self.at("punct", text, offset)
 
     def advance(self):
         t = self.toks[self.i]
@@ -124,34 +124,27 @@ class _Parser:
             self.advance()
             name = self.expect("ident").text
             return self.method_rest(name, S.SrcType("void"), generics, pos)
-        # ident '(' -> method with return type to infer
-        if self.at("ident") and self.peek(1).kind == "punct" \
-                and self.peek(1).text == "(":
-            name = self.advance().text
-            return self.method_rest(name, None, generics, pos)
-        # bare field: ident ('=' expr)? ';'
-        if self.at("ident") and self.peek(1).kind == "punct" \
-                and self.peek(1).text in ("=", ";"):
-            name = self.advance().text
-            init = None
-            if self.at_punct("="):
-                self.advance()
-                init = self.expr()
-            self.expect("punct", ";")
-            return S.FieldDecl(name=name, annotation=None, init=init, pos=pos)
-        # annotated member: type ident ...
-        ann = self.type_ref()
+        # a bare name before '(' is a method, before '=' or ';' a field;
+        # either leaves its type to infer
+        ann = None
+        if not (self.at("ident") and any(self.at_punct(p, 1) for p in "(=;")):
+            ann = self.type_ref()
         name = self.expect("ident").text
         if self.at_punct("("):
             return self.method_rest(name, ann, generics, pos)
+        init = self.initializer()
+        if generics:
+            raise JtxSyntaxError("generics clause on a field", pos.line, pos.col)
+        return S.FieldDecl(name=name, annotation=ann, init=init, pos=pos)
+
+    def initializer(self):
+        """`('=' expr)? ';'` after the name of a field or local."""
         init = None
         if self.at_punct("="):
             self.advance()
             init = self.expr()
         self.expect("punct", ";")
-        if generics:
-            raise JtxSyntaxError("generics clause on a field", pos.line, pos.col)
-        return S.FieldDecl(name=name, annotation=ann, init=init, pos=pos)
+        return init
 
     def method_rest(self, name, ret, generics, pos):
         params = self.params()
@@ -178,10 +171,9 @@ class _Parser:
     def param(self):
         """`name`, or `Type name` when a type comes first."""
         ann = None
-        if self.at("ident") and (
-                self.peek(1).kind == "ident"
-                or (self.peek(1).kind == "punct"
-                    and self.peek(1).text in ("<", "."))):
+        if self.at("ident") and (self.at("ident", offset=1)
+                                 or self.at_punct("<", 1)
+                                 or self.at_punct(".", 1)):
             ann = self.type_ref()
         return S.Param(name=self.expect("ident").text, annotation=ann)
 
@@ -241,29 +233,21 @@ class _Parser:
                 value = self.expr()
             self.expect("punct", ";")
             return S.Return(value=value, pos=pos)
+        # `var` or an annotated local: type ident ('=' expr)? ';'; the
+        # subset has no `<` operator, so ident `<` here starts a type
+        ann = None
         if self.at("keyword", "var"):
             self.advance()
-            name = self.expect("ident").text
-            init = None
-            if self.at_punct("="):
-                self.advance()
-                init = self.expr()
-            self.expect("punct", ";")
-            return S.LocalDecl(name=name, annotation=None, init=init, pos=pos)
-        # annotated local: type ident ('=' expr)? ';'
-        # the subset has no `<` operator, so ident `<` here starts a type
-        if self.at("ident") and (
-                self.peek(1).kind == "ident"
-                or (self.peek(1).kind == "punct"
-                    and self.peek(1).text == "<")):
+        elif self.at("ident") and (self.at("ident", offset=1)
+                                   or self.at_punct("<", 1)):
             ann = self.type_ref()
-            name = self.expect("ident").text
-            init = None
-            if self.at_punct("="):
-                self.advance()
-                init = self.expr()
-            self.expect("punct", ";")
-            return S.LocalDecl(name=name, annotation=ann, init=init, pos=pos)
+        else:
+            return self.expr_statement(pos)
+        name = self.expect("ident").text
+        return S.LocalDecl(name=name, annotation=ann, init=self.initializer(),
+                           pos=pos)
+
+    def expr_statement(self, pos):
         expr = self.expr()
         if self.at_punct("="):
             self.advance()
@@ -285,44 +269,19 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self):
-        return self.or_expr()
-
-    def or_expr(self):
-        left = self.rel_expr()
-        while self.at_punct("||"):
-            pos = self.pos()
-            self.advance()
-            right = self.rel_expr()
-            left = S.Binary(op="||", left=left, right=right, pos=pos)
-        return left
-
-    def rel_expr(self):
-        left = self.add_expr()
-        while self.at_punct("<="):
-            pos = self.pos()
-            self.advance()
-            right = self.add_expr()
-            left = S.Binary(op="<=", left=left, right=right, pos=pos)
-        return left
-
-    def add_expr(self):
-        left = self.mul_expr()
-        while self.at_punct("+"):
-            pos = self.pos()
-            self.advance()
-            right = self.mul_expr()
-            left = S.Binary(op="+", left=left, right=right, pos=pos)
-        return left
-
-    def mul_expr(self):
+    def expr(self, min_prec=1):
+        """Precedence climbing over `syntax.BINARY_PREC`: every operator
+        binds left to right."""
         left = self.postfix_expr()
-        while self.at_punct("*"):
-            pos = self.pos()
+        while True:
+            t = self.peek()
+            prec = t.kind == "punct" and S.BINARY_PREC.get(t.text)
+            if not prec or prec < min_prec:
+                return left
             self.advance()
-            right = self.postfix_expr()
-            left = S.Binary(op="*", left=left, right=right, pos=pos)
-        return left
+            right = self.expr(prec + 1)
+            left = S.Binary(op=t.text, left=left, right=right,
+                            pos=S.Pos(t.line, t.col))
 
     def postfix_expr(self):
         e = self.primary()
@@ -362,7 +321,7 @@ class _Parser:
             self.expect("punct", ")")
             return e
         if t.kind == "ident":
-            if self.peek(1).kind == "punct" and self.peek(1).text == "->":
+            if self.at_punct("->", 1):
                 return self.lambda_expr(pos)
             self.advance()
             if self.at_punct("("):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import emit as E
-from .classtable import build_class_table, resolve_src_type
+from .classtable import MethodSig, build_class_table, resolve_src_type
 from .constraints import (CallSite, call_sites, flatten,
                           generate_constraints)
 from .errors import ResourceLimit, Untypable
@@ -341,7 +341,9 @@ def _assemble(cls, finished, table):
 
 
 def _register(cls, table, signatures, rep, rename):
-    """Make the inferred typings callable from later classes."""
+    """Make the inferred typings callable from later classes: they replace
+    the class entry's methods, and ground field types fill its fields."""
+    methods = []
     for (mname, typings) in signatures:
         for t in typings:
             bound_by = {v.name: b for v, b in t.generics}
@@ -353,11 +355,11 @@ def _register(cls, table, signatures, rep, rename):
             conv = lambda term: substitute(term, as_var)
             tps = [(n, None if bound_by.get(n) is None
                     else conv(bound_by[n])) for n in names]
-            table.register_inferred(
-                cls.name, mname,
-                (tps, [conv(p) for p in t.params], conv(t.ret)))
+            methods.append(MethodSig(mname, tps, [conv(p) for p in t.params],
+                                     conv(t.ret)))
     entry = table.entries.get(cls.name)
     if entry is not None:
+        entry.methods = methods
         for f in cls.fields:
             term = rename(rep.field_terms[f.name])
             if is_ground(term):

@@ -8,7 +8,7 @@ source position.  Declaration sites whose type was omitted carry
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 _uid_counter = itertools.count(1)
@@ -274,7 +274,9 @@ def _print_stmt(stmt, depth):
     raise TypeError(f"unknown statement {stmt!r}")
 
 
-_PREC = {"||": 1, "<=": 2, "+": 3, "*": 4}
+# Binding strength of each binary operator, shared by the parser and the
+# printer; all of them associate to the left.
+BINARY_PREC = {"||": 1, "<=": 2, "+": 3, "*": 4}
 
 
 def print_expr(e, prec=0):
@@ -311,7 +313,7 @@ def print_expr(e, prec=0):
             return f"{head} -> {{ {inner} }}"
         return f"{head} -> {print_expr(e.body)}"
     if isinstance(e, Binary):
-        p = _PREC[e.op]
+        p = BINARY_PREC[e.op]
         s = f"{print_expr(e.left, p)} {e.op} {print_expr(e.right, p + 1)}"
         if p < prec:
             return f"({s})"
@@ -328,218 +330,57 @@ def alpha_equivalent(a, b):
 
     Type variables are the names declared in class/method generics clauses.
     Generics clauses themselves are compared as sets (their declaration
-    order carries no meaning); everything else is compared in lockstep.
+    order carries no meaning); everything else is compared in lockstep
+    over the dataclass fields that take part in `==`.
     """
-    tvars_a = _declared_tvars(a)
-    tvars_b = _declared_tvars(b)
-    if len(tvars_a) != len(tvars_b):
+    ta, tb = _declared_tvars(a), _declared_tvars(b)
+    if len(ta) != len(tb):
         return False
-    return _match_program(a, b, tvars_a, tvars_b, {}, {})
+
+    def match(todo, fwd, bwd):
+        """Match the node pairs on `todo`, the continuation: a linked list
+        `(pair, rest)`.  The renaming is `fwd` with its inverse `bwd`.  A
+        generics clause is the one branch point: each parameter of the
+        right clause is tried against the first of the left one, on copies
+        of the renaming, with the rest of `todo` as continuation."""
+        while todo:
+            (x, y), todo = todo
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, list):
+                if len(x) != len(y):
+                    return False
+                if x and isinstance(x[0], GenericParam):
+                    return any(
+                        match(((x[0], c), ((x[1:], y[:j] + y[j + 1:]), todo)),
+                              dict(fwd), dict(bwd))
+                        for j, c in enumerate(y))
+                for pair in reversed(list(zip(x, y))):
+                    todo = (pair, todo)
+            elif is_dataclass(x):
+                binds = isinstance(x, (SrcType, GenericParam))
+                if binds:
+                    nx, ny = x.name, y.name
+                    if (nx in ta) != (ny in tb):
+                        return False
+                    if nx not in ta:
+                        if nx != ny:
+                            return False
+                    elif fwd.setdefault(nx, ny) != ny \
+                            or bwd.setdefault(ny, nx) != nx:
+                        return False
+                for f in reversed(fields(x)):
+                    if f.compare and not (binds and f.name == "name"):
+                        todo = ((getattr(x, f.name), getattr(y, f.name)),
+                                todo)
+            elif x != y:
+                return False
+        return True
+
+    return match(((a, b), None), {}, {})
 
 
 def _declared_tvars(program):
-    names = set()
-    for cls in program.classes:
-        for g in cls.generics:
-            names.add(g.name)
-        for m in cls.methods:
-            for g in m.generics:
-                names.add(g.name)
-    return names
-
-
-def _match_program(a, b, ta, tb, fwd, bwd):
-    if a.imports != b.imports or len(a.classes) != len(b.classes):
-        return False
-    return _match_seq(a.classes, b.classes, _match_class, ta, tb, fwd, bwd)
-
-
-def _match_seq(xs, ys, f, ta, tb, fwd, bwd, k=None):
-    """Match two sequences elementwise, threading the renaming through a
-    backtracking continuation chain."""
-    if len(xs) != len(ys):
-        return False
-    if k is None:
-        k = lambda fw, bw: True
-
-    def go(i, fwd, bwd):
-        if i == len(xs):
-            return k(fwd, bwd)
-        return f(xs[i], ys[i], ta, tb, fwd, bwd,
-                 lambda fw, bw: go(i + 1, fw, bw))
-
-    return go(0, fwd, bwd)
-
-
-def _bind(na, nb, ta, tb, fwd, bwd):
-    """Try to extend the bijection with na<->nb; None on conflict."""
-    in_a, in_b = na in ta, nb in tb
-    if in_a != in_b:
-        return None
-    if not in_a:
-        return (fwd, bwd) if na == nb else None
-    if na in fwd:
-        return (fwd, bwd) if fwd[na] == nb else None
-    if nb in bwd:
-        return None
-    f2, b2 = dict(fwd), dict(bwd)
-    f2[na] = nb
-    b2[nb] = na
-    return (f2, b2)
-
-
-def _match_type(x, y, ta, tb, fwd, bwd, k):
-    if (x is None) != (y is None):
-        return False
-    if x is None:
-        return k(fwd, bwd)
-    if (x.args is None) != (y.args is None):
-        return False
-    r = _bind(x.name, y.name, ta, tb, fwd, bwd)
-    if r is None:
-        return False
-    fwd, bwd = r
-    if x.args is None:
-        return k(fwd, bwd)
-    return _match_seq(x.args, y.args, _match_type, ta, tb, fwd, bwd,
-                      lambda fw, bw: k(fw, bw))
-
-
-def _match_generics(ga, gb, ta, tb, fwd, bwd, k):
-    """Order-insensitive matching of two generics clauses."""
-    if len(ga) != len(gb):
-        return False
-    if not ga:
-        return k(fwd, bwd)
-    head, rest = ga[0], ga[1:]
-    for j, cand in enumerate(gb):
-        r = _bind(head.name, cand.name, ta, tb, fwd, bwd)
-        if r is None:
-            continue
-        f2, b2 = r
-        ok = _match_type(
-            head.bound, cand.bound, ta, tb, f2, b2,
-            lambda fw, bw: _match_generics(rest, gb[:j] + gb[j + 1:],
-                                           ta, tb, fw, bw, k))
-        if ok:
-            return True
-    return False
-
-
-def _match_class(ca, cb, ta, tb, fwd, bwd, k):
-    if ca.name != cb.name:
-        return False
-    return _match_generics(
-        ca.generics, cb.generics, ta, tb, fwd, bwd,
-        lambda fw, bw: _match_seq(
-            ca.fields, cb.fields, _match_field, ta, tb, fw, bw,
-            lambda fw2, bw2: _match_seq(ca.methods, cb.methods, _match_method,
-                                        ta, tb, fw2, bw2, k)))
-
-
-def _match_field(fa, fb, ta, tb, fwd, bwd, k):
-    if fa.name != fb.name:
-        return False
-    return _match_type(
-        fa.annotation, fb.annotation, ta, tb, fwd, bwd,
-        lambda fw, bw: _match_expr(fa.init, fb.init, ta, tb, fw, bw, k))
-
-
-def _match_method(ma, mb, ta, tb, fwd, bwd, k):
-    if ma.name != mb.name or len(ma.params) != len(mb.params):
-        return False
-
-    def after_generics(fw, bw):
-        def after_ret(fw2, bw2):
-            return _match_seq(
-                ma.params, mb.params, _match_param, ta, tb, fw2, bw2,
-                lambda fw3, bw3: _match_seq(ma.body, mb.body, _match_stmt,
-                                            ta, tb, fw3, bw3, k))
-
-        return _match_type(ma.ret, mb.ret, ta, tb, fw, bw, after_ret)
-
-    return _match_generics(ma.generics, mb.generics, ta, tb, fwd, bwd,
-                           after_generics)
-
-
-def _match_param(pa, pb, ta, tb, fwd, bwd, k):
-    if pa.name != pb.name:
-        return False
-    return _match_type(pa.annotation, pb.annotation, ta, tb, fwd, bwd, k)
-
-
-def _match_stmt(sa, sb, ta, tb, fwd, bwd, k):
-    if type(sa) is not type(sb):
-        return False
-    if isinstance(sa, LocalDecl):
-        if sa.name != sb.name:
-            return False
-        return _match_type(
-            sa.annotation, sb.annotation, ta, tb, fwd, bwd,
-            lambda fw, bw: _match_expr(sa.init, sb.init, ta, tb, fw, bw, k))
-    if isinstance(sa, Assign):
-        return _match_expr(
-            sa.target, sb.target, ta, tb, fwd, bwd,
-            lambda fw, bw: _match_expr(sa.value, sb.value, ta, tb, fw, bw, k))
-    if isinstance(sa, Increment):
-        return _match_expr(sa.target, sb.target, ta, tb, fwd, bwd, k)
-    if isinstance(sa, While):
-        return _match_expr(
-            sa.cond, sb.cond, ta, tb, fwd, bwd,
-            lambda fw, bw: _match_seq(sa.body, sb.body, _match_stmt,
-                                      ta, tb, fw, bw, k))
-    if isinstance(sa, Return):
-        return _match_expr(sa.value, sb.value, ta, tb, fwd, bwd, k)
-    if isinstance(sa, ExprStmt):
-        return _match_expr(sa.expr, sb.expr, ta, tb, fwd, bwd, k)
-    return False
-
-
-def _match_expr(ea, eb, ta, tb, fwd, bwd, k):
-    if (ea is None) != (eb is None):
-        return False
-    if ea is None:
-        return k(fwd, bwd)
-    if type(ea) is not type(eb):
-        return False
-    if isinstance(ea, (IntLit, BoolLit, StrLit)):
-        return ea.value == eb.value and k(fwd, bwd)
-    if isinstance(ea, Name):
-        return ea.ident == eb.ident and k(fwd, bwd)
-    if isinstance(ea, FieldAccess):
-        if ea.name != eb.name:
-            return False
-        return _match_expr(ea.recv, eb.recv, ta, tb, fwd, bwd, k)
-    if isinstance(ea, Call):
-        if ea.name != eb.name:
-            return False
-        return _match_expr(
-            ea.recv, eb.recv, ta, tb, fwd, bwd,
-            lambda fw, bw: _match_seq(ea.args, eb.args, _match_expr,
-                                      ta, tb, fw, bw, k))
-    if isinstance(ea, New):
-        return _match_type(
-            ea.cls, eb.cls, ta, tb, fwd, bwd,
-            lambda fw, bw: _match_seq(ea.args, eb.args, _match_expr,
-                                      ta, tb, fw, bw, k))
-    if isinstance(ea, Lambda):
-        if len(ea.params) != len(eb.params):
-            return False
-
-        def after_params(fw, bw):
-            if isinstance(ea.body, list) != isinstance(eb.body, list):
-                return False
-            if isinstance(ea.body, list):
-                return _match_seq(ea.body, eb.body, _match_stmt,
-                                  ta, tb, fw, bw, k)
-            return _match_expr(ea.body, eb.body, ta, tb, fw, bw, k)
-
-        return _match_seq(ea.params, eb.params, _match_param, ta, tb,
-                          fwd, bwd, after_params)
-    if isinstance(ea, Binary):
-        if ea.op != eb.op:
-            return False
-        return _match_expr(
-            ea.left, eb.left, ta, tb, fwd, bwd,
-            lambda fw, bw: _match_expr(ea.right, eb.right, ta, tb, fw, bw, k))
-    return False
+    return {g.name for cls in program.classes
+            for gs in [cls.generics] + [m.generics for m in cls.methods]
+            for g in gs}

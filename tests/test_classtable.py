@@ -47,6 +47,18 @@ def test_lambda_forces_fun_interface():
     assert t.has("Fun1$$")
 
 
+def test_annotated_lambda_parameter_forces_its_type():
+    assert table_for("class A { f = (Double x) -> x; }").has("Double")
+
+
+def test_only_fully_annotated_methods_are_declared():
+    t = table_for("class A { m(x) { return x; } Integer n(Integer y) "
+                  "{ return y; } o(Integer z) { return z; } void v() { } }")
+    assert [m.name for m in t.entry("A").methods] == ["n", "v"]
+    assert t.classes_with_method("m", 1) == []
+    assert t.classes_with_method("n", 1) == ["A"]
+
+
 def test_user_class_registered_with_object_super():
     t = table_for("class A { } class B { }")
     assert t.has("A") and t.has("B")

@@ -205,6 +205,11 @@ def test_token_stream_positions():
      "floating point literals are not supported", 1, 15),
     ("class C { Pair<?> p; }", UnsupportedFeature,
      "wildcard types are not supported", 1, 16),
+    # a digit that is no decimal digit starts neither a number nor a name
+    ("class C { m() { return ²; } }", JtxSyntaxError,
+     "unexpected character '²'", 1, 24),
+    ("class C { m() { return 1²; } }", JtxSyntaxError,
+     "unexpected character '²'", 1, 25),
 ])
 def test_lexer_diagnostics(src, cls, message, line, col):
     with pytest.raises(JtxError) as info:
@@ -212,6 +217,17 @@ def test_lexer_diagnostics(src, cls, message, line, col):
     exc = info.value
     assert (type(exc), exc.message, exc.line, exc.col) \
         == (cls, message, line, col)
+
+
+def test_eof_after_trailing_line_comment():
+    """End of input sits after the comment that runs into it."""
+    eof = tokenize("class A { } // end")[-1]
+    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 19)
+
+
+def test_generics_clause_on_bare_field():
+    with pytest.raises(JtxSyntaxError, match="generics clause on a field"):
+        parse("class A { <T> f = 1; }")
 
 
 def _shape(e):

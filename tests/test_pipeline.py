@@ -5,7 +5,8 @@ import importlib
 import pytest
 
 import jtxinfer as J
-from jtxinfer.errors import ResourceLimit, UnknownMember, Untypable
+from jtxinfer.errors import (ResourceLimit, UnknownImport, UnknownMember,
+                             Untypable)
 from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import ClassType
 
@@ -286,6 +287,52 @@ def test_member_missing_on_declared_variable_bound_is_unknown():
                        match="no member 'fst' taking 0 argument\\(s\\) on T$"):
         run("import java.util.Pair; class C { "
             "<T extends Integer> m(T x) { return x.fst(); } }")
+
+
+@pytest.mark.parametrize("src, col", [
+    ("class A { m(x) { return new B().n(x); } } "
+     "class B { n(y) { return y; } }", 32),
+    ("class A { m(b, x) { return b.n(x); } } "
+     "class B { n(y) { return y; } }", 29),
+])
+def test_call_to_later_unannotated_method_is_unknown(src, col):
+    """A later class's method is callable only once inferred, or when it
+    is fully annotated."""
+    with pytest.raises(UnknownMember) as info:
+        run(src)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_call_to_later_annotated_method():
+    sigs, _ = _sigs_reenter(
+        "class A { m(x) { return new B().n(x); } } "
+        "class B { Integer n(Integer y) { return y; } }")
+    assert sigs == ["A.m : Integer -> Integer", "B.n : Integer -> Integer"]
+
+
+def test_annotated_lambda_parameter_pulls_in_its_type():
+    r = run("class C { f = (Double x) -> x; }")
+    assert str(r.class_results[0].typed_cls.fields[0].annotation) \
+        == "Fun1$$<Double, Double>"
+
+
+def test_method_type_variable_invisible_to_other_methods():
+    with pytest.raises(UnknownImport, match="unknown type 'T'") as info:
+        run("class C { <T> a(T x) { return x; } "
+            "b(y) { T z = y; return z; } }")
+    assert (info.value.line, info.value.col) == (1, 43)
+
+
+@pytest.mark.parametrize("body, sigs", [
+    ("var f = (T y) -> y; return f.apply(x);", ["C.a : <T> T -> T"]),
+    ("var f = (y) -> { T z = y; return z; }; return f.apply(x);",
+     ["C.a : <T> T -> T"]),
+    ("return new Pair<T, T>(x, x);",
+     ["C.a : <T> T -> Object & <T> T -> Pair<T, T>"]),
+])
+def test_method_type_variable_visible_in_its_method(body, sigs):
+    r = run(f"import java.util.Pair; class C {{ <T> a(T x) {{ {body} }} }}")
+    assert J.signature_lines(r) == sigs
 
 
 def test_symbolic_solutions_keep_only_minimal_typings():
