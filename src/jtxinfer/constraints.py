@@ -102,7 +102,6 @@ class CallSite:
     arg_terms: list
     param_terms: list
     ret_term: object
-    callee: object = None        # same-class callee method index, or None
 
 
 @dataclass
@@ -113,22 +112,26 @@ class Alternative:
 
 @dataclass
 class MethodGen:
-    decl: object
-    index: int
     param_terms: list = field(default_factory=list)
     ret_term: object = None
-    local_terms: dict = field(default_factory=dict)   # LocalDecl uid -> term
 
 
 @dataclass
 class GenResult:
-    cls: object
+    """The constraints of one class and the terms of its declaration slots.
+
+    `slots` maps each member scope, the class first and then the methods in
+    order, to the slot terms its body creates: the fields, or the
+    parameters and return, then the locals and lambda parameters (those in
+    block-bodied lambdas too) in creation order."""
+
     base: list = field(default_factory=list)
     groups: list = field(default_factory=list)        # list[list[Alternative]]
     base_call_sites: list = field(default_factory=list)
     field_terms: dict = field(default_factory=dict)
-    methods: list = field(default_factory=list)
-    lambda_param_terms: dict = field(default_factory=dict)  # (uid, i) -> term
+    methods: list = field(default_factory=list)       # [MethodGen]
+    local_terms: dict = field(default_factory=dict)   # LocalDecl uid -> term
+    slots: dict = field(default_factory=dict)         # scope -> [term]
     fresh: FreshNames = None
 
 
@@ -137,7 +140,7 @@ class _Generator:
         self.cls = cls
         self.table = table
         self.fresh = fresh
-        self.result = GenResult(cls=cls, fresh=fresh)
+        self.result = GenResult(fresh=fresh)
         self.scope = ("class",)
         # the type-variable names each member sees: the class's, and each
         # method's own besides; `names` is the current member's set
@@ -149,17 +152,22 @@ class _Generator:
     def emit(self, c):
         self.result.base.append(c)
 
+    def slot(self, term):
+        self.result.slots[self.scope].append(term)
+        return term
+
     # -- driver ------------------------------------------------------------
 
     def run(self):
         res = self.result
+        res.slots[self.scope] = []
         for f in self.cls.fields:
-            if f.annotation is not None:
-                res.field_terms[f.name] = resolve_src_type(
-                    f.annotation, self.table, self.class_names)
-            else:
-                res.field_terms[f.name] = self.fresh.tph(("class",))
+            res.field_terms[f.name] = self.slot(
+                self.fresh.tph(self.scope) if f.annotation is None else
+                resolve_src_type(f.annotation, self.table, self.class_names))
         for i, m in enumerate(self.cls.methods):
+            self.scope = ("method", i)
+            res.slots[self.scope] = []
             res.methods.append(self._method_signature(m, i))
         self.scope = ("class",)
         self.method_index = None
@@ -176,30 +184,28 @@ class _Generator:
             for p, t in zip(m.params, gen.param_terms):
                 env[p.name] = t
             for st in m.body:
-                self.stmt(st, env, gen)
+                self.stmt(st, env, gen.ret_term)
         return res
 
     def _method_signature(self, m, index):
-        scope = ("method", index)
         names = self.method_names[index]
-        gen = MethodGen(decl=m, index=index)
+        gen = MethodGen()
         for p in m.params:
-            if p.annotation is not None:
-                gen.param_terms.append(
-                    resolve_src_type(p.annotation, self.table, names))
-            else:
-                gen.param_terms.append(self.fresh.tph(scope))
+            gen.param_terms.append(self.slot(
+                self.fresh.tph(self.scope) if p.annotation is None else
+                resolve_src_type(p.annotation, self.table, names)))
         if m.ret is not None:
             gen.ret_term = resolve_src_type(m.ret, self.table, names)
         elif _returns_value(m.body):
-            gen.ret_term = self.fresh.tph(scope)
+            gen.ret_term = self.fresh.tph(self.scope)
         else:
             gen.ret_term = VOID
+        self.slot(gen.ret_term)
         return gen
 
     # -- statements ----------------------------------------------------------
 
-    def stmt(self, st, env, gen):
+    def stmt(self, st, env, ret):
         if isinstance(st, S.LocalDecl):
             if st.name in env:
                 raise UnknownIdentifier(
@@ -208,7 +214,7 @@ class _Generator:
                 term = resolve_src_type(st.annotation, self.table, self.names)
             else:
                 term = self.fresh.tph(self.scope)
-            gen.local_terms[st.uid] = term
+            self.result.local_terms[st.uid] = self.slot(term)
             env[st.name] = term
             if st.init is not None:
                 t = self.expr(st.init, env)
@@ -228,18 +234,18 @@ class _Generator:
             self.emit(lessdot(cond, ClassType("Boolean")))
             inner = dict(env)
             for s in st.body:
-                self.stmt(s, inner, gen)
+                self.stmt(s, inner, ret)
         elif isinstance(st, S.Return):
             if st.value is None:
-                if gen.ret_term != VOID:
-                    self.emit(doteq(gen.ret_term, VOID))
+                if ret != VOID:
+                    self.emit(doteq(ret, VOID))
                 return
             t = self.expr(st.value, env)
-            if gen.ret_term == VOID:
+            if ret == VOID:
                 raise Untypable(
                     "value returned from a void method",
                     st.pos.line, st.pos.col)
-            self.emit(flow(st.value, t, gen.ret_term))
+            self.emit(flow(st.value, t, ret))
         elif isinstance(st, S.ExprStmt):
             self.expr(st.expr, env)
         else:
@@ -311,7 +317,7 @@ class _Generator:
     def _lambda(self, e, env):
         arg_components = []
         inner = dict(env)
-        for i, p in enumerate(e.params):
+        for p in e.params:
             if p.annotation is not None:
                 slot = resolve_src_type(p.annotation, self.table, self.names)
                 component = slot
@@ -319,16 +325,13 @@ class _Generator:
                 component = self.fresh.tph(self.scope)
                 slot = self.fresh.tph(self.scope)
                 self.emit(lessdot(component, slot))
-            self.result.lambda_param_terms[(e.uid, i)] = slot
-            inner[p.name] = slot
+            inner[p.name] = self.slot(slot)
             arg_components.append(component)
         if isinstance(e.body, list):
             ret = (self.fresh.tph(self.scope)
                    if _returns_value(e.body) else VOID)
-            gen = MethodGen(decl=None, index=self.method_index,
-                            ret_term=ret)
             for st in e.body:
-                self.stmt(st, inner, gen)
+                self.stmt(st, inner, ret)
         else:
             ret = self.fresh.tph(self.scope)
             body_t = self.expr(e.body, inner)
@@ -417,8 +420,7 @@ class _Generator:
                           for g in m.generics]
             alts.append(self._sig_alternative(
                 e, arg_terms, result,
-                *self._freshen(typeparams, gen.param_terms, gen.ret_term),
-                callee=i))
+                *self._freshen(typeparams, gen.param_terms, gen.ret_term)))
         return alts
 
     def _freshen(self, typeparams, params, ret):
@@ -476,15 +478,14 @@ class _Generator:
                 for sig in sigs]
 
     def _sig_alternative(self, e, arg_terms, result, params, ret,
-                         bounds=(), extra=(), callee=None):
+                         bounds=(), extra=()):
         return Alternative(
             [*extra, *bounds,
              *(flow(node, t, p)
                for node, t, p in zip(e.args, arg_terms, params)),
              doteq(result, ret)],
             [CallSite(caller=self.method_index, arg_terms=list(arg_terms),
-                      param_terms=list(params), ret_term=ret,
-                      callee=callee)])
+                      param_terms=list(params), ret_term=ret)])
 
     def _entry_term(self, name, args):
         fh = fun_head_arity(name)

@@ -23,6 +23,20 @@ class MethodTyping:
     params: tuple     # TypeTerm per parameter
     ret: object       # TypeTerm
 
+    def names(self):
+        """Placeholder names by first use: parameters, return, clause."""
+        return list(dict.fromkeys(
+            n for x in (*self.params, self.ret, *clause_terms(self.generics))
+            for n in tphs_of(x)))
+
+
+def rename_typing(t, sigma):
+    """`t` with its placeholders renamed by `sigma` (name -> TPH)."""
+    return MethodTyping(
+        tuple((substitute(v, sigma), b and substitute(b, sigma))
+              for v, b in t.generics),
+        tuple(substitute(p, sigma) for p in t.params), substitute(t.ret, sigma))
+
 
 def _type_rank(term):
     s = str(term)
@@ -39,11 +53,8 @@ def _canonical(t):
     """Typing with its placeholder generics renamed positionally (dedup
     modulo renaming); declared type variables stay as they are."""
     variables = {v for v, _ in t.generics}
-    order = dict.fromkeys(
-        TPH(n) for x in (*t.params, t.ret, *clause_terms(t.generics))
-        for n in tphs_of(x))
-    sigma = {v.name: TPH(f"#{i}") for i, v in enumerate(
-        v for v in order if v in variables)}
+    sigma = {n: TPH(f"#{i}") for i, n in enumerate(
+        n for n in t.names() if TPH(n) in variables)}
 
     def canon(x):
         return str(substitute(x, sigma))
@@ -130,16 +141,13 @@ def build_typed_class(cls, rep):
     clauses of `rep`, the class's representative `pipeline.SolvedClass`,
     under canonical placeholder names."""
 
-    def names(terms, clause=()):
-        return [n for t in (*terms, *clause_terms(clause))
-                for n in tphs_of(t)]
-
-    order = names(rep.field_terms.values(), rep.class_generics)
-    for i in range(len(cls.methods)):
-        order += names([*rep.method_params[i], rep.method_rets[i]],
-                       rep.method_generics[i])
-    order += names(rep.local_terms.values())
-    declared = {v.name for clause in (rep.class_generics, *rep.method_generics)
+    order = [n for t in (*rep.field_terms.values(),
+                         *clause_terms(rep.class_generics))
+             for n in tphs_of(t)]
+    order += [n for t in rep.methods for n in t.names()]
+    order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
+    declared = {v.name for clause in (rep.class_generics,
+                                      *(t.generics for t in rep.methods))
                 for v, _ in clause if isinstance(v, ClassType)}
     ren = canonical_renaming(order, declared)
     sigma = {old: TPH(new) for old, new in ren.items()}
@@ -158,14 +166,13 @@ def build_typed_class(cls, rep):
         for f in cls.fields
     ]
     methods = []
-    for i, m in enumerate(cls.methods):
-        params = [S.Param(p.name, conv(t))
-                  for p, t in zip(m.params, rep.method_params[i])]
+    for m, t in zip(cls.methods, rep.methods):
+        params = [S.Param(p.name, conv(x)) for p, x in zip(m.params, t.params)]
         body = [_annotate_stmt(st, rep, conv) for st in m.body]
         methods.append(S.MethodDecl(
             name=m.name,
-            generics=gen_params(rep.method_generics[i]),
-            ret=conv(rep.method_rets[i]),
+            generics=gen_params(t.generics),
+            ret=conv(t.ret),
             params=params,
             body=body,
             pos=m.pos,

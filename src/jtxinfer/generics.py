@@ -32,15 +32,12 @@ def compute_owners(slot_groups):
 
 
 def member_tph_sets(slot_groups, owners):
-    """Placeholders each member must declare: those in its own slots that
-    it also owns."""
-    members = {}
-    for owner, terms in slot_groups:
-        bucket = members.setdefault(owner, set())
-        for term in terms:
-            for name in tphs_of(term):
-                if owners.get(name) == owner:
-                    bucket.add(name)
+    """Placeholders each member of `slot_groups` must declare, in the
+    groups' order: those it owns.  An owner's first claim is in its own
+    slots, so the member sets are read off `owners`."""
+    members = {owner: set() for owner, _ in slot_groups}
+    for name, owner in owners.items():
+        members[owner].add(name)
     return members
 
 
@@ -74,9 +71,7 @@ def complete_fgg(fgg, remaining, owners, member_tphs, call_sites):
             if site.caller is None:
                 continue
             owner = ("method", site.caller)
-            if owner not in cfgg:
-                continue
-            tphs = member_tphs.get(owner, set())
+            tphs = member_tphs[owner]
             for arg, param in zip(site.arg_terms, site.param_terms):
                 for t in tphs_of(arg):
                     if owners.get(t) != owner:
@@ -186,12 +181,12 @@ def _infimum(pairs):
     return None
 
 
-def format_generics(clauses, order=None):
-    """Debug rendering of clauses ({owner: {name: bound or None}}): one
-    ``T extends Bound`` line per name, ``Object`` where it is unbounded."""
+def format_generics(clauses):
+    """Debug rendering of clauses ({owner: {name: bound or None}}, in member
+    order): one ``T extends Bound`` line per name, by name within a member,
+    ``Object`` where it is unbounded."""
     lines = []
-    owners = order if order is not None else sorted(clauses, key=str)
-    for owner in owners:
-        for name, bound in sorted(clauses.get(owner, {}).items()):
+    for clause in clauses.values():
+        for name, bound in sorted(clause.items()):
             lines.append(f"{name} extends {bound or 'Object'}")
     return "\n".join(lines)

@@ -115,6 +115,16 @@ class _Parser:
                 continue
             break
         self.expect("punct", ">")
+        # no chain of bare-variable bounds may lead back to where it starts
+        up = {p.name: p.bound for p in params if p.bound and not p.bound.args}
+        for p in params:
+            name = p.name
+            for _ in params:
+                name = up[name].name if name in up else None
+                if name == p.name:
+                    pos = up[name].pos
+                    raise JtxSyntaxError(f"cyclic bound on type parameter "
+                                         f"'{name}'", pos.line, pos.col)
         return params
 
     def member(self):

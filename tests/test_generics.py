@@ -56,7 +56,7 @@ def test_complete_fgg_bounds_unbounded_along_call():
     fgg = build_fgg(remaining, owners, members)
     assert fgg[M1] == set()
     site = CallSite(caller=1, arg_terms=[TPH("T")], param_terms=[TPH("P")],
-                    ret_term=TPH("Q"), callee=0)
+                    ret_term=TPH("Q"))
     cfgg = complete_fgg(fgg, remaining, owners, members, [site])
     assert cfgg[M1] == {("T", "R")}
     # callee bounds unchanged
@@ -70,7 +70,7 @@ def test_complete_fgg_without_return_flow_keeps_unbounded():
     remaining = {("T", "P"), ("P", "Q")}   # Q never reaches R
     fgg = build_fgg(remaining, owners, members)
     site = CallSite(caller=1, arg_terms=[TPH("T")], param_terms=[TPH("P")],
-                    ret_term=TPH("Q"), callee=0)
+                    ret_term=TPH("Q"))
     cfgg = complete_fgg(fgg, remaining, owners, members, [site])
     assert cfgg == fgg
     assert cfgg[M1] == set()
@@ -131,7 +131,7 @@ def test_conformance_leaves_owners_unchanged():
 
 
 def test_format_generics_lines():
-    clauses = {M0: {"A": "B", "B": None}, CLASS: {"C": None}}
-    text = format_generics(clauses, order=[CLASS, M0])
+    clauses = {CLASS: {"C": None}, M0: {"B": None, "A": "B"}}
+    text = format_generics(clauses)
     assert text.splitlines() == ["C extends Object", "A extends B",
                                  "B extends Object"]

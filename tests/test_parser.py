@@ -40,6 +40,11 @@ def test_annotated_method_with_generics():
         == [("T", "U"), ("U", None)]
     assert str(m.ret) == "T"
     assert str(m.params[0].annotation) == "T"
+    # an F-bound names its own variable only inside a type argument
+    prog = parse("import java.util.Pair;\n"
+                 "class A { <T extends Pair<T, T>> T m(T x) { return x; } }")
+    (g,) = prog.classes[0].methods[0].generics
+    assert (g.name, str(g.bound)) == ("T", "Pair<T, T>")
 
 
 def test_generic_class_header():
@@ -104,6 +109,16 @@ def test_string_and_bool_literals():
     assert isinstance(body[1].init, S.BoolLit) and body[1].init.value is True
 
 
+CYCLIC_BOUNDS = {
+    "class C { <T extends T> m(T x) { return x; } }":
+        "1:22: cyclic bound on type parameter 'T'",
+    "class C { <T extends U, U extends T> m(T x) { return x.snd(); } }":
+        "1:22: cyclic bound on type parameter 'T'",
+    "class C<A, T extends U, U extends T> { }":
+        "1:22: cyclic bound on type parameter 'T'",
+}
+
+
 @pytest.mark.parametrize("src", [
     "class {",
     "class A { m( { } }",
@@ -122,10 +137,14 @@ def test_string_and_bool_literals():
     # a repeated type parameter, of a class or a method
     "class C<A, A> { }",
     "class C { <T, T> m(T x) { return x; } }",
+    # a cycle of bare-variable bounds, of a method or a class
+    *CYCLIC_BOUNDS,
 ])
 def test_syntax_errors(src):
-    with pytest.raises(JtxSyntaxError):
+    with pytest.raises(JtxSyntaxError) as exc:
         parse(src)
+    if src in CYCLIC_BOUNDS:
+        assert str(exc.value) == CYCLIC_BOUNDS[src]
 
 
 def test_unsupported_feature():

@@ -344,6 +344,16 @@ def test_symbolic_solutions_keep_only_minimal_typings():
     assert sigs == ["G.m : <B extends A> (T, B) -> T"]
 
 
+def test_block_lambda_locals_are_generalized_in_their_method():
+    """A block-bodied lambda's local is a slot of the enclosing method, so
+    the lambda's return keeps its bound as with the body `y -> y`."""
+    sigs, _ = _sigs_reenter(
+        "class C { m(a) { var f = (y) -> { var z = y; return z; }; "
+        "return f.apply(a); } }")
+    assert sigs == ["C.m : <A extends C, B, C extends D, D extends E, "
+                    "F extends B, E extends F> A -> B"]
+
+
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))
 def test_outputs_deterministic(name):
     src = ALL_GOLDEN_SRCS[name]
