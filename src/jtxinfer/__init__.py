@@ -15,14 +15,14 @@ from .parser import parse
 from .pipeline import (descriptor_lines, funiface_manifest, run_source,
                        signature_lines, typed_source)
 from .syntax import alpha_equivalent, print_program
-from .typeterms import VOID, ClassType, FunType, TPH
+from .typeterms import VOID, ClassType, TPH
 from .unify import format_solution, unify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch", "ClassTable", "ClassType", "DescriptorCollision",
-    "DuplicateClass", "FunType", "JtxError", "JtxSyntaxError",
+    "DuplicateClass", "JtxError", "JtxSyntaxError",
     "ResourceLimit", "TPH", "UnknownIdentifier", "UnknownImport",
     "UnknownMember", "UnsupportedFeature", "Untypable", "VOID",
     "alpha_equivalent", "build_class_table", "build_fgg", "complete_fgg",

@@ -2,7 +2,8 @@
 
 The built-in universe ships as `builtins.json`; `build_class_table` selects
 the slice reachable from a program's imports plus everything its literals
-and operators force in, and adds the user classes.
+and operators force in, generates a function-type entry for each
+``FunN$$``/``FunVoidN$$`` head the program uses, and adds the user classes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from importlib import resources
 
 from .errors import (ArityMismatch, DuplicateClass, UnknownImport,
                      UnsupportedFeature)
-from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
-                        fun_type, instantiate)
+from .typeterms import VOID, ClassType, TPH, fun_head_arity, instantiate
 from . import syntax as S
+
+# a JVM method takes at most 255 parameter slots, `this` among them
+MAX_FUN_ARITY = 254
 
 
 @dataclass
@@ -145,9 +148,8 @@ class ClassTable:
         return instantiate(template, dict(zip(entry.params, args)))
 
     def direct_supertype(self, term):
-        """Instantiated direct supertype of a ClassType/FunType, or None."""
-        if isinstance(term, FunType):
-            return ClassType("Object")
+        """Instantiated direct supertype of a ClassType (a function type's
+        is Object), or None."""
         if not isinstance(term, ClassType):
             return None
         if self.is_typevar(term):
@@ -204,17 +206,6 @@ class ClassTable:
         if isinstance(b, ClassType) and b.name == "Object" and not b.args:
             return not isinstance(a, TPH)
         if isinstance(a, TPH) or isinstance(b, TPH):
-            return False
-        if isinstance(a, FunType) and isinstance(b, FunType):
-            if a.arity != b.arity or (a.ret == VOID) != (b.ret == VOID):
-                return False
-            if not all(self.is_subtype(bb, aa)
-                       for aa, bb in zip(a.args, b.args)):
-                return False
-            return a.ret == VOID or self.is_subtype(a.ret, b.ret)
-        if isinstance(a, FunType) or isinstance(b, FunType):
-            return False
-        if not (isinstance(a, ClassType) and isinstance(b, ClassType)):
             return False
         for sup in self.supertype_chain(a):
             if isinstance(sup, ClassType) and sup.name == b.name:
@@ -291,16 +282,6 @@ def resolve_src_type(src, table, generic_scope=()):
         raise UnsupportedFeature(
             "diamond type outside 'new'", src.pos.line, src.pos.col)
     name = src.name.rsplit(".", 1)[-1]
-    fh = fun_head_arity(name)
-    if fh is not None:
-        is_void, n = fh
-        args = [resolve_src_type(a, table, generic_scope) for a in src.args]
-        want = n if is_void else n + 1
-        if len(args) != want:
-            raise ArityMismatch(
-                f"{name} expects {want} type argument(s)",
-                src.pos.line, src.pos.col)
-        return fun_type(is_void, args)
     if name in generic_scope:
         if src.args:
             raise ArityMismatch(
@@ -324,7 +305,8 @@ def resolve_src_type(src, table, generic_scope=()):
 
 def build_class_table(program, builtin_path=None):
     """Universe = built-ins reachable from imports and forced by occurring
-    literals/operators/lambdas, plus the user classes."""
+    literals/operators/lambdas, then the generated entries of the function
+    heads they force, by `fun_head_arity`, then the user classes."""
     builtins = load_builtin_entries(builtin_path)
     by_qualified = {e.qualified: e.name for e in builtins.values()}
 
@@ -352,6 +334,9 @@ def build_class_table(program, builtin_path=None):
     for name, entry in builtins.items():
         if name in wanted:
             entries[name] = entry
+    funs = [name for name in occ if fun_head_arity(name) is not None]
+    for name in sorted(funs, key=fun_head_arity):
+        entries[name] = _fun_entry(name)
 
     seen = set()
     user = []
@@ -396,8 +381,27 @@ def build_class_table(program, builtin_path=None):
     return table
 
 
+def _fun_entry(name):
+    """The generated entry of function-type head `name`: type parameters
+    T1…TN, then R unless void; contravariant in each parameter, covariant
+    in the return; one `apply`."""
+    is_void, n = fun_head_arity(name)
+    if n > MAX_FUN_ARITY:
+        raise UnsupportedFeature(
+            f"{name} has more than {MAX_FUN_ARITY} parameters")
+    params = [f"T{i}" for i in range(1, n + 1)]
+    ret = VOID if is_void else ClassType("R")
+    return Entry(name=name, qualified=name,
+                 params=params + ([] if is_void else ["R"]),
+                 variance=[-1] * n + ([] if is_void else [1]),
+                 super_template=ClassType("Object"),
+                 methods=[MethodSig("apply", [],
+                                    [ClassType(p) for p in params], ret)])
+
+
 def _scan_occurrences(program):
-    """Built-in type names forced in by literals, operators and lambdas."""
+    """Type names forced in by literals, operators, lambdas, `apply` calls
+    and annotations: built-in names and function-type heads."""
     forced = set()
 
     def expr(e):

@@ -18,8 +18,8 @@ from . import syntax as S
 from .classtable import resolve_src_type
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
-from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
-                        fun_type, instantiate, is_ground, tph_name, tph_number)
+from .typeterms import (VOID, ClassType, TPH, fun_type, instantiate, is_fun,
+                        is_ground, tph_name, tph_number)
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ class _Generator:
             ret = self.fresh.tph(self.scope)
             body_t = self.expr(e.body, inner)
             self.emit(flow(e.body, body_t, ret))
-        return FunType(tuple(arg_components), ret)
+        return fun_type(arg_components, ret)
 
     def _new(self, e, env):
         name = e.cls.name.rsplit(".", 1)[-1]
@@ -439,16 +439,12 @@ class _Generator:
         if self.table.is_typevar(recv):
             recv = next((t for t in self.table.supertype_chain(recv)
                          if not self.table.is_typevar(t)), recv)
-        if isinstance(recv, FunType):
-            if e.name != "apply" or recv.arity != arity:
-                return []
-            return [self._sig_alternative(e, arg_terms, result,
-                                          list(recv.args), recv.ret)]
         if isinstance(recv, ClassType) and recv.name == self.cls.name:
             alts = self._own_method_alternatives(e, arg_terms, result)
             if alts:
                 return alts
-        if (isinstance(recv, ClassType) and is_ground(recv)
+        # a function type's `apply` is its entry's, whatever its arguments
+        if (isinstance(recv, ClassType) and (is_ground(recv) or is_fun(recv))
                 and not self.table.is_typevar(recv)):
             return self._ground_receiver_alternatives(
                 e, recv, arg_terms, result)
@@ -461,9 +457,8 @@ class _Generator:
             entry = self.table.entry(cname)
             fresh_args = tuple(self.fresh.tph(self.scope)
                                for _ in range(entry.arity))
-            rterm = self._entry_term(cname, fresh_args)
-            for sig in self.table.instantiated_methods(
-                    ClassType(cname, fresh_args), e.name, arity):
+            rterm = ClassType(cname, fresh_args)
+            for sig in self.table.instantiated_methods(rterm, e.name, arity):
                 alts.append(self._sig_alternative(
                     e, arg_terms, result,
                     *self._freshen(sig.typeparams, sig.params, sig.ret),
@@ -486,12 +481,6 @@ class _Generator:
              doteq(result, ret)],
             [CallSite(caller=self.method_index, arg_terms=list(arg_terms),
                       param_terms=list(params), ret_term=ret)])
-
-    def _entry_term(self, name, args):
-        fh = fun_head_arity(name)
-        if fh is None:
-            return ClassType(name, args)
-        return fun_type(fh[0], args)
 
 
 def _receiver(e, recv):

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
-from .typeterms import (VOID, ClassType, FunType, TPH, substitute, tph_name,
-                        tphs_of)
+from .typeterms import VOID, ClassType, TPH, substitute, tph_name, tphs_of
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -116,11 +115,6 @@ def term_to_srctype(term):
         return S.SrcType("void")
     if isinstance(term, TPH):
         return S.SrcType(term.name)
-    if isinstance(term, FunType):
-        args = [term_to_srctype(a) for a in term.args]
-        if term.ret != VOID:
-            args.append(term_to_srctype(term.ret))
-        return S.SrcType(term.head, args)
     return S.SrcType(term.name, [term_to_srctype(a) for a in term.args])
 
 
@@ -196,7 +190,7 @@ def _annotate_stmt(st, rep, conv):
     if isinstance(st, S.While):
         return S.While(cond=st.cond,
                        body=[_annotate_stmt(s, rep, conv) for s in st.body],
-                       pos=st.pos, uid=st.uid)
+                       pos=st.pos)
     return st
 
 

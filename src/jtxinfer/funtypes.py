@@ -1,10 +1,12 @@
 """Function-type name mangling and the empty-interface hierarchy.
 
-A ground ``FunN$$<ty1, …, tyn, ty0>`` maps to a flat class name by the
-substitutions ``.`` -> ``$`` and ``<``/``,``/``>`` -> ``$_$``; placeholder-
-parameterised function types erase to the bare ``FunN$$`` root, matching
-descriptor erasure.  The decode direction exists so tests can prove the
-mangling injective over the supported alphabet.
+A function type is a ``FunN$$``/``FunVoidN$$``-headed class type.  A ground
+``FunN$$<ty1, …, tyn, ty0>`` maps to a flat class name by the substitutions
+``.`` -> ``$`` and ``<``/``,``/``>`` -> ``$_$``; one without type arguments
+(``FunVoid0$$``) keeps its bare head, and placeholder-parameterised function
+types erase to the bare ``FunN$$`` root, matching descriptor erasure.  The
+decode direction exists so tests can prove the mangling injective over the
+supported alphabet.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import JtxError
-from .typeterms import (FUN_HEAD, VOID, ClassType, FunType, fun_subterms,
-                        fun_type, is_ground)
+from .typeterms import (FUN_HEAD, VOID, ClassType, fun_subterms, is_fun,
+                        is_ground)
 
 SEP = "$_$"
 
@@ -27,28 +29,20 @@ def _qualified(name, table):
 def mangle_funtype_name(t, table=None):
     """Mangled class name of a function type; erased root when any
     parameter is still a placeholder or type variable."""
-    if not is_ground(t) or _has_typevar(t, table):
-        return t.head
+    if not t.args or not is_ground(t) or _has_typevar(t, table):
+        return t.name
     parts = [_mangle_term(a, table) for a in t.args]
-    if t.ret != VOID:
-        parts.append(_mangle_term(t.ret, table))
-    return t.head + SEP + SEP.join(parts) + SEP
+    return t.name + SEP + SEP.join(parts) + SEP
 
 
 def _has_typevar(t, table):
-    if table is None:
+    if table is None or not isinstance(t, ClassType):
         return False
-    if isinstance(t, ClassType):
-        return table.is_typevar(t) or any(_has_typevar(a, table)
-                                          for a in t.args)
-    if isinstance(t, FunType):
-        return (any(_has_typevar(a, table) for a in t.args)
-                or _has_typevar(t.ret, table))
-    return False
+    return table.is_typevar(t) or any(_has_typevar(a, table) for a in t.args)
 
 
 def _mangle_term(t, table):
-    if isinstance(t, FunType):
+    if is_fun(t):
         return mangle_funtype_name(t, table)
     return _qualified(t.name, table).replace(".", "$")
 
@@ -87,7 +81,7 @@ def _decode(s, table):
             qualified = rest[:idx].replace("$", ".")
             parts.append(_class_by_qualified(qualified, table))
             rest = rest[idx + len(SEP):]
-    return fun_type(is_void, parts), rest
+    return ClassType(m.group(0), tuple(parts)), rest
 
 
 def _class_by_qualified(qualified, table):
@@ -120,12 +114,15 @@ class FunInterfaceDecl:
 
 
 def fun_interface_hierarchy(used, table):
-    """One interface decl per used function type; super-edges point at the
-    immediate supertypes among the used set, plus the erased root."""
+    """One interface decl per mangled name, from the first used function
+    type that has it; super-edges point at the immediate supertypes among
+    the used set, plus the erased root."""
     used = list(used)
-    decls = []
+    decls = {}
     for t in used:
         name = mangle_funtype_name(t, table)
+        if name in decls:
+            continue
         supers = []
         above = [u for u in used
                  if u != t and is_ground(u) and is_ground(t)
@@ -135,10 +132,10 @@ def fun_interface_hierarchy(used, table):
                    and table.is_subtype(w, u) for w in above):
                 continue  # some used type lies strictly between
             supers.append(mangle_funtype_name(u, table))
-        decls.append(FunInterfaceDecl(name=name,
-                                      direct_supers=sorted(supers),
-                                      root=t.head))
-    return decls
+        decls[name] = FunInterfaceDecl(name=name,
+                                       direct_supers=sorted(supers),
+                                       root=t.name)
+    return list(decls.values())
 
 
 def render_manifest(decls):
@@ -150,7 +147,7 @@ def descriptor_term(t, table=None):
     variables erase to Object; generic heads keep their raw name."""
     if t == VOID:
         return "V"
-    if isinstance(t, FunType):
+    if is_fun(t):
         return f"L{mangle_funtype_name(t, table)};"
     if isinstance(t, ClassType):
         if table is not None and table.is_typevar(t):

@@ -1,8 +1,9 @@
 """Syntax trees for the mini language.
 
-Every expression node carries a unique ``uid`` (its type slot key) and a
-source position.  Declaration sites whose type was omitted carry
-``annotation=None`` and are filled in during constraint generation.
+Every expression and statement carries a source position, and a local
+declaration a unique ``uid`` (the key of its type slot).  Declaration
+sites whose type was omitted carry ``annotation=None`` and are filled in
+during constraint generation.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class Param:
 @dataclass
 class Expr:
     pos: Pos = field(default_factory=Pos, compare=False)
-    uid: int = field(default_factory=next_uid, compare=False)
 
 
 @dataclass
@@ -122,7 +122,6 @@ class Binary(Expr):
 @dataclass
 class Stmt:
     pos: Pos = field(default_factory=Pos, compare=False)
-    uid: int = field(default_factory=next_uid, compare=False)
 
 
 @dataclass
@@ -130,6 +129,7 @@ class LocalDecl(Stmt):
     name: str = ""
     annotation: Optional[SrcType] = None  # None = `var` / to-infer
     init: Optional[Expr] = None
+    uid: int = field(default_factory=next_uid, compare=False)
 
 
 @dataclass

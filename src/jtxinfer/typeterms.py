@@ -1,7 +1,9 @@
-"""Type terms: class types, placeholders, function types and void.
+"""Type terms: class types, placeholders and void.
 
-Terms are immutable; substitution returns new terms.  `FunType` with
-``ret=VOID`` models the void-returning function-interface family.
+Terms are immutable; substitution returns new terms.  A function type is
+the class type ``Fun{N}$$<T1, …, TN, R>``, or ``FunVoid{N}$$<T1, …, TN>``
+when it returns void; the class table generates an entry for each such
+head a program uses.
 """
 
 from __future__ import annotations
@@ -46,31 +48,9 @@ class VoidType(TypeTerm):
 
 VOID = VoidType()
 
-# FunN$$ / FunVoidN$$ head; `match` finds it at the start of a mangled name
-FUN_HEAD = re.compile(r"Fun(Void)?(\d+)\$\$")
-
-
-@dataclass(frozen=True)
-class FunType(TypeTerm):
-    """Function type Fun{N}$$<T1,..,TN,R> (contravariant args, covariant
-    return) or FunVoid{N}$$<T1,..,TN> when ``ret`` is VOID."""
-
-    args: tuple
-    ret: TypeTerm
-
-    @property
-    def arity(self):
-        return len(self.args)
-
-    @property
-    def head(self):
-        if self.ret == VOID:
-            return f"FunVoid{self.arity}$$"
-        return f"Fun{self.arity}$$"
-
-    def __str__(self):
-        inner = list(self.args) if self.ret == VOID else list(self.args) + [self.ret]
-        return f"{self.head}<{', '.join(str(a) for a in inner)}>"
+# FunN$$ / FunVoidN$$ head, N without leading zeros; `match` finds it at the
+# start of a mangled name
+FUN_HEAD = re.compile(r"Fun(Void)?(0|[1-9]\d*)\$\$")
 
 
 def fun_head_arity(name):
@@ -81,13 +61,18 @@ def fun_head_arity(name):
     return (m.group(1) is not None, int(m.group(2)))
 
 
-def fun_type(is_void, args):
-    """The FunType a FunN$$/FunVoidN$$ head denotes over its type arguments:
-    all are parameters when void, else the last one is the return type."""
-    args = tuple(args)
-    if is_void:
-        return FunType(args, VOID)
-    return FunType(args[:-1], args[-1])
+def fun_type(params, ret):
+    """The class type of a function from `params` to `ret`."""
+    params = tuple(params)
+    if ret == VOID:
+        return ClassType(f"FunVoid{len(params)}$$", params)
+    return ClassType(f"Fun{len(params)}$$", params + (ret,))
+
+
+def is_fun(term):
+    """True when `term` is a FunN$$/FunVoidN$$ class type."""
+    return (isinstance(term, ClassType)
+            and FUN_HEAD.fullmatch(term.name) is not None)
 
 
 def tph_name(n):
@@ -119,11 +104,6 @@ def substitute(term, sigma):
         if not term.args:
             return term
         return ClassType(term.name, tuple(substitute(a, sigma) for a in term.args))
-    if isinstance(term, FunType):
-        return FunType(
-            tuple(substitute(a, sigma) for a in term.args),
-            substitute(term.ret, sigma),
-        )
     return term
 
 
@@ -135,9 +115,6 @@ def instantiate(term, mapping):
             return mapping.get(term.name, term)
         return ClassType(term.name,
                          tuple(instantiate(a, mapping) for a in term.args))
-    if isinstance(term, FunType):
-        return FunType(tuple(instantiate(a, mapping) for a in term.args),
-                       instantiate(term.ret, mapping))
     return term
 
 
@@ -155,10 +132,6 @@ def _collect_tphs(term, out):
     elif isinstance(term, ClassType):
         for a in term.args:
             _collect_tphs(a, out)
-    elif isinstance(term, FunType):
-        for a in term.args:
-            _collect_tphs(a, out)
-        _collect_tphs(term.ret, out)
 
 
 def is_ground(term):
@@ -167,24 +140,15 @@ def is_ground(term):
         return False
     if isinstance(term, ClassType):
         return all(is_ground(a) for a in term.args)
-    if isinstance(term, FunType):
-        return all(is_ground(a) for a in term.args) and is_ground(term.ret)
     return True
 
 
 def fun_subterms(term):
-    """All FunType subterms of a term (including the term itself)."""
-    out = []
-    _collect_funs(term, out)
+    """All function-type subterms of a term (including the term itself),
+    in pre-order."""
+    if not isinstance(term, ClassType):
+        return []
+    out = [term] if is_fun(term) else []
+    for a in term.args:
+        out.extend(fun_subterms(a))
     return out
-
-
-def _collect_funs(term, out):
-    if isinstance(term, FunType):
-        out.append(term)
-        for a in term.args:
-            _collect_funs(a, out)
-        _collect_funs(term.ret, out)
-    elif isinstance(term, ClassType):
-        for a in term.args:
-            _collect_funs(a, out)

@@ -57,8 +57,7 @@ from dataclasses import dataclass, field
 
 from .constraints import FreshNames, doteq, lessdot
 from .errors import ResourceLimit
-from .typeterms import (VOID, ClassType, FunType, TPH, fun_head_arity,
-                        fun_type, substitute, tphs_of)
+from .typeterms import VOID, ClassType, TPH, substitute, tphs_of
 
 # worklist pops per choice of or-group alternatives
 MAX_STEPS = 500_000
@@ -101,16 +100,6 @@ def _age(name):
 
 def _atomic(t):
     return isinstance(t, ClassType) and not t.args
-
-
-def _head(t):
-    if isinstance(t, TPH):
-        return ("tph",)
-    if t == VOID:
-        return ("void",)
-    if isinstance(t, FunType):
-        return ("fun", t.arity, t.ret == VOID)
-    return ("class", t.name)
 
 
 class _Sigma(dict):
@@ -342,17 +331,9 @@ class _Unifier:
             return ("bind", a.name, b)
         if isinstance(b, TPH):
             return ("bind", b.name, a)
-        ha, hb = _head(a), _head(b)
-        if ha != hb:
-            return "fail"
-        if ha[0] == "void":
-            return []
-        if ha[0] == "fun":
-            out = [doteq(x, y) for x, y in zip(a.args, b.args)]
-            if a.ret != VOID:
-                out.append(doteq(a.ret, b.ret))
-            return out
-        if len(a.args) != len(b.args):
+        # a and b differ, so at most one is void
+        if (a == VOID or b == VOID or a.name != b.name
+                or len(a.args) != len(b.args)):
             return "fail"
         return [doteq(x, y) for x, y in zip(a.args, b.args)]
 
@@ -361,24 +342,15 @@ class _Unifier:
             return "fail"
         if isinstance(b, ClassType) and b.name == "Object" and not b.args:
             return []
-        if isinstance(a, TPH) and isinstance(b, TPH):
-            return "keep"
         if isinstance(a, TPH) or isinstance(b, TPH):
-            return "keep"  # branch point, handled later
+            return "keep"  # one-sided: a branch point, handled later
         # both headed: adapt along the supertype chain, then decompose
-        hb = _head(b)
         for sup in self.table.supertype_chain(a):
-            if _head(sup) != hb:
-                continue
-            return self._decompose(sup, b)
+            if sup.name == b.name:
+                return self._decompose(sup, b)
         return "fail"
 
     def _decompose(self, a, b):
-        if isinstance(a, FunType):
-            out = [lessdot(y, x) for x, y in zip(a.args, b.args)]
-            if a.ret != VOID:
-                out.append(lessdot(a.ret, b.ret))
-            return out
         if len(a.args) != len(b.args):
             return "fail"
         variance = self.table.variance(a.name) or [0] * len(a.args)
@@ -396,14 +368,17 @@ class _Unifier:
 
     def _branches(self, c):
         """(bind name, term, extra constraints) triples for a constraint
-        with a placeholder on exactly one side.  A declared type variable
-        is offered only to placeholders of the members it is in scope for."""
+        with a placeholder on exactly one side.  Below a bound the choices
+        are the heads under its head, `subtype_heads`; above a lower bound
+        they are its supertype chain, a head with some variant parameter
+        shaped with fresh arguments.  Function types are table classes, so
+        they take the same path.  A declared type variable is offered only
+        to placeholders of the members it is in scope for."""
         t = c.lhs if isinstance(c.lhs, TPH) else c.rhs
         scope = self.fresh.scope_of(t.name) or ("class",)
         if t is c.lhs:
             bound = c.rhs
-            for name in self.table.subtype_heads(_head(bound)[1], scope) \
-                    if isinstance(bound, ClassType) else [bound.head]:
+            for name in self.table.subtype_heads(bound.name, scope):
                 term = self._shape(name, t)
                 yield (t.name, term, [lessdot(term, bound)])
         else:
@@ -411,11 +386,11 @@ class _Unifier:
             seen = set()
             sups = []
             for sup in self.table.supertype_chain(low):
-                h = _head(sup)
-                if h in seen or (self.table.is_typevar(sup) and
-                                 not self.table.in_scope(sup.name, scope)):
+                if sup.name in seen or (
+                        self.table.is_typevar(sup)
+                        and not self.table.in_scope(sup.name, scope)):
                     continue
-                seen.add(h)
+                seen.add(sup.name)
                 sups.append(sup)
             if self._is_sink(t, low, sups):
                 # each other choice refutes or differs only at `t`, above
@@ -427,10 +402,7 @@ class _Unifier:
                     self.table.is_subtype(l, s) for l in lows)), None)
                 sups = [] if least is None else [least]
             for sup in sups:
-                if isinstance(sup, FunType):
-                    term = self._shape(sup.head, t)
-                    yield (t.name, term, [lessdot(low, term)])
-                elif any(v != 0 for v in self.table.variance(sup.name)):
+                if any(v != 0 for v in self.table.variance(sup.name)):
                     term = self._shape(sup.name, t)
                     yield (t.name, term, [lessdot(low, term)])
                 else:
@@ -448,11 +420,6 @@ class _Unifier:
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
         the placeholder being refined."""
-        fh = fun_head_arity(name)
-        if fh is not None:
-            is_void, n = fh
-            return fun_type(is_void, [self._fresh_like(like)
-                                      for _ in range(n if is_void else n + 1)])
         if name in self.table.typevars:
             return ClassType(name)
         entry = self.table.entry(name)

@@ -17,7 +17,7 @@ from jtxinfer.funtypes import decode_funtype_name, mangle_funtype_name
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
                                member_tph_sets)
 from jtxinfer.syntax import alpha_equivalent
-from jtxinfer.typeterms import VOID, ClassType, FunType, TPH, tphs_of
+from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type, tphs_of
 from jtxinfer.unify import transitive_closure
 
 from conftest import (ALL_GOLDEN_SRCS, CYCLE_SRC, FAC_SRC, INFIMUM_SRC,
@@ -143,7 +143,7 @@ TPHS_CS = {("UD", "DZP"), ("DZP", "ETX"), ("V", "UD"), ("AN", "AI"),
 def _tphs_anchor_map(gen, s):
     field = s.term(gen.field_terms["id"])
     id2, m, m2 = gen.methods
-    ren = {field.args[0].name: "UD", field.ret.name: "ETX"}
+    ren = {field.args[0].name: "UD", field.args[-1].name: "ETX"}
     ren[s.term(id2.param_terms[0]).name] = "V"
     ren[s.term(m.param_terms[0]).name] = "AM"
     ren[s.term(m.param_terms[1]).name] = "AN"
@@ -364,9 +364,9 @@ def test_criterion_08_collapse_map_properties():
 def test_criterion_09_mangling_injective():
     ground = [ClassType(n) for n in
               ("Integer", "Double", "Number", "String", "Boolean", "Object")]
-    terms = [FunType((a,), r)
+    terms = [fun_type((a,), r)
              for a in ground for r in ground + [VOID]]
-    terms += [FunType((a, b), r)
+    terms += [fun_type((a, b), r)
               for a in ground for b in ground for r in ground + [VOID]]
     seen = {}
     ok = True

@@ -5,8 +5,8 @@ import pytest
 from jtxinfer import DuplicateClass, UnknownImport, parse
 from jtxinfer.classtable import (ClassTable, build_class_table,
                                  load_builtin_entries, resolve_src_type)
-from jtxinfer.errors import ArityMismatch
-from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
+from jtxinfer.errors import ArityMismatch, UnsupportedFeature
+from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 
 
 def table_for(src):
@@ -35,6 +35,9 @@ def test_import_brings_type_into_scope():
 def test_unknown_import_rejected():
     with pytest.raises(UnknownImport):
         table_for("import com.example.Missing;\nclass A { }")
+    # function types are generated table classes, not importable ones
+    with pytest.raises(UnknownImport):
+        table_for("import Fun1$$;\nclass A { }")
 
 
 def test_duplicate_class_rejected():
@@ -45,6 +48,38 @@ def test_duplicate_class_rejected():
 def test_lambda_forces_fun_interface():
     t = table_for("class A { f = x -> x; }")
     assert t.has("Fun1$$")
+
+
+def test_fun_entries_are_generated_for_every_used_arity():
+    t = table_for("import java.util.Pair; class A { f = () -> { }; "
+                  "m(g) { return g.apply(1, 2, 3, 4, 5); } }")
+    # after the built-ins, ordered by (void, arity)
+    assert list(t.entries) == [
+        "Object", "Number", "Integer", "Pair", "Fun0$$", "Fun5$$",
+        "FunVoid0$$", "FunVoid5$$", "A"]
+    fun5 = t.entry("Fun5$$")
+    assert fun5.params == ["T1", "T2", "T3", "T4", "T5", "R"]
+    assert fun5.variance == [-1, -1, -1, -1, -1, 1]
+    assert fun5.super_template == ClassType("Object")
+    (apply,) = fun5.methods
+    assert (apply.name, apply.params, apply.ret) == (
+        "apply", [ClassType(f"T{i}") for i in range(1, 6)], ClassType("R"))
+    void0 = t.entry("FunVoid0$$")
+    assert (void0.params, void0.variance) == ([], [])
+    assert void0.methods[0].ret == VOID
+
+
+def test_fun_heads_beyond_the_jvm_parameter_limit_are_unsupported():
+    t = table_for("class A { m() { Fun254$$ f; return 1; } }")
+    assert t.entry("Fun254$$").arity == 255
+    with pytest.raises(UnsupportedFeature, match="more than 254"):
+        table_for("class A { FunVoid255$$ f; }")
+    # no entry of any size is built for a name like this one
+    with pytest.raises(UnsupportedFeature):
+        table_for("class A { Fun99999999999999$$ f; }")
+    # a head spells its arity without leading zeros
+    with pytest.raises(UnknownImport, match="unknown type 'Fun01\\$\\$'"):
+        table_for("class A { Fun01$$<Object, Object> f; }")
 
 
 def test_annotated_lambda_parameter_forces_its_type():
@@ -119,8 +154,8 @@ def test_is_subtype_builtin_chain():
 def test_fun_type_variance():
     t = table_for("class A { f = x -> x; m(x, y) { return x <= y; } "
                   "n() { return 1; } }")
-    sub = FunType((ClassType("Number"),), ClassType("Integer"))
-    sup = FunType((ClassType("Integer"),), ClassType("Number"))
+    sub = fun_type((ClassType("Number"),), ClassType("Integer"))
+    sup = fun_type((ClassType("Integer"),), ClassType("Number"))
     assert t.is_subtype(sub, sup)
     assert not t.is_subtype(sup, sub)
 
@@ -159,7 +194,7 @@ def test_resolve_src_type_forms():
     assert p == ClassType("Pair", (ClassType("Integer"),
                                    ClassType("Integer")))
     f = resolve_src_type(src.fields[1].annotation, t)
-    assert f == FunType((ClassType("Integer"),), ClassType("Integer"))
+    assert f == fun_type((ClassType("Integer"),), ClassType("Integer"))
     v = resolve_src_type(src.methods[0].ret, t)
     assert v == VOID
 
@@ -170,6 +205,12 @@ def test_resolve_arity_mismatch():
     bad = parse("class B { Pair<Object> p; }").classes[0]
     with pytest.raises(ArityMismatch):
         resolve_src_type(bad.fields[0].annotation, t)
+    # a function type's arity is checked like any class's
+    with pytest.raises(ArityMismatch) as info:
+        table_for("import java.lang.Integer;\n"
+                  "class C { Fun1$$<Integer, Integer, Integer> f; }")
+    assert str(info.value) == \
+        "2:11: Fun1$$ expects 2 type argument(s), got 3"
 
 
 def test_instantiated_methods_of_pair():

@@ -13,7 +13,7 @@ from jtxinfer.emit import (MethodTyping,
 from jtxinfer.errors import DescriptorCollision, Untypable
 from jtxinfer.pipeline import SolvedClass
 from jtxinfer.syntax import Program
-from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
+from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 
 INT = ClassType("Integer")
 DBL = ClassType("Double")
@@ -77,9 +77,9 @@ def test_signature_report_lines():
 
 
 def test_term_to_srctype_fun():
-    src = term_to_srctype(FunType((INT,), DBL))
+    src = term_to_srctype(fun_type((INT,), DBL))
     assert str(src) == "Fun1$$<Integer, Double>"
-    src_void = term_to_srctype(FunType((INT,), VOID))
+    src_void = term_to_srctype(fun_type((INT,), VOID))
     assert str(src_void) == "FunVoid1$$<Integer>"
     assert str(term_to_srctype(VOID)) == "void"
 

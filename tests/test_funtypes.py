@@ -10,7 +10,7 @@ from jtxinfer.errors import JtxError
 from jtxinfer.funtypes import (collect_used_funtypes, decode_funtype_name,
                                descriptor_term, fun_interface_hierarchy,
                                mangle_funtype_name, render_manifest)
-from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
+from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 
 DBL = ClassType("Double")
 INT = ClassType("Integer")
@@ -20,6 +20,8 @@ BOOL = ClassType("Boolean")
 OBJ = ClassType("Object")
 
 GROUND = [INT, DBL, NUM, STR, BOOL, OBJ]
+# FunVoid0$$ and Fun0$$<Integer>: function types without parameters
+NULLARY = [fun_type((), VOID), fun_type((), INT)]
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +33,25 @@ def table():
 
 
 def test_mangle_ground_unary():
-    t = FunType((DBL,), DBL)
+    t = fun_type((DBL,), DBL)
     assert mangle_funtype_name(t) == "Fun1$$$_$Double$_$Double$_$"
 
 
 def test_mangle_uses_qualified_names(table):
-    t = FunType((DBL,), DBL)
+    t = fun_type((DBL,), DBL)
     assert mangle_funtype_name(t, table) == \
         "Fun1$$$_$java$lang$Double$_$java$lang$Double$_$"
 
 
 def test_mangle_void_omits_return():
-    t = FunType((INT,), VOID)
+    t = fun_type((INT,), VOID)
     assert mangle_funtype_name(t) == "FunVoid1$$$_$Integer$_$"
+    assert mangle_funtype_name(fun_type((), VOID)) == "FunVoid0$$"
 
 
 def test_mangle_nested_funtype():
-    inner = FunType((INT,), INT)
-    outer = FunType((inner,), DBL)
+    inner = fun_type((INT,), INT)
+    outer = fun_type((inner,), DBL)
     name = mangle_funtype_name(outer)
     assert name == ("Fun1$$$_$Fun1$$$_$Integer$_$Integer$_$"
                     "$_$Double$_$")
@@ -56,25 +59,26 @@ def test_mangle_nested_funtype():
 
 
 def test_nonground_erases_to_root():
-    assert mangle_funtype_name(FunType((TPH("T"),), INT)) == "Fun1$$"
-    assert mangle_funtype_name(FunType((INT,), TPH("T"))) == "Fun1$$"
+    assert mangle_funtype_name(fun_type((TPH("T"),), INT)) == "Fun1$$"
+    assert mangle_funtype_name(fun_type((INT,), TPH("T"))) == "Fun1$$"
 
 
 def test_typevar_erases_to_root(table):
     scoped = table.extend_typevars({"T": OBJ})
-    assert mangle_funtype_name(FunType((ClassType("T"),), INT),
+    assert mangle_funtype_name(fun_type((ClassType("T"),), INT),
                                scoped) == "Fun1$$"
 
 
 def test_decode_inverts_mangle(table):
-    for args in itertools.product(GROUND, repeat=2):
-        t = FunType(args, GROUND[len(args[0].name) % len(GROUND)])
+    terms = [fun_type(args, GROUND[len(args[0].name) % len(GROUND)])
+             for args in itertools.product(GROUND, repeat=2)]
+    for t in terms + NULLARY + [fun_type((t,), INT) for t in NULLARY]:
         name = mangle_funtype_name(t)
         assert decode_funtype_name(name) == t
 
 
 def test_decode_inverts_qualified(table):
-    t = FunType((DBL, STR), BOOL)
+    t = fun_type((DBL, STR), BOOL)
     name = mangle_funtype_name(t, table)
     assert decode_funtype_name(name, table) == t
 
@@ -90,13 +94,13 @@ def test_decode_rejects_garbage():
 
 def test_mangling_injective_over_ground_universe():
     seen = {}
-    terms = []
+    terms = list(NULLARY)
     for a in GROUND:
-        terms.append(FunType((a,), VOID))
+        terms.append(fun_type((a,), VOID))
         for r in GROUND:
-            terms.append(FunType((a,), r))
+            terms.append(fun_type((a,), r))
             for b in GROUND:
-                terms.append(FunType((a, b), r))
+                terms.append(fun_type((a, b), r))
     for t in terms:
         name = mangle_funtype_name(t)
         assert name not in seen, f"collision: {t} vs {seen[name]}"
@@ -105,17 +109,17 @@ def test_mangling_injective_over_ground_universe():
 
 
 def test_collect_used_funtypes_deduplicates():
-    f = FunType((INT,), INT)
-    g = FunType((DBL,), f)
+    f = fun_type((INT,), INT)
+    g = fun_type((DBL,), f)
     used = collect_used_funtypes([f, g, ClassType("Pair", (f, INT))])
     assert used == sorted({f, g}, key=str)
     assert f in used and g in used
 
 
 def test_hierarchy_immediate_supers(table):
-    bottom = FunType((NUM,), INT)     # most specific
-    mid = FunType((INT,), NUM)
-    top = FunType((INT,), OBJ)
+    bottom = fun_type((NUM,), INT)     # most specific
+    mid = fun_type((INT,), NUM)
+    top = fun_type((INT,), OBJ)
     decls = {d.name: d for d in
              fun_interface_hierarchy([bottom, mid, top], table)}
     b = decls[mangle_funtype_name(bottom, table)]
@@ -129,7 +133,7 @@ def test_hierarchy_immediate_supers(table):
 
 
 def test_render_manifest_format(table):
-    t = FunType((DBL,), DBL)
+    t = fun_type((DBL,), DBL)
     (decl,) = fun_interface_hierarchy([t], table)
     text = render_manifest([decl])
     assert text == (mangle_funtype_name(t, table) + " : Fun1$$\n")
@@ -141,6 +145,6 @@ def test_descriptor_terms(table):
     assert descriptor_term(TPH("X"), table) == "Ljava$lang$Object;"
     scoped = table.extend_typevars({"T": OBJ})
     assert descriptor_term(ClassType("T"), scoped) == "Ljava$lang$Object;"
-    f = FunType((DBL,), DBL)
+    f = fun_type((DBL,), DBL)
     assert descriptor_term(f, table) == \
         "L" + mangle_funtype_name(f, table) + ";"

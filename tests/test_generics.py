@@ -4,7 +4,7 @@ from jtxinfer.constraints import CallSite, FreshNames
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
                                enforce_java_conformance, format_generics,
                                member_tph_sets)
-from jtxinfer.typeterms import ClassType, FunType, TPH
+from jtxinfer.typeterms import ClassType, TPH, fun_type
 
 M0 = ("method", 0)
 M1 = ("method", 1)
@@ -20,7 +20,7 @@ def groups(**kw):
 
 
 def test_compute_owners_first_claim_wins():
-    g = groups(cls=[TPH("A"), FunType((TPH("B"),), TPH("A"))],
+    g = groups(cls=[TPH("A"), fun_type((TPH("B"),), TPH("A"))],
                m0=[TPH("B"), TPH("C")])
     owners = compute_owners(g)
     assert owners == {"A": CLASS, "B": CLASS, "C": M0}

@@ -109,7 +109,7 @@ _leaf = st.sampled_from(_TPHS + _ATOMS)
 _term = st.one_of(
     _leaf,
     st.builds(lambda a, b: ClassType("Pair", (a, b)), _leaf, _leaf),
-    st.builds(lambda a, b: fun_type(False, [a, b]), _leaf, _leaf))
+    st.builds(lambda a, b: fun_type([a], b), _leaf, _leaf))
 # a placeholder on at least one side, so that most sets are satisfiable
 _constraint = st.one_of(
     st.builds(lessdot, st.sampled_from(_TPHS), _term),
@@ -151,7 +151,7 @@ def test_undo_restores_the_parking_order():
     a, b, c = _TPHS
     base = [lessdot(a, b), lessdot(a, c)]
     groups = [[[doteq(b, _INT)],
-               [doteq(a, fun_type(False, [_INT, _INT]))]]]
+               [doteq(a, fun_type([_INT], _INT))]]]
     got = _outcome(lambda: unify(base, _TABLE, _names(), groups=groups))
     assert got == _outcome(lambda: _flattened(base, groups))
     assert {choice for choice, *_ in got} == {(0,), (1,)}

@@ -162,6 +162,12 @@ def test_olfun_funiface_manifest():
         "Fun1$$$_$java$lang$String$_$java$lang$String$_$ : Fun1$$\n")
 
 
+def test_funiface_manifest_one_line_per_interface():
+    """Two non-ground instantiations erase to one interface name."""
+    r = run("class C { m(a) { var f = x -> x; var g = y -> y; return a; } }")
+    assert J.funiface_manifest(r) == "Fun1$$ : Fun1$$\n"
+
+
 def test_dump_stages_populated():
     r = run(FAC_SRC, dump_stages=("constraints", "solutions", "generics"))
     assert r.dumps["constraints"].startswith("# Fac candidate")
@@ -314,6 +320,30 @@ def test_annotated_lambda_parameter_pulls_in_its_type():
     r = run("class C { f = (Double x) -> x; }")
     assert str(r.class_results[0].typed_cls.fields[0].annotation) \
         == "Fun1$$<Double, Double>"
+
+
+@pytest.mark.parametrize("src, sigs", [
+    # without type arguments it is compared like an atomic class type
+    ("class C { m() { var f = () -> { }; return f; } }",
+     ["C.m : () -> FunVoid0$$"]),
+    # the table has the function entries of every arity the program uses
+    ("class C { m(g) { return g.apply(1, 2, 3, 4, 5); } }",
+     ["C.m : <A extends B, B> "
+      "Fun5$$<Integer, Integer, Integer, Integer, Integer, A> -> B"]),
+], ids=["nullary-void", "apply-5"])
+def test_function_types_are_table_classes(src, sigs):
+    assert _sigs_reenter(src)[0] == sigs
+
+
+def test_variable_bounded_by_a_function_type_lies_below_it():
+    """A placeholder below a Fun1$$ bound may be a declared variable with
+    that bound, as one below a Pair bound may be."""
+    r = run("import java.lang.Integer; class C { "
+            "<X extends Fun1$$<Integer, Integer>> m(X f, g) { "
+            "Fun1$$<Integer, Integer> h = g; g = f; return h; } }")
+    (line,) = J.signature_lines(r)
+    assert ("<X extends Fun1$$<Integer, Integer>> (X, X) -> "
+            "Fun1$$<Integer, Integer>") in line.split(" : ")[1].split(" & ")
 
 
 def test_method_type_variable_invisible_to_other_methods():

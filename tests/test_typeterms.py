@@ -1,7 +1,7 @@
 """Term helpers: type-variable instantiation and placeholder naming."""
 
-from jtxinfer.typeterms import (VOID, ClassType, FunType, TPH, instantiate,
-                                tph_name, tph_number, tphs_of)
+from jtxinfer.typeterms import (VOID, ClassType, TPH, fun_type,
+                                instantiate, tph_name, tph_number, tphs_of)
 from jtxinfer.unify import _age
 
 INT = ClassType("Integer")
@@ -9,10 +9,10 @@ INT = ClassType("Integer")
 
 def test_instantiate_replaces_type_variables_at_any_depth():
     pair = ClassType("Pair", (ClassType("T"),
-                              FunType((ClassType("U"),), ClassType("T"))))
-    out = instantiate(FunType((pair, ClassType("V")), VOID),
+                              fun_type((ClassType("U"),), ClassType("T"))))
+    out = instantiate(fun_type((pair, ClassType("V")), VOID),
                       {"T": INT, "U": TPH("A")})
-    assert out == FunType((ClassType("Pair", (INT, FunType((TPH("A"),),
+    assert out == fun_type((ClassType("Pair", (INT, fun_type((TPH("A"),),
                                                            INT))),
                            ClassType("V")), VOID)
 
@@ -39,7 +39,7 @@ def test_placeholder_number_rejects_other_names():
 
 
 def test_tphs_of_lists_names_in_first_occurrence_order():
-    pair = ClassType("Pair", (TPH("Q"), FunType((TPH("C"),), TPH("Q"))))
-    term = FunType((pair, TPH("AB"), TPH("C")), TPH("B"))
+    pair = ClassType("Pair", (TPH("Q"), fun_type((TPH("C"),), TPH("Q"))))
+    term = fun_type((pair, TPH("AB"), TPH("C")), TPH("B"))
     assert list(tphs_of(term)) == ["Q", "C", "AB", "B"]
     assert "AB" in tphs_of(term) and "A" not in tphs_of(term)

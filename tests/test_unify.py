@@ -13,7 +13,7 @@ from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
                       signature_lines, unify)
 from jtxinfer.classtable import build_class_table
 from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
-from jtxinfer.typeterms import VOID, ClassType, FunType, TPH
+from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 from jtxinfer.unify import format_solution, transitive_closure
 
 # `jtxinfer.unify` is the function; the budget lives in the module
@@ -100,7 +100,7 @@ def test_sink_takes_least_common_supertype(table):
 def test_placeholder_nested_in_parked_constraint_still_branches(table):
     # T is nested in the lambda type below F; S is a sink
     cons = [lessdot(INT, TPH("S")), lessdot(INT, TPH("T")),
-            lessdot(FunType((TPH("X"),), TPH("T")), TPH("F"))]
+            lessdot(fun_type((TPH("X"),), TPH("T")), TPH("F"))]
     sols = solve(table, *cons)
     assert {str(sigma_of(s)["T"]) for s in sols} == {
         "Integer", "Number", "Object"}
@@ -109,7 +109,7 @@ def test_placeholder_nested_in_parked_constraint_still_branches(table):
 
 def test_typevar_with_variant_bound_keeps_branching(table):
     # X's chain holds a shaped Fun1$$ choice, so T is no sink; S is one
-    scoped = table.extend_typevars({"X": FunType((INT,), INT)})
+    scoped = table.extend_typevars({"X": fun_type((INT,), INT)})
     sols = unify([lessdot(INT, TPH("S")), lessdot(ClassType("X"), TPH("T"))],
                  scoped)
     assert {str(sigma_of(s)["T"]) for s in sols} == {
@@ -138,7 +138,7 @@ def test_pair_decomposition_invariant(table):
 
 
 def test_fun_decomposition_contravariant(table):
-    f = lambda a, r: FunType((a,), r)
+    f = lambda a, r: fun_type((a,), r)
     # Integer <. R makes R a sink, which takes its least type
     sols = solve(table, lessdot(f(NUM, INT), f(INT, TPH("R"))))
     values = {str(sigma_of(s)["R"]) for s in sols}
