@@ -59,7 +59,9 @@ def _template_from_json(obj):
 
 
 def load_builtin_entries(path=None):
-    """Ordered dict of built-in entries from the bundled (or given) table."""
+    """Ordered dict of built-in entries from the bundled (or given) table.
+    An entry named like a function-type head is dropped: those entries are
+    generated (`_fun_entry`), never imported."""
     if path is None:
         data = json.loads(
             resources.files("jtxinfer").joinpath("builtins.json").read_text())
@@ -68,6 +70,8 @@ def load_builtin_entries(path=None):
             data = json.load(fh)
     entries = {}
     for raw in data["classes"]:
+        if fun_head_arity(raw["name"]) is not None:
+            continue
         methods = [
             MethodSig(
                 name=m["name"],
@@ -251,17 +255,25 @@ class ClassTable:
     def instantiated_methods(self, term, name, arity):
         """Method signatures named `name` with `arity` parameters on the
         ground class type `term`, instantiated with its type arguments."""
-        if not isinstance(term, ClassType):
+        if not isinstance(term, ClassType) or term.name not in self.entries:
             return []
-        entry = self.entries.get(term.name)
-        if entry is None:
-            return []
+        return [self.instantiate_method(sig, term)
+                for sig in self.declared_methods(term.name, name, arity)]
+
+    def declared_methods(self, cname, name, arity):
+        """The signature templates named `name` with `arity` parameters
+        that entry `cname` declares, in declaration order."""
+        return [sig for sig in self.entries[cname].methods
+                if sig.name == name and len(sig.params) == arity]
+
+    def instantiate_method(self, sig, term):
+        """Signature template `sig` of `term`'s entry with `term`'s type
+        arguments in place of the entry's parameters."""
+        entry = self.entries[term.name]
         inst = lambda t: (None if t is None else
                           self._instantiate(t, entry, term.args))
-        return [MethodSig(name, [(tp, inst(b)) for tp, b in sig.typeparams],
-                          [inst(p) for p in sig.params], inst(sig.ret))
-                for sig in entry.methods
-                if sig.name == name and len(sig.params) == arity]
+        return MethodSig(sig.name, [(tp, inst(b)) for tp, b in sig.typeparams],
+                         [inst(p) for p in sig.params], inst(sig.ret))
 
     def classes_with_method(self, name, arity):
         """Entry names of universe types declaring `name`/`arity`."""

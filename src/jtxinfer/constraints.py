@@ -4,15 +4,17 @@ equality (`=`) constraints over fresh type placeholders.
 Overloaded operators, overloaded callees and receiver-driven member
 resolution produce or-groups (sets of alternatives).  The unifier takes the
 or-groups as they are and tries their alternatives as its outermost branch
-points.  `flatten` expands them into plain candidate constraint sets; it
-renders the `constraints` dump and serves as the reference the tests check
-that search against.
+points.  A receiver alternative is built only when first read; generation
+reserves the fresh names it will take.  `flatten` expands the or-groups
+into plain candidate constraint sets; it renders the `constraints` dump and
+serves as the reference the tests check that search against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import syntax as S
 from .classtable import resolve_src_type
@@ -53,43 +55,53 @@ class FreshNames:
     """Placeholder factory; remembers which member scope created each name.
 
     Scopes are ``("class",)`` for field-level placeholders and
-    ``("method", i)`` for the i-th method declaration.
+    ``("method", i)`` for the i-th method declaration; `scopes[n]` is the
+    scope of the n-th name (`tph_name(n)`), None for a name that was only
+    skipped by `adopt`.
     """
 
     def __init__(self):
-        self._n = 0
-        self.scope = {}
+        self.scopes = []
 
     def tph(self, scope):
-        name = tph_name(self._n)
-        self._n += 1
-        self.scope[name] = scope
+        name = tph_name(len(self.scopes))
+        self.scopes.append(scope)
         return TPH(name)
+
+    def reserve(self, scope, count):
+        """Draw `count` names of `scope` without building them; returns the
+        number of the first (see `tph_name`)."""
+        first = len(self.scopes)
+        self.scopes.extend([scope] * count)
+        return first
 
     def adopt(self, name):
         """Take in a class-scoped placeholder; fresh names come after it."""
-        self.scope.setdefault(name, ("class",))
         n = tph_number(name)
-        if n is not None:
-            self._n = max(self._n, n + 1)
+        if n is None:
+            return
+        if n >= len(self.scopes):
+            self.scopes.extend([None] * (n + 1 - len(self.scopes)))
+        if self.scopes[n] is None:
+            self.scopes[n] = ("class",)
 
     def scope_of(self, name):
-        return self.scope.get(name)
+        n = tph_number(name)
+        if n is None or n >= len(self.scopes):
+            return None
+        return self.scopes[n]
 
     def mark(self):
         """How many names have been drawn; `reset` returns to it."""
-        return self._n
+        return len(self.scopes)
 
     def reset(self, mark):
         """Forget the names drawn since `mark`, so they are drawn again."""
-        for n in range(mark, self._n):
-            self.scope.pop(tph_name(n), None)
-        self._n = mark
+        del self.scopes[mark:]
 
     def clone(self):
         other = FreshNames()
-        other._n = self._n
-        other.scope = dict(self.scope)
+        other.scopes = self.scopes.copy()
         return other
 
 
@@ -108,6 +120,35 @@ class CallSite:
 class Alternative:
     constraints: list = field(default_factory=list)
     call_sites: list = field(default_factory=list)
+    # a receiver alternative's receiver term and class head, which the
+    # unifier filters on (class attributes, not fields)
+    recv = None
+    head = None
+
+
+class ReceiverAlternative(Alternative):
+    """One signature of a table class declaring a member called on a
+    placeholder receiver: it binds the receiver term `recv` to the class
+    `head`.  `build` makes its constraints and call sites on first read,
+    from names reserved for it at generation, so an alternative the unifier
+    never tries is never built, and the names are the same either way."""
+
+    def __init__(self, recv, head, build):
+        self.recv = recv
+        self.head = head
+        self._build = build
+
+    @property
+    def built(self):
+        return self._build is None
+
+    def __getattr__(self, name):
+        # reached only before the build, which sets both as attributes
+        if name not in ("constraints", "call_sites"):
+            raise AttributeError(name)
+        self.constraints, self.call_sites = self._build()
+        self._build = None
+        return getattr(self, name)
 
 
 @dataclass
@@ -418,19 +459,18 @@ class _Generator:
                            resolve_src_type(g.bound, self.table,
                                             self.method_names[i]))
                           for g in m.generics]
-            alts.append(self._sig_alternative(
-                e, arg_terms, result,
-                *self._freshen(typeparams, gen.param_terms, gen.ret_term)))
+            alts.append(self._callee_alternative(
+                e, arg_terms, result, typeparams, gen.param_terms,
+                gen.ret_term))
         return alts
 
-    def _freshen(self, typeparams, params, ret):
-        """Instantiate a callee's own type parameters with fresh placeholders
-        at the call site; returns (params, ret, bound constraints)."""
-        mapping = {tp: self.fresh.tph(self.scope) for tp, _ in typeparams}
-        bounds = [lessdot(mapping[tp], instantiate(bound, mapping))
-                  for tp, bound in typeparams if bound is not None]
-        return ([instantiate(p, mapping) for p in params],
-                instantiate(ret, mapping), bounds)
+    def _callee_alternative(self, e, arg_terms, result, typeparams, params,
+                            ret):
+        """The alternative of one callee signature, its type parameters
+        instantiated with fresh placeholders."""
+        names = [self.fresh.tph(self.scope) for _ in typeparams]
+        return _sig_alternative(e, arg_terms, result, self.method_index,
+                                *_freshen(typeparams, params, ret, names))
 
     def _member_alternatives(self, e, recv, arg_terms, result):
         arity = len(arg_terms)
@@ -448,39 +488,73 @@ class _Generator:
                 and not self.table.is_typevar(recv)):
             return self._ground_receiver_alternatives(
                 e, recv, arg_terms, result)
-        # placeholder (or placeholder-parameterised) receiver: resolve
-        # against every universe type declaring the member
+        # placeholder (or placeholder-parameterised) receiver: one
+        # alternative per signature of every table class declaring the
+        # member, built when it is first read
         alts = []
         for cname in self.table.classes_with_method(e.name, arity):
             if cname == self.cls.name:
                 continue
             entry = self.table.entry(cname)
-            fresh_args = tuple(self.fresh.tph(self.scope)
-                               for _ in range(entry.arity))
-            rterm = ClassType(cname, fresh_args)
-            for sig in self.table.instantiated_methods(rterm, e.name, arity):
-                alts.append(self._sig_alternative(
-                    e, arg_terms, result,
-                    *self._freshen(sig.typeparams, sig.params, sig.ret),
-                    extra=[doteq(recv, rterm)]))
+            sigs = self.table.declared_methods(cname, e.name, arity)
+            # the names instantiating them would draw: the class's
+            # arguments, then each signature's type parameters
+            first = self.fresh.reserve(self.scope, entry.arity + sum(
+                len(sig.typeparams) for sig in sigs))
+            args = range(first, first + entry.arity)
+            n = args.stop
+            for sig in sigs:
+                tps = range(n, n + len(sig.typeparams))
+                n = tps.stop
+                alts.append(ReceiverAlternative(recv, cname, partial(
+                    _receiver_alternative, self.table, e, recv, arg_terms,
+                    result, self.method_index, cname, sig, args, tps)))
         return alts
 
     def _ground_receiver_alternatives(self, e, recv, arg_terms, result):
         sigs = self.table.instantiated_methods(recv, e.name, len(arg_terms))
-        return [self._sig_alternative(
-                    e, arg_terms, result,
-                    *self._freshen(sig.typeparams, sig.params, sig.ret))
+        return [self._callee_alternative(e, arg_terms, result,
+                                         sig.typeparams, sig.params, sig.ret)
                 for sig in sigs]
 
-    def _sig_alternative(self, e, arg_terms, result, params, ret,
-                         bounds=(), extra=()):
-        return Alternative(
-            [*extra, *bounds,
-             *(flow(node, t, p)
-               for node, t, p in zip(e.args, arg_terms, params)),
-             doteq(result, ret)],
-            [CallSite(caller=self.method_index, arg_terms=list(arg_terms),
-                      param_terms=list(params), ret_term=ret)])
+
+def _freshen(typeparams, params, ret, names):
+    """Instantiate a callee's own type parameters with the placeholders
+    `names` at the call site; returns (params, ret, bound constraints)."""
+    mapping = {tp: t for (tp, _), t in zip(typeparams, names)}
+    bounds = [lessdot(mapping[tp], instantiate(bound, mapping))
+              for tp, bound in typeparams if bound is not None]
+    return ([instantiate(p, mapping) for p in params],
+            instantiate(ret, mapping), bounds)
+
+
+def _sig_alternative(e, arg_terms, result, caller, params, ret, bounds=(),
+                     extra=()):
+    """The alternative of call `e` taking a signature from `params` to
+    `ret`: the receiver constraints `extra`, the type-parameter `bounds`,
+    the arguments flowing into the parameters and the result."""
+    return Alternative(
+        [*extra, *bounds,
+         *(flow(node, t, p) for node, t, p in zip(e.args, arg_terms, params)),
+         doteq(result, ret)],
+        [CallSite(caller=caller, arg_terms=list(arg_terms),
+                  param_terms=list(params), ret_term=ret)])
+
+
+def _receiver_alternative(table, e, recv, arg_terms, result, caller, cname,
+                          sig, args, typeparams):
+    """Build a receiver alternative: `recv` is class `cname` with the
+    placeholders numbered `args`, and the call takes its signature template
+    `sig`, whose own type parameters are those numbered `typeparams`;
+    returns (constraints, call sites)."""
+    rterm = ClassType(cname, tuple(TPH(tph_name(n)) for n in args))
+    sig = table.instantiate_method(sig, rterm)
+    alt = _sig_alternative(
+        e, arg_terms, result, caller,
+        *_freshen(sig.typeparams, sig.params, sig.ret,
+                  [TPH(tph_name(n)) for n in typeparams]),
+        extra=[doteq(recv, rterm)])
+    return alt.constraints, alt.call_sites
 
 
 def _receiver(e, recv):

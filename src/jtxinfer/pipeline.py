@@ -94,9 +94,7 @@ def _infer_class(cls, table, dumps):
                 f"# {cls.name} candidate {cand.choice}")
             dumps["constraints"].extend(str(c) for c in cand.constraints)
     try:
-        sols = unify(gen.base, scoped, gen.fresh.clone(),
-                     groups=[[alt.constraints for alt in group]
-                             for group in gen.groups])
+        sols = unify(gen.base, scoped, gen.fresh.clone(), groups=gen.groups)
     except ResourceLimit as exc:
         raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
     solved = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class TypeTerm:
@@ -86,6 +87,9 @@ def tph_name(n):
     return "".join(reversed(out))
 
 
+# cached: the unifier looks up the scope of a placeholder by its number at
+# every branch point
+@lru_cache(maxsize=1 << 16)
 def tph_number(name):
     """Inverse of `tph_name`; None for a name it does not produce."""
     if not name or not all("A" <= ch <= "Z" for ch in name):

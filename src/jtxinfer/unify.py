@@ -36,6 +36,17 @@ flattened candidate of base plus chosen constraints would run on its own,
 step for step and name for name: undoing to a group frame also resets the
 fresh-name counter and the step budget to what they were at its mark.
 
+A receiver group (a member call on a placeholder receiver, one alternative
+per class that declares the member) is filtered when its frame opens: it
+tries only the alternatives whose class head the receiver may still take,
+the head of the term it is bound to, or else a head on the supertype chain
+of every headed lower bound parked on it.  A skipped alternative is one
+whose first constraint, `recv = C<...>`, would fail at once: against the
+binding, or by re-queueing a lower bound `lo < recv` that `_step_lessdot`
+fails on the same chain.  Since it would draw no name and emit nothing, the
+surviving choices keep their solutions, order and names; the skipped ones
+are counted as `pruned`, and an alternative is built only when tried.
+
 The lessdot branch points are taken in parking order: the oldest one-sided
 lessdot still parked is next, its alternatives made lazily in `_branches`
 order.
@@ -149,6 +160,7 @@ class _Unifier:
         self.branch_points = 0
         self.sinks = 0
         self.alternatives = 0
+        self.pruned = 0
         self.sigma = _Sigma()
         self.work = []        # stack of (kind, lhs, rhs), next last
         # placeholder name -> {_Parked: None}, in parking order
@@ -191,11 +203,11 @@ class _Unifier:
                     continue
                 self._push(extra)
             else:
-                i, extra = alt
+                i, alt = alt
                 del self.choice[depth:]
                 self.choice.append(i)
                 self.alternatives += 1
-                self._push(extra)
+                self._push(alt.constraints)
             self._advance(stack)
         self._close_choice()
 
@@ -210,7 +222,7 @@ class _Unifier:
             return
         depth = len(self.choice)
         if depth < len(self.groups):
-            stack.append((len(self.trail), enumerate(self.groups[depth]),
+            stack.append((len(self.trail), self._tried(self.groups[depth]),
                           (depth, self.fresh.mark(), self.limit - self.steps)))
             return
         queue, i = self.branchable, self.head
@@ -228,6 +240,34 @@ class _Unifier:
         sigma = self.sigma
         c = lessdot(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
         stack.append((len(self.trail), self._branches(c), None))
+
+    def _tried(self, group):
+        """The (index, alternative) pairs an or-group's frame tries, in
+        group order: a receiver alternative only when its head is one the
+        receiver may still take.  Each skipped one would bind the receiver
+        to a class that a lower bound or binding of it refutes at once."""
+        heads = None if group[0].recv is None else self._heads(group[0].recv)
+        if heads is None:
+            return enumerate(group)
+        tried = [(i, alt) for i, alt in enumerate(group) if alt.head in heads]
+        self.pruned += len(group) - len(tried)
+        return iter(tried)
+
+    def _heads(self, recv):
+        """The class heads `recv` may still take: the head it is bound to,
+        or those on the supertype chain of each headed lower bound parked
+        on it; None when neither bounds it."""
+        recv = substitute(recv, self.sigma)
+        if not isinstance(recv, TPH):
+            return {recv.name} if isinstance(recv, ClassType) else set()
+        heads = None
+        for c in self.index.get(recv.name, ()):
+            if c.parked and c.rhs == recv and isinstance(c.lhs, ClassType):
+                # `lo < Object` holds whatever the chain of `lo`
+                chain = {"Object"}.union(
+                    t.name for t in self.table.supertype_chain(c.lhs))
+                heads = chain if heads is None else heads & chain
+        return heads
 
     # -- the store -------------------------------------------------------
 
@@ -450,9 +490,12 @@ class _Unifier:
 
 def unify(constraints, table, fresh=None, stats=None, groups=()):
     """The solutions of the base `constraints` plus one alternative of each
-    or-group in `groups` (a list of groups, each a list of alternative
-    constraint lists) over the given table: every solution, except those
-    that differ from a returned one only in a greater type at a sink.
+    or-group in `groups` (a list of groups, each a list of
+    `constraints.Alternative`) over the given table: every solution,
+    except those that differ from a returned one only in a greater type at
+    a sink.  A receiver group's frame skips the alternatives whose class
+    head the receiver can no longer take (see the module docstring); they
+    are never built.
 
     The search is the one `flatten` candidates would each get, merged: the
     solutions come grouped by their `choice` of alternatives, in the
@@ -463,12 +506,12 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
     worklist pops, the pops it shares with other choices included.  When
     `stats` (a `collections.Counter`) is given, the search adds its
     `steps`, `branch_points`, `sinks` (the branch points resolved without
-    branching) and `alternatives` (the or-group alternatives tried) to
-    it."""
+    branching), `alternatives` (the or-group alternatives tried) and
+    `pruned` (the receiver alternatives skipped) to it."""
     if fresh is None:
         fresh = FreshNames()
         for c in [*constraints, *(c for group in groups
-                                  for alt in group for c in alt)]:
+                                  for alt in group for c in alt.constraints)]:
             for n in tphs_of(c.lhs) | tphs_of(c.rhs):
                 fresh.adopt(n)
     u = _Unifier(table, fresh, groups)
@@ -477,7 +520,8 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
     finally:
         if stats is not None:
             stats.update(steps=u.steps, branch_points=u.branch_points,
-                         sinks=u.sinks, alternatives=u.alternatives)
+                         sinks=u.sinks, alternatives=u.alternatives,
+                         pruned=u.pruned)
     return u.solutions
 
 

@@ -1,12 +1,19 @@
 """Class-table construction, visibility scanning and declared subtyping."""
 
+import json
+from importlib import resources
+
 import pytest
 
 from jtxinfer import DuplicateClass, UnknownImport, parse
 from jtxinfer.classtable import (ClassTable, build_class_table,
                                  load_builtin_entries, resolve_src_type)
 from jtxinfer.errors import ArityMismatch, UnsupportedFeature
+from jtxinfer.pipeline import (descriptor_lines, funiface_manifest,
+                               run_source, signature_lines, typed_source)
 from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
+
+from conftest import OLFUN_SRC
 
 
 def table_for(src):
@@ -38,6 +45,34 @@ def test_unknown_import_rejected():
     # function types are generated table classes, not importable ones
     with pytest.raises(UnknownImport):
         table_for("import Fun1$$;\nclass A { }")
+
+
+# a table file listing a function head first, as files written before
+# function types were generated may
+_FUN1_ENTRY = {
+    "name": "Fun1$$", "qualified": "Fun1$$", "params": ["T1", "R"],
+    "variance": [-1, 1], "super": {"class": "Object", "args": []},
+    "methods": [{"name": "apply", "typeparams": [],
+                 "params": [{"var": "T1"}], "return": {"var": "R"}}],
+    "constructor": []}
+
+
+def test_table_file_cannot_define_function_heads(tmp_path):
+    bundled = resources.files("jtxinfer").joinpath("builtins.json")
+    data = json.loads(bundled.read_text())
+    data["classes"].insert(0, _FUN1_ENTRY)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    assert "Fun1$$" not in load_builtin_entries(path)
+    for table in (None, path):
+        with pytest.raises(UnknownImport, match="unresolvable import"):
+            run_source("import Fun1$$;\nclass C { m(a) { return a; } }",
+                       table)
+    outputs = [(typed_source(r), signature_lines(r), descriptor_lines(r),
+                funiface_manifest(r))
+               for r in (run_source(OLFUN_SRC, table)
+                         for table in (None, path))]
+    assert outputs[0] == outputs[1]
 
 
 def test_duplicate_class_rejected():

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from jtxinfer import ResourceLimit, parse
 from jtxinfer import pipeline as P
 from jtxinfer.classtable import build_class_table
-from jtxinfer.constraints import (FreshNames, call_sites, doteq, flatten,
-                                  generate_constraints, lessdot)
+from jtxinfer.constraints import (Alternative, FreshNames, call_sites, doteq,
+                                  flatten, generate_constraints, lessdot)
 from jtxinfer.typeterms import ClassType, TPH, fun_type
 from jtxinfer.unify import Solution, unify
 
@@ -29,17 +29,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus  # noqa: E402
 
 
-def _alternatives(gen):
-    return [[alt.constraints for alt in group] for group in gen.groups]
+def _wrapped(groups):
+    """Groups of raw constraint lists as the unifier takes them."""
+    return [[Alternative(constraints=alt) for alt in group]
+            for group in groups]
 
 
 def _compared(sols, gen):
-    return [(s.choice, s.remaining, s.sigma, s.fresh.mark(), s.fresh.scope,
+    return [(s.choice, s.remaining, s.sigma, s.fresh.mark(), s.fresh.scopes,
              call_sites(gen, s.choice)) for s in sols]
 
 
 def _reference(gen, table):
-    return [(cand.choice, s.remaining, s.sigma, fresh.mark(), fresh.scope,
+    return [(cand.choice, s.remaining, s.sigma, fresh.mark(), fresh.scopes,
              cand.call_sites)
             for cand, s, fresh in flattened_solutions(gen, table)]
 
@@ -54,20 +56,39 @@ def test_refuted_alternatives_are_counted():
     assert [len(g) for g in gen.groups] == [3]
     stats = Counter()
     sols = unify(gen.base, table, gen.fresh.clone(), stats=stats,
-                 groups=_alternatives(gen))
+                 groups=gen.groups)
     assert stats["alternatives"] == 3
     assert len(sols) == 1
 
 
+# two classes declaring f; class C calls it on a receiver
+TWO_FS = ("class A { f(x) { return x; } g() { return new A(); } }\n"
+          "class B { f(x) { return x; } g() { return new B(); } }\n")
+
+RECEIVER_CASES = [
+    # a lower bound `new A()`: only A
+    ("m(x) { var d = new A(); return d.f(x); }", 1, 1, [[True, False]]),
+    # a parameter has no lower bound: every class
+    ("m(d, x) { return d.f(x); }", 2, 0, [[True, True]]),
+    # a declared variable below A: only A
+    ("<T extends A> m(T t, x) { var d = t; return d.f(x); }", 1, 1,
+     [[True, False]]),
+    # `.f`'s receiver is bound to A or B by the choice at `.g`
+    ("m(p, x) { return p.g().f(x); }", 4, 2, [[True, True], [True, True]]),
+]
+
 PROGRAMS = list(ALL_GOLDEN_SRCS.items()) + [
     (f"{w}:{p.name}", p.source)
     for w in ("paper-units", "ambiguity", "long-methods")
-    for p in corpus.workload(w, 1)]
+    for p in corpus.workload(w, 1)] + [
+    (f"receiver:{body}", TWO_FS + f"class C {{ {body} }}")
+    for body, *_ in RECEIVER_CASES]
 
 
 def test_search_matches_flattened_candidates(monkeypatch):
-    """Every class of the paper programs and of each workload's seed-1
-    programs, in the pipeline's own table state."""
+    """Every class of the paper programs, of each workload's seed-1
+    programs and of the receiver cases, in the pipeline's own table
+    state; the search prunes receiver groups, the reference does not."""
     gens = []
     seen = Counter()
 
@@ -130,7 +151,7 @@ def _names():
 def _outcome(search):
     try:
         return [(s.choice, s.remaining, s.sigma, s.fresh.mark(),
-                 s.fresh.scope) for s in search()]
+                 s.fresh.scopes) for s in search()]
     except ResourceLimit:
         return "ResourceLimit"
 
@@ -152,7 +173,8 @@ def test_undo_restores_the_parking_order():
     base = [lessdot(a, b), lessdot(a, c)]
     groups = [[[doteq(b, _INT)],
                [doteq(a, fun_type([_INT], _INT))]]]
-    got = _outcome(lambda: unify(base, _TABLE, _names(), groups=groups))
+    got = _outcome(lambda: unify(base, _TABLE, _names(),
+                                 groups=_wrapped(groups)))
     assert got == _outcome(lambda: _flattened(base, groups))
     assert {choice for choice, *_ in got} == {(0,), (1,)}
 
@@ -174,12 +196,12 @@ def test_step_budget_is_per_choice(monkeypatch):
     monkeypatch.setattr(UNIFY, "MAX_STEPS", longest)
     stats = Counter()
     sols = unify(gen.base, table, gen.fresh.clone(), stats=stats,
-                 groups=_alternatives(gen))
+                 groups=gen.groups)
     assert stats["steps"] > longest
     assert _compared(sols, gen) == _reference(gen, table)
     monkeypatch.setattr(UNIFY, "MAX_STEPS", longest - 1)
     with pytest.raises(ResourceLimit):
-        unify(gen.base, table, gen.fresh.clone(), groups=_alternatives(gen))
+        unify(gen.base, table, gen.fresh.clone(), groups=gen.groups)
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,6 +210,60 @@ def test_step_budget_is_per_choice(monkeypatch):
 def test_search_matches_flattened_random_sets(base, groups):
     # a small budget, since a set can expand without end
     with mock.patch.object(UNIFY, "MAX_STEPS", 2_000):
-        got = _outcome(lambda: unify(base, _TABLE, _names(), groups=groups))
+        got = _outcome(lambda: unify(base, _TABLE, _names(),
+                                     groups=_wrapped(groups)))
         want = _outcome(lambda: _flattened(base, groups))
     assert got == want
+
+
+# --- receiver groups filtered at their frame -------------------------------
+
+def _searched(src):
+    """[(generation result, unify stats)] of each class of `src`, as the
+    pipeline searches it (no dump, so nothing else builds alternatives)."""
+    out = []
+
+    def generate(cls, table):
+        out.append((generate_constraints(cls, table), Counter()))
+        return out[-1][0]
+
+    def counted(constraints, table, fresh=None, stats=None, groups=()):
+        return unify(constraints, table, fresh, out[-1][1], groups)
+
+    with mock.patch.object(P, "generate_constraints", generate), \
+            mock.patch.object(P, "unify", counted):
+        P.run_source(src)
+    return out
+
+
+def _built(gen):
+    return [[alt.built for alt in group] for group in gen.groups]
+
+
+@pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
+def test_depth_receivers_try_and_build_one_class(n):
+    # D_i's receiver is `new D_{i-1}()`, so of the i classes declaring f
+    # only D_{i-1} is tried and built
+    (prog,) = [p for p in corpus.workload("paper-units", 1)
+               if p.name == f"depth/n{n}"]
+    classes = _searched(prog.source)
+    assert len(classes) == n
+    total = Counter()
+    for gen, stats in classes:
+        assert stats["alternatives"] <= 1
+        assert sum(map(sum, _built(gen))) == stats["alternatives"]
+        # one frame per group: what it skips plus what it tries is the group
+        assert (stats["alternatives"] + stats["pruned"]
+                == sum(len(g) for g in gen.groups))
+        total += stats
+    # D_0 calls nothing and D_1's call has one alternative, in the base
+    assert total["alternatives"] == n - 2
+    assert total["pruned"] == sum(range(2, n)) - (n - 2)
+
+
+@pytest.mark.parametrize("body, tried, pruned, built", RECEIVER_CASES)
+def test_receiver_group_tries_the_classes_its_receiver_allows(
+        body, tried, pruned, built):
+    gen, stats = _searched(TWO_FS + f"class C {{ {body} }}")[-1]
+    assert (stats["alternatives"], stats["pruned"]) == (tried, pruned)
+    assert _built(gen) == built

@@ -384,6 +384,16 @@ def test_block_lambda_locals_are_generalized_in_their_method():
                     "F extends B, E extends F> A -> B"]
 
 
+def test_self_application_has_a_finite_typing():
+    """`x.apply(x)` needs `Fun1$$<D, E> < D`, which `D = Object` satisfies;
+    so a rule that refutes a placeholder below a term mentioning it would
+    reject a typable program."""
+    sigs, _ = _sigs_reenter(
+        "import java.lang.Integer; class C { "
+        "Integer m(Fun1$$<Object, Integer> x) { return x.apply(x); } }")
+    assert sigs == ["C.m : Fun1$$<Object, Integer> -> Integer"]
+
+
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))
 def test_outputs_deterministic(name):
     src = ALL_GOLDEN_SRCS[name]
