@@ -20,6 +20,8 @@ from . import syntax as S
 # a JVM method takes at most 255 parameter slots, `this` among them
 MAX_FUN_ARITY = 254
 
+CLASS = ("class",)    # the scope of the class's own clause and fields
+
 
 @dataclass
 class MethodSig:
@@ -97,24 +99,28 @@ def load_builtin_entries(path=None):
 class ClassTable:
     """Immutable view of the type universe.
 
-    `typevars` maps declared generic names (rigid type variables of the
-    compilation scope) to their bound terms, and `typevar_scopes` maps
-    them to the member scopes that declare them (``("class",)`` or
-    ``("method", i)``); `extend_typevars` returns a widened view for
-    checking annotated inputs.
+    `clauses` maps member scopes, ``("class",)`` and then ``("method",
+    i)``, to their declared generics clauses, ((name, bound or None), ...),
+    as `class_view` resolves them.  `typevars` maps each declared name (a
+    rigid type variable) to its bound.
 
     Each view caches `supertype_chain` per term.  A chain depends only on
     the entries' super templates and the view's `typevars`, and neither
     changes once a view is queried: `build_class_table` adds every entry
     before the first chain is walked, later writes (the pipeline's inferred
-    typings and field types) touch only `methods` and `fields`, and
-    `extend_typevars` makes a new view with a cache of its own.
+    typings and field types) touch only `methods` and `fields`, and every
+    view has a cache of its own.
     """
 
-    def __init__(self, entries, typevars=None, typevar_scopes=None):
+    def __init__(self, entries, clauses=None):
         self.entries = entries
-        self.typevars = dict(typevars or {})
-        self.typevar_scopes = dict(typevar_scopes or {})
+        self.clauses = clauses or {}
+        self.typevars = {n: b for clause in self.clauses.values()
+                         for n, b in clause}
+        # member scope -> the declared names it sees: the class's, its own
+        shared = {n for n, _ in self.clause(CLASS)}
+        self._seen = {scope: shared | {n for n, _ in clause}
+                      for scope, clause in self.clauses.items()}
         self._chains = {}     # term -> tuple, see `supertype_chain`
 
     # -- basic lookup -------------------------------------------------------
@@ -125,22 +131,18 @@ class ClassTable:
     def entry(self, name):
         return self.entries[name]
 
-    def extend_typevars(self, tvars, scope=None):
-        """A view that also holds `tvars`, declared by member `scope`; a
-        variable no scope declares is in scope everywhere."""
-        merged = dict(self.typevars)
-        merged.update(tvars)
-        scopes = dict(self.typevar_scopes)
-        if scope is not None:
-            for name in tvars:
-                scopes[name] = scopes.get(name, ()) + (scope,)
-        return ClassTable(self.entries, merged, scopes)
+    def clause(self, scope):
+        """The declared clause of member `scope`."""
+        return self.clauses.get(scope, ())
 
     def in_scope(self, typevar, scope):
-        """Whether a placeholder of member `scope` may be `typevar`: the
-        class's variables are seen by every member, a method's by itself."""
-        scopes = self.typevar_scopes.get(typevar)
-        return scopes is None or ("class",) in scopes or scope in scopes
+        """Whether member `scope` sees declared variable `typevar`."""
+        return typevar in self._seen.get(scope, ())
+
+    def member(self, scope):
+        """The view of member `scope` alone: the variables it sees."""
+        return ClassTable(self.entries,
+                          {s: self.clause(s) for s in (CLASS, scope)})
 
     def is_typevar(self, term):
         return (isinstance(term, ClassType) and not term.args
@@ -285,16 +287,15 @@ class ClassTable:
 # --- surface type resolution ----------------------------------------------
 
 
-def resolve_src_type(src, table, generic_scope=()):
-    """SrcType -> TypeTerm against a table and the type-variable names
-    `generic_scope` that the enclosing member sees."""
+def resolve_src_type(src, table, scope=CLASS):
+    """SrcType -> TypeTerm against view `table` in member `scope`."""
     if src.name == "void":
         return VOID
     if src.args is None:
         raise UnsupportedFeature(
             "diamond type outside 'new'", src.pos.line, src.pos.col)
     name = src.name.rsplit(".", 1)[-1]
-    if name in generic_scope:
+    if table.in_scope(name, scope):
         if src.args:
             raise ArityMismatch(
                 f"type variable {name} takes no arguments",
@@ -304,7 +305,7 @@ def resolve_src_type(src, table, generic_scope=()):
     if entry is None:
         raise UnknownImport(
             f"unknown type '{src.name}'", src.pos.line, src.pos.col)
-    args = tuple(resolve_src_type(a, table, generic_scope) for a in src.args)
+    args = tuple(resolve_src_type(a, table, scope) for a in src.args)
     if len(args) != entry.arity:
         raise ArityMismatch(
             f"{name} expects {entry.arity} type argument(s), got {len(args)}",
@@ -369,28 +370,43 @@ def build_class_table(program, builtin_path=None):
                                   super_template=ClassType("Object"))
     for cls in user:
         entry = entries[cls.name]
-        cls_scope = {g.name for g in cls.generics}
-        entry.params = []
+        view = class_view(cls, table)
         for f in cls.fields:
-            if f.annotation is not None:
-                entry.fields[f.name] = resolve_src_type(
-                    f.annotation, table, cls_scope)
-            else:
-                entry.fields[f.name] = None
-        for m in cls.methods:
+            entry.fields[f.name] = (f.annotation and
+                                    resolve_src_type(f.annotation, view))
+        for i, m in enumerate(cls.methods):
             if m.ret is None or any(p.annotation is None for p in m.params):
                 continue
-            m_scope = cls_scope | {g.name for g in m.generics}
-            tps = []
-            for g in cls.generics + m.generics:
-                bound = (resolve_src_type(g.bound, table, m_scope)
-                         if g.bound is not None else None)
-                tps.append((g.name, bound))
-            params = [resolve_src_type(p.annotation, table, m_scope)
+            scope = ("method", i)
+            params = [resolve_src_type(p.annotation, view, scope)
                       for p in m.params]
-            ret = resolve_src_type(m.ret, table, m_scope)
-            entry.methods.append(MethodSig(m.name, tps, params, ret))
+            ret = resolve_src_type(m.ret, view, scope)
+            entry.methods.append(MethodSig(
+                m.name, [*view.clause(CLASS), *view.clause(scope)],
+                params, ret))
     return table
+
+
+def class_view(cls, table):
+    """The view of `table` for class `cls`, holding the declared clause of
+    each member: the class and then each method.  A bound is resolved among
+    the variables its member sees, and an `Object` bound is no bound."""
+    generics = {CLASS: cls.generics}
+    for i, m in enumerate(cls.methods):
+        generics[("method", i)] = m.generics
+    if not any(generics.values()):
+        return table
+    names = ClassTable(table.entries, {
+        scope: tuple((g.name, None) for g in gs)
+        for scope, gs in generics.items()})
+
+    def bound(g, scope):
+        b = g.bound and resolve_src_type(g.bound, names, scope)
+        return None if b == ClassType("Object") else b
+
+    return ClassTable(table.entries, {
+        scope: tuple((g.name, bound(g, scope)) for g in gs)
+        for scope, gs in generics.items()})
 
 
 def _fun_entry(name):

@@ -183,12 +183,6 @@ class _Generator:
         self.fresh = fresh
         self.result = GenResult(fresh=fresh)
         self.scope = ("class",)
-        # the type-variable names each member sees: the class's, and each
-        # method's own besides; `names` is the current member's set
-        self.class_names = {g.name for g in cls.generics}
-        self.method_names = [self.class_names | {g.name for g in m.generics}
-                             for m in cls.methods]
-        self.names = self.class_names
 
     def emit(self, c):
         self.result.base.append(c)
@@ -196,6 +190,10 @@ class _Generator:
     def slot(self, term):
         self.result.slots[self.scope].append(term)
         return term
+
+    def resolve(self, src):
+        """Annotation `src` as a term in the current member's scope."""
+        return resolve_src_type(src, self.table, self.scope)
 
     # -- driver ------------------------------------------------------------
 
@@ -205,11 +203,11 @@ class _Generator:
         for f in self.cls.fields:
             res.field_terms[f.name] = self.slot(
                 self.fresh.tph(self.scope) if f.annotation is None else
-                resolve_src_type(f.annotation, self.table, self.class_names))
+                self.resolve(f.annotation))
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
             res.slots[self.scope] = []
-            res.methods.append(self._method_signature(m, i))
+            res.methods.append(self._method_signature(m))
         self.scope = ("class",)
         self.method_index = None
         for f in self.cls.fields:
@@ -219,7 +217,6 @@ class _Generator:
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
             self.method_index = i
-            self.names = self.method_names[i]
             gen = res.methods[i]
             env = dict(res.field_terms)
             for p, t in zip(m.params, gen.param_terms):
@@ -228,15 +225,14 @@ class _Generator:
                 self.stmt(st, env, gen.ret_term)
         return res
 
-    def _method_signature(self, m, index):
-        names = self.method_names[index]
+    def _method_signature(self, m):
         gen = MethodGen()
         for p in m.params:
             gen.param_terms.append(self.slot(
                 self.fresh.tph(self.scope) if p.annotation is None else
-                resolve_src_type(p.annotation, self.table, names)))
+                self.resolve(p.annotation)))
         if m.ret is not None:
-            gen.ret_term = resolve_src_type(m.ret, self.table, names)
+            gen.ret_term = self.resolve(m.ret)
         elif _returns_value(m.body):
             gen.ret_term = self.fresh.tph(self.scope)
         else:
@@ -252,7 +248,7 @@ class _Generator:
                 raise UnknownIdentifier(
                     f"'{st.name}' is already defined", st.pos.line, st.pos.col)
             if st.annotation is not None:
-                term = resolve_src_type(st.annotation, self.table, self.names)
+                term = self.resolve(st.annotation)
             else:
                 term = self.fresh.tph(self.scope)
             self.result.local_terms[st.uid] = self.slot(term)
@@ -360,7 +356,7 @@ class _Generator:
         inner = dict(env)
         for p in e.params:
             if p.annotation is not None:
-                slot = resolve_src_type(p.annotation, self.table, self.names)
+                slot = self.resolve(p.annotation)
                 component = slot
             else:
                 component = self.fresh.tph(self.scope)
@@ -386,8 +382,7 @@ class _Generator:
                 f"unknown class '{e.cls.name}'", e.pos.line, e.pos.col)
         entry = self.table.entry(name)
         if e.cls.args:
-            args = tuple(resolve_src_type(a, self.table, self.names)
-                         for a in e.cls.args)
+            args = tuple(self.resolve(a) for a in e.cls.args)
             if len(args) != entry.arity:
                 raise ArityMismatch(
                     f"{name} expects {entry.arity} type argument(s)",
@@ -455,13 +450,9 @@ class _Generator:
             if m.name != e.name or len(m.params) != len(arg_terms):
                 continue
             gen = self.result.methods[i]
-            typeparams = [(g.name, None if g.bound is None else
-                           resolve_src_type(g.bound, self.table,
-                                            self.method_names[i]))
-                          for g in m.generics]
             alts.append(self._callee_alternative(
-                e, arg_terms, result, typeparams, gen.param_terms,
-                gen.ret_term))
+                e, arg_terms, result, self.table.clause(("method", i)),
+                gen.param_terms, gen.ret_term))
         return alts
 
     def _callee_alternative(self, e, arg_terms, result, typeparams, params,

@@ -202,17 +202,13 @@ def method_descriptor(typing, table=None):
     return f"({args}){descriptor_term(typing.ret, table)}"
 
 
-def emit_descriptors(class_name, method_signatures, table=None,
-                     declared=None):
+def emit_descriptors(class_name, method_signatures, table=None):
     """`Class.method : (Largs;)Lret;` lines; typings of one declaration
-    must map to pairwise distinct descriptors.  `declared` lists, per
-    method, the type-variable names in its scope (the class's and its
-    own), which erase like placeholders."""
+    must map to pairwise distinct descriptors.  `table` is the class's
+    view: the declared variables a method sees erase like placeholders."""
     lines = []
     for i, (mname, typings) in enumerate(method_signatures):
-        scoped = table
-        if declared and declared[i]:
-            scoped = table.extend_typevars(dict.fromkeys(declared[i]))
+        scoped = table and table.member(("method", i))
         seen = {}
         for t in typings:
             d = method_descriptor(t, scoped)

@@ -13,10 +13,9 @@ rendered (``format_generics``).
 
 from __future__ import annotations
 
+from .classtable import CLASS
 from .typeterms import tphs_of
 from .unify import transitive_closure
-
-CLASS = ("class",)
 
 
 def compute_owners(slot_groups):

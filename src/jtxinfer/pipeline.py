@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import emit as E
-from .classtable import MethodSig, build_class_table, resolve_src_type
+from .classtable import MethodSig, build_class_table, class_view
 from .constraints import (CallSite, call_sites, flatten,
                           generate_constraints)
 from .errors import ResourceLimit, Untypable
@@ -20,10 +20,12 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
 from .syntax import Program, print_program
-from .typeterms import VOID, ClassType, TPH, is_ground, substitute, tphs_of
+from .typeterms import (VOID, ClassType, TPH, instantiate, is_ground,
+                        substitute, tphs_of)
 from .unify import format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
+_TOO_DEEP = "recursion deeper than the interpreter's limit"
 
 
 @dataclass
@@ -45,6 +47,7 @@ class SolvedClass:
 @dataclass
 class ClassResult:
     cls: object
+    table: object                # the class's view, see `class_view`
     typed_cls: object            # annotated ClassDecl (representative)
     signatures: list             # [(method name, [MethodTyping])]
     used_terms: list = field(default_factory=list)
@@ -64,39 +67,36 @@ class PipelineResult:
 
 
 def run_source(src, table_path=None, dump_stages=()):
-    program = parse(src)
-    table = build_class_table(program, table_path)
+    """Infer every class of `src`.  Recursion deeper than the interpreter
+    allows, in the input's nesting or in a search, is a resource limit."""
+    try:
+        program = parse(src)
+        table = build_class_table(program, table_path)
+    except RecursionError:
+        raise ResourceLimit(_TOO_DEEP) from None
     dumps = {s: [] for s in dump_stages}
     results = []
     for cls in program.classes:
-        results.append(_infer_class(cls, table, dumps))
+        try:
+            results.append(_infer_class(cls, table, dumps))
+        except RecursionError:
+            raise ResourceLimit(f"class {cls.name}: {_TOO_DEEP}") from None
+        except ResourceLimit as exc:
+            raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
     return PipelineResult(program=program, table=table,
                           class_results=results,
                           dumps={k: "\n".join(v) for k, v in dumps.items()})
 
 
 def _infer_class(cls, table, dumps):
-    # each member's declared clause, its bounds resolved in its own scope
-    declared = [_declared_pairs(cls.generics, cls.generics, table)] + [
-        _declared_pairs(m.generics, cls.generics + m.generics, table)
-        for m in cls.methods]
-    scoped = table
-    for scope, pairs in zip(
-            [CLASS] + [("method", i) for i in range(len(cls.methods))],
-            declared):
-        if pairs:
-            scoped = scoped.extend_typevars({v.name: b for v, b in pairs},
-                                            scope)
+    scoped = class_view(cls, table)
     gen = generate_constraints(cls, scoped)
     if "constraints" in dumps:
         for cand in flatten(gen, scoped):
             dumps["constraints"].append(
                 f"# {cls.name} candidate {cand.choice}")
             dumps["constraints"].extend(str(c) for c in cand.constraints)
-    try:
-        sols = unify(gen.base, scoped, gen.fresh.clone(), groups=gen.groups)
-    except ResourceLimit as exc:
-        raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
+    sols = unify(gen.base, scoped, gen.fresh.clone(), groups=gen.groups)
     solved = []
     for sol in sols:
         if "solutions" in dumps:
@@ -111,7 +111,7 @@ def _infer_class(cls, table, dumps):
     solved = _minimal(solved, scoped)
     if not solved:
         raise Untypable(f"class {cls.name} has no typing")
-    finished = [s.generalize(declared) for s in solved]
+    finished = [s.generalize(scoped) for s in solved]
     if "generics" in dumps:
         for s in finished:
             dumps["generics"] += [f"# {cls.name}", format_generics(s.clauses)]
@@ -163,9 +163,8 @@ class _Solved:
         return (tuple(sorted(self.remaining)),
                 tuple(str(t) for _, ts in self.slot_groups() for t in ts))
 
-    def generalize(self, declared):
-        """The solution's SolvedClass; `declared` holds the declared
-        generics clause of the class and then of each method."""
+    def generalize(self, view):
+        """The solution's SolvedClass; `view` holds the declared clauses."""
         gen = self.gen
         owners = self.owners
         members = member_tph_sets(gen.slots.items(), owners)
@@ -192,19 +191,21 @@ class _Solved:
                 home = CLASS if x in in_class else owner
                 clauses[home][x] = bounds[home].get(x)
 
+        def clause(scope, terms):
+            declared = [(ClassType(n), b) for n, b in view.clause(scope)]
+            return _generics_clause(
+                declared + _clause_pairs(clauses[scope]), terms)
+
         field_terms = {n: final(t) for n, t in gen.field_terms.items()}
         methods = []
         for i, m in enumerate(gen.methods):
             params = tuple(final(t) for t in m.param_terms)
             ret = final(m.ret_term)
-            methods.append(E.MethodTyping(_generics_clause(
-                declared[i + 1] + _clause_pairs(clauses[("method", i)]),
-                [*params, ret]), params, ret))
+            methods.append(E.MethodTyping(
+                clause(("method", i), [*params, ret]), params, ret))
         return SolvedClass(
             remaining=tuple(remaining),
-            class_generics=_generics_clause(
-                declared[0] + _clause_pairs(clauses[CLASS]),
-                field_terms.values()),
+            class_generics=clause(CLASS, field_terms.values()),
             field_terms=field_terms,
             methods=methods,
             local_terms={uid: final(t)
@@ -255,16 +256,6 @@ def _clause_pairs(clause):
     return [(TPH(n), r and TPH(r)) for n, r in sorted(clause.items())]
 
 
-def _declared_pairs(generics, scope, table):
-    """Declared clause pairs, each bound resolved among the type variables
-    of its member's `scope`; an `Object` bound is no bound."""
-    names = {g.name for g in scope}
-    bounds = [g.bound and resolve_src_type(g.bound, table, names)
-              for g in generics]
-    return [(ClassType(g.name), None if b == ClassType("Object") else b)
-            for g, b in zip(generics, bounds)]
-
-
 def _generics_clause(pairs, terms):
     """A member's generics clause: its (variable, bound) pairs in order of
     the placeholders' first use in the signature `terms`; declared and
@@ -294,7 +285,7 @@ def _assemble(cls, finished, table):
     used.extend(substitute(t, sigma) for t in (*rep.field_terms.values(),
                                                *rep.local_terms.values()))
     _register(cls, table, signatures, rep, sigma)
-    return ClassResult(cls=cls, typed_cls=typed_cls,
+    return ClassResult(cls=cls, table=table, typed_cls=typed_cls,
                        signatures=signatures, used_terms=used,
                        remainings=[s.remaining for s in finished])
 
@@ -349,16 +340,17 @@ def signature_lines(result):
 def descriptor_lines(result):
     lines = []
     for r in result.class_results:
-        declared = [[g.name for g in r.cls.generics + m.generics]
-                    for m in r.cls.methods]
-        lines.extend(E.emit_descriptors(r.cls.name, r.signatures,
-                                        result.table, declared))
+        lines.extend(E.emit_descriptors(r.cls.name, r.signatures, r.table))
     return lines
 
 
 def funiface_manifest(result):
+    """The interfaces of the function types the classes use; a declared
+    variable counts as a placeholder, so a function type over one is its
+    erased root, as in descriptors."""
     terms = []
     for r in result.class_results:
-        terms.extend(r.used_terms)
+        as_tph = {v: TPH(v) for v in r.table.typevars}
+        terms.extend(instantiate(t, as_tph) for t in r.used_terms)
     used = collect_used_funtypes(terms)
     return render_manifest(fun_interface_hierarchy(used, result.table))

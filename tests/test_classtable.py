@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from jtxinfer import DuplicateClass, UnknownImport, parse
-from jtxinfer.classtable import (ClassTable, build_class_table,
+from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
                                  load_builtin_entries, resolve_src_type)
 from jtxinfer.errors import ArityMismatch, UnsupportedFeature
 from jtxinfer.pipeline import (descriptor_lines, funiface_manifest,
@@ -152,8 +152,8 @@ def test_cached_chains_equal_the_walk():
                                      for i in range(entry.arity)))
         assert table.supertype_chain(term) == _uncached_chain(table, term)
         assert table.supertype_chain(term) is table.supertype_chain(term)
-    view = table.extend_typevars({"T": ClassType("Integer"), "U": None,
-                                  "V": ClassType("T")}, ("method", 0))
+    view = ClassTable(table.entries, {("method", 0): (
+        ("T", ClassType("Integer")), ("U", None), ("V", ClassType("T")))})
     for name in ("T", "U", "V"):
         term = ClassType(name)
         assert view.supertype_chain(term) == _uncached_chain(view, term)
@@ -163,8 +163,9 @@ def test_cached_chains_equal_the_walk():
 
 def test_each_view_caches_its_own_chains():
     table = ClassTable(load_builtin_entries())
-    bounded = table.extend_typevars({"T": ClassType("Number")})
-    unbounded = table.extend_typevars({"T": None})
+    bounded = ClassTable(table.entries,
+                         {CLASS: (("T", ClassType("Number")),)})
+    unbounded = ClassTable(table.entries, {CLASS: (("T", None),)})
     t = ClassType("T")
     assert [str(x) for x in bounded.supertype_chain(t)] == [
         "T", "Number", "Object"]
@@ -212,7 +213,7 @@ def test_subtype_heads_below_number():
 
 def test_typevar_scope_subtyping():
     t = table_for("class A { m() { return 1; } }")
-    scoped = t.extend_typevars({"T": ClassType("Number")})
+    scoped = ClassTable(t.entries, {CLASS: (("T", ClassType("Number")),)})
     assert scoped.is_typevar(ClassType("T"))
     assert scoped.is_subtype(ClassType("T"), ClassType("Number"))
     assert scoped.is_subtype(ClassType("T"), ClassType("Object"))

@@ -93,6 +93,13 @@ def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys,
     assert main([str(p), str(broken)]) == 3
 
 
+def test_deep_nesting_exits_3(tmp_path, capsys):
+    p = write(tmp_path, "Deep.jtx", "class C { m(x) { return "
+              + "(" * 400 + "x" + ")" * 400 + "; } }")
+    assert main([str(p)]) == 3
+    assert "Deep.jtx: resource limit: " in capsys.readouterr().err
+
+
 def test_dump_stage_prints_blocks(tmp_path, capsys):
     p = write(tmp_path, "Fac.jtx", FAC_SRC)
     assert main([str(p), "--dump-stage", "constraints",

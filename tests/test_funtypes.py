@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from jtxinfer import parse
-from jtxinfer.classtable import build_class_table
+from jtxinfer.classtable import CLASS, ClassTable, build_class_table
 from jtxinfer.errors import JtxError
 from jtxinfer.funtypes import (collect_used_funtypes, decode_funtype_name,
                                descriptor_term, fun_interface_hierarchy,
@@ -64,7 +64,7 @@ def test_nonground_erases_to_root():
 
 
 def test_typevar_erases_to_root(table):
-    scoped = table.extend_typevars({"T": OBJ})
+    scoped = ClassTable(table.entries, {CLASS: (("T", OBJ),)})
     assert mangle_funtype_name(fun_type((ClassType("T"),), INT),
                                scoped) == "Fun1$$"
 
@@ -143,7 +143,7 @@ def test_descriptor_terms(table):
     assert descriptor_term(VOID) == "V"
     assert descriptor_term(INT, table) == "Ljava$lang$Integer;"
     assert descriptor_term(TPH("X"), table) == "Ljava$lang$Object;"
-    scoped = table.extend_typevars({"T": OBJ})
+    scoped = ClassTable(table.entries, {CLASS: (("T", OBJ),)})
     assert descriptor_term(ClassType("T"), scoped) == "Ljava$lang$Object;"
     f = fun_type((DBL,), DBL)
     assert descriptor_term(f, table) == \

@@ -15,6 +15,11 @@ from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
 
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
+PIPELINE = importlib.import_module("jtxinfer.pipeline")
+
+# a method body nested deeper than the interpreter's recursion limit
+DEEP_PARENS_SRC = ("class C { m(x) { return " + "(" * 400 + "x" + ")" * 400
+                   + "; } }")
 
 FAC_TYPED = """\
 class Fac {
@@ -191,6 +196,20 @@ def test_step_budget_is_a_resource_limit_not_untypable(monkeypatch):
     assert not issubclass(ResourceLimit, Untypable)
 
 
+def test_deep_nesting_is_a_resource_limit():
+    with pytest.raises(ResourceLimit, match="recursion"):
+        run(DEEP_PARENS_SRC)
+
+
+def test_recursion_in_a_class_names_it(monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(PIPELINE, "unify", overflow)
+    with pytest.raises(ResourceLimit, match="^class Fac: recursion"):
+        run(FAC_SRC)
+
+
 def test_cross_class_call_keeps_callee_bound():
     src = ("class D0 { f(x) { return x; } }\n"
            "class D1 { f(x) { return new D0().f(x); } }\n")
@@ -271,6 +290,12 @@ def test_declared_type_variables_erase_in_descriptors():
     r = run("class G<T extends Number> { f; m(T x, y) { f = y; return x; } }")
     assert J.descriptor_lines(r) == [
         "G.m : (Ljava$lang$Object;Ljava$lang$Object;)Ljava$lang$Object;"]
+    # erasing T to its bound would make these two members collide
+    r = run("import java.util.Pair; class C { "
+            "<T extends Pair<T, T>> m(T x) { return x; } }")
+    assert J.descriptor_lines(r) == [
+        "C.m : (Ljava$lang$Object;)Ljava$util$Pair;",
+        "C.m : (Ljava$lang$Object;)Ljava$lang$Object;"]
 
 
 def test_object_bound_is_no_bound():
@@ -353,16 +378,25 @@ def test_method_type_variable_invisible_to_other_methods():
     assert (info.value.line, info.value.col) == (1, 43)
 
 
-@pytest.mark.parametrize("body, sigs", [
-    ("var f = (T y) -> y; return f.apply(x);", ["C.a : <T> T -> T"]),
+# a function type over a declared variable is its erased root in the
+# manifest, as in descriptors
+@pytest.mark.parametrize("body, sigs, manifest", [
+    ("var f = (T y) -> y; return f.apply(x);", ["C.a : <T> T -> T"],
+     "Fun1$$ : Fun1$$\n"),
     ("var f = (y) -> { T z = y; return z; }; return f.apply(x);",
-     ["C.a : <T> T -> T"]),
+     ["C.a : <T> T -> T"], "Fun1$$ : Fun1$$\n"),
     ("return new Pair<T, T>(x, x);",
-     ["C.a : <T> T -> Object & <T> T -> Pair<T, T>"]),
+     ["C.a : <T> T -> Object & <T> T -> Pair<T, T>"], ""),
+    # a class's variable, seen by its methods: a whole program
+    ("class G<T> { m(Fun1$$<T, T> f) { return f; } }",
+     ["G.m : Fun1$$<T, T> -> Fun1$$<T, T> & Fun1$$<T, T> -> Object"],
+     "Fun1$$ : Fun1$$\n"),
 ])
-def test_method_type_variable_visible_in_its_method(body, sigs):
-    r = run(f"import java.util.Pair; class C {{ <T> a(T x) {{ {body} }} }}")
+def test_method_type_variable_visible_in_its_method(body, sigs, manifest):
+    r = run(body if body.startswith("class ") else
+            f"import java.util.Pair; class C {{ <T> a(T x) {{ {body} }} }}")
     assert J.signature_lines(r) == sigs
+    assert J.funiface_manifest(r) == manifest
 
 
 def test_symbolic_solutions_keep_only_minimal_typings():

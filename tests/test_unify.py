@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
                       signature_lines, unify)
-from jtxinfer.classtable import build_class_table
+from jtxinfer.classtable import CLASS, ClassTable, build_class_table
 from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
 from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 from jtxinfer.unify import format_solution, transitive_closure
@@ -109,7 +109,8 @@ def test_placeholder_nested_in_parked_constraint_still_branches(table):
 
 def test_typevar_with_variant_bound_keeps_branching(table):
     # X's chain holds a shaped Fun1$$ choice, so T is no sink; S is one
-    scoped = table.extend_typevars({"X": fun_type((INT,), INT)})
+    scoped = ClassTable(table.entries,
+                        {CLASS: (("X", fun_type((INT,), INT)),)})
     sols = unify([lessdot(INT, TPH("S")), lessdot(ClassType("X"), TPH("T"))],
                  scoped)
     assert {str(sigma_of(s)["T"]) for s in sols} == {
