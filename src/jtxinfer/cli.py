@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -14,7 +15,10 @@ from .pipeline import (DUMP_STAGES, descriptor_lines, funiface_manifest,
 EMIT_TARGETS = ("typed", "sigs", "desc", "funifaces")
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and kept for the process:
+    `parse_args` leaves it unchanged and copies the `append` default."""
     p = argparse.ArgumentParser(
         prog="tx-infer",
         description="Infer all omitted types in .jtx source files and emit "

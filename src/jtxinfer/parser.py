@@ -3,6 +3,10 @@
 Omitted type slots (method return, parameters, `var` locals, bare fields,
 lambda parameters) are represented by ``annotation=None`` and marked for
 inference later.
+
+The parser reads its tokens by index.  Its own copy of the token list ends
+in `LOOKAHEAD` more eof tokens than `tokenize` returns, so a lookahead at
+the end of input reads eof without a bounds check.
 """
 
 from __future__ import annotations
@@ -12,26 +16,28 @@ from .lexer import tokenize
 from . import syntax as S
 
 
+# the furthest any rule looks past the current token
+LOOKAHEAD = 1
+
+
 def parse(source):
     return _Parser(tokenize(source)).program()
 
 
 class _Parser:
     def __init__(self, tokens):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:] * LOOKAHEAD
         self.i = 0
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, offset=0):
-        return self.toks[min(self.i + offset, len(self.toks) - 1)]
-
     def at(self, kind, text=None, offset=0):
-        t = self.peek(offset)
+        t = self.toks[self.i + offset]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_punct(self, text, offset=0):
-        return self.at("punct", text, offset)
+        t = self.toks[self.i + offset]
+        return t.text == text and t.kind == "punct"
 
     def advance(self):
         t = self.toks[self.i]
@@ -40,7 +46,7 @@ class _Parser:
         return t
 
     def expect(self, kind, text=None):
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
             raise JtxSyntaxError(f"expected {want!r}, found {t.text!r}",
@@ -48,7 +54,7 @@ class _Parser:
         return self.advance()
 
     def pos(self):
-        t = self.peek()
+        t = self.toks[self.i]
         return S.Pos(t.line, t.col)
 
     # -- grammar ------------------------------------------------------------
@@ -228,15 +234,17 @@ class _Parser:
         return stmts
 
     def statement(self):
-        pos = self.pos()
-        if self.at("keyword", "while"):
+        t = self.toks[self.i]
+        pos = S.Pos(t.line, t.col)
+        keyword = t.text if t.kind == "keyword" else None
+        if keyword == "while":
             self.advance()
             self.expect("punct", "(")
             cond = self.expr()
             self.expect("punct", ")")
             body = self.block()
             return S.While(cond=cond, body=body, pos=pos)
-        if self.at("keyword", "return"):
+        if keyword == "return":
             self.advance()
             value = None
             if not self.at_punct(";"):
@@ -246,10 +254,10 @@ class _Parser:
         # `var` or an annotated local: type ident ('=' expr)? ';'; the
         # subset has no `<` operator, so ident `<` here starts a type
         ann = None
-        if self.at("keyword", "var"):
+        if keyword == "var":
             self.advance()
-        elif self.at("ident") and (self.at("ident", offset=1)
-                                   or self.at_punct("<", 1)):
+        elif t.kind == "ident" and (self.at("ident", offset=1)
+                                    or self.at_punct("<", 1)):
             ann = self.type_ref()
         else:
             return self.expr_statement(pos)
@@ -284,7 +292,7 @@ class _Parser:
         binds left to right."""
         left = self.postfix_expr()
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             prec = t.kind == "punct" and S.BINARY_PREC.get(t.text)
             if not prec or prec < min_prec:
                 return left
@@ -307,30 +315,9 @@ class _Parser:
         return e
 
     def primary(self):
-        pos = self.pos()
-        t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            return S.IntLit(value=int(t.text), pos=pos)
-        if t.kind == "string":
-            self.advance()
-            return S.StrLit(value=t.text, pos=pos)
-        if self.at("keyword", "true") or self.at("keyword", "false"):
-            self.advance()
-            return S.BoolLit(value=(t.text == "true"), pos=pos)
-        if self.at("keyword", "new"):
-            self.advance()
-            cls = self.type_ref()
-            args = self.paren_list(self.expr)
-            return S.New(cls=cls, args=args, pos=pos)
-        if self.at_punct("("):
-            if self._lambda_ahead():
-                return self.lambda_expr(pos)
-            self.advance()
-            e = self.expr()
-            self.expect("punct", ")")
-            return e
-        if t.kind == "ident":
+        t = self.toks[self.i]
+        kind, pos = t.kind, S.Pos(t.line, t.col)
+        if kind == "ident":
             if self.at_punct("->", 1):
                 return self.lambda_expr(pos)
             self.advance()
@@ -338,26 +325,45 @@ class _Parser:
                 args = self.paren_list(self.expr)
                 return S.Call(recv=None, name=t.text, args=args, pos=pos)
             return S.Name(ident=t.text, pos=pos)
+        if kind == "int":
+            self.advance()
+            return S.IntLit(value=int(t.text), pos=pos)
+        if kind == "string":
+            self.advance()
+            return S.StrLit(value=t.text, pos=pos)
+        if kind == "keyword" and t.text in ("true", "false"):
+            self.advance()
+            return S.BoolLit(value=(t.text == "true"), pos=pos)
+        if kind == "keyword" and t.text == "new":
+            self.advance()
+            cls = self.type_ref()
+            args = self.paren_list(self.expr)
+            return S.New(cls=cls, args=args, pos=pos)
+        if kind == "punct" and t.text == "(":
+            if self._lambda_ahead():
+                return self.lambda_expr(pos)
+            self.advance()
+            e = self.expr()
+            self.expect("punct", ")")
+            return e
         raise JtxSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
 
     def _lambda_ahead(self):
         """At '(': scan to the matching ')' and test for '->'."""
         depth = 0
         j = self.i
-        while j < len(self.toks):
+        while True:
             tok = self.toks[j]
             if tok.kind == "punct" and tok.text == "(":
                 depth += 1
             elif tok.kind == "punct" and tok.text == ")":
                 depth -= 1
                 if depth == 0:
-                    nxt = self.toks[j + 1] if j + 1 < len(self.toks) else None
-                    return (nxt is not None and nxt.kind == "punct"
-                            and nxt.text == "->")
+                    nxt = self.toks[j + 1]
+                    return nxt.kind == "punct" and nxt.text == "->"
             elif tok.kind == "eof":
                 return False
             j += 1
-        return False
 
     def lambda_expr(self, pos):
         params = self.params() if self.at_punct("(") else [self.param()]

@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 
 from conftest import CYCLE_SRC  # noqa: E402
+from jtxinfer.lexer import tokenize  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -33,6 +34,9 @@ def test_traced_cycle_run_reaches_every_wrapped_name(tmp_path, capsys):
     assert wrapped - {name for name, *_ in tracer.spans} == set()
     metrics = tracing.pass_metrics(tracer.spans, 0, tracer.counts, 1.0)
     assert metrics["generics.collapses"] > 0
+    # the tracer counts the list `parse` gets from `parser.tokenize`; the
+    # parser's eof padding is its own
+    assert metrics["parser.tokens"] == len(tokenize(CYCLE_SRC))
     for suffix in ("typed.jtx", "sigs.txt", "desc.txt", "funifaces.txt"):
         assert ((tmp_path / f"Cycle.{suffix}").read_text()
                 == (GOLDEN / f"Cycle.{suffix}").read_text()), suffix

@@ -110,6 +110,20 @@ def test_dump_stage_prints_blocks(tmp_path, capsys):
     assert "remaining:" in out and "sigma:" in out
 
 
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    """`main` reuses one argument parser: a later call without flags
+    prints no dump and writes all four outputs."""
+    p = write(tmp_path, "Fac.jtx", FAC_SRC)
+    assert main([str(p), "--dump-stage", "constraints", "--emit", "sigs"]) == 0
+    assert "== constraints ==" in capsys.readouterr().out
+    assert not (tmp_path / "Fac.typed.jtx").exists()
+    (tmp_path / "Fac.sigs.txt").unlink()
+    assert main([str(p)]) == 0
+    assert capsys.readouterr().out == ""
+    for suffix in ("typed.jtx", "sigs.txt", "desc.txt", "funifaces.txt"):
+        assert (tmp_path / f"Fac.{suffix}").exists(), suffix
+
+
 def test_dump_stage_generics(tmp_path, capsys):
     p = write(tmp_path, "Cycle.jtx", CYCLE_SRC)
     assert main([str(p), "--dump-stage", "generics"]) == 0

@@ -244,6 +244,14 @@ def test_eof_after_trailing_line_comment():
     assert (eof.kind, eof.line, eof.col) == ("eof", 1, 19)
 
 
+def test_string_with_punctuator_text_is_a_literal():
+    """A string token is never read as the punctuator its text spells."""
+    body = parse('class C { m() { "}"; return ";"; } }').classes[0] \
+        .methods[0].body
+    assert [type(s) for s in body] == [S.ExprStmt, S.Return]
+    assert [body[0].expr.value, body[1].value.value] == ["}", ";"]
+
+
 def test_generics_clause_on_bare_field():
     with pytest.raises(JtxSyntaxError, match="generics clause on a field"):
         parse("class A { <T> f = 1; }")
