@@ -104,12 +104,13 @@ class ClassTable:
     as `class_view` resolves them.  `typevars` maps each declared name (a
     rigid type variable) to its bound.
 
-    Each view caches `supertype_chain` per term.  A chain depends only on
-    the entries' super templates and the view's `typevars`, and neither
-    changes once a view is queried: `build_class_table` adds every entry
-    before the first chain is walked, later writes (the pipeline's inferred
-    typings and field types) touch only `methods` and `fields`, and every
-    view has a cache of its own.
+    Each view caches `supertype_chain` per term and `subtype_heads` per
+    (head, member scope).  Both depend only on the entries, their super
+    templates and the view's clauses, and none of these changes once a
+    view is queried: `build_class_table` adds every entry before the first
+    chain is walked, later writes (the pipeline's inferred typings and
+    field types) touch only `methods` and `fields`, and every view has
+    caches of its own.
     """
 
     def __init__(self, entries, clauses=None):
@@ -122,6 +123,7 @@ class ClassTable:
         self._seen = {scope: shared | {n for n, _ in clause}
                       for scope, clause in self.clauses.items()}
         self._chains = {}     # term -> tuple, see `supertype_chain`
+        self._heads = {}      # (name, scope) -> tuple, see `subtype_heads`
 
     # -- basic lookup -------------------------------------------------------
 
@@ -234,23 +236,28 @@ class ClassTable:
     def subtype_heads(self, name, scope):
         """Entry names whose supertype chain reaches `name` (incl. itself),
         in table order, plus the type variables below it that are in
-        scope for member `scope`."""
-        out = []
+        scope for member `scope`; a tuple cached per view."""
+        heads = self._heads.get((name, scope))
+        if heads is None:
+            heads = self._heads[name, scope] = tuple(
+                self._walk_subtype_heads(name, scope))
+        return heads
+
+    def _walk_subtype_heads(self, name, scope):
         for cand in self.entries:
             chain = self.supertype_chain(ClassType(
                 cand, tuple(TPH(f"?{i}") for i in
                             range(self.entries[cand].arity))))
             if any(isinstance(t, ClassType) and t.name == name
                    for t in chain):
-                out.append(cand)
+                yield cand
         for tv in self.typevars:
             if not self.in_scope(tv, scope):
                 continue
             chain = self.supertype_chain(ClassType(tv))
             if any(isinstance(t, ClassType) and t.name == name
                    for t in chain):
-                out.append(tv)
-        return out
+                yield tv
 
     # -- member lookup ------------------------------------------------------
 

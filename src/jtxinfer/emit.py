@@ -130,6 +130,27 @@ def canonical_renaming(names_in_order, reserved=()):
     return ren
 
 
+def rename_apart(t, sigma, taken):
+    """Typing `t` renamed by `sigma` (name -> TPH) without capture.  A
+    placeholder outside `sigma`'s domain keeps its name unless that name
+    is `taken` (one `sigma` maps onto, or a declared variable's); then it
+    takes the first name of the sequence A, B, … that is neither taken nor
+    in `t`."""
+    names = t.names()
+    clash = [n for n in names if n not in sigma and n in taken]
+    if clash:
+        more = canonical_renaming(clash, taken.union(names))
+        sigma = {**sigma, **{n: TPH(m) for n, m in more.items()}}
+    return rename_typing(t, sigma)
+
+
+def declared_names(rep):
+    """The declared type variables of `rep`'s class and methods."""
+    return {v.name for clause in (rep.class_generics,
+                                  *(t.generics for t in rep.methods))
+            for v, _ in clause if isinstance(v, ClassType)}
+
+
 def build_typed_class(cls, rep):
     """ClassDecl `cls` annotated (new AST) with the slot terms and generics
     clauses of `rep`, the class's representative `pipeline.SolvedClass`,
@@ -140,10 +161,7 @@ def build_typed_class(cls, rep):
              for n in tphs_of(t)]
     order += [n for t in rep.methods for n in t.names()]
     order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
-    declared = {v.name for clause in (rep.class_generics,
-                                      *(t.generics for t in rep.methods))
-                for v, _ in clause if isinstance(v, ClassType)}
-    ren = canonical_renaming(order, declared)
+    ren = canonical_renaming(order, declared_names(rep))
     sigma = {old: TPH(new) for old, new in ren.items()}
 
     def conv(term):

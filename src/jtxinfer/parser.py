@@ -11,6 +11,8 @@ the end of input reads eof without a bounds check.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import JtxSyntaxError
 from .lexer import tokenize
 from . import syntax as S
@@ -28,6 +30,7 @@ class _Parser:
     def __init__(self, tokens):
         self.toks = tokens + tokens[-1:] * LOOKAHEAD
         self.i = 0
+        self.uids = itertools.count(1)  # local declarations, in order
 
     # -- token helpers ------------------------------------------------------
 
@@ -262,8 +265,9 @@ class _Parser:
         else:
             return self.expr_statement(pos)
         name = self.expect("ident").text
-        return S.LocalDecl(name=name, annotation=ann, init=self.initializer(),
-                           pos=pos)
+        init = self.initializer()  # its block lambdas' locals come first
+        return S.LocalDecl(name=name, annotation=ann, init=init, pos=pos,
+                           uid=next(self.uids))
 
     def expr_statement(self, pos):
         expr = self.expr()

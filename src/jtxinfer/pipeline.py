@@ -230,9 +230,10 @@ def _minimal(solved, table):
     minimal in the subtype order among the solutions with the same
     remaining constraints.  Comparison happens at atomic positions only
     (composite terms are determined by the atomic bindings).  The unifier
-    already gives each sink its least type, so what is left to drop are
-    solutions dominated across candidates, or at placeholders that are no
-    sink, such as `M` in `Integer < M, M < A`."""
+    already gives each sink its least type, `M` in `Integer < M, M < A`
+    among them, so what is left to drop are solutions dominated across
+    choices of or-group alternatives, or at placeholders that are no sink,
+    such as `T` in `S < T` or one inside a function type."""
 
     def below(b, a):
         """b strictly below a pointwise."""
@@ -272,12 +273,14 @@ def _assemble(cls, finished, table):
     rep = finished[0]
     typed_cls, ren = E.build_typed_class(cls, rep)
     sigma = {old: TPH(new) for old, new in ren.items()}
+    # the other solutions' names outside `ren` must not meet its images
+    taken = {*ren.values(), *E.declared_names(rep)}
 
     signatures = []
     used = []
     for i, m in enumerate(cls.methods):
         typings = E.assemble_intersection_types(
-            [E.rename_typing(s.methods[i], sigma) for s in finished])
+            [E.rename_apart(s.methods[i], sigma, taken) for s in finished])
         signatures.append((m.name, typings))
         for t in typings:
             used.extend(t.params)

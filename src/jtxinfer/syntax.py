@@ -1,22 +1,16 @@
 """Syntax trees for the mini language.
 
 Every expression and statement carries a source position, and a local
-declaration a unique ``uid`` (the key of its type slot).  Declaration
+declaration a ``uid``, unique within its program (the key of its type
+slot); the parser counts them from 1 in each parse.  Declaration
 sites whose type was omitted carry ``annotation=None`` and are filled in
 during constraint generation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
-
-_uid_counter = itertools.count(1)
-
-
-def next_uid():
-    return next(_uid_counter)
 
 
 @dataclass
@@ -129,7 +123,7 @@ class LocalDecl(Stmt):
     name: str = ""
     annotation: Optional[SrcType] = None  # None = `var` / to-infer
     init: Optional[Expr] = None
-    uid: int = field(default_factory=next_uid, compare=False)
+    uid: int = field(default=0, compare=False)
 
 
 @dataclass

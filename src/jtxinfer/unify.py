@@ -51,12 +51,18 @@ The lessdot branch points are taken in parking order: the oldest one-sided
 lessdot still parked is next, its alternatives made lazily in `_branches`
 order.
 
-An upper-bound expansion of a *sink* does not branch.  A sink is a
-placeholder mentioned only as the upper side of lessdots whose lower sides
-are class types without arguments, and whose every alternative is such a
-type; it gets the first alternative above all its lower bounds.  Every
-other alternative is refuted or yields the same solutions with a greater
-type at the sink, which the pipeline's minimality drops; and none draws a
+An upper-bound expansion of a *sink* does not branch.  A sink is decided
+by its lower bounds alone: every lessdot parked with it on the upper side
+has a class type without arguments below, no bound term or headed side
+mentions it, and its every alternative is a class type without arguments.
+Its upper bounds, placeholders (`Integer < C, C < E`) or class types, do
+not matter.  It gets the first alternative above all its lower bounds.
+Take any solution with T' at the sink: transitivity gives a twin with the
+least feasible T <= T' there, which meets every upper bound that T' met,
+and no later lower bound can appear, because every or-group has chosen
+and the worklist is empty, so every constraint is in the store.  So every
+other alternative is refuted or dominated by a solution the search
+returns, which the pipeline's minimality would drop; and none draws a
 fresh name.  The search counts, per placeholder, the bound terms and the
 headed sides of parked constraints that mention it, so the test costs no
 scan of the store.
@@ -433,11 +439,11 @@ class _Unifier:
                 seen.add(sup.name)
                 sups.append(sup)
             if self._is_sink(t, low, sups):
-                # each other choice refutes or differs only at `t`, above
-                # the least feasible one
+                # each other choice refutes or has a twin with the least
+                # feasible type at `t`
                 self.sinks += 1
                 lows = [low] + [p.lhs for p in self.index.get(t.name, ())
-                                if p.parked]
+                                if p.parked and p.rhs == t]
                 least = next((s for s in sups if all(
                     self.table.is_subtype(l, s) for l in lows)), None)
                 sups = [] if least is None else [least]
@@ -449,13 +455,20 @@ class _Unifier:
                     yield (t.name, sup, [])
 
     def _is_sink(self, t, low, sups):
-        """Whether placeholder `t` above `low` is a sink: it is mentioned
-        only as the upper side of lessdots from atomic types, and each of
-        its choices `sups` is atomic."""
+        """Whether placeholder `t` above `low` is a sink, decided by its
+        lower bounds alone: `t` is not mentioned inside any bound term or
+        headed side, `low` and each of its choices `sups` are atomic, and
+        so is the lower side of every lessdot parked with `t` on its upper
+        side.  Its upper bounds, placeholders or class types, do not
+        matter.  A solution with T' at `t` has a twin with the least T
+        above the lower bounds, T <= T' by transitivity, and T meets every
+        upper bound that T' met.  No lower bound can come later: every
+        or-group has chosen and the worklist is empty, so all constraints
+        are in the store."""
         return (not self.nested.get(t.name) and _atomic(low)
                 and all(_atomic(s) for s in sups)
                 and all(_atomic(p.lhs) for p in self.index.get(t.name, ())
-                        if p.parked))
+                        if p.parked and p.rhs == t))
 
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
@@ -492,8 +505,8 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
     """The solutions of the base `constraints` plus one alternative of each
     or-group in `groups` (a list of groups, each a list of
     `constraints.Alternative`) over the given table: every solution,
-    except those that differ from a returned one only in a greater type at
-    a sink.  A receiver group's frame skips the alternatives whose class
+    except those dominated by a returned one that puts a smaller type at a
+    sink.  A receiver group's frame skips the alternatives whose class
     head the receiver can no longer take (see the module docstring); they
     are never built.
 

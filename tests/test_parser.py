@@ -16,6 +16,18 @@ def test_minimal_class():
     assert prog.classes[0].methods == []
 
 
+def test_parsing_twice_gives_equal_trees():
+    # a block lambda's local is declared inside its enclosing initializer
+    src = ("class A { m(x) { var a = 1; var f = y -> { var b = y; "
+           "return b; }; while (x) { Integer c = a; } return f; } }")
+    first = parse(src)
+    assert repr(parse(src)) == repr(first)
+    body = first.classes[0].methods[0].body
+    inner = body[1].init.body[0]
+    assert [body[0].uid, inner.uid, body[1].uid, body[2].body[0].uid] \
+        == [1, 2, 3, 4]
+
+
 def test_imports_collected_in_order():
     prog = parse("import java.lang.Integer;\nimport java.util.Pair;\n"
                  "class A { }")

@@ -1,6 +1,8 @@
 """End-to-end inference on the reference programs."""
 
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,9 @@ from jtxinfer.typeterms import ClassType
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
                       INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, TPHS_SRC)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
@@ -426,6 +431,43 @@ def test_self_application_has_a_finite_typing():
         "import java.lang.Integer; class C { "
         "Integer m(Fun1$$<Object, Integer> x) { return x.apply(x); } }")
     assert sigs == ["C.m : Fun1$$<Object, Integer> -> Integer"]
+
+
+def test_other_solutions_are_renamed_apart():
+    """A member's placeholder that the representative's renaming does not
+    cover keeps its name only when no renamed name took it."""
+    r = run("import java.lang.Double; class C { m(p) { var v = 1 * 1; "
+            "v = p; var f = x -> x; return f; } n(a, b) { return a + b; } }")
+    (m, n) = J.signature_lines(r)
+    assert m.endswith(" & <F, A extends C, B, C extends D, D extends E, "
+                      "E extends B> F -> Fun1$$<A, B> & "
+                      "<F, C extends D, D extends E, E> F -> Object")
+    assert n == "C.n : (Integer, Integer) -> Integer & (Double, Double) -> Double"
+    assert_no_clause_declares_a_name_twice(r)
+
+
+def assert_no_clause_declares_a_name_twice(result):
+    for r in result.class_results:
+        class_names = [g.name for g in r.typed_cls.generics]
+        for m in r.typed_cls.methods:
+            names = class_names + [g.name for g in m.generics]
+            assert len(set(names)) == len(names), (r.cls.name, m.name)
+        for mname, typings in r.signatures:
+            for t in typings:
+                names = [str(v) for v, _ in t.generics]
+                assert len(set(names)) == len(names), (r.cls.name, mname)
+
+
+# the goldens and the seed-1 benchmark corpus, by name
+PROGRAMS = {**ALL_GOLDEN_SRCS, **{
+    f"{w}/{p.name}": p.source
+    for w in ("paper-units", "ambiguity", "long-methods")
+    for p in corpus.workload(w, 1)}}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_no_clause_declares_a_name_twice(name):
+    assert_no_clause_declares_a_name_twice(run(PROGRAMS[name]))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))

@@ -17,6 +17,7 @@ from jtxinfer.unify import transitive_closure, unify
 
 GROUND = ["Integer", "Double", "Number", "String", "Boolean", "Object"]
 TPHS = ["T0", "T1", "T2"]
+TPHS4 = TPHS + ["T3"]
 
 _TABLE = build_class_table(parse(
     "import java.lang.Integer;\nimport java.lang.Double;\n"
@@ -25,11 +26,15 @@ _TABLE = build_class_table(parse(
 _SUBTYPE = {(a, b): _TABLE.is_subtype(ClassType(a), ClassType(b))
             for a in GROUND for b in GROUND}
 
-term_st = st.one_of(st.sampled_from(GROUND).map(ClassType),
-                    st.sampled_from(TPHS).map(TPH))
-constraint_st = st.builds(
-    lambda kind, l, r: kind(l, r),
-    st.sampled_from([doteq, lessdot]), term_st, term_st)
+
+def constraints_over(names):
+    term = st.one_of(st.sampled_from(GROUND).map(ClassType),
+                     st.sampled_from(names).map(TPH))
+    return st.builds(lambda kind, l, r: kind(l, r),
+                     st.sampled_from([doteq, lessdot]), term, term)
+
+
+constraint_st = constraints_over(TPHS)
 
 
 def _ground_name(t, assign):
@@ -64,23 +69,24 @@ def _solution_admits(sol, assign):
     return True
 
 
-def _oracle(cons):
-    return {values for values in itertools.product(GROUND, repeat=len(TPHS))
-            if _satisfies(cons, dict(zip(TPHS, values)))}
+def _oracle(cons, names):
+    return {values for values in itertools.product(GROUND, repeat=len(names))
+            if _satisfies(cons, dict(zip(names, values)))}
 
 
-def _admitted(solutions):
-    return {values for values in itertools.product(GROUND, repeat=len(TPHS))
-            if any(_solution_admits(sol, dict(zip(TPHS, values)))
+def _admitted(solutions, names):
+    return {values for values in itertools.product(GROUND, repeat=len(names))
+            if any(_solution_admits(sol, dict(zip(names, values)))
                    for sol in solutions)}
 
 
-def _check_against_oracle(cons):
+def _check_against_oracle(cons, names=TPHS):
     """Sound, complete up to dominance, and exact when no sink was given
-    its least type: a pruned choice lies above a kept one."""
+    its least type: a pruned choice lies above a kept one.  `names` are
+    the placeholders `cons` may mention."""
     stats = Counter()
-    admitted = _admitted(unify(list(cons), _TABLE, stats=stats))
-    oracle = _oracle(cons)
+    admitted = _admitted(unify(list(cons), _TABLE, stats=stats), names)
+    oracle = _oracle(cons, names)
     assert admitted <= oracle
     for values in oracle - admitted:
         assert any(all(_SUBTYPE[(a, v)] for a, v in zip(low, values))
@@ -112,6 +118,19 @@ def test_branching_search_vs_brute_force(branch_points, others, rnd):
     rnd.shuffle(cons)
     stats = _check_against_oracle(cons)
     assume(stats["branch_points"] > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GROUND), st.lists(constraints_over(TPHS4), max_size=4),
+       st.randoms())
+def test_placeholder_chains_vs_brute_force(ground, others, rnd):
+    # G < T0 < T1 < T2: each link is a sink unless another constraint
+    # gives it a placeholder lower bound or nests it
+    chain = [lessdot(ClassType(ground), TPH("T0")),
+             lessdot(TPH("T0"), TPH("T1")), lessdot(TPH("T1"), TPH("T2"))]
+    cons = chain + others
+    rnd.shuffle(cons)
+    _check_against_oracle(cons, TPHS4)
 
 
 # --- conformance repair map -------------------------------------------------

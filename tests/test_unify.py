@@ -82,11 +82,39 @@ def test_lower_expansion_branches_over_subtypes(table):
     assert values == {"Integer", "Double", "Number"}
 
 
-def test_upper_expansion_branches_over_chain(table):
-    # T also sits below U, so it is no sink: every chain member is tried
-    sols = solve(table, lessdot(INT, TPH("T")), lessdot(TPH("T"), TPH("U")))
-    values = {str(sigma_of(s)["T"]) for s in sols}
-    assert values == {"Integer", "Number", "Object"}
+def test_sink_below_a_placeholder_takes_its_least_type(table):
+    # an upper bound does not keep T from being a sink; then U is one too
+    stats = Counter()
+    (sol,) = unify([lessdot(INT, TPH("T")), lessdot(TPH("T"), TPH("U"))],
+                   table, stats=stats)
+    assert sigma_of(sol) == {"T": INT, "U": INT}
+    assert stats["sinks"] == 2
+
+
+def test_sink_below_a_class_type_takes_its_least_type(table):
+    (sol,) = solve(table, lessdot(INT, TPH("T")), lessdot(TPH("T"), NUM))
+    assert sigma_of(sol) == {"T": INT}
+    assert solve(table, lessdot(INT, TPH("T")), lessdot(TPH("T"), DBL)) == []
+
+
+def test_placeholder_lower_bound_keeps_branching(table):
+    # S < T: T's least type depends on what S takes, so T branches
+    stats = Counter()
+    sols = unify([lessdot(INT, TPH("T")), lessdot(TPH("S"), TPH("T"))],
+                 table, stats=stats)
+    assert {str(sigma_of(s)["T"]) for s in sols} == {
+        "Integer", "Number", "Object"}
+    assert stats["sinks"] == 0
+
+
+def test_placeholder_nested_in_a_headed_side_keeps_branching(table):
+    # T sits inside the pair above P, so T is no sink even with no lower
+    # bound but Integer
+    p = lambda a, b: ClassType("Pair", (a, b))
+    sols = solve(table, lessdot(INT, TPH("T")),
+                 lessdot(TPH("P"), p(TPH("T"), INT)))
+    assert {str(sigma_of(s)["T"]) for s in sols} == {
+        "Integer", "Number", "Object"}
 
 
 def test_sink_takes_least_common_supertype(table):
@@ -248,6 +276,59 @@ def test_refutable_candidate_has_one_solution():
     gen = generate_constraints(program.classes[0], table)
     (cand,) = flatten(gen, table)
     assert len(unify(cand.constraints, table, gen.fresh.clone())) == 1
+
+
+def class_search(src):
+    """(unifier solutions, stats) of the first class of `src`, with its
+    or-groups."""
+    program = parse(src)
+    table = build_class_table(program)
+    gen = generate_constraints(program.classes[0], table)
+    stats = Counter()
+    sols = unify(gen.base, table, gen.fresh.clone(), stats=stats,
+                 groups=gen.groups)
+    return sols, stats
+
+
+def chained_locals(k):
+    """k locals, each assigned the one before, the last returned."""
+    body = ["var a0 = x + 1;"] + [f"var a{i} = a{i - 1};" for i in range(1, k)]
+    return f"class C {{ m(x) {{ {' '.join(body)} return a{k - 1}; }} }}"
+
+
+def test_chained_locals_have_one_solution_in_linear_steps():
+    steps = {}
+    for k in (10, 20, 40):
+        sols, stats = class_search(chained_locals(k))
+        assert len(sols) == 1
+        steps[k] = stats["steps"]
+    assert steps[40] - steps[20] == 2 * (steps[20] - steps[10])
+
+
+def independent_methods(m):
+    return "class C { " + " ".join(
+        f"m{i}(x) {{ var a = x + 1; var b = a; return b; }}"
+        for i in range(m)) + " }"
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_independent_chain_methods_have_one_class_solution(m):
+    sols, _ = class_search(independent_methods(m))
+    assert len(sols) == 1
+    result = run_source(independent_methods(m))
+    assert signature_lines(result) == [
+        f"C.m{i} : Integer -> Integer" for i in range(m)]
+
+
+@pytest.mark.parametrize("n, kept", [(1, 7), (2, 19), (3, 67)])
+def test_surviving_family_solutions_are_all_kept(n, kept):
+    # the unifier gives no solution that minimality drops
+    r = run_source(corpus.surviving_unit(n, random.Random(0)).source,
+                   dump_stages=("solutions",))
+    solutions = [line for line in r.dumps["solutions"].splitlines()
+                 if line.startswith("# ")]
+    assert len(solutions) == kept
+    assert sum(len(c.remainings) for c in r.class_results) == kept
 
 
 def test_work_grows_linearly_with_method_length():
