@@ -261,20 +261,6 @@ class ClassTable:
 
     # -- member lookup ------------------------------------------------------
 
-    def instantiated_methods(self, term, name, arity):
-        """Method signatures named `name` with `arity` parameters on the
-        ground class type `term`, instantiated with its type arguments."""
-        if not isinstance(term, ClassType) or term.name not in self.entries:
-            return []
-        return [self.instantiate_method(sig, term)
-                for sig in self.declared_methods(term.name, name, arity)]
-
-    def declared_methods(self, cname, name, arity):
-        """The signature templates named `name` with `arity` parameters
-        that entry `cname` declares, in declaration order."""
-        return [sig for sig in self.entries[cname].methods
-                if sig.name == name and len(sig.params) == arity]
-
     def instantiate_method(self, sig, term):
         """Signature template `sig` of `term`'s entry with `term`'s type
         arguments in place of the entry's parameters."""
@@ -283,12 +269,6 @@ class ClassTable:
                           self._instantiate(t, entry, term.args))
         return MethodSig(sig.name, [(tp, inst(b)) for tp, b in sig.typeparams],
                          [inst(p) for p in sig.params], inst(sig.ret))
-
-    def classes_with_method(self, name, arity):
-        """Entry names of universe types declaring `name`/`arity`."""
-        return [ename for ename, entry in self.entries.items()
-                if any(m.name == name and len(m.params) == arity
-                       for m in entry.methods)]
 
 
 # --- surface type resolution ----------------------------------------------

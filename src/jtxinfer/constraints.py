@@ -2,7 +2,12 @@
 equality (`=`) constraints over fresh type placeholders.
 
 Overloaded operators, overloaded callees and receiver-driven member
-resolution produce or-groups (sets of alternatives).  The unifier takes the
+resolution produce or-groups (sets of alternatives).  A member call finds
+its callee's signatures the same way in every class, the class being
+inferred among them: that class offers its methods' slot terms, any other
+its table entry's templates.  A call without receiver is a call on the
+class being inferred; a receiver whose type is not yet known may be any
+class that declares the member, that class included.  The unifier takes the
 or-groups as they are and tries their alternatives as its outermost branch
 points.  A receiver alternative is built only when first read; generation
 reserves the fresh names it will take.  `flatten` expands the or-groups
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import syntax as S
-from .classtable import resolve_src_type
+from .classtable import MethodSig, resolve_src_type
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
 from .typeterms import (VOID, ClassType, TPH, fun_type, instantiate, is_fun,
@@ -152,12 +157,6 @@ class ReceiverAlternative(Alternative):
 
 
 @dataclass
-class MethodGen:
-    param_terms: list = field(default_factory=list)
-    ret_term: object = None
-
-
-@dataclass
 class GenResult:
     """The constraints of one class and the terms of its declaration slots.
 
@@ -170,7 +169,7 @@ class GenResult:
     groups: list = field(default_factory=list)        # list[list[Alternative]]
     base_call_sites: list = field(default_factory=list)
     field_terms: dict = field(default_factory=dict)
-    methods: list = field(default_factory=list)       # [MethodGen]
+    methods: list = field(default_factory=list)       # [MethodSig]
     local_terms: dict = field(default_factory=dict)   # LocalDecl uid -> term
     slots: dict = field(default_factory=dict)         # scope -> [term]
     fresh: FreshNames = None
@@ -217,28 +216,29 @@ class _Generator:
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
             self.method_index = i
-            gen = res.methods[i]
+            sig = res.methods[i]
             env = dict(res.field_terms)
-            for p, t in zip(m.params, gen.param_terms):
+            for p, t in zip(m.params, sig.params):
                 env[p.name] = t
             for st in m.body:
-                self.stmt(st, env, gen.ret_term)
+                self.stmt(st, env, sig.ret)
         return res
 
     def _method_signature(self, m):
-        gen = MethodGen()
-        for p in m.params:
-            gen.param_terms.append(self.slot(
-                self.fresh.tph(self.scope) if p.annotation is None else
-                self.resolve(p.annotation)))
+        """Method `m` as the class's callers see it: its declared clause and
+        the terms of its parameter and return slots."""
+        params = [self.slot(self.fresh.tph(self.scope) if p.annotation is None
+                            else self.resolve(p.annotation))
+                  for p in m.params]
         if m.ret is not None:
-            gen.ret_term = self.resolve(m.ret)
+            ret = self.resolve(m.ret)
         elif _returns_value(m.body):
-            gen.ret_term = self.fresh.tph(self.scope)
+            ret = self.fresh.tph(self.scope)
         else:
-            gen.ret_term = VOID
-        self.slot(gen.ret_term)
-        return gen
+            ret = VOID
+        self.slot(ret)
+        return MethodSig(m.name, list(self.table.clause(self.scope)), params,
+                         ret)
 
     # -- statements ----------------------------------------------------------
 
@@ -421,19 +421,18 @@ class _Generator:
     def _call(self, e, env):
         arg_terms = [self.expr(a, env) for a in e.args]
         result = self.fresh.tph(self.scope)
-        if e.recv is None:
-            alts = self._own_method_alternatives(e, arg_terms, result)
-            if not alts:
-                raise UnknownIdentifier(
-                    f"no method '{e.name}' with {len(e.args)} argument(s)",
-                    e.pos.line, e.pos.col)
-        else:
-            recv = self.expr(e.recv, env)
-            alts = self._member_alternatives(e, recv, arg_terms, result)
-            if not alts:
-                raise UnknownMember(
-                    f"no member '{e.name}' taking {len(e.args)} argument(s) "
-                    f"on {_receiver(e, recv)}", e.pos.line, e.pos.col)
+        # a call without receiver is a call on the class being inferred
+        recv = (ClassType(self.cls.name) if e.recv is None
+                else self.expr(e.recv, env))
+        alts = self._member_alternatives(e, recv, arg_terms, result)
+        if not alts and e.recv is None:
+            raise UnknownIdentifier(
+                f"no method '{e.name}' with {len(e.args)} argument(s)",
+                e.pos.line, e.pos.col)
+        if not alts:
+            raise UnknownMember(
+                f"no member '{e.name}' taking {len(e.args)} argument(s) "
+                f"on {_receiver(e, recv)}", e.pos.line, e.pos.col)
         self._add_group(alts)
         return result
 
@@ -444,24 +443,21 @@ class _Generator:
         else:
             self.result.groups.append(alts)
 
-    def _own_method_alternatives(self, e, arg_terms, result):
-        alts = []
-        for i, m in enumerate(self.cls.methods):
-            if m.name != e.name or len(m.params) != len(arg_terms):
-                continue
-            gen = self.result.methods[i]
-            alts.append(self._callee_alternative(
-                e, arg_terms, result, self.table.clause(("method", i)),
-                gen.param_terms, gen.ret_term))
-        return alts
+    def _signatures(self, cname, name, arity):
+        """The signatures named `name` with `arity` parameters of class
+        `cname`, in declaration order: the class being inferred has its
+        methods' slot terms, any other class its entry's templates."""
+        sigs = (self.result.methods if cname == self.cls.name
+                else self.table.entry(cname).methods)
+        return [sig for sig in sigs
+                if sig.name == name and len(sig.params) == arity]
 
-    def _callee_alternative(self, e, arg_terms, result, typeparams, params,
-                            ret):
-        """The alternative of one callee signature, its type parameters
+    def _callee_alternative(self, e, arg_terms, result, sig):
+        """The alternative of callee signature `sig`, its type parameters
         instantiated with fresh placeholders."""
-        names = [self.fresh.tph(self.scope) for _ in typeparams]
+        names = [self.fresh.tph(self.scope) for _ in sig.typeparams]
         return _sig_alternative(e, arg_terms, result, self.method_index,
-                                *_freshen(typeparams, params, ret, names))
+                                *_freshen(sig, names))
 
     def _member_alternatives(self, e, recv, arg_terms, result):
         arity = len(arg_terms)
@@ -470,24 +466,21 @@ class _Generator:
         if self.table.is_typevar(recv):
             recv = next((t for t in self.table.supertype_chain(recv)
                          if not self.table.is_typevar(t)), recv)
-        if isinstance(recv, ClassType) and recv.name == self.cls.name:
-            alts = self._own_method_alternatives(e, arg_terms, result)
-            if alts:
-                return alts
         # a function type's `apply` is its entry's, whatever its arguments
         if (isinstance(recv, ClassType) and (is_ground(recv) or is_fun(recv))
                 and not self.table.is_typevar(recv)):
-            return self._ground_receiver_alternatives(
-                e, recv, arg_terms, result)
+            return [self._callee_alternative(
+                        e, arg_terms, result,
+                        self.table.instantiate_method(sig, recv))
+                    for sig in self._signatures(recv.name, e.name, arity)]
         # placeholder (or placeholder-parameterised) receiver: one
-        # alternative per signature of every table class declaring the
-        # member, built when it is first read
+        # alternative per signature of every class declaring the member,
+        # built when it is first read
         alts = []
-        for cname in self.table.classes_with_method(e.name, arity):
-            if cname == self.cls.name:
+        for cname, entry in self.table.entries.items():
+            sigs = self._signatures(cname, e.name, arity)
+            if not sigs:
                 continue
-            entry = self.table.entry(cname)
-            sigs = self.table.declared_methods(cname, e.name, arity)
             # the names instantiating them would draw: the class's
             # arguments, then each signature's type parameters
             first = self.fresh.reserve(self.scope, entry.arity + sum(
@@ -502,21 +495,16 @@ class _Generator:
                     result, self.method_index, cname, sig, args, tps)))
         return alts
 
-    def _ground_receiver_alternatives(self, e, recv, arg_terms, result):
-        sigs = self.table.instantiated_methods(recv, e.name, len(arg_terms))
-        return [self._callee_alternative(e, arg_terms, result,
-                                         sig.typeparams, sig.params, sig.ret)
-                for sig in sigs]
 
-
-def _freshen(typeparams, params, ret, names):
-    """Instantiate a callee's own type parameters with the placeholders
-    `names` at the call site; returns (params, ret, bound constraints)."""
-    mapping = {tp: t for (tp, _), t in zip(typeparams, names)}
+def _freshen(sig, names):
+    """Instantiate callee signature `sig`'s own type parameters with the
+    placeholders `names` at the call site; returns (params, ret, bound
+    constraints)."""
+    mapping = {tp: t for (tp, _), t in zip(sig.typeparams, names)}
     bounds = [lessdot(mapping[tp], instantiate(bound, mapping))
-              for tp, bound in typeparams if bound is not None]
-    return ([instantiate(p, mapping) for p in params],
-            instantiate(ret, mapping), bounds)
+              for tp, bound in sig.typeparams if bound is not None]
+    return ([instantiate(p, mapping) for p in sig.params],
+            instantiate(sig.ret, mapping), bounds)
 
 
 def _sig_alternative(e, arg_terms, result, caller, params, ret, bounds=(),
@@ -539,10 +527,9 @@ def _receiver_alternative(table, e, recv, arg_terms, result, caller, cname,
     `sig`, whose own type parameters are those numbered `typeparams`;
     returns (constraints, call sites)."""
     rterm = ClassType(cname, tuple(TPH(tph_name(n)) for n in args))
-    sig = table.instantiate_method(sig, rterm)
     alt = _sig_alternative(
         e, arg_terms, result, caller,
-        *_freshen(sig.typeparams, sig.params, sig.ret,
+        *_freshen(table.instantiate_method(sig, rterm),
                   [TPH(tph_name(n)) for n in typeparams]),
         extra=[doteq(recv, rterm)])
     return alt.constraints, alt.call_sites

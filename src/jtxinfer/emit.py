@@ -49,18 +49,42 @@ def typing_sort_key(t):
 
 
 def _canonical(t):
-    """Typing with its placeholder generics renamed positionally (dedup
-    modulo renaming); declared type variables stay as they are."""
-    variables = {v for v, _ in t.generics}
-    sigma = {n: TPH(f"#{i}") for i, n in enumerate(
-        n for n in t.names() if TPH(n) in variables)}
+    """Typing `t` up to renaming (the dedup key): its parameters, its return
+    and the clause pairs of the variables these reach through bounds, the
+    placeholders numbered in order of reach; declared type variables keep
+    their names.  A clause variable reached from neither, such as one of
+    the method's locals, does not count."""
+    bounds = dict(t.generics)
+    reached = []
+
+    def reach(term):
+        for v in _leaves(term):
+            if v in bounds and v not in reached:
+                reached.append(v)
+
+    for x in (*t.params, t.ret):
+        reach(x)
+    for v in reached:  # grows while it is walked
+        if bounds[v] is not None:
+            reach(bounds[v])
+    sigma = {v.name: TPH(f"#{i}") for i, v in enumerate(reached)
+             if isinstance(v, TPH)}
 
     def canon(x):
         return str(substitute(x, sigma))
 
-    return (tuple(sorted((canon(v), None if b is None else canon(b))
-                         for v, b in t.generics)),
+    return (tuple((canon(v), None if bounds[v] is None else canon(bounds[v]))
+                  for v in reached),
             tuple(canon(x) for x in t.params), canon(t.ret))
+
+
+def _leaves(term):
+    """The terms without arguments in `term`, left to right."""
+    if isinstance(term, ClassType) and term.args:
+        for a in term.args:
+            yield from _leaves(a)
+    else:
+        yield term
 
 
 def clause_terms(clause):
@@ -120,7 +144,7 @@ def term_to_srctype(term):
 
 def canonical_renaming(names_in_order, reserved=()):
     """First-use order renaming onto the alphabetic sequence A, B, …
-    skipping any name in `reserved` (declared type variables)."""
+    skipping any name in `reserved` (declared type variables, classes)."""
     free = (name for name in map(tph_name, itertools.count())
             if name not in reserved)
     ren = {}
@@ -133,9 +157,9 @@ def canonical_renaming(names_in_order, reserved=()):
 def rename_apart(t, sigma, taken):
     """Typing `t` renamed by `sigma` (name -> TPH) without capture.  A
     placeholder outside `sigma`'s domain keeps its name unless that name
-    is `taken` (one `sigma` maps onto, or a declared variable's); then it
-    takes the first name of the sequence A, B, … that is neither taken nor
-    in `t`."""
+    is `taken` (one `sigma` maps onto, a declared variable's or a class's);
+    then it takes the first name of the sequence A, B, … that is neither
+    taken nor in `t`."""
     names = t.names()
     clash = [n for n in names if n not in sigma and n in taken]
     if clash:
@@ -151,17 +175,18 @@ def declared_names(rep):
             for v, _ in clause if isinstance(v, ClassType)}
 
 
-def build_typed_class(cls, rep):
+def build_typed_class(cls, rep, classes=()):
     """ClassDecl `cls` annotated (new AST) with the slot terms and generics
     clauses of `rep`, the class's representative `pipeline.SolvedClass`,
-    under canonical placeholder names."""
+    under canonical placeholder names; a name takes neither a declared
+    variable's name nor one of `classes`."""
 
     order = [n for t in (*rep.field_terms.values(),
                          *clause_terms(rep.class_generics))
              for n in tphs_of(t)]
     order += [n for t in rep.methods for n in t.names()]
     order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
-    ren = canonical_renaming(order, declared_names(rep))
+    ren = canonical_renaming(order, {*declared_names(rep), *classes})
     sigma = {old: TPH(new) for old, new in ren.items()}
 
     def conv(term):

@@ -199,8 +199,8 @@ class _Solved:
         field_terms = {n: final(t) for n, t in gen.field_terms.items()}
         methods = []
         for i, m in enumerate(gen.methods):
-            params = tuple(final(t) for t in m.param_terms)
-            ret = final(m.ret_term)
+            params = tuple(final(t) for t in m.params)
+            ret = final(m.ret)
             methods.append(E.MethodTyping(
                 clause(("method", i), [*params, ret]), params, ret))
         return SolvedClass(
@@ -271,10 +271,11 @@ def _assemble(cls, finished, table):
     finished = sorted(finished, key=lambda s: [
         E.typing_sort_key(t) for t in s.methods])
     rep = finished[0]
-    typed_cls, ren = E.build_typed_class(cls, rep)
+    # a generated name takes no declared variable's and no class's name
+    typed_cls, ren = E.build_typed_class(cls, rep, table.entries)
     sigma = {old: TPH(new) for old, new in ren.items()}
     # the other solutions' names outside `ren` must not meet its images
-    taken = {*ren.values(), *E.declared_names(rep)}
+    taken = {*ren.values(), *E.declared_names(rep), *table.entries}
 
     signatures = []
     used = []

@@ -103,6 +103,30 @@ class TwoCycles {
 }
 """
 
+# programs whose signatures tests/test_pipeline.py pins and whose typed
+# outputs tests/test_javac.py compiles
+PINNED_SRCS = {
+    # member calls resolved against the class being inferred: on a local
+    # holding a new instance, with another class declaring the member too,
+    # and on parameters
+    "OwnLocal": "class C { m(x) { var d = new C(); return d.n(x); } "
+                "n(y) { return y; } }",
+    "OwnLocalPruned": "class A { n(y) { return y; } } "
+                      "class C { m(x) { var d = new C(); return d.n(x); } "
+                      "n(y) { return y; } }",
+    "OwnParam": "class C { m(o, x) { return o.n(x); } n(y) { return y; } }",
+    "TwoParam": "class A { n(y) { return y; } } "
+                "class B { n(y) { return y; } g(o, x) { return o.n(x); } }",
+    # generated names skip the class names A and B
+    "ClassLetters": "class A { m(x) { return x; } } "
+                    "class B { k(a) { var o = new A(); return o.m(a); } }",
+    # m1's members differ only in the clause variables of its locals
+    "LocalsClause": "import java.lang.Double; "
+                    "class C { m0(p0, p1) { var v0 = 1; var v1 = y -> v0; "
+                    "return p0; } m1() { var v0 = y -> y; var v1 = y -> v0; "
+                    "var v2 = x -> x; var v3 = true; return v3; } }",
+}
+
 ALL_GOLDEN_SRCS = {
     "Fac": FAC_SRC,
     "TPHsToGenerics": TPHS_SRC,

@@ -102,7 +102,7 @@ def test_criterion_01_fac_single_unifier():
     if ok:
         (s,) = sols
         m = gen.methods[0]
-        slots = [s.term(m.ret_term), s.term(m.param_terms[0])] + \
+        slots = [s.term(m.ret), s.term(m.params[0])] + \
             [s.term(t) for t in gen.local_terms.values()]
         # N (return), O (parameter), P (res), R (i) all map to Integer
         ok &= all(t == ClassType("Integer") for t in slots)
@@ -144,13 +144,13 @@ def _tphs_anchor_map(gen, s):
     field = s.term(gen.field_terms["id"])
     id2, m, m2 = gen.methods
     ren = {field.args[0].name: "UD", field.args[-1].name: "ETX"}
-    ren[s.term(id2.param_terms[0]).name] = "V"
-    ren[s.term(m.param_terms[0]).name] = "AM"
-    ren[s.term(m.param_terms[1]).name] = "AN"
-    ren[s.term(m.ret_term).name] = "AI"
-    ren[s.term(m2.param_terms[0]).name] = "AB"
-    ren[s.term(m2.param_terms[1]).name] = "AD"
-    ren[s.term(m2.ret_term).name] = "AA"
+    ren[s.term(id2.params[0]).name] = "V"
+    ren[s.term(m.params[0]).name] = "AM"
+    ren[s.term(m.params[1]).name] = "AN"
+    ren[s.term(m.ret).name] = "AI"
+    ren[s.term(m2.params[0]).name] = "AB"
+    ren[s.term(m2.params[1]).name] = "AD"
+    ren[s.term(m2.ret).name] = "AA"
     (local_c,) = [s.term(t) for t in gen.local_terms.values()]
     ren[local_c.name] = "AE"
     # the one placeholder not visible in any slot sits between UD and ETX
@@ -199,19 +199,19 @@ MUTUAL_CS = {("B", "J"), ("BB", "H"), ("B", "F"), ("C", "G"), ("GG", "D"),
 def _mutual_anchor_map(gen, s):
     m1, m2, idm = gen.methods
     ren = {}
-    ren[s.term(m1.param_terms[0]).name] = "B"
-    ren[s.term(m1.param_terms[1]).name] = "C"
-    r1 = s.term(m1.ret_term)
+    ren[s.term(m1.params[0]).name] = "B"
+    ren[s.term(m1.params[1]).name] = "C"
+    r1 = s.term(m1.ret)
     ren[r1.args[0].name], ren[r1.args[1].name] = "BB", "DD"
     l1, l2 = [s.term(t) for t in gen.local_terms.values()]
     ren[l1.name] = "D"
-    ren[s.term(m2.param_terms[0]).name] = "F"
-    ren[s.term(m2.param_terms[1]).name] = "G"
-    r2 = s.term(m2.ret_term)
+    ren[s.term(m2.params[0]).name] = "F"
+    ren[s.term(m2.params[1]).name] = "G"
+    r2 = s.term(m2.ret)
     ren[r2.args[0].name], ren[r2.args[1].name] = "HH", "GG"
     ren[l2.name] = "H"
-    ren[s.term(idm.param_terms[0]).name] = "J"
-    ren[s.term(idm.ret_term).name] = "I"
+    ren[s.term(idm.params[0]).name] = "J"
+    ren[s.term(idm.ret).name] = "I"
     return ren
 
 

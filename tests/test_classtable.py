@@ -125,8 +125,12 @@ def test_only_fully_annotated_methods_are_declared():
     t = table_for("class A { m(x) { return x; } Integer n(Integer y) "
                   "{ return y; } o(Integer z) { return z; } void v() { } }")
     assert [m.name for m in t.entry("A").methods] == ["n", "v"]
-    assert t.classes_with_method("m", 1) == []
-    assert t.classes_with_method("n", 1) == ["A"]
+    assert [name for name, e in t.entries.items()
+            if any(m.name == "m" and len(m.params) == 1
+                   for m in e.methods)] == []
+    assert [name for name, e in t.entries.items()
+            if any(m.name == "n" and len(m.params) == 1
+                   for m in e.methods)] == ["A"]
 
 
 def test_user_class_registered_with_object_super():
@@ -252,12 +256,15 @@ def test_resolve_arity_mismatch():
 def test_instantiated_methods_of_pair():
     t = table_for("import java.util.Pair;\nclass A { m() { return 1; } }")
     term = ClassType("Pair", (ClassType("Integer"), ClassType("Boolean")))
-    (fst,) = t.instantiated_methods(term, "fst", 0)
+    (fst,) = [t.instantiate_method(m, term) for m in t.entry("Pair").methods
+              if m.name == "fst" and not m.params]
     assert fst.ret == ClassType("Integer")
-    (snd,) = t.instantiated_methods(term, "snd", 0)
+    (snd,) = [t.instantiate_method(m, term) for m in t.entry("Pair").methods
+              if m.name == "snd" and not m.params]
     assert snd.ret == ClassType("Boolean")
 
 
 def test_classes_with_method_apply():
     t = table_for("class A { f = x -> x; }")
-    assert "Fun1$$" in t.classes_with_method("apply", 1)
+    assert any(m.name == "apply" and len(m.params) == 1
+               for m in t.entry("Fun1$$").methods)

@@ -24,8 +24,8 @@ def cons_strs(cs):
 def test_fac_base_constraints_cover_figure_shapes():
     gen, _ = gen_for(FAC_SRC)
     m = gen.methods[0]
-    n_ = str(m.ret_term)
-    o = str(m.param_terms[0])
+    n_ = str(m.ret)
+    o = str(m.params[0])
     locals_ = list(gen.local_terms.values())
     p, r = str(locals_[0]), str(locals_[1])
     s = cons_strs(gen.base)
@@ -82,7 +82,7 @@ def test_increment_desugars_to_plus_one():
 
 def test_void_method_inferred():
     gen, _ = gen_for("class A { m(x) { x = x; } }")
-    assert gen.methods[0].ret_term == VOID
+    assert gen.methods[0].ret == VOID
 
 
 def test_return_value_from_void_method_rejected():
@@ -124,9 +124,9 @@ def test_own_method_call_uses_signature_placeholders():
     id_gen = gen.methods[0]
     # the call flows the argument into id's own parameter placeholder
     flows = [c for c in gen.base
-             if c.kind == "lessdot" and c.rhs == id_gen.param_terms[0]]
+             if c.kind == "lessdot" and c.rhs == id_gen.params[0]]
     assert len(flows) == 1
-    assert flows[0].lhs == gen.methods[1].param_terms[0]
+    assert flows[0].lhs == gen.methods[1].params[0]
 
 
 def test_placeholder_receiver_builds_or_group():
@@ -179,9 +179,9 @@ def test_lambda_slots_belong_to_the_enclosing_member():
     k, m = gen.methods
     assert list(gen.slots) == [("class",), ("method", 0), ("method", 1)]
     assert gen.slots[("class",)] == [f, _lambda_param_slot(gen, f), z]
-    assert gen.slots[("method", 0)] == [k.ret_term]
+    assert gen.slots[("method", 0)] == [k.ret]
     assert gen.slots[("method", 1)] == [
-        *m.param_terms, m.ret_term, g, _lambda_param_slot(gen, g), w]
+        *m.params, m.ret, g, _lambda_param_slot(gen, g), w]
 
 
 def test_call_sites_recorded():

@@ -51,6 +51,18 @@ def test_assemble_distinguishes_bounds():
     assert len(assemble_intersection_types([a, b])) == 2
 
 
+def test_assemble_ignores_clause_variables_the_signature_does_not_reach():
+    # L and M are a local's; X's bound Y is reached through X
+    a = mt([TPH("X")], BOOL, [(TPH("X"), TPH("Y")), (TPH("Y"), None),
+                              (TPH("L"), TPH("M")), (TPH("M"), None)])
+    b = mt([TPH("U")], BOOL, [(TPH("U"), TPH("V")), (TPH("V"), None),
+                              (TPH("L"), None)])
+    assert len(assemble_intersection_types([a, b])) == 1
+    c = mt([TPH("U")], BOOL, [(TPH("U"), TPH("V")),
+                              (TPH("V"), ClassType("Number"))])
+    assert len(assemble_intersection_types([a, c])) == 2
+
+
 def test_assemble_keeps_declared_variables_rigid():
     gens = [(ClassType("T"), None), (TPH("X"), None)]
     a = mt([ClassType("T"), TPH("X")], VOID, gens)

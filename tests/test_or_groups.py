@@ -242,8 +242,8 @@ def _built(gen):
 
 @pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
 def test_depth_receivers_try_and_build_one_class(n):
-    # D_i's receiver is `new D_{i-1}()`, so of the i classes declaring f
-    # only D_{i-1} is tried and built
+    # D_i's receiver is `new D_{i-1}()`, so of the i + 1 classes declaring
+    # f, D_i itself among them, only D_{i-1} is tried and built
     (prog,) = [p for p in corpus.workload("paper-units", 1)
                if p.name == f"depth/n{n}"]
     classes = _searched(prog.source)
@@ -256,9 +256,9 @@ def test_depth_receivers_try_and_build_one_class(n):
         assert (stats["alternatives"] + stats["pruned"]
                 == sum(len(g) for g in gen.groups))
         total += stats
-    # D_0 calls nothing and D_1's call has one alternative, in the base
-    assert total["alternatives"] == n - 2
-    assert total["pruned"] == sum(range(2, n)) - (n - 2)
+    # D_0 calls nothing and D_1's call is a group of two alternatives
+    assert total["alternatives"] == n - 1
+    assert total["pruned"] == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("body, tried, pruned, built", RECEIVER_CASES)

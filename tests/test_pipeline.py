@@ -13,7 +13,8 @@ from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import ClassType
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
-                      INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, TPHS_SRC)
+                      INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, PINNED_SRCS,
+                      TPHS_SRC)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus  # noqa: E402
@@ -253,7 +254,7 @@ def _sigs_reenter(src):
 def test_declared_class_generic_keeps_its_name():
     sigs, r = _sigs_reenter(
         "class C<A> { f; m(A x, y) { f = y; return x; } }")
-    assert sigs == ["C.m : <C extends B> (A, C) -> A"]
+    assert sigs == ["C.m : <D extends B> (A, D) -> A"]
     typed = r.class_results[0].typed_cls
     assert sorted(g.name for g in typed.generics) == ["A", "B"]
     assert str(typed.fields[0].annotation) == "B"
@@ -419,8 +420,8 @@ def test_block_lambda_locals_are_generalized_in_their_method():
     sigs, _ = _sigs_reenter(
         "class C { m(a) { var f = (y) -> { var z = y; return z; }; "
         "return f.apply(a); } }")
-    assert sigs == ["C.m : <A extends C, B, C extends D, D extends E, "
-                    "F extends B, E extends F> A -> B"]
+    assert sigs == ["C.m : <A extends D, B, D extends E, E extends F, "
+                    "G extends B, F extends G> A -> B"]
 
 
 def test_self_application_has_a_finite_typing():
@@ -439,11 +440,64 @@ def test_other_solutions_are_renamed_apart():
     r = run("import java.lang.Double; class C { m(p) { var v = 1 * 1; "
             "v = p; var f = x -> x; return f; } n(a, b) { return a + b; } }")
     (m, n) = J.signature_lines(r)
-    assert m.endswith(" & <F, A extends C, B, C extends D, D extends E, "
-                      "E extends B> F -> Fun1$$<A, B> & "
-                      "<F, C extends D, D extends E, E> F -> Object")
+    assert m.endswith(" & <G, A extends D, B, D extends E, E extends F, "
+                      "F extends B> G -> Fun1$$<A, B> & "
+                      "<G, D extends E, E extends F, F> G -> Object")
     assert n == "C.n : (Integer, Integer) -> Integer & (Double, Double) -> Double"
     assert_no_clause_declares_a_name_twice(r)
+
+
+# signature lines of each pinned program, and those of its typed output
+# where that prints one member of an intersection
+PINNED_SIGS = {
+    "OwnLocal": ["C.m : <A extends B, B> A -> B",
+                 "C.n : <D extends E, E> D -> E"],
+    "OwnLocalPruned": ["A.n : <B extends D, D> B -> D",
+                       "C.m : <B extends D, D> B -> D",
+                       "C.n : <E extends F, F> E -> F"],
+    "OwnParam": ["C.m : <A extends B, B> (C, A) -> B",
+                 "C.n : <D extends E, E> D -> E"],
+    "TwoParam": ["A.n : <C extends D, D> C -> D",
+                 "B.n : <C extends D, D> C -> D",
+                 "B.g : <E extends F, F> (A, E) -> F & "
+                 "<E extends F, F> (B, E) -> F"],
+    "ClassLetters": ["A.m : <C extends D, D> C -> D",
+                     "B.k : <C extends D, D> C -> D"],
+    "LocalsClause": ["C.m0 : <A extends D, B, D, E extends F, F> (A, B) -> D",
+                     "C.m1 : <G extends H, H extends I, I extends J, "
+                     "K extends L, L, M extends N, N extends O, O, "
+                     "P extends G, J> () -> Boolean"],
+}
+PINNED_REENTRY = {
+    "TwoParam": ["A.n : <C extends D, D> C -> D",
+                 "B.n : <C extends D, D> C -> D",
+                 "B.g : <E extends F, F> (A, E) -> F"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SRCS))
+def test_pinned_program_types_and_reenters_to_its_printed_member(name):
+    r = run(PINNED_SRCS[name])
+    assert J.signature_lines(r) == PINNED_SIGS[name]
+    again = run(J.typed_source(r))
+    assert J.signature_lines(again) == PINNED_REENTRY.get(
+        name, PINNED_SIGS[name])
+
+
+def test_member_call_on_own_class_local_types_like_a_new_receiver():
+    """A local holding a new instance of the class being inferred offers
+    that class's methods, as the receiver `new C()` itself does."""
+    via_new = run("class C { m(x) { return new C().n(x); } "
+                  "n(y) { return y; } }")
+    assert (J.signature_lines(via_new)[0]
+            == PINNED_SIGS["OwnLocal"][0])
+
+
+def test_members_differing_in_locals_clause_share_one_descriptor():
+    r = run(PINNED_SRCS["LocalsClause"])
+    assert J.descriptor_lines(r) == [
+        "C.m0 : (Ljava$lang$Object;Ljava$lang$Object;)Ljava$lang$Object;",
+        "C.m1 : ()Ljava$lang$Boolean;"]
 
 
 def assert_no_clause_declares_a_name_twice(result):
