@@ -190,10 +190,9 @@ class ClassTable:
             nxt = self.direct_supertype(cur)
             if nxt is None:
                 break
-            key = str(nxt)
-            if key in seen:
+            if nxt in seen:
                 break
-            seen.add(key)
+            seen.add(nxt)
             chain.append(nxt)
             cur = nxt
         return chain
@@ -207,9 +206,9 @@ class ClassTable:
     def is_subtype(self, a, b):
         """Declared subtyping on terms without free placeholders (TPH leaves
         compare by identity, which also serves rigid placeholder args)."""
-        if a == b:
+        if a is b:
             return True
-        if a == VOID or b == VOID:
+        if a is VOID or b is VOID:
             return False
         if isinstance(b, ClassType) and b.name == "Object" and not b.args:
             return not isinstance(a, TPH)
@@ -225,7 +224,7 @@ class ClassTable:
             raise ArityMismatch(f"arity mismatch between {a} and {b}")
         variance = self.variance(a.name) or [0] * len(a.args)
         for v, x, y in zip(variance, a.args, b.args):
-            if v == 0 and x != y:
+            if v == 0 and x is not y:
                 return False
             if v < 0 and not self.is_subtype(y, x):
                 return False
@@ -389,7 +388,7 @@ def class_view(cls, table):
 
     def bound(g, scope):
         b = g.bound and resolve_src_type(g.bound, names, scope)
-        return None if b == ClassType("Object") else b
+        return None if b is ClassType("Object") else b
 
     return ClassTable(table.entries, {
         scope: tuple((g.name, bound(g, scope)) for g in gs)

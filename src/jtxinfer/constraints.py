@@ -7,12 +7,15 @@ its callee's signatures the same way in every class, the class being
 inferred among them: that class offers its methods' slot terms, any other
 its table entry's templates.  A call without receiver is a call on the
 class being inferred; a receiver whose type is not yet known may be any
-class that declares the member, that class included.  The unifier takes the
-or-groups as they are and tries their alternatives as its outermost branch
-points.  A receiver alternative is built only when first read; generation
-reserves the fresh names it will take.  `flatten` expands the or-groups
-into plain candidate constraint sets; it renders the `constraints` dump and
-serves as the reference the tests check that search against.
+class that declares the member, that class included.  A field access on
+such a receiver has one alternative per class declaring the field: it
+binds the receiver and equates the access with the field's term.  The
+unifier takes the or-groups as they are and tries their alternatives as
+its outermost branch points.  A receiver alternative is built only when
+first read; generation reserves the fresh names it will take.  `flatten`
+expands the or-groups into plain candidate constraint sets; it renders the
+`constraints` dump and serves as the reference the tests check that search
+against.
 """
 
 from __future__ import annotations
@@ -133,10 +136,11 @@ class Alternative:
 
 class ReceiverAlternative(Alternative):
     """One signature of a table class declaring a member called on a
-    placeholder receiver: it binds the receiver term `recv` to the class
-    `head`.  `build` makes its constraints and call sites on first read,
-    from names reserved for it at generation, so an alternative the unifier
-    never tries is never built, and the names are the same either way."""
+    placeholder receiver, or the field of one declaring a field read there:
+    it binds the receiver term `recv` to the class `head`.  `build` makes
+    its constraints and call sites on first read, from names reserved for
+    it at generation, so an alternative the unifier never tries is never
+    built, and the names are the same either way."""
 
     def __init__(self, recv, head, build):
         self.recv = recv
@@ -274,11 +278,11 @@ class _Generator:
                 self.stmt(s, inner, ret)
         elif isinstance(st, S.Return):
             if st.value is None:
-                if ret != VOID:
+                if ret is not VOID:
                     self.emit(doteq(ret, VOID))
                 return
             t = self.expr(st.value, env)
-            if ret == VOID:
+            if ret is VOID:
                 raise Untypable(
                     "value returned from a void method",
                     st.pos.line, st.pos.col)
@@ -404,10 +408,16 @@ class _Generator:
 
     def _field_access(self, e, env):
         recv = self.expr(e.recv, env)
-        if (isinstance(recv, ClassType) and recv.name == self.cls.name
+        if isinstance(recv, TPH):
+            result = self.fresh.tph(self.scope)
+            alts = self._field_alternatives(e, recv, result)
+            if alts:
+                self._add_group(alts)
+                return result
+        elif (isinstance(recv, ClassType) and recv.name == self.cls.name
                 and e.name in self.result.field_terms):
             return self.result.field_terms[e.name]
-        if isinstance(recv, ClassType) and recv.name in self.table.entries:
+        elif isinstance(recv, ClassType) and recv.name in self.table.entries:
             entry = self.table.entry(recv.name)
             if e.name in entry.fields and entry.fields[e.name] is not None:
                 return self.table._instantiate(
@@ -415,6 +425,22 @@ class _Generator:
         raise UnknownMember(
             f"no field '{e.name}' on {_receiver(e, recv)}",
             e.pos.line, e.pos.col)
+
+    def _field_alternatives(self, e, recv, result):
+        """Placeholder receiver: one alternative per class declaring field
+        `e.name` with a known term, the class being inferred included,
+        built when it is first read."""
+        alts = []
+        for cname, entry in self.table.entries.items():
+            term = (self.result.field_terms if cname == self.cls.name
+                    else entry.fields).get(e.name)
+            if term is None:
+                continue
+            first = self.fresh.reserve(self.scope, entry.arity)
+            alts.append(ReceiverAlternative(recv, cname, partial(
+                _field_alternative, self.table, recv, result, cname, term,
+                range(first, first + entry.arity))))
+        return alts
 
     # -- calls ------------------------------------------------------------
 
@@ -535,6 +561,15 @@ def _receiver_alternative(table, e, recv, arg_terms, result, caller, cname,
     return alt.constraints, alt.call_sites
 
 
+def _field_alternative(table, recv, result, cname, template, args):
+    """Build a field receiver alternative: `recv` is class `cname` with the
+    placeholders numbered `args`, and `result` is its field `template`
+    instantiated there; returns (constraints, call sites)."""
+    rterm = ClassType(cname, tuple(TPH(tph_name(n)) for n in args))
+    term = table._instantiate(template, table.entry(cname), rterm.args)
+    return [doteq(recv, rterm), doteq(result, term)], []
+
+
 def _receiver(e, recv):
     """How a diagnostic names a member's receiver: by its type once that is
     known, else by the receiver expression."""
@@ -595,7 +630,7 @@ def call_sites(result, choice):
 def _contradictory(constraints, table):
     for c in constraints:
         if is_ground(c.lhs) and is_ground(c.rhs):
-            if c.kind == "doteq" and c.lhs != c.rhs:
+            if c.kind == "doteq" and c.lhs is not c.rhs:
                 return True
             if c.kind == "lessdot" and not table.is_subtype(c.lhs, c.rhs):
                 return True

@@ -135,7 +135,7 @@ def signature_report(class_name, method_signatures):
 
 
 def term_to_srctype(term):
-    if term == VOID:
+    if term is VOID:
         return S.SrcType("void")
     if isinstance(term, TPH):
         return S.SrcType(term.name)

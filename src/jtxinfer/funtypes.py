@@ -125,7 +125,7 @@ def fun_interface_hierarchy(used, table):
             continue
         supers = []
         above = [u for u in used
-                 if u != t and is_ground(u) and is_ground(t)
+                 if u is not t and is_ground(u) and is_ground(t)
                  and table.is_subtype(t, u)]
         for u in above:
             if any(w is not u and w is not t and table.is_subtype(t, w)
@@ -145,7 +145,7 @@ def render_manifest(decls):
 def descriptor_term(t, table=None):
     """JVM-style descriptor fragment for one type.  Placeholders and type
     variables erase to Object; generic heads keep their raw name."""
-    if t == VOID:
+    if t is VOID:
         return "V"
     if is_fun(t):
         return f"L{mangle_funtype_name(t, table)};"

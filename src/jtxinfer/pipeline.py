@@ -222,7 +222,7 @@ def _dedup(solved):
 
 
 def _atomic(t):
-    return (isinstance(t, ClassType) and not t.args) or t == VOID
+    return (isinstance(t, ClassType) and not t.args) or t is VOID
 
 
 def _minimal(solved, table):
@@ -242,7 +242,7 @@ def _minimal(solved, table):
         strict = False
         for k, va in a.sigma.items():
             vb = b.sigma[k]
-            if vb != va and _atomic(va) and _atomic(vb):
+            if vb is not va and _atomic(va) and _atomic(vb):
                 if not table.is_subtype(vb, va):
                     return False
                 strict = True

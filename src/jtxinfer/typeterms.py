@@ -1,53 +1,114 @@
 """Type terms: class types, placeholders and void.
 
-Terms are immutable; substitution returns new terms.  A function type is
-the class type ``Fun{N}$$<T1, …, TN, R>``, or ``FunVoid{N}$$<T1, …, TN>``
-when it returns void; the class table generates an entry for each such
-head a program uses.
+Terms are hash-consed: constructing a term returns the one object for its
+structure, a class type's `(name, args)` or a placeholder's name, and
+`VOID` is the one void term.  So two terms are equal exactly when they are
+the same object, and `==` and `hash` are those of `object`.  Each term
+holds what is computed once when it is first built: `tphs`, the names of
+its placeholders in left-to-right order of first occurrence, and its
+printed form.  Terms are immutable; substitution returns new terms.  The
+intern tables live as long as the process and hold every distinct term it
+builds.
+
+A function type is the class type ``Fun{N}$$<T1, …, TN, R>``, or
+``FunVoid{N}$$<T1, …, TN>`` when it returns void; the class table
+generates an entry for each such head a program uses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 
 class TypeTerm:
-    __slots__ = ()
+    """A hash-consed term: `tphs` is its tuple of placeholder names, in
+    order of first occurrence, and `str` its printed form."""
 
-
-@dataclass(frozen=True)
-class ClassType(TypeTerm):
-    """Named type, possibly generic.  Also used for declared type variables,
-    which are arity-0 entries in a scoped class table."""
-
-    name: str
-    args: tuple = ()
+    __slots__ = ("tphs", "_str")
 
     def __str__(self):
-        if not self.args:
-            return self.name
-        return f"{self.name}<{', '.join(str(a) for a in self.args)}>"
+        return self._str
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-@dataclass(frozen=True)
+# writes a slot past `TypeTerm.__setattr__`; only while a term is built
+_set = object.__setattr__
+
+_CLASS_TYPES = {}   # (name, args) -> ClassType
+_TPHS = {}          # name -> TPH
+
+
+class ClassType(TypeTerm):
+    """Named type, possibly generic; `args` is a tuple of terms.  Also used
+    for declared type variables, which are arity-0 entries in a scoped
+    class table."""
+
+    __slots__ = ("name", "args")
+
+    def __new__(cls, name, args=()):
+        term = _CLASS_TYPES.get((name, args))
+        if term is None:
+            term = object.__new__(cls)
+            _set(term, "name", name)
+            _set(term, "args", args)
+            _set(term, "tphs", tuple(dict.fromkeys(
+                n for a in args for n in a.tphs)))
+            _set(term, "_str", f"{name}<{', '.join(a._str for a in args)}>"
+                 if args else name)
+            _CLASS_TYPES[name, args] = term
+        return term
+
+    def __reduce__(self):
+        return (ClassType, (self.name, self.args))
+
+    def __repr__(self):
+        return f"ClassType(name={self.name!r}, args={self.args!r})"
+
+
 class TPH(TypeTerm):
     """Type placeholder: a fresh inference variable."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __str__(self):
-        return self.name
+    def __new__(cls, name):
+        term = _TPHS.get(name)
+        if term is None:
+            term = object.__new__(cls)
+            _set(term, "name", name)
+            _set(term, "tphs", (name,))
+            _set(term, "_str", name)
+            _TPHS[name] = term
+        return term
+
+    def __reduce__(self):
+        return (TPH, (self.name,))
+
+    def __repr__(self):
+        return f"TPH(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class VoidType(TypeTerm):
-    def __str__(self):
-        return "void"
+    __slots__ = ()
+
+    def __new__(cls):
+        return VOID
+
+    def __reduce__(self):
+        return (VoidType, ())
+
+    def __repr__(self):
+        return "VoidType()"
 
 
-VOID = VoidType()
+VOID = object.__new__(VoidType)
+_set(VOID, "tphs", ())
+_set(VOID, "_str", "void")
 
 # FunN$$ / FunVoidN$$ head, N without leading zeros; `match` finds it at the
 # start of a mangled name
@@ -65,7 +126,7 @@ def fun_head_arity(name):
 def fun_type(params, ret):
     """The class type of a function from `params` to `ret`."""
     params = tuple(params)
-    if ret == VOID:
+    if ret is VOID:
         return ClassType(f"FunVoid{len(params)}$$", params)
     return ClassType(f"Fun{len(params)}$$", params + (ret,))
 
@@ -76,6 +137,8 @@ def is_fun(term):
             and FUN_HEAD.fullmatch(term.name) is not None)
 
 
+# cached, as `tph_number` is: generation names every placeholder it draws
+@lru_cache(maxsize=1 << 16)
 def tph_name(n):
     """Name of the n-th generated placeholder: 0 -> A, 25 -> Z, 26 -> AA, ...
     (bijective base 26)."""
@@ -101,14 +164,14 @@ def tph_number(name):
 
 
 def substitute(term, sigma):
-    """Apply a TPH->TypeTerm map to a term (single pass)."""
+    """Apply a TPH->TypeTerm map to a term (single pass); a ground term is
+    returned as it is."""
+    if not term.tphs:
+        return term
     if isinstance(term, TPH):
         return sigma.get(term.name, term)
-    if isinstance(term, ClassType):
-        if not term.args:
-            return term
-        return ClassType(term.name, tuple(substitute(a, sigma) for a in term.args))
-    return term
+    return ClassType(term.name,
+                     tuple([substitute(a, sigma) for a in term.args]))
 
 
 def instantiate(term, mapping):
@@ -124,27 +187,13 @@ def instantiate(term, mapping):
 
 def tphs_of(term):
     """TPH names occurring in a term, in left-to-right order of first
-    occurrence (a dict used as an ordered set)."""
-    out = {}
-    _collect_tphs(term, out)
-    return out
-
-
-def _collect_tphs(term, out):
-    if isinstance(term, TPH):
-        out.setdefault(term.name)
-    elif isinstance(term, ClassType):
-        for a in term.args:
-            _collect_tphs(a, out)
+    occurrence: the tuple the term holds."""
+    return term.tphs
 
 
 def is_ground(term):
     """True when the term contains no TPH."""
-    if isinstance(term, TPH):
-        return False
-    if isinstance(term, ClassType):
-        return all(is_ground(a) for a in term.args)
-    return True
+    return not term.tphs
 
 
 def fun_subterms(term):

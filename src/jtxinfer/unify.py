@@ -36,16 +36,17 @@ flattened candidate of base plus chosen constraints would run on its own,
 step for step and name for name: undoing to a group frame also resets the
 fresh-name counter and the step budget to what they were at its mark.
 
-A receiver group (a member call on a placeholder receiver, one alternative
-per class that declares the member) is filtered when its frame opens: it
-tries only the alternatives whose class head the receiver may still take,
-the head of the term it is bound to, or else a head on the supertype chain
-of every headed lower bound parked on it.  A skipped alternative is one
-whose first constraint, `recv = C<...>`, would fail at once: against the
-binding, or by re-queueing a lower bound `lo < recv` that `_step_lessdot`
-fails on the same chain.  Since it would draw no name and emit nothing, the
-surviving choices keep their solutions, order and names; the skipped ones
-are counted as `pruned`, and an alternative is built only when tried.
+A receiver group (a member call or field access on a placeholder receiver,
+one alternative per class that declares the member) is filtered when its
+frame opens: it tries only the alternatives whose class head the receiver
+may still take, the head of the term it is bound to, or else a head on the
+supertype chain of every headed lower bound parked on it.  A skipped
+alternative is one whose first constraint, `recv = C<...>`, would fail at
+once: against the binding, or by re-queueing a lower bound `lo < recv` that
+`_step_lessdot` fails on the same chain.  Since it would draw no name and
+emit nothing, the surviving choices keep their solutions, order and names;
+the skipped ones are counted as `pruned`, and an alternative is built only
+when tried.
 
 The lessdot branch points are taken in parking order: the oldest one-sided
 lessdot still parked is next, its alternatives made lazily in `_branches`
@@ -268,7 +269,7 @@ class _Unifier:
             return {recv.name} if isinstance(recv, ClassType) else set()
         heads = None
         for c in self.index.get(recv.name, ()):
-            if c.parked and c.rhs == recv and isinstance(c.lhs, ClassType):
+            if c.parked and c.rhs is recv and isinstance(c.lhs, ClassType):
                 # `lo < Object` holds whatever the chain of `lo`
                 chain = {"Object"}.union(
                     t.name for t in self.table.supertype_chain(c.lhs))
@@ -351,7 +352,7 @@ class _Unifier:
             kind, a, b = work.pop()
             if sigma:
                 a, b = substitute(a, sigma), substitute(b, sigma)
-            if a == b:
+            if a is b:
                 continue
             if kind == "doteq":
                 out = self._step_doteq(a, b)
@@ -378,13 +379,13 @@ class _Unifier:
         if isinstance(b, TPH):
             return ("bind", b.name, a)
         # a and b differ, so at most one is void
-        if (a == VOID or b == VOID or a.name != b.name
+        if (a is VOID or b is VOID or a.name != b.name
                 or len(a.args) != len(b.args)):
             return "fail"
         return [doteq(x, y) for x, y in zip(a.args, b.args)]
 
     def _step_lessdot(self, a, b):
-        if a == VOID or b == VOID:
+        if a is VOID or b is VOID:
             return "fail"
         if isinstance(b, ClassType) and b.name == "Object" and not b.args:
             return []
@@ -443,7 +444,7 @@ class _Unifier:
                 # feasible type at `t`
                 self.sinks += 1
                 lows = [low] + [p.lhs for p in self.index.get(t.name, ())
-                                if p.parked and p.rhs == t]
+                                if p.parked and p.rhs is t]
                 least = next((s for s in sups if all(
                     self.table.is_subtype(l, s) for l in lows)), None)
                 sups = [] if least is None else [least]
@@ -468,7 +469,7 @@ class _Unifier:
         return (not self.nested.get(t.name) and _atomic(low)
                 and all(_atomic(s) for s in sups)
                 and all(_atomic(p.lhs) for p in self.index.get(t.name, ())
-                        if p.parked and p.rhs == t))
+                        if p.parked and p.rhs is t))
 
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
@@ -525,7 +526,7 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
         fresh = FreshNames()
         for c in [*constraints, *(c for group in groups
                                   for alt in group for c in alt.constraints)]:
-            for n in tphs_of(c.lhs) | tphs_of(c.rhs):
+            for n in (*tphs_of(c.lhs), *tphs_of(c.rhs)):
                 fresh.adopt(n)
     u = _Unifier(table, fresh, groups)
     try:

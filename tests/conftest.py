@@ -120,6 +120,11 @@ PINNED_SRCS = {
     # generated names skip the class names A and B
     "ClassLetters": "class A { m(x) { return x; } } "
                     "class B { k(a) { var o = new A(); return o.m(a); } }",
+    # field accesses on a placeholder receiver: another class's field and
+    # the class being inferred's own
+    "FieldOther": "class A { Integer f; } "
+                  "class C { m() { var a = new A(); return a.f; } }",
+    "FieldOwn": "class C { f; m() { var d = new C(); return d.f; } }",
     # m1's members differ only in the clause variables of its locals
     "LocalsClause": "import java.lang.Double; "
                     "class C { m0(p0, p1) { var v0 = 1; var v1 = y -> v0; "

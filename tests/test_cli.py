@@ -11,7 +11,10 @@ import pytest
 from jtxinfer.cli import main
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
-                      OLFUN_SRC, TWO_CYCLES_SRC)
+                      OLFUN_SRC, PINNED_SRCS, TWO_CYCLES_SRC)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
@@ -191,8 +194,16 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_outputs_independent_of_hash_seed(tmp_path):
+    # terms hash by address, and names by the seed: no output may follow
+    # the order of a set of either, in or-group programs least of all
     sources = dict(ALL_GOLDEN_SRCS, Capture=CAPTURE_SRC,
-                   TwoCycles=TWO_CYCLES_SRC)
+                   TwoCycles=TWO_CYCLES_SRC, **PINNED_SRCS, **{
+                       p.name.replace("/", "_"): p.source
+                       for p in corpus.workload("ambiguity", 1)
+                       + corpus.workload("paper-units", 1)
+                       if p.name in ("surviving/n2", "depth/n10",
+                                     "refutable/n5")})
+    assert len(sources) == 9 + len(PINNED_SRCS) + 3
     runs = []
     for seed in ("1", "2"):
         out = tmp_path / seed

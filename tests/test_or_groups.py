@@ -61,9 +61,12 @@ def test_refuted_alternatives_are_counted():
     assert len(sols) == 1
 
 
-# two classes declaring f; class C calls it on a receiver
-TWO_FS = ("class A { f(x) { return x; } g() { return new A(); } }\n"
-          "class B { f(x) { return x; } g() { return new B(); } }\n")
+# two classes declaring f and a field h; class C calls f or reads h on a
+# receiver
+TWO_FS = ("class A { Integer h; f(x) { return x; } "
+          "g() { return new A(); } }\n"
+          "class B { String h; f(x) { return x; } "
+          "g() { return new B(); } }\n")
 
 RECEIVER_CASES = [
     # a lower bound `new A()`: only A
@@ -75,6 +78,11 @@ RECEIVER_CASES = [
      [[True, False]]),
     # `.f`'s receiver is bound to A or B by the choice at `.g`
     ("m(p, x) { return p.g().f(x); }", 4, 2, [[True, True], [True, True]]),
+    # a field read: one alternative per class whose field has a term, the
+    # class being inferred among them
+    ("m() { var d = new A(); return d.h; }", 1, 1, [[True, False]]),
+    ("m(d) { return d.h; }", 2, 0, [[True, True]]),
+    ("h; m(d) { return d.h; }", 3, 0, [[True, True, True]]),
 ]
 
 PROGRAMS = list(ALL_GOLDEN_SRCS.items()) + [

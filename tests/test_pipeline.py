@@ -463,6 +463,8 @@ PINNED_SIGS = {
                  "<E extends F, F> (B, E) -> F"],
     "ClassLetters": ["A.m : <C extends D, D> C -> D",
                      "B.k : <C extends D, D> C -> D"],
+    "FieldOther": ["C.m : () -> Integer"],
+    "FieldOwn": ["C.m : () -> A"],
     "LocalsClause": ["C.m0 : <A extends D, B, D, E extends F, F> (A, B) -> D",
                      "C.m1 : <G extends H, H extends I, I extends J, "
                      "K extends L, L, M extends N, N extends O, O, "

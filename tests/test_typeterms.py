@@ -1,8 +1,24 @@
-"""Term helpers: type-variable instantiation and placeholder naming."""
+"""Terms: hash-consing, type-variable instantiation and placeholder naming.
 
-from jtxinfer.typeterms import (VOID, ClassType, TPH, fun_type,
-                                instantiate, tph_name, tph_number, tphs_of)
+Terms are interned: a term built twice from the same structure is one
+object, also after `copy`, `deepcopy` and `pickle`.  The placeholder tuple
+and printed form each term stores, and `substitute`, are checked on random
+nested terms against `reference_terms.py`, the recursive walks they
+replaced.
+"""
+
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jtxinfer.typeterms import (VOID, ClassType, TPH, VoidType, fun_type,
+                                instantiate, is_ground, substitute, tph_name,
+                                tph_number, tphs_of)
 from jtxinfer.unify import _age
+
+import reference_terms as ref
 
 INT = ClassType("Integer")
 
@@ -43,3 +59,53 @@ def test_tphs_of_lists_names_in_first_occurrence_order():
     term = fun_type((pair, TPH("AB"), TPH("C")), TPH("B"))
     assert list(tphs_of(term)) == ["Q", "C", "AB", "B"]
     assert "AB" in tphs_of(term) and "A" not in tphs_of(term)
+
+
+# a term's structure as plain tuples, so that two structures compare
+# without the terms: ("tph", name), ("void",) or ("class", name, args)
+SHAPES = st.recursive(
+    st.one_of(st.sampled_from(["A", "B", "Q", "AB"]).map(
+                  lambda n: ("tph", n)),
+              st.just(("void",)),
+              st.sampled_from(["Integer", "T", "Pair"]).map(
+                  lambda n: ("class", n, ()))),
+    lambda inner: st.tuples(st.just("class"),
+                            st.sampled_from(["Pair", "Fun1$$", "T"]),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=12)
+
+
+def build(shape):
+    if shape[0] == "tph":
+        return TPH(shape[1])
+    if shape[0] == "void":
+        return VoidType()
+    return ClassType(shape[1], tuple(build(a) for a in shape[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHAPES, SHAPES,
+       st.dictionaries(st.sampled_from(["A", "B", "Q", "C"]), SHAPES,
+                       max_size=3))
+def test_interned_terms_agree_with_the_recursive_references(a, b, sigma):
+    t, u = build(a), build(b)
+    assert (t is u) == (a == b) and (t == u) == (a == b)
+    assert build(a) is t and hash(build(a)) == hash(t)
+    assert tphs_of(t) == tuple(ref.tphs_of(t))
+    assert is_ground(t) == ref.is_ground(t)
+    assert str(t) == ref.term_str(t)
+    sigma = {n: build(s) for n, s in sigma.items()}
+    assert substitute(t, sigma) is ref.substitute(t, sigma)
+    for same in (copy.copy(t), copy.deepcopy(t),
+                 pickle.loads(pickle.dumps(t))):
+        assert same is t
+
+
+def test_terms_are_immutable_and_void_is_one():
+    assert VoidType() is VOID
+    term = ClassType("Pair", (TPH("A"), TPH("B")))
+    with pytest.raises(AttributeError):
+        term.name = "Other"
+    with pytest.raises(AttributeError):
+        del TPH("A").name
+    assert term is ClassType("Pair", (TPH("A"), TPH("B")))

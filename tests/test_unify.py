@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
                       signature_lines, unify)
-from jtxinfer.classtable import CLASS, ClassTable, build_class_table
+from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
+                                  class_view)
 from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
 from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 from jtxinfer.unify import format_solution, transitive_closure
@@ -333,6 +334,29 @@ def test_surviving_family_solutions_are_all_kept(n, kept):
 
 def test_work_grows_linearly_with_method_length():
     assert long_method_steps(400) <= 2.5 * long_method_steps(200)
+
+
+def classes_counts(n):
+    """(unifier steps, base constraints), summed over the classes of the
+    `classes` benchmark family's unit of n classes."""
+    program = parse(corpus.classes_unit(n, random.Random(0)).source)
+    table = build_class_table(program)
+    stats = Counter()
+    base = 0
+    for cls in program.classes:
+        view = class_view(cls, table)
+        gen = generate_constraints(cls, view)
+        base += len(gen.base)
+        unify(gen.base, view, gen.fresh.clone(), stats=stats,
+              groups=gen.groups)
+    return stats["steps"], base
+
+
+def test_classes_family_work_grows_exactly_linearly():
+    counts = {n: classes_counts(n) for n in (10, 20, 40)}
+    for i in range(2):
+        small, mid, big = (counts[n][i] for n in (10, 20, 40))
+        assert small > 0 and big - mid == 2 * (mid - small)
 
 
 def test_thousand_statement_method_types():

@@ -8,7 +8,10 @@ A typed output is Java but for what the translation supplies:
 - a function type varies as the paper says, so every use of one takes
   use-site wildcards: `Fun1$$<? super A, ? extends B>`;
 - a local declared without a value starts as `null`, since Java wants it
-  assigned before it is read.
+  assigned before it is read;
+- a class has one instantiation of its generics, which all its instances
+  share, so inside a generic class `C<A>` its own type `C` is written
+  `C<A>`, where Java would read a bare `C` as the raw type.
 """
 
 from jtxinfer import parse
@@ -24,12 +27,15 @@ def to_java(typed, package):
     """Java source of typed program text `typed`, in package `package`."""
     program = parse(typed)
     used = set()
+    own = None   # the class being translated
 
     def ty(t):
         if t is None or t.args is None:   # no annotation, or a diamond
             return t
         args = [ty(a) for a in t.args]
         used.add(t.name)
+        if t.name == own.name and not args:
+            args = [S.SrcType(g.name, []) for g in own.generics]
         shape = fun_head_arity(t.name)
         if shape is not None:
             n = shape[1]
@@ -82,13 +88,13 @@ def to_java(typed, package):
         for g in generics:
             g.bound = ty(g.bound)
 
-    for cls in program.classes:
-        clause(cls.generics)
-        for f in cls.fields:
+    for own in program.classes:
+        clause(own.generics)
+        for f in own.fields:
             f.annotation = ty(f.annotation)
             if f.init is not None:
                 expr(f.init)
-        for m in cls.methods:
+        for m in own.methods:
             clause(m.generics)
             m.ret = ty(m.ret)
             for p in m.params:
