@@ -2,18 +2,20 @@
 equality (`=`) constraints over fresh type placeholders.
 
 Overloaded operators, overloaded callees and receiver-driven member
-resolution produce or-groups (sets of alternatives).  A member call finds
-its callee's signatures the same way in every class, the class being
-inferred among them: that class offers its methods' slot terms, any other
-its table entry's templates.  A call without receiver is a call on the
-class being inferred; a receiver whose type is not yet known may be any
-class that declares the member, that class included.  A field access on
-such a receiver has one alternative per class declaring the field: it
-binds the receiver and equates the access with the field's term.  The
-unifier takes the or-groups as they are and tries their alternatives as
-its outermost branch points.  A receiver alternative is built only when
-first read; generation reserves the fresh names it will take.  `flatten`
-expands the or-groups into plain candidate constraint sets; it renders the
+resolution produce or-groups (sets of alternatives).  Calls and field
+reads share one member-access rule.  A call without receiver is a call on
+the class being inferred, and a declared variable has the members of the
+first type on its supertype chain that is no variable, so a field read on
+one types as a call does.  The class being inferred offers its slot terms,
+any other class its table entry's templates; a field is a signature
+without parameters.  A receiver with a known head takes its class's
+candidates.  Any other receiver may be any class that declares the member,
+that class included: it becomes one `ReceiverGroup`, whose alternatives
+each bind the receiver to their class.  They share one block of fresh
+names, since a choice takes one of them, and each is built only when first
+read.  The unifier takes the or-groups as they are and tries their
+alternatives as its outermost branch points.  `flatten` expands the
+or-groups into plain candidate constraint sets; it renders the
 `constraints` dump and serves as the reference the tests check that search
 against.
 """
@@ -22,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import syntax as S
 from .classtable import MethodSig, resolve_src_type
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
-from .typeterms import (VOID, ClassType, TPH, fun_type, instantiate, is_fun,
+from .typeterms import (VOID, ClassType, TPH, fun_type, instantiate,
                         is_ground, tph_name, tph_number)
 
 
@@ -76,13 +77,6 @@ class FreshNames:
         self.scopes.append(scope)
         return TPH(name)
 
-    def reserve(self, scope, count):
-        """Draw `count` names of `scope` without building them; returns the
-        number of the first (see `tph_name`)."""
-        first = len(self.scopes)
-        self.scopes.extend([scope] * count)
-        return first
-
     def adopt(self, name):
         """Take in a class-scoped placeholder; fresh names come after it."""
         n = tph_number(name)
@@ -128,36 +122,32 @@ class CallSite:
 class Alternative:
     constraints: list = field(default_factory=list)
     call_sites: list = field(default_factory=list)
-    # a receiver alternative's receiver term and class head, which the
-    # unifier filters on (class attributes, not fields)
-    recv = None
-    head = None
 
 
-class ReceiverAlternative(Alternative):
-    """One signature of a table class declaring a member called on a
-    placeholder receiver, or the field of one declaring a field read there:
-    it binds the receiver term `recv` to the class `head`.  `build` makes
-    its constraints and call sites on first read, from names reserved for
-    it at generation, so an alternative the unifier never tries is never
-    built, and the names are the same either way."""
+class ReceiverGroup:
+    """The or-group of a member access on a receiver `recv` whose head is
+    not yet known, a sequence of alternatives: one per (class name,
+    signature template) in `candidates`, in table order, each binding
+    `recv` to its class.  A choice takes one alternative, so all of them
+    draw on one block of names, reserved at generation and sized by the
+    largest candidate.  `build(cname, sig)` makes a candidate's
+    alternative the first time it is read and `built` keeps it, by
+    index, so an alternative the unifier never tries is never built, and
+    the names are the same either way."""
 
-    def __init__(self, recv, head, build):
+    def __init__(self, recv, candidates, build):
         self.recv = recv
-        self.head = head
-        self._build = build
+        self.candidates = candidates
+        self.build = build
+        self.built = {}
 
-    @property
-    def built(self):
-        return self._build is None
+    def __len__(self):
+        return len(self.candidates)
 
-    def __getattr__(self, name):
-        # reached only before the build, which sets both as attributes
-        if name not in ("constraints", "call_sites"):
-            raise AttributeError(name)
-        self.constraints, self.call_sites = self._build()
-        self._build = None
-        return getattr(self, name)
+    def __getitem__(self, i):
+        if i not in self.built:
+            self.built[i] = self.build(*self.candidates[i])
+        return self.built[i]
 
 
 @dataclass
@@ -170,7 +160,8 @@ class GenResult:
     block-bodied lambdas too) in creation order."""
 
     base: list = field(default_factory=list)
-    groups: list = field(default_factory=list)        # list[list[Alternative]]
+    # each a list of Alternative or a ReceiverGroup
+    groups: list = field(default_factory=list)
     base_call_sites: list = field(default_factory=list)
     field_terms: dict = field(default_factory=dict)
     methods: list = field(default_factory=list)       # [MethodSig]
@@ -406,43 +397,21 @@ class _Generator:
             self.emit(flow(arg, t, p))
         return term
 
+    # -- member access -----------------------------------------------------
+
     def _field_access(self, e, env):
         recv = self.expr(e.recv, env)
-        if isinstance(recv, TPH):
-            result = self.fresh.tph(self.scope)
-            alts = self._field_alternatives(e, recv, result)
-            if alts:
-                self._add_group(alts)
-                return result
-        elif (isinstance(recv, ClassType) and recv.name == self.cls.name
-                and e.name in self.result.field_terms):
-            return self.result.field_terms[e.name]
-        elif isinstance(recv, ClassType) and recv.name in self.table.entries:
-            entry = self.table.entry(recv.name)
-            if e.name in entry.fields and entry.fields[e.name] is not None:
-                return self.table._instantiate(
-                    entry.fields[e.name], entry, recv.args)
-        raise UnknownMember(
-            f"no field '{e.name}' on {_receiver(e, recv)}",
-            e.pos.line, e.pos.col)
+        result = self.fresh.tph(self.scope)
 
-    def _field_alternatives(self, e, recv, result):
-        """Placeholder receiver: one alternative per class declaring field
-        `e.name` with a known term, the class being inferred included,
-        built when it is first read."""
-        alts = []
-        for cname, entry in self.table.entries.items():
-            term = (self.result.field_terms if cname == self.cls.name
-                    else entry.fields).get(e.name)
-            if term is None:
-                continue
-            first = self.fresh.reserve(self.scope, entry.arity)
-            alts.append(ReceiverAlternative(recv, cname, partial(
-                _field_alternative, self.table, recv, result, cname, term,
-                range(first, first + entry.arity))))
-        return alts
+        def alternative(rterm, sig, names):
+            return Alternative([doteq(
+                result, self.table.instantiate_method(sig, rterm).ret)])
 
-    # -- calls ------------------------------------------------------------
+        if not self._member(e, recv, alternative):
+            raise UnknownMember(
+                f"no field '{e.name}' on {_receiver(e, recv)}",
+                e.pos.line, e.pos.col)
+        return result
 
     def _call(self, e, env):
         arg_terms = [self.expr(a, env) for a in e.args]
@@ -450,17 +419,22 @@ class _Generator:
         # a call without receiver is a call on the class being inferred
         recv = (ClassType(self.cls.name) if e.recv is None
                 else self.expr(e.recv, env))
-        alts = self._member_alternatives(e, recv, arg_terms, result)
-        if not alts and e.recv is None:
+        caller = self.method_index
+
+        def alternative(rterm, sig, names):
+            return _sig_alternative(
+                e, arg_terms, result, caller,
+                *_freshen(self.table.instantiate_method(sig, rterm), names))
+
+        if self._member(e, recv, alternative):
+            return result
+        if e.recv is None:
             raise UnknownIdentifier(
                 f"no method '{e.name}' with {len(e.args)} argument(s)",
                 e.pos.line, e.pos.col)
-        if not alts:
-            raise UnknownMember(
-                f"no member '{e.name}' taking {len(e.args)} argument(s) "
-                f"on {_receiver(e, recv)}", e.pos.line, e.pos.col)
-        self._add_group(alts)
-        return result
+        raise UnknownMember(
+            f"no member '{e.name}' taking {len(e.args)} argument(s) "
+            f"on {_receiver(e, recv)}", e.pos.line, e.pos.col)
 
     def _add_group(self, alts):
         if len(alts) == 1:
@@ -469,57 +443,57 @@ class _Generator:
         else:
             self.result.groups.append(alts)
 
-    def _signatures(self, cname, name, arity):
-        """The signatures named `name` with `arity` parameters of class
-        `cname`, in declaration order: the class being inferred has its
-        methods' slot terms, any other class its entry's templates."""
-        sigs = (self.result.methods if cname == self.cls.name
-                else self.table.entry(cname).methods)
-        return [sig for sig in sigs
-                if sig.name == name and len(sig.params) == arity]
-
-    def _callee_alternative(self, e, arg_terms, result, sig):
-        """The alternative of callee signature `sig`, its type parameters
-        instantiated with fresh placeholders."""
-        names = [self.fresh.tph(self.scope) for _ in sig.typeparams]
-        return _sig_alternative(e, arg_terms, result, self.method_index,
-                                *_freshen(sig, names))
-
-    def _member_alternatives(self, e, recv, arg_terms, result):
-        arity = len(arg_terms)
-        # a declared variable has the members of the first type on its
-        # supertype chain that is no variable
+    def _member(self, e, recv, alternative):
+        """Resolve member access `e`, a call or a field read, on receiver
+        term `recv`; `alternative(rterm, sig, names)` makes the
+        alternative of signature template `sig` of class term `rterm`, its
+        own type parameters instantiated with the placeholders `names`.
+        A declared variable has the members of the first type on its
+        supertype chain that is no variable.  A receiver with a known head
+        takes its class's candidates, each with names of its own; any
+        other becomes one `ReceiverGroup` over every class.  Adds the
+        alternatives to the result; returns how many there are."""
         if self.table.is_typevar(recv):
-            recv = next((t for t in self.table.supertype_chain(recv)
-                         if not self.table.is_typevar(t)), recv)
-        # a function type's `apply` is its entry's, whatever its arguments
-        if (isinstance(recv, ClassType) and (is_ground(recv) or is_fun(recv))
-                and not self.table.is_typevar(recv)):
-            return [self._callee_alternative(
-                        e, arg_terms, result,
-                        self.table.instantiate_method(sig, recv))
-                    for sig in self._signatures(recv.name, e.name, arity)]
-        # placeholder (or placeholder-parameterised) receiver: one
-        # alternative per signature of every class declaring the member,
-        # built when it is first read
-        alts = []
-        for cname, entry in self.table.entries.items():
-            sigs = self._signatures(cname, e.name, arity)
-            if not sigs:
-                continue
-            # the names instantiating them would draw: the class's
-            # arguments, then each signature's type parameters
-            first = self.fresh.reserve(self.scope, entry.arity + sum(
-                len(sig.typeparams) for sig in sigs))
-            args = range(first, first + entry.arity)
-            n = args.stop
-            for sig in sigs:
-                tps = range(n, n + len(sig.typeparams))
-                n = tps.stop
-                alts.append(ReceiverAlternative(recv, cname, partial(
-                    _receiver_alternative, self.table, e, recv, arg_terms,
-                    result, self.method_index, cname, sig, args, tps)))
-        return alts
+            recv = next(t for t in self.table.supertype_chain(recv)
+                        if not self.table.is_typevar(t))
+        if isinstance(recv, ClassType):
+            alts = [alternative(recv, sig, [self.fresh.tph(self.scope)
+                                            for _ in sig.typeparams])
+                    for sig in self._templates(recv.name, e)]
+        else:
+            candidates = [(cname, sig) for cname in self.table.entries
+                          for sig in self._templates(cname, e)]
+            # one choice takes one candidate, so all share one block
+            names = tuple(self.fresh.tph(self.scope) for _ in range(max(
+                (self.table.entry(cname).arity + len(sig.typeparams)
+                 for cname, sig in candidates), default=0)))
+
+            def build(cname, sig):
+                rterm = ClassType(cname,
+                                  names[:self.table.entry(cname).arity])
+                alt = alternative(rterm, sig, names[len(rterm.args):])
+                alt.constraints.insert(0, doteq(recv, rterm))
+                return alt
+
+            alts = ReceiverGroup(recv, candidates, build)
+        if alts:
+            self._add_group(alts)
+        return len(alts)
+
+    def _templates(self, cname, e):
+        """The signature templates member access `e` may take in class
+        `cname`, in declaration order: a call's methods of its name and
+        arity, or a read's field of a known type, as a signature without
+        parameters.  The class being inferred offers its slot terms, any
+        other class its entry's templates."""
+        own = cname == self.cls.name
+        entry = self.table.entry(cname)
+        if isinstance(e, S.FieldAccess):
+            term = (self.result.field_terms if own
+                    else entry.fields).get(e.name)
+            return [] if term is None else [MethodSig(e.name, [], [], term)]
+        return [sig for sig in (self.result.methods if own else entry.methods)
+                if sig.name == e.name and len(sig.params) == len(e.args)]
 
 
 def _freshen(sig, names):
@@ -533,41 +507,16 @@ def _freshen(sig, names):
             instantiate(sig.ret, mapping), bounds)
 
 
-def _sig_alternative(e, arg_terms, result, caller, params, ret, bounds=(),
-                     extra=()):
+def _sig_alternative(e, arg_terms, result, caller, params, ret, bounds):
     """The alternative of call `e` taking a signature from `params` to
-    `ret`: the receiver constraints `extra`, the type-parameter `bounds`,
-    the arguments flowing into the parameters and the result."""
+    `ret`: the type-parameter `bounds`, the arguments flowing into the
+    parameters and the result."""
     return Alternative(
-        [*extra, *bounds,
+        [*bounds,
          *(flow(node, t, p) for node, t, p in zip(e.args, arg_terms, params)),
          doteq(result, ret)],
         [CallSite(caller=caller, arg_terms=list(arg_terms),
                   param_terms=list(params), ret_term=ret)])
-
-
-def _receiver_alternative(table, e, recv, arg_terms, result, caller, cname,
-                          sig, args, typeparams):
-    """Build a receiver alternative: `recv` is class `cname` with the
-    placeholders numbered `args`, and the call takes its signature template
-    `sig`, whose own type parameters are those numbered `typeparams`;
-    returns (constraints, call sites)."""
-    rterm = ClassType(cname, tuple(TPH(tph_name(n)) for n in args))
-    alt = _sig_alternative(
-        e, arg_terms, result, caller,
-        *_freshen(table.instantiate_method(sig, rterm),
-                  [TPH(tph_name(n)) for n in typeparams]),
-        extra=[doteq(recv, rterm)])
-    return alt.constraints, alt.call_sites
-
-
-def _field_alternative(table, recv, result, cname, template, args):
-    """Build a field receiver alternative: `recv` is class `cname` with the
-    placeholders numbered `args`, and `result` is its field `template`
-    instantiated there; returns (constraints, call sites)."""
-    rterm = ClassType(cname, tuple(TPH(tph_name(n)) for n in args))
-    term = table._instantiate(template, table.entry(cname), rterm.args)
-    return [doteq(recv, rterm), doteq(result, term)], []
 
 
 def _receiver(e, recv):
@@ -587,11 +536,9 @@ def _returns_value(stmts):
     return False
 
 
-def generate_constraints(cls, table, fresh=None):
+def generate_constraints(cls, table):
     """Constraints (base + or-groups) and slot bookkeeping for one class."""
-    if fresh is None:
-        fresh = FreshNames()
-    return _Generator(cls, table, fresh).run()
+    return _Generator(cls, table, FreshNames()).run()
 
 
 @dataclass
@@ -601,18 +548,17 @@ class Candidate:
     choice: tuple  # selected alternative index per group
 
 
-def flatten(result, table=None):
+def flatten(result, table):
     """Expand or-groups into plain candidate constraint sets (cartesian
     product, deterministic order).  Candidates with a directly contradictory
-    ground pair are pruned when a table is supplied; the unifier refutes
-    each of them on its own."""
+    ground pair are pruned; the unifier refutes each of them on its own."""
     out = []
     indices = [range(len(g)) for g in result.groups]
     for choice in itertools.product(*indices):
         constraints = list(result.base)
         for g, i in zip(result.groups, choice):
             constraints.extend(g[i].constraints)
-        if table is not None and _contradictory(constraints, table):
+        if _contradictory(constraints, table):
             continue
         out.append(Candidate(constraints, call_sites(result, choice), choice))
     return out

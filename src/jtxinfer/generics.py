@@ -43,11 +43,19 @@ def member_tph_sets(slot_groups, owners):
 def build_fgg(remaining, owners, member_tphs):
     """Per-member bound sets, one for each member of `member_tphs`: pairs
     within the member, and method pairs bounded by class placeholders.  A
-    member placeholder with no pair is unbounded."""
+    member placeholder with no pair is unbounded.  A placeholder that no
+    slot mentions, such as a diamond's argument in `A < C, C < B`, is
+    bridged first: each of its lower bounds is joined to each of its upper
+    bounds."""
+    pairs = set(remaining)
+    for u in {n for pair in remaining for n in pair} - owners.keys():
+        lows = [l for l, r in pairs if r == u]
+        highs = [r for l, r in pairs if l == u]
+        pairs.update((l, r) for l in lows for r in highs if l != r)
     fgg = {}
     for owner in member_tphs:
         fgg[owner] = {
-            (l, r) for (l, r) in remaining
+            (l, r) for (l, r) in pairs
             if owners.get(l) == owner
             and (owners.get(r) == owner
                  or owner != CLASS and owners.get(r) == CLASS)}

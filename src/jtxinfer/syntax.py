@@ -304,8 +304,11 @@ def print_expr(e, prec=0):
             inner = " ".join(
                 line.strip() for s in e.body for line in _print_stmt(s, 0)
             )
-            return f"{head} -> {{ {inner} }}"
-        return f"{head} -> {print_expr(e.body)}"
+            s = f"{head} -> {{ {inner} }}"
+        else:
+            s = f"{head} -> {print_expr(e.body)}"
+        # a lambda as a receiver or an operand takes the rest otherwise
+        return f"({s})" if prec > 0 else s
     if isinstance(e, Binary):
         p = BINARY_PREC[e.op]
         s = f"{print_expr(e.left, p)} {e.op} {print_expr(e.right, p + 1)}"

@@ -36,17 +36,18 @@ flattened candidate of base plus chosen constraints would run on its own,
 step for step and name for name: undoing to a group frame also resets the
 fresh-name counter and the step budget to what they were at its mark.
 
-A receiver group (a member call or field access on a placeholder receiver,
-one alternative per class that declares the member) is filtered when its
-frame opens: it tries only the alternatives whose class head the receiver
-may still take, the head of the term it is bound to, or else a head on the
-supertype chain of every headed lower bound parked on it.  A skipped
-alternative is one whose first constraint, `recv = C<...>`, would fail at
-once: against the binding, or by re-queueing a lower bound `lo < recv` that
-`_step_lessdot` fails on the same chain.  Since it would draw no name and
-emit nothing, the surviving choices keep their solutions, order and names;
-the skipped ones are counted as `pruned`, and an alternative is built only
-when tried.
+A receiver group (a member access on a placeholder receiver, one
+candidate per class and template declaring the member; see
+`constraints.ReceiverGroup`) is filtered when its frame opens: it tries
+only the candidates whose class the receiver may still take, the head of
+the term it is bound to, or else a head on the supertype chain of every
+headed lower bound parked on it.  A skipped candidate is one whose first
+constraint, `recv = C<...>`, would fail at once: against the binding, or by
+re-queueing a lower bound `lo < recv` that `_step_lessdot` fails on the
+same chain.  Since it would emit nothing, and its names are the group's one
+block, drawn at generation, the surviving choices keep their solutions,
+order and names; the skipped ones are counted as `pruned`, and an
+alternative is built only when tried.
 
 The lessdot branch points are taken in parking order: the oldest one-sided
 lessdot still parked is next, its alternatives made lazily in `_branches`
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import FreshNames, doteq, lessdot
+from .constraints import FreshNames, ReceiverGroup, doteq, lessdot
 from .errors import ResourceLimit
 from .typeterms import VOID, ClassType, TPH, substitute, tphs_of
 
@@ -250,15 +251,18 @@ class _Unifier:
 
     def _tried(self, group):
         """The (index, alternative) pairs an or-group's frame tries, in
-        group order: a receiver alternative only when its head is one the
-        receiver may still take.  Each skipped one would bind the receiver
-        to a class that a lower bound or binding of it refutes at once."""
-        heads = None if group[0].recv is None else self._heads(group[0].recv)
+        group order, each read when it is tried: of a receiver group only
+        the candidates whose class the receiver may still take.  Each
+        skipped one would bind the receiver to a class that a lower bound
+        or binding of it refutes at once."""
+        heads = (self._heads(group.recv)
+                 if isinstance(group, ReceiverGroup) else None)
         if heads is None:
             return enumerate(group)
-        tried = [(i, alt) for i, alt in enumerate(group) if alt.head in heads]
+        tried = [i for i, (cname, _) in enumerate(group.candidates)
+                 if cname in heads]
         self.pruned += len(group) - len(tried)
-        return iter(tried)
+        return ((i, group[i]) for i in tried)
 
     def _heads(self, recv):
         """The class heads `recv` may still take: the head it is bound to,
@@ -504,12 +508,12 @@ class _Unifier:
 
 def unify(constraints, table, fresh=None, stats=None, groups=()):
     """The solutions of the base `constraints` plus one alternative of each
-    or-group in `groups` (a list of groups, each a list of
-    `constraints.Alternative`) over the given table: every solution,
+    or-group in `groups` (each a list of `constraints.Alternative` or a
+    `constraints.ReceiverGroup`) over the given table: every solution,
     except those dominated by a returned one that puts a smaller type at a
-    sink.  A receiver group's frame skips the alternatives whose class
-    head the receiver can no longer take (see the module docstring); they
-    are never built.
+    sink.  A receiver group's frame skips the candidates whose class the
+    receiver can no longer take (see the module docstring); they are
+    never built.
 
     The search is the one `flatten` candidates would each get, merged: the
     solutions come grouped by their `choice` of alternatives, in the

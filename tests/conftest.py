@@ -125,6 +125,14 @@ PINNED_SRCS = {
     "FieldOther": "class A { Integer f; } "
                   "class C { m() { var a = new A(); return a.f; } }",
     "FieldOwn": "class C { f; m() { var d = new C(); return d.f; } }",
+    # a field read on a declared variable reads the field of its bound
+    "FieldBound": "class A { Integer h; } "
+                  "class C { <T extends A> m(T t) { return t.h; } }",
+    # the diamond's arguments are in no slot; the bounds through them stay
+    "DiamondFst": "import java.util.Pair; "
+                  "class C { m(x) { return new Pair<>(x, x).fst(); } }",
+    "DiamondSnd": "import java.util.Pair; "
+                  "class C { m(x, y) { return new Pair<>(x, y).snd(); } }",
     # m1's members differ only in the clause variables of its locals
     "LocalsClause": "import java.lang.Double; "
                     "class C { m0(p0, p1) { var v0 = 1; var v1 = y -> v0; "

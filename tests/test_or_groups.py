@@ -245,7 +245,8 @@ def _searched(src):
 
 
 def _built(gen):
-    return [[alt.built for alt in group] for group in gen.groups]
+    return [[i in group.built for i in range(len(group))]
+            for group in gen.groups]
 
 
 @pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
@@ -267,6 +268,20 @@ def test_depth_receivers_try_and_build_one_class(n):
     # D_0 calls nothing and D_1's call is a group of two alternatives
     assert total["alternatives"] == n - 1
     assert total["pruned"] == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
+def test_depth_receiver_groups_scale_with_one_candidate(n):
+    # D_i's group has i + 1 candidates, yet D_i builds and tries one of
+    # them and draws the names of one: its slots, its local, the call's
+    # result and one block for f's two type parameters
+    (prog,) = [p for p in corpus.workload("paper-units", 1)
+               if p.name == f"depth/n{n}"]
+    classes = _searched(prog.source)
+    built = sum(sum(map(sum, _built(gen))) for gen, _ in classes)
+    tried = sum(stats["alternatives"] for _, stats in classes)
+    assert built == tried == n - 1
+    assert [gen.fresh.mark() for gen, _ in classes] == [2] + [6] * (n - 1)
 
 
 @pytest.mark.parametrize("body, tried, pruned, built", RECEIVER_CASES)

@@ -326,6 +326,25 @@ def test_member_missing_on_declared_variable_bound_is_unknown():
             "<T extends Integer> m(T x) { return x.fst(); } }")
 
 
+def test_field_missing_on_declared_variable_names_the_variable():
+    with pytest.raises(UnknownMember, match="no field 'h' on T$") as info:
+        run("class C { <T> m(T t) { return t.h; } }")
+    assert (info.value.line, info.value.col) == (1, 32)
+
+
+# Java gives a lambda receiver no target type, so javac rejects these and
+# they are not among PINNED_SRCS
+@pytest.mark.parametrize("body", ["y -> y", "y -> { return y; }"])
+def test_lambda_receiver_is_printed_in_parentheses(body):
+    src = f"class C {{ m(x) {{ return ({body}).apply(x); }} }}"
+    prog = J.parse(src)
+    printed = J.print_program(prog)
+    assert f"return ({body}).apply(x);" in printed
+    assert alpha_equivalent(prog, J.parse(printed))
+    _, r = _sigs_reenter(src)
+    assert f"({body}).apply(x)" in J.typed_source(r)
+
+
 @pytest.mark.parametrize("src, col", [
     ("class A { m(x) { return new B().n(x); } } "
      "class B { n(y) { return y; } }", 32),
@@ -465,6 +484,9 @@ PINNED_SIGS = {
                      "B.k : <C extends D, D> C -> D"],
     "FieldOther": ["C.m : () -> Integer"],
     "FieldOwn": ["C.m : () -> A"],
+    "FieldBound": ["C.m : <T extends A> T -> Integer"],
+    "DiamondFst": ["C.m : <A extends B, B> A -> B"],
+    "DiamondSnd": ["C.m : <A, B extends D, D> (A, B) -> D"],
     "LocalsClause": ["C.m0 : <A extends D, B, D, E extends F, F> (A, B) -> D",
                      "C.m1 : <G extends H, H extends I, I extends J, "
                      "K extends L, L, M extends N, N extends O, O, "

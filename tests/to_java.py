@@ -30,10 +30,12 @@ def to_java(typed, package):
     own = None   # the class being translated
 
     def ty(t):
-        if t is None or t.args is None:   # no annotation, or a diamond
+        if t is None:
+            return t
+        used.add(t.name)
+        if t.args is None:   # a diamond
             return t
         args = [ty(a) for a in t.args]
-        used.add(t.name)
         if t.name == own.name and not args:
             args = [S.SrcType(g.name, []) for g in own.generics]
         shape = fun_head_arity(t.name)
