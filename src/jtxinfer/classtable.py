@@ -8,6 +8,7 @@ and operators force in, generates a function-type entry for each
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -63,13 +64,25 @@ def _template_from_json(obj):
 def load_builtin_entries(path=None):
     """Ordered dict of built-in entries from the bundled (or given) table.
     An entry named like a function-type head is dropped: those entries are
-    generated (`_fun_entry`), never imported."""
+    generated (`_fun_entry`), never imported.
+
+    The bundled table is parsed once per process: each call returns a new
+    dict over the same entries, which no caller may change (later writes
+    touch only user entries' `methods` and `fields`).  A table at `path`
+    is read on every call."""
     if path is None:
-        data = json.loads(
-            resources.files("jtxinfer").joinpath("builtins.json").read_text())
-    else:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        return dict(_bundled_entries())
+    with open(path, encoding="utf-8") as fh:
+        return _entries_from_json(json.load(fh))
+
+
+@functools.cache
+def _bundled_entries():
+    return _entries_from_json(json.loads(
+        resources.files("jtxinfer").joinpath("builtins.json").read_text()))
+
+
+def _entries_from_json(data):
     entries = {}
     for raw in data["classes"]:
         if fun_head_arity(raw["name"]) is not None:
@@ -109,8 +122,9 @@ class ClassTable:
     templates and the view's clauses, and none of these changes once a
     view is queried: `build_class_table` adds every entry before the first
     chain is walked, later writes (the pipeline's inferred typings and
-    field types) touch only `methods` and `fields`, and every view has
-    caches of its own.
+    field types) touch only user entries' `methods` and `fields`, and
+    every view has caches of its own.  The built-in entries are shared by
+    every table of the process and never written.
     """
 
     def __init__(self, entries, clauses=None):
@@ -476,6 +490,7 @@ def _scan_occurrences(program):
             forced.add("Integer")
             expr(s.target)
         elif isinstance(s, S.While):
+            forced.add("Boolean")
             expr(s.cond)
             for b in s.body:
                 stmt(b)

@@ -96,6 +96,8 @@ def assemble_intersection_types(typings):
     """Deduplicate modulo renaming and order deterministically."""
     if not typings:
         raise Untypable("no typing survived")
+    if len(typings) == 1:
+        return typings
     seen = set()
     out = []
     for t in sorted(typings, key=typing_sort_key):

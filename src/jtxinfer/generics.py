@@ -68,6 +68,8 @@ def complete_fgg(fgg, remaining, owners, member_tphs, call_sites):
     reaches the callee return, which flows back into a caller placeholder.
     Iterated to a fixpoint since conditions reference callee results."""
     cfgg = {owner: set(pairs) for owner, pairs in fgg.items()}
+    if all(site.caller is None for site in call_sites):
+        return cfgg
     cs_closure = transitive_closure(remaining)
     changed = True
     while changed:
@@ -168,7 +170,10 @@ def enforce_java_conformance(cfgg, fresh, owners):
 
 
 def _cycle(pairs):
-    """Names on the first bound cycle (by name) within one member, or None."""
+    """Names on the first bound cycle (by name) within one member, or None.
+    A pair never relates a name to itself, so a cycle takes two pairs."""
+    if len(pairs) < 2:
+        return None
     closure = transitive_closure(pairs)
     for (a, b) in sorted(closure):
         if a != b and (b, a) in closure:

@@ -215,6 +215,8 @@ class _Solved:
 
 
 def _dedup(solved):
+    if len(solved) < 2:
+        return solved
     first = {}
     for s in solved:
         first.setdefault(s.key(), s)
@@ -234,6 +236,8 @@ def _minimal(solved, table):
     among them, so what is left to drop are solutions dominated across
     choices of or-group alternatives, or at placeholders that are no sink,
     such as `T` in `S < T` or one inside a function type."""
+    if len(solved) < 2:
+        return solved
 
     def below(b, a):
         """b strictly below a pointwise."""

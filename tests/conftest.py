@@ -133,6 +133,9 @@ PINNED_SRCS = {
                   "class C { m(x) { return new Pair<>(x, x).fst(); } }",
     "DiamondSnd": "import java.util.Pair; "
                   "class C { m(x, y) { return new Pair<>(x, y).snd(); } }",
+    # a `while` condition is a Boolean, imported or not
+    "WhileCond": "class C { m(x) { while (x) { } return x; } }",
+    "WhileCondInt": "class C { m(x) { while (x) { } return 1; } }",
     # m1's members differ only in the clause variables of its locals
     "LocalsClause": "import java.lang.Double; "
                     "class C { m0(p0, p1) { var v0 = 1; var v1 = y -> v0; "

@@ -13,11 +13,30 @@ from jtxinfer.pipeline import (descriptor_lines, funiface_manifest,
                                run_source, signature_lines, typed_source)
 from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
 
-from conftest import OLFUN_SRC
+from conftest import ALL_GOLDEN_SRCS, OLFUN_SRC, PINNED_SRCS
 
 
 def table_for(src):
     return build_class_table(parse(src))
+
+
+def test_bundled_entries_are_shared_and_never_written():
+    """Each call gets a new dict over the one parse of the bundled table,
+    and compiling a program, one that declares its own `Pair` among them,
+    leaves the entries equal to a fresh parse of the file."""
+    bundled = resources.files("jtxinfer").joinpath("builtins.json")
+    first, second = load_builtin_entries(), load_builtin_entries()
+    assert first is not second
+    assert all(first[n] is second[n] for n in first)
+    for src in ALL_GOLDEN_SRCS.values():
+        run_source(src)
+    assert load_builtin_entries() == load_builtin_entries(bundled)
+    own_pair = run_source("class Pair { fst() { return 1; } } "
+                          "class D { k(p) { return p.fst(); } }")
+    assert own_pair.table.entry("Pair").qualified == "Pair"
+    assert load_builtin_entries() == load_builtin_entries(bundled)
+    diamond = run_source(PINNED_SRCS["DiamondFst"])
+    assert signature_lines(diamond) == ["C.m : <A extends B, B> A -> B"]
 
 
 def test_literals_force_builtins():

@@ -1,13 +1,17 @@
 """The tx-infer command line front end."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from jtxinfer import classtable
 from jtxinfer.cli import main
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
@@ -147,6 +151,41 @@ def test_table_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("TXINFER_TABLE", str(BUILTINS))
     assert main([str(p)]) == 0
     assert (tmp_path / "Fac.typed.jtx").exists()
+
+
+def test_bundled_table_is_read_once_per_process(tmp_path, monkeypatch):
+    reads = []
+
+    def files(package):
+        reads.append(package)
+        return resources.files(package)
+
+    monkeypatch.setattr(classtable, "resources", SimpleNamespace(files=files))
+    classtable._bundled_entries.cache_clear()
+    paths = [str(write(tmp_path, f"{n}.jtx", s))
+             for n, s in ALL_GOLDEN_SRCS.items()]
+    assert main(paths) == 0
+    assert main(paths[:1]) == 0
+    assert reads == ["jtxinfer"]
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_table_file_is_read_for_every_call(tmp_path, monkeypatch, how):
+    table = tmp_path / "table.json"
+    table.write_text(BUILTINS.read_text())
+    p = write(tmp_path, "Diamond.jtx", PINNED_SRCS["DiamondFst"])
+    args = [str(p)]
+    if how == "flag":
+        args += ["--table", str(table)]
+    else:
+        monkeypatch.setenv("TXINFER_TABLE", str(table))
+    assert main(args) == 0
+    data = json.loads(table.read_text())
+    data["classes"] = [c for c in data["classes"] if c["name"] != "Pair"]
+    table.write_text(json.dumps(data))
+    assert main(args) == 2
+    monkeypatch.delenv("TXINFER_TABLE", raising=False)
+    assert main([str(p)]) == 0
 
 
 def test_multiple_inputs_processed(tmp_path):

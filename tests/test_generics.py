@@ -1,10 +1,20 @@
 """Generalization: ownership, bound families, completion, conformance."""
 
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from jtxinfer import generics, run_source
 from jtxinfer.constraints import CallSite, FreshNames
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
                                enforce_java_conformance, format_generics,
                                member_tph_sets)
 from jtxinfer.typeterms import ClassType, TPH, fun_type
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 M0 = ("method", 0)
 M1 = ("method", 1)
@@ -135,3 +145,30 @@ def test_format_generics_lines():
     text = format_generics(clauses)
     assert text.splitlines() == ["C extends Object", "A extends B",
                                  "B extends Object"]
+
+
+def _closures(src, monkeypatch):
+    """The number of transitive closures generalization takes for `src`."""
+    calls = []
+    closure = generics.transitive_closure
+    monkeypatch.setattr(generics, "transitive_closure",
+                        lambda pairs: calls.append(1) or closure(pairs))
+    run_source(src)
+    return len(calls)
+
+
+@pytest.mark.parametrize("n", corpus.CLASSES_SIZES)
+def test_classes_without_calls_take_no_closure(n, monkeypatch):
+    """Completion needs a call site with a caller, and a cycle two pairs;
+    the independent classes of `classes_unit` have neither."""
+    unit = corpus.classes_unit(n, random.Random(n))
+    assert _closures(unit.source, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
+def test_depth_takes_three_closures_per_calling_class(n, monkeypatch):
+    """Each class but the first calls its predecessor's `f` once:
+    completion closes the remaining pairs, then the class's and `f`'s
+    bound sets, once each; no bound set has two pairs."""
+    unit = corpus.depth_unit(n, random.Random(n))
+    assert _closures(unit.source, monkeypatch) == 3 * (n - 1)

@@ -487,6 +487,8 @@ PINNED_SIGS = {
     "FieldBound": ["C.m : <T extends A> T -> Integer"],
     "DiamondFst": ["C.m : <A extends B, B> A -> B"],
     "DiamondSnd": ["C.m : <A, B extends D, D> (A, B) -> D"],
+    "WhileCond": ["C.m : Boolean -> Boolean"],
+    "WhileCondInt": ["C.m : Boolean -> Integer"],
     "LocalsClause": ["C.m0 : <A extends D, B, D, E extends F, F> (A, B) -> D",
                      "C.m1 : <G extends H, H extends I, I extends J, "
                      "K extends L, L, M extends N, N extends O, O, "
