@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import (ArityMismatch, DuplicateClass, UnknownImport,
-                     UnsupportedFeature)
+from .errors import (ArityMismatch, DuplicateClass, JtxError,
+                     UnknownImport, UnsupportedFeature)
 from .typeterms import VOID, ClassType, TPH, fun_head_arity, instantiate
 from . import syntax as S
 
@@ -69,11 +69,20 @@ def load_builtin_entries(path=None):
     The bundled table is parsed once per process: each call returns a new
     dict over the same entries, which no caller may change (later writes
     touch only user entries' `methods` and `fields`).  A table at `path`
-    is read on every call."""
+    is read on every call; one that cannot be read, is not JSON or lacks
+    a key is a `JtxError` that names the path."""
     if path is None:
         return dict(_bundled_entries())
-    with open(path, encoding="utf-8") as fh:
-        return _entries_from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _entries_from_json(json.load(fh))
+    except OSError as exc:
+        problem = exc.strerror or exc
+    except ValueError as exc:
+        problem = f"not a JSON table: {exc}"
+    except KeyError as exc:
+        problem = f"an entry has no key {exc}"
+    raise JtxError(f"class table {path}: {problem}")
 
 
 @functools.cache

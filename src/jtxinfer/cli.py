@@ -50,14 +50,29 @@ def main(argv=None):
     for fname in args.files:
         path = Path(fname)
         try:
-            src = path.read_text()
+            src = path.read_text(encoding="utf-8")
         except OSError as exc:
             print(f"tx-infer: {exc}", file=sys.stderr)
             status = max(status, 2)
             continue
+        except UnicodeDecodeError as exc:
+            print(f"tx-infer: {path.name}: {exc}", file=sys.stderr)
+            status = max(status, 2)
+            continue
+        # every text is built before any is written: a diagnostic leaves
+        # no partial set of outputs
+        texts = {}
         try:
             result = run_source(src, table_path=table,
                                 dump_stages=tuple(args.dump_stages))
+            if "typed" in emits:
+                texts["typed.jtx"] = typed_source(result)
+            if "sigs" in emits:
+                texts["sigs.txt"] = "\n".join(signature_lines(result)) + "\n"
+            if "desc" in emits:
+                texts["desc.txt"] = "\n".join(descriptor_lines(result)) + "\n"
+            if "funifaces" in emits:
+                texts["funifaces.txt"] = funiface_manifest(result)
         except Untypable as exc:
             print(f"tx-infer: {path.name}: untypable: {exc}",
                   file=sys.stderr)
@@ -76,17 +91,8 @@ def main(argv=None):
             print(f"== {stage} ==")
             print(result.dumps.get(stage, ""))
         stem = path.with_suffix("")
-        if "typed" in emits:
-            Path(f"{stem}.typed.jtx").write_text(typed_source(result))
-        if "sigs" in emits:
-            Path(f"{stem}.sigs.txt").write_text(
-                "\n".join(signature_lines(result)) + "\n")
-        if "desc" in emits:
-            Path(f"{stem}.desc.txt").write_text(
-                "\n".join(descriptor_lines(result)) + "\n")
-        if "funifaces" in emits:
-            Path(f"{stem}.funifaces.txt").write_text(
-                funiface_manifest(result))
+        for suffix, text in texts.items():
+            Path(f"{stem}.{suffix}").write_text(text)
     return status
 
 

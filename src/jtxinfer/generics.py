@@ -1,14 +1,20 @@
 """Generalizing leftover placeholders into class/method generics.
 
-Stages: partition the remaining placeholder-pair constraints into per-member
-bound sets (``build_fgg``), bound unbounded placeholders along the call
-graph (``complete_fgg``), and repair bound relations Java cannot express —
-cycles and multiple upper bounds — by collapsing placeholders through a
-surjective map h (``enforce_java_conformance``).
+One class solution's placeholder pairs form one graph, and each
+placeholder belongs to the member whose slots first mention it
+(``compute_owners``).  A generics clause can state a pair whose upper side
+belongs to the lower side's member or to the class (``stated``); a pair
+between two methods stays in the graph, unstated.  Stages: bridge the
+placeholders no slot mentions (``build_fgg``), bound unbounded
+placeholders along the call graph (``complete_fgg``), and repair what Java
+cannot express through a surjective map h (``enforce_java_conformance``):
+a method placeholder above a class one is merged into it, and a cycle or a
+name with several upper bounds among the stated pairs is collapsed into a
+fresh placeholder.
 
 Every stage works on placeholder-to-placeholder pairs only: a placeholder
-with no pair is unbounded, and ``Object`` appears only when a clause is
-rendered (``format_generics``).
+with no stated pair is unbounded, and ``Object`` appears only when a
+clause is rendered (``format_generics``).
 """
 
 from __future__ import annotations
@@ -30,149 +36,123 @@ def compute_owners(slot_groups):
     return owners
 
 
-def member_tph_sets(slot_groups, owners):
-    """Placeholders each member of `slot_groups` must declare, in the
-    groups' order: those it owns.  An owner's first claim is in its own
-    slots, so the member sets are read off `owners`."""
-    members = {owner: set() for owner, _ in slot_groups}
-    for name, owner in owners.items():
-        members[owner].add(name)
-    return members
+def stated(pairs, owners):
+    """The pairs a generics clause can state: within one member, or a
+    method placeholder bounded by a class one."""
+    return {(l, r) for l, r in pairs if owners[r] in (owners[l], CLASS)}
 
 
-def build_fgg(remaining, owners, member_tphs):
-    """Per-member bound sets, one for each member of `member_tphs`: pairs
-    within the member, and method pairs bounded by class placeholders.  A
-    member placeholder with no pair is unbounded.  A placeholder that no
-    slot mentions, such as a diamond's argument in `A < C, C < B`, is
-    bridged first: each of its lower bounds is joined to each of its upper
+def build_fgg(remaining, owners):
+    """The remaining pairs between placeholders of `owners`.  A placeholder
+    that no slot mentions, such as a diamond's argument in `A < C, C < B`,
+    is bridged: each of its lower bounds is joined to each of its upper
     bounds."""
     pairs = set(remaining)
     for u in {n for pair in remaining for n in pair} - owners.keys():
         lows = [l for l, r in pairs if r == u]
         highs = [r for l, r in pairs if l == u]
         pairs.update((l, r) for l in lows for r in highs if l != r)
-    fgg = {}
-    for owner in member_tphs:
-        fgg[owner] = {
-            (l, r) for (l, r) in pairs
-            if owners.get(l) == owner
-            and (owners.get(r) == owner
-                 or owner != CLASS and owners.get(r) == CLASS)}
-    return fgg
+    return {(l, r) for l, r in pairs if l in owners and r in owners}
 
 
-def complete_fgg(fgg, remaining, owners, member_tphs, call_sites):
+def complete_fgg(pairs, remaining, owners, call_sites):
     """Bound an unbounded placeholder by placeholders justified by a call:
     an argument placeholder below a callee parameter whose bound chain
     reaches the callee return, which flows back into a caller placeholder.
-    Iterated to a fixpoint since conditions reference callee results."""
-    cfgg = {owner: set(pairs) for owner, pairs in fgg.items()}
-    if all(site.caller is None for site in call_sites):
-        return cfgg
+    The chain is read within the callee's own stated pairs.  Iterated to a
+    fixpoint since conditions reference callee results."""
+    out = set(pairs)
+    sites = [site for site in call_sites if site.caller is not None]
+    if not sites:
+        return out
     cs_closure = transitive_closure(remaining)
     changed = True
     while changed:
         changed = False
-        closures = {owner: transitive_closure(pairs)
-                    for owner, pairs in cfgg.items()}
-        for site in call_sites:
-            if site.caller is None:
-                continue
+        family = {}
+        for l, r in stated(out, owners):
+            family.setdefault(owners[l], set()).add((l, r))
+        closures = {o: transitive_closure(ps) for o, ps in family.items()}
+        bounded = {l for ps in family.values() for l, _ in ps}
+        for site in sites:
             owner = ("method", site.caller)
-            tphs = member_tphs[owner]
             for arg, param in zip(site.arg_terms, site.param_terms):
                 for t in tphs_of(arg):
-                    if owners.get(t) != owner:
+                    if owners.get(t) != owner or t in bounded:
                         continue
-                    if any(l == t for l, _ in cfgg[owner]):
-                        continue
-                    rs = _qualifying_bounds(
-                        t, param, site.ret_term, owners, tphs,
-                        cs_closure, closures)
-                    if not rs:
-                        continue
-                    cfgg[owner] |= {(t, r) for r in rs}
-                    changed = True
-    return cfgg
+                    rs = _qualifying_bounds(t, param, site.ret_term, owners,
+                                            cs_closure, closures)
+                    if rs:
+                        out |= {(t, r) for r in rs}
+                        bounded.add(t)
+                        changed = True
+    return out
 
 
-def _qualifying_bounds(t, param, ret, owners, caller_tphs,
-                       cs_closure, closures):
-    """Caller placeholders R with t < T' (callee param), T' < R' (callee
-    bound chain), R' < R (flow back), minimal under the constraint order."""
+def _qualifying_bounds(t, param, ret, owners, cs_closure, closures):
+    """Placeholders R of t's member with t < T' (callee param), T' < R'
+    (callee bound chain), R' < R (flow back), minimal under the constraint
+    order."""
     out = set()
     for t_prime in tphs_of(param):
         if (t, t_prime) not in cs_closure:
             continue
         # a callee instantiated from another class has no owner here; its
         # bound chain is then only visible in the call site's constraints
-        callee_closure = closures.get(owners.get(t_prime), cs_closure)
+        callee_closure = (closures.get(owners[t_prime], ())
+                          if t_prime in owners else cs_closure)
         for r_prime in tphs_of(ret):
             if (t_prime, r_prime) not in callee_closure:
                 continue
-            for r in caller_tphs:
-                if r != t and (r_prime, r) in cs_closure:
-                    out.add(r)
+            out.update(r for r, o in owners.items()
+                       if o == owners[t] and r != t
+                       and (r_prime, r) in cs_closure)
     # keep only minimal bounds: drop any R reachable from another candidate
-    minimal = {r for r in out
-               if not any(s != r and (s, r) in cs_closure for s in out)}
-    return minimal
+    return {r for r in out
+            if not any(s != r and (s, r) in cs_closure for s in out)}
 
 
-def enforce_java_conformance(cfgg, fresh, owners):
-    """Collapse bound cycles and multiple upper bounds per member into
-    fresh placeholders.  Returns the repaired family, in which each
-    placeholder has at most one pair, and the collapse map h (old name ->
-    new name, identity entries omitted).  A member's set may still hold a
-    pair of a name that a collapse moved into the class; `owners` is left
-    as it is."""
-    family = {owner: set(pairs) for owner, pairs in cfgg.items()}
+def enforce_java_conformance(pairs, fresh, owners):
+    """Repair the pair graph until a clause can state it, one step at a
+    time: merge the first method placeholder above a class placeholder
+    into it, or else collapse the first cycle or name with several upper
+    bounds among the stated pairs into a fresh placeholder, the class's
+    when it takes in a class placeholder and otherwise the member's.
+    Returns the stated bounds, in which each placeholder has at most one
+    upper bound, the map h (old name -> final name, identity entries
+    omitted) and the owners of the names that are left."""
+    pairs = set(pairs)
     owners = dict(owners)
     h = {}
-
-    def apply_map(mapping):
-        for owner in family:
-            out = set()
-            for (l, r) in family[owner]:
-                nl, nr = mapping.get(l, l), mapping.get(r, r)
-                if nl != nr:
-                    out.add((nl, nr))
-            family[owner] = out
-        for old, new in list(h.items()):
-            h[old] = mapping.get(new, new)
+    while True:
+        up = min(((l, r) for l, r in pairs
+                  if owners[l] == CLASS and owners[r] != CLASS), default=None)
+        if up:
+            # no clause bounds a class generic by a method's
+            x, names = up[0], {up[1]}
+        else:
+            bounds = stated(pairs, owners)
+            names = _cycle(bounds) or _infimum(bounds)
+            if not names:
+                return bounds, h, owners
+            scope = (CLASS if any(owners[n] == CLASS for n in names)
+                     else owners[min(names)])
+            x = fresh.tph(scope).name
+            owners[x] = scope
+        for n in names:
+            del owners[n]
+        mapping = {n: x for n in names}
+        pairs = {(mapping.get(l, l), mapping.get(r, r)) for l, r in pairs
+                 if mapping.get(l, l) != mapping.get(r, r)}
+        h = {old: mapping.get(new, new) for old, new in h.items()}
         h.update(mapping)
-
-    def collapse(names, owner):
-        # a method's bound set also holds class placeholders; merging one
-        # of them makes the fresh name a class generic
-        scope = CLASS if any(owners.get(n) == CLASS for n in names) else owner
-        x = fresh.tph(scope).name
-        owners[x] = scope
-        apply_map({n: x for n in names})
-
-    changed = True
-    while changed:
-        changed = False
-        for owner in list(family):
-            pairs = family[owner]
-            scc = _cycle(pairs)
-            if scc:
-                collapse(scc, owner)
-                changed = True
-                break
-            inf = _infimum(pairs)
-            if inf:
-                collapse(inf, owner)
-                changed = True
-                break
-    return family, h
 
 
 def _cycle(pairs):
-    """Names on the first bound cycle (by name) within one member, or None.
-    A pair never relates a name to itself, so a cycle takes two pairs."""
-    if len(pairs) < 2:
+    """Names on the first bound cycle (by name), or None.  A pair never
+    relates a name to itself, so a cycle needs a name that is both below
+    and above another."""
+    if not {l for l, _ in pairs} & {r for _, r in pairs}:
         return None
     closure = transitive_closure(pairs)
     for (a, b) in sorted(closure):

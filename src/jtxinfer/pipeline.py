@@ -9,13 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import emit as E
-from .classtable import MethodSig, build_class_table, class_view
+from .classtable import CLASS, MethodSig, build_class_table, class_view
 from .constraints import (CallSite, call_sites, flatten,
                           generate_constraints)
 from .errors import ResourceLimit, Untypable
-from .generics import (CLASS, build_fgg, complete_fgg, compute_owners,
-                       enforce_java_conformance, format_generics,
-                       member_tph_sets)
+from .generics import (build_fgg, complete_fgg, compute_owners,
+                       enforce_java_conformance, format_generics)
 from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
@@ -105,8 +104,6 @@ def _infer_class(cls, table, dumps):
         solved.append(_Solved(sol.sigma_dict(), set(sol.remaining),
                               call_sites(gen, sol.choice), sol.fresh.clone(),
                               gen))
-    for s in solved:
-        s.normalize()
     solved = _dedup(solved)
     solved = _minimal(solved, scoped)
     if not solved:
@@ -121,8 +118,11 @@ def _infer_class(cls, table, dumps):
 class _Solved:
     """Working state for one unifier solution of one choice of or-group
     alternatives: its substitution, remaining placeholder pairs and call
-    sites, and, once normalized, the member that owns each placeholder of
-    its slot terms."""
+    sites.  `generalize` repairs the pairs as one graph for the whole
+    class (see `generics`): a clause states a pair within one member or
+    from a method placeholder to a class one, a method placeholder above
+    a class one is merged into it, and a collapse that takes in a class
+    placeholder is the class's."""
 
     def __init__(self, sigma, remaining, sites, fresh, gen):
         self.sigma = sigma
@@ -138,58 +138,33 @@ class _Solved:
         return [(owner, [self.term(t) for t in terms])
                 for owner, terms in self.gen.slots.items()]
 
-    def normalize(self):
-        """Bind method-owned placeholders that sit above a field placeholder
-        in `remaining` to that field placeholder.  A bind removes the method
-        placeholder and moves no other owner, so owners are computed once."""
-        self.owners = compute_owners(self.slot_groups())
-        while True:
-            pick = next(((r, l) for (l, r) in sorted(self.remaining)
-                         if self.owners.get(l) == CLASS
-                         and self.owners.get(r, CLASS) != CLASS), None)
-            if pick is None:
-                return
-            old, new = pick
-            del self.owners[old]
-            one = {old: TPH(new)}
-            self.sigma = {k: substitute(v, one) for k, v in self.sigma.items()}
-            self.sigma[old] = TPH(new)
-            self.remaining = {
-                (new if a == old else a, new if b == old else b)
-                for (a, b) in self.remaining
-                if (new if a == old else a) != (new if b == old else b)}
-
     def key(self):
         return (tuple(sorted(self.remaining)),
                 tuple(str(t) for _, ts in self.slot_groups() for t in ts))
 
     def generalize(self, view):
-        """The solution's SolvedClass; `view` holds the declared clauses."""
+        """The solution's SolvedClass; `view` holds the declared clauses.
+        Each member declares the names it owns once the pair graph is
+        repaired, each bounded by its one stated upper bound."""
         gen = self.gen
-        owners = self.owners
-        members = member_tph_sets(gen.slots.items(), owners)
+        owners = compute_owners(self.slot_groups())
         remaining = sorted(self.remaining)
-        fgg = build_fgg(remaining, owners, members)
         sites = [CallSite(s.caller, [self.term(t) for t in s.arg_terms],
                           [self.term(t) for t in s.param_terms],
                           self.term(s.ret_term)) for s in self.sites]
-        cfgg = complete_fgg(fgg, remaining, owners, members, sites)
-        family, h = enforce_java_conformance(cfgg, self.fresh, owners)
+        pairs = complete_fgg(build_fgg(remaining, owners), remaining, owners,
+                             sites)
+        bounds, h, owners = enforce_java_conformance(pairs, self.fresh,
+                                                     owners)
         hmap = {old: TPH(new) for old, new in h.items()}
 
         def final(t):
             return substitute(self.term(t), hmap)
 
-        # each member declares the images of its placeholders under h; an
-        # image shared with a class placeholder is the class's
-        in_class = {h.get(n, n) for n in members[CLASS]}
-        bounds = {owner: dict(pairs) for owner, pairs in family.items()}
-        clauses = {owner: {} for owner in members}
-        for owner, names in members.items():
-            for n in names:
-                x = h.get(n, n)
-                home = CLASS if x in in_class else owner
-                clauses[home][x] = bounds[home].get(x)
+        bound = dict(bounds)
+        clauses = {owner: {} for owner in gen.slots}
+        for n, owner in owners.items():
+            clauses[owner][n] = bound.get(n)
 
         def clause(scope, terms):
             declared = [(ClassType(n), b) for n, b in view.clause(scope)]

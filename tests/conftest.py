@@ -141,6 +141,13 @@ PINNED_SRCS = {
                     "class C { m0(p0, p1) { var v0 = 1; var v1 = y -> v0; "
                     "return p0; } m1() { var v0 = y -> y; var v1 = y -> v0; "
                     "var v2 = x -> x; var v3 = true; return v3; } }",
+    # a method placeholder bounded by the class's field placeholder, after
+    # a collapse: across a call, and below a parameter or a chain of them
+    "CallIntoField": "class C { f; m(x) { return n(x); } "
+                     "n(y) { f = y; return y; } }",
+    "FieldBelowParam": "class C { f; m(x, y) { f = x; y = x; return y; } }",
+    "FieldBelowChain": "class C { f; m(x, y, z) { f = x; y = x; z = y; "
+                       "return z; } }",
 }
 
 ALL_GOLDEN_SRCS = {
@@ -167,8 +174,8 @@ def flattened_solutions(gen, table):
 
 
 def stage_solutions(src, idx=0):
-    """Replicate the per-class pipeline up to (and including) the
-    normalization/dedup step, returning the generation result and the
+    """Replicate the per-class pipeline up to (and including) the dedup
+    and minimality steps, returning the generation result and the
     surviving `_Solved` states."""
     prog = parse(src)
     table = build_class_table(prog)
@@ -178,7 +185,6 @@ def stage_solutions(src, idx=0):
     for cand, sol, fresh in flattened_solutions(gen, table):
         s = P._Solved(sol.sigma_dict(), set(sol.remaining),
                       cand.call_sites, fresh.clone(), gen)
-        s.normalize()
         out.append(s)
     return gen, table, P._minimal(P._dedup(out), table)
 

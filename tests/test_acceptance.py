@@ -15,7 +15,7 @@ import jtxinfer as J
 from jtxinfer.constraints import CallSite
 from jtxinfer.funtypes import decode_funtype_name, mangle_funtype_name
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
-                               member_tph_sets)
+                               stated)
 from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type, tphs_of
 from jtxinfer.unify import transitive_closure
@@ -48,21 +48,29 @@ def check(num, label, ok):
 
 
 def _generalization(src, idx=0):
-    """Re-run the per-class stages and expose the bound families."""
+    """Re-run the per-class stages and expose the bound families before
+    and after completion: the stated pairs, by the owner of their left
+    side."""
     gen, table, sols = stage_solutions(src, idx)
     (s,) = sols
-    groups = s.slot_groups()
-    owners = compute_owners(groups)
-    members = member_tph_sets(groups, owners)
+    owners = compute_owners(s.slot_groups())
     rem = sorted(s.remaining)
-    fgg = build_fgg(rem, owners, members)
+    pairs = build_fgg(rem, owners)
     sites = [CallSite(caller=c.caller,
                       arg_terms=[s.term(t) for t in c.arg_terms],
                       param_terms=[s.term(t) for t in c.param_terms],
                       ret_term=s.term(c.ret_term))
              for c in s.sites]
-    cfgg = complete_fgg(fgg, rem, owners, members, sites)
-    return gen, s, owners, members, fgg, cfgg, sites
+    completed = complete_fgg(pairs, rem, owners, sites)
+    return (gen, s, owners, _family(gen, pairs, owners),
+            _family(gen, completed, owners), sites)
+
+
+def _family(gen, pairs, owners):
+    family = {owner: set() for owner in gen.slots}
+    for l, r in stated(pairs, owners):
+        family[owners[l]].add((l, r))
+    return family
 
 
 def _rename_pairs(pairs, ren):
@@ -136,8 +144,11 @@ class TPHsToGenerics<UD extends DZP, DZP extends ETX, ETX> {
 }
 """
 
+# IR, id2's return, sits above the class's ETX; generalization merges it
+# into ETX, so the emitted id2 returns ETX
 TPHS_CS = {("UD", "DZP"), ("DZP", "ETX"), ("V", "UD"), ("AN", "AI"),
-           ("AB", "AA"), ("AB", "AM"), ("AD", "AN"), ("AI", "AE")}
+           ("AB", "AA"), ("AB", "AM"), ("AD", "AN"), ("AI", "AE"),
+           ("ETX", "IR")}
 
 
 def _tphs_anchor_map(gen, s):
@@ -145,6 +156,7 @@ def _tphs_anchor_map(gen, s):
     id2, m, m2 = gen.methods
     ren = {field.args[0].name: "UD", field.args[-1].name: "ETX"}
     ren[s.term(id2.params[0]).name] = "V"
+    ren[s.term(id2.ret).name] = "IR"
     ren[s.term(m.params[0]).name] = "AM"
     ren[s.term(m.params[1]).name] = "AN"
     ren[s.term(m.ret).name] = "AI"
@@ -161,7 +173,7 @@ def _tphs_anchor_map(gen, s):
 
 
 def test_criterion_02_tphs_to_generics():
-    gen, s, owners, members, fgg, cfgg, _ = _generalization(TPHS_SRC)
+    gen, s, owners, fgg, cfgg, _ = _generalization(TPHS_SRC)
     ren = _tphs_anchor_map(gen, s)
     ok = _rename_pairs(s.remaining, ren) == TPHS_CS
     # ETX, AM, AI, AD and AE are unbounded
@@ -215,7 +227,7 @@ def _mutual_anchor_map(gen, s):
     return ren
 
 
-def _completion_oracle(fgg, remaining, owners, members, sites):
+def _completion_oracle(fgg, remaining, owners, sites):
     """Independent reading of the completion rule: an unbounded
     placeholder (one with no pair) gains every minimal caller placeholder R
     such that the argument flows into a callee parameter whose bound chain
@@ -245,8 +257,8 @@ def _completion_oracle(fgg, remaining, owners, members, sites):
                         for rp in tphs_of(site.ret_term):
                             if (tp, rp) not in callee_cl:
                                 continue
-                            for r in members.get(caller, ()):
-                                if r != t and (rp, r) in cs:
+                            for r, o in owners.items():
+                                if o == caller and r != t and (rp, r) in cs:
                                     found.add(r)
                     found = {r for r in found
                              if not any(q != r and (q, r) in cs
@@ -258,7 +270,7 @@ def _completion_oracle(fgg, remaining, owners, members, sites):
 
 
 def test_criterion_03_mutual_recursion():
-    gen, s, owners, members, fgg, cfgg, sites = _generalization(MUTUAL_SRC)
+    gen, s, owners, fgg, cfgg, sites = _generalization(MUTUAL_SRC)
     ren = _mutual_anchor_map(gen, s)
     ok = _rename_pairs(s.remaining, ren) == MUTUAL_CS
     # B, C, DD, BB, F, G, HH, GG and I are unbounded
@@ -269,8 +281,7 @@ def test_criterion_03_mutual_recursion():
         ("method", 2): {("J", "I")},
     }
     ok &= _families_match(fgg, expected_fgg, ren)
-    oracle = _completion_oracle(fgg, sorted(s.remaining), owners, members,
-                                sites)
+    oracle = _completion_oracle(fgg, sorted(s.remaining), owners, sites)
     ok &= {o: set(p) for o, p in cfgg.items()} == oracle
     # the completed program must type-check when fed back in
     typed = J.typed_source(J.run_source(MUTUAL_SRC))

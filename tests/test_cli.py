@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from jtxinfer import classtable
+from jtxinfer import JtxError, classtable
 from jtxinfer.cli import main
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
@@ -85,6 +86,33 @@ def test_syntax_error_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main([str(tmp_path / "nope.jtx")]) == 2
     assert capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_2_and_the_batch_goes_on(tmp_path, capsys):
+    bad = tmp_path / "Bad.jtx"
+    bad.write_bytes(b'class C { m(x) { return "\xff"; } }')
+    ok = write(tmp_path, "Fac.jtx", FAC_SRC)
+    assert main([str(bad), str(ok)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("tx-infer: Bad.jtx: ") and "utf-8" in line
+    assert (tmp_path / "Fac.sigs.txt").exists()
+
+
+# a descriptor collision raised while emitting (see CHANGES.md FOUND lines)
+COLLISION_SRC = (
+    "import java.lang.Integer; class C { f0; f1; m0(p0) { var v0 = 1; "
+    "v0 = f1; p0 = f0; v0 = p0; var v1 = v0; return f0; } "
+    "m1(p0, p1, p2) { f1 = p2; var v0 = 1; v0 = m0(p2); var v1 = v0; } "
+    "m2(p0) { f1 = p0; var v0 = f0; v0 = m0(p0); return f1; } }")
+
+
+def test_error_while_emitting_exits_2_and_writes_nothing(tmp_path):
+    p = write(tmp_path, "Coll.jtx", COLLISION_SRC)
+    proc = tx_infer([str(p)])
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("tx-infer: Coll.jtx: error: C.m1: descriptor ")
+    assert [f.name for f in tmp_path.iterdir()] == ["Coll.jtx"]
 
 
 def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys,
@@ -186,6 +214,27 @@ def test_table_file_is_read_for_every_call(tmp_path, monkeypatch, how):
     assert main(args) == 2
     monkeypatch.delenv("TXINFER_TABLE", raising=False)
     assert main([str(p)]) == 0
+
+
+BAD_TABLES = {
+    "missing": None,
+    "not-json": "not json\n",
+    "no-name": '{"classes": [{"params": []}]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bad_table_file_is_an_error_naming_it(tmp_path, case):
+    table = tmp_path / "table.json"
+    if BAD_TABLES[case] is not None:
+        table.write_text(BAD_TABLES[case])
+    with pytest.raises(JtxError, match=re.escape(f"class table {table}: ")):
+        classtable.load_builtin_entries(str(table))
+    p = write(tmp_path, "Fac.jtx", FAC_SRC)
+    proc = tx_infer([str(p), "--table", str(table)])
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"tx-infer: Fac.jtx: error: class table {table}: ")
 
 
 def test_multiple_inputs_processed(tmp_path):

@@ -1,4 +1,4 @@
-"""Generalization: ownership, bound families, completion, conformance."""
+"""Generalization: ownership, the pair graph, completion, conformance."""
 
 import random
 import sys
@@ -10,8 +10,8 @@ from jtxinfer import generics, run_source
 from jtxinfer.constraints import CallSite, FreshNames
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
                                enforce_java_conformance, format_generics,
-                               member_tph_sets)
-from jtxinfer.typeterms import ClassType, TPH, fun_type
+                               stated)
+from jtxinfer.typeterms import TPH, fun_type
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus  # noqa: E402
@@ -36,108 +36,149 @@ def test_compute_owners_first_claim_wins():
     assert owners == {"A": CLASS, "B": CLASS, "C": M0}
 
 
-def test_member_tph_sets_excludes_borrowed_placeholders():
-    g = groups(cls=[TPH("A")], m0=[TPH("A"), TPH("C")])
-    owners = compute_owners(g)
-    members = member_tph_sets(g, owners)
-    assert members[CLASS] == {"A"}
-    assert members[M0] == {"C"}
+def test_stated_pairs_stay_in_a_member_or_reach_the_class():
+    owners = compute_owners(groups(cls=[TPH("A"), TPH("K")],
+                                   m0=[TPH("A"), TPH("C"), TPH("D")],
+                                   m1=[TPH("E")]))
+    pairs = {("C", "D"),   # within m0
+             ("C", "A"),   # method below class placeholder
+             ("A", "K"),   # within the class
+             ("E", "C"),   # crosses two methods
+             ("A", "D")}   # class below method placeholder
+    assert stated(pairs, owners) == {("C", "D"), ("C", "A"), ("A", "K")}
 
 
 def test_build_fgg_partitions_and_leaves_unbounded_out():
-    g = groups(cls=[TPH("A")], m0=[TPH("C"), TPH("D")], m1=[TPH("E")])
-    owners = compute_owners(g)
-    members = member_tph_sets(g, owners)
-    remaining = {("C", "D"),   # within m0: kept
-                 ("C", "A"),   # method below class placeholder: kept
-                 ("E", "C")}   # crosses two methods: dropped
-    fgg = build_fgg(remaining, owners, members)
-    # D, E and A are unbounded: they have no pair
-    assert fgg == {CLASS: set(), M0: {("C", "D"), ("C", "A")}, M1: set()}
+    # Z is in no slot: its lower bound C is joined to its upper bound D
+    owners = compute_owners(groups(cls=[TPH("A")], m0=[TPH("C"), TPH("D")],
+                                   m1=[TPH("E")]))
+    remaining = {("C", "Z"), ("Z", "D"), ("C", "A"), ("E", "C")}
+    pairs = build_fgg(remaining, owners)
+    assert pairs == {("C", "D"), ("C", "A"), ("E", "C")}
+    # D, E and A are unbounded: no stated pair has them on its left
+    assert stated(pairs, owners) == {("C", "D"), ("C", "A")}
 
 
 def test_complete_fgg_bounds_unbounded_along_call():
     # method 1 calls method 0: T flows into callee param P, whose bound
     # chain reaches the callee return Q, which flows back into caller R.
-    g = groups(m0=[TPH("P"), TPH("Q")], m1=[TPH("T"), TPH("R")])
-    owners = compute_owners(g)
-    members = member_tph_sets(g, owners)
+    owners = compute_owners(groups(m0=[TPH("P"), TPH("Q")],
+                                   m1=[TPH("T"), TPH("R")]))
     remaining = {("T", "P"), ("P", "Q"), ("Q", "R")}
-    fgg = build_fgg(remaining, owners, members)
-    assert fgg[M1] == set()
+    pairs = build_fgg(remaining, owners)
+    assert stated(pairs, owners) == {("P", "Q")}
     site = CallSite(caller=1, arg_terms=[TPH("T")], param_terms=[TPH("P")],
                     ret_term=TPH("Q"))
-    cfgg = complete_fgg(fgg, remaining, owners, members, [site])
-    assert cfgg[M1] == {("T", "R")}
-    # callee bounds unchanged
-    assert cfgg[M0] == fgg[M0] == {("P", "Q")}
+    completed = complete_fgg(pairs, remaining, owners, [site])
+    # T gains R; the callee's bound is unchanged
+    assert completed - pairs == {("T", "R")}
+    assert stated(completed, owners) == {("P", "Q"), ("T", "R")}
 
 
 def test_complete_fgg_without_return_flow_keeps_unbounded():
-    g = groups(m0=[TPH("P"), TPH("Q")], m1=[TPH("T"), TPH("R")])
-    owners = compute_owners(g)
-    members = member_tph_sets(g, owners)
+    owners = compute_owners(groups(m0=[TPH("P"), TPH("Q")],
+                                   m1=[TPH("T"), TPH("R")]))
     remaining = {("T", "P"), ("P", "Q")}   # Q never reaches R
-    fgg = build_fgg(remaining, owners, members)
+    pairs = build_fgg(remaining, owners)
     site = CallSite(caller=1, arg_terms=[TPH("T")], param_terms=[TPH("P")],
                     ret_term=TPH("Q"))
-    cfgg = complete_fgg(fgg, remaining, owners, members, [site])
-    assert cfgg == fgg
-    assert cfgg[M1] == set()
+    assert complete_fgg(pairs, remaining, owners, [site]) == pairs
+
+
+def test_complete_fgg_reads_the_callee_chain_in_its_own_bounds():
+    # P < Q holds only through m1's T: that is no bound of m0, so T
+    # gains no bound from the call
+    owners = compute_owners(groups(m0=[TPH("P"), TPH("Q")],
+                                   m1=[TPH("T"), TPH("R"), TPH("S")]))
+    remaining = {("S", "P"), ("P", "T"), ("T", "Q"), ("Q", "R")}
+    pairs = build_fgg(remaining, owners)
+    site = CallSite(caller=1, arg_terms=[TPH("S")], param_terms=[TPH("P")],
+                    ret_term=TPH("Q"))
+    assert complete_fgg(pairs, remaining, owners, [site]) == pairs
 
 
 def test_conformance_collapses_cycle():
     owners = {"L": M0, "M": M0}
     fresh = FreshNames()
-    family, h = enforce_java_conformance({M0: {("L", "M"), ("M", "L")}},
-                                         fresh, owners)
+    bounds, h, owners = enforce_java_conformance({("L", "M"), ("M", "L")},
+                                                 fresh, owners)
     assert h["L"] == h["M"]
     x = h["L"]
     assert fresh.scope_of(x) == M0
+    assert owners == {x: M0}
     # the collapsed pair disappears and leaves x unbounded
-    assert family == {M0: set()}
+    assert bounds == set()
 
 
 def test_conformance_collapses_infimum():
     owners = {"A": M0, "B": M0, "C": M0}
     fresh = FreshNames()
-    family, h = enforce_java_conformance({M0: {("A", "B"), ("A", "C")}},
-                                         fresh, owners)
+    bounds, h, _ = enforce_java_conformance({("A", "B"), ("A", "C")},
+                                            fresh, owners)
     assert h["A"] == h["B"] == h["C"]
-    assert all(l != r for l, r in family[M0])
+    assert all(l != r for l, r in bounds)
 
 
 def test_conformance_keeps_surrounding_bounds():
     owners = {"L": M0, "M": M0, "N": M0}
     fresh = FreshNames()
-    family, h = enforce_java_conformance(
-        {M0: {("L", "M"), ("M", "L"), ("N", "L")}}, fresh, owners)
+    bounds, h, _ = enforce_java_conformance(
+        {("L", "M"), ("M", "L"), ("N", "L")}, fresh, owners)
     x = h["L"]
-    assert family == {M0: {("N", x)}}
+    assert bounds == {("N", x)}
 
 
 def test_conformance_identity_on_clean_family():
     owners = {"A": M0, "B": M0}
     fresh = FreshNames()
-    family, h = enforce_java_conformance({M0: {("A", "B")}}, fresh, owners)
+    bounds, h, out = enforce_java_conformance({("A", "B")}, fresh, owners)
     assert h == {}
-    assert family == {M0: {("A", "B")}}
+    assert bounds == {("A", "B")}
+    assert out == owners
 
 
 def test_conformance_leaves_owners_unchanged():
     # method placeholder L has two upper bounds, one of them the class's
-    # K: the merged name is a class generic, recorded by `fresh` only
+    # K: the merged name is a class generic, in the owners returned
     owners = {"K": CLASS, "L": M0, "M": M0}
     given = dict(owners)
     fresh = FreshNames()
-    family, h = enforce_java_conformance(
-        {CLASS: set(), M0: {("L", "K"), ("L", "M")}}, fresh, owners)
+    bounds, h, out = enforce_java_conformance(
+        {("L", "K"), ("L", "M")}, fresh, owners)
     assert owners == given
     x = h["K"]
     assert x not in given
     assert h == {"K": x, "L": x, "M": x}
     assert fresh.scope_of(x) == CLASS
-    assert family == {CLASS: set(), M0: set()}
+    assert out == {x: CLASS}
+    assert bounds == set()
+
+
+def test_conformance_merges_a_method_placeholder_above_a_class_one():
+    # L sits above the class's K: it becomes K, draws no fresh name, and
+    # M's bound becomes a method -> class bound
+    owners = {"K": CLASS, "L": M0, "M": M0}
+    fresh = FreshNames()
+    bounds, h, out = enforce_java_conformance({("K", "L"), ("M", "L")},
+                                              fresh, owners)
+    assert h == {"L": "K"}
+    assert fresh.mark() == 0
+    assert out == {"K": CLASS, "M": M0}
+    assert bounds == {("M", "K")}
+
+
+def test_conformance_merges_after_a_collapse():
+    # the infimum of L takes in the class's K; the fresh class name then
+    # sits below m1's N, which is merged into it, and m1's O < N becomes
+    # a stated bound on the class name
+    owners = {"K": CLASS, "L": M0, "M": M0, "N": M1, "O": M1}
+    fresh = FreshNames()
+    bounds, h, out = enforce_java_conformance(
+        {("L", "K"), ("L", "M"), ("M", "N"), ("O", "N")}, fresh, owners)
+    x = h["K"]
+    assert h == {"K": x, "L": x, "M": x, "N": x}
+    assert out == {x: CLASS, "O": M1}
+    assert bounds == {("O", x)}
 
 
 def test_format_generics_lines():
@@ -166,9 +207,11 @@ def test_classes_without_calls_take_no_closure(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
-def test_depth_takes_three_closures_per_calling_class(n, monkeypatch):
+def test_depth_takes_two_closures_per_calling_class(n, monkeypatch):
     """Each class but the first calls its predecessor's `f` once:
-    completion closes the remaining pairs, then the class's and `f`'s
-    bound sets, once each; no bound set has two pairs."""
+    completion closes the remaining pairs, then `f`'s stated pairs, its
+    one bound; the callee, another class's, has its chain read in the
+    first closure.  No name is both below and above another, so there is
+    no cycle to look for."""
     unit = corpus.depth_unit(n, random.Random(n))
-    assert _closures(unit.source, monkeypatch) == 3 * (n - 1)
+    assert _closures(unit.source, monkeypatch) == 2 * (n - 1)

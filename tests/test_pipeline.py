@@ -493,6 +493,9 @@ PINNED_SIGS = {
                      "C.m1 : <G extends H, H extends I, I extends J, "
                      "K extends L, L, M extends N, N extends O, O, "
                      "P extends G, J> () -> Boolean"],
+    "CallIntoField": ["C.m : <B extends A> B -> A", "C.n : A -> A"],
+    "FieldBelowParam": ["C.m : (A, A) -> A"],
+    "FieldBelowChain": ["C.m : (A, A, A) -> A"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",

@@ -154,8 +154,7 @@ def _refl_closure(pairs, names):
 def test_conformance_repair_is_monotone_and_java_conform(pairs):
     owners = {n: M0 for n in NODES}
     fresh = FreshNames()
-    family, h = enforce_java_conformance({M0: set(pairs)}, fresh, owners)
-    out = family[M0]
+    out, h, _ = enforce_java_conformance(set(pairs), fresh, owners)
 
     def H(n):
         return h.get(n, n)
