@@ -15,7 +15,8 @@ from importlib import resources
 
 from .errors import (ArityMismatch, DuplicateClass, JtxError,
                      UnknownImport, UnsupportedFeature)
-from .typeterms import VOID, ClassType, TPH, fun_head_arity, instantiate
+from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_head_arity,
+                        instantiate)
 from . import syntax as S
 
 # a JVM method takes at most 255 parameter slots, `this` among them
@@ -43,6 +44,9 @@ class Entry:
     # methods until the pipeline replaces them with the inferred typings
     methods: list = field(default_factory=list)
     fields: dict = field(default_factory=dict)    # name -> TypeTerm | None
+    # a user class's generics clause, [(name, bound or None)]: the type
+    # parameters its methods and fields take besides their own
+    generics: list = field(default_factory=list)
     constructor: list = field(default_factory=list)
 
     @property
@@ -68,9 +72,9 @@ def load_builtin_entries(path=None):
 
     The bundled table is parsed once per process: each call returns a new
     dict over the same entries, which no caller may change (later writes
-    touch only user entries' `methods` and `fields`).  A table at `path`
-    is read on every call; one that cannot be read, is not JSON or lacks
-    a key is a `JtxError` that names the path."""
+    touch only user entries' `methods`, `fields` and `generics`).  A
+    table at `path` is read on every call; one that cannot be read, is not
+    JSON or lacks a key is a `JtxError` that names the path."""
     if path is None:
         return dict(_bundled_entries())
     try:
@@ -121,57 +125,44 @@ def _entries_from_json(data):
 class ClassTable:
     """Immutable view of the type universe.
 
-    `clauses` maps member scopes, ``("class",)`` and then ``("method",
-    i)``, to their declared generics clauses, ((name, bound or None), ...),
-    as `class_view` resolves them.  `typevars` maps each declared name (a
-    rigid type variable) to its bound.
+    `typevars` maps each declared type variable of the view's class, a
+    `TypeVar` of the class or of one of its methods, to its bound (None for
+    none), in declaration order: the class's clause, then each method's.
 
     Each view caches `supertype_chain` per term and `subtype_heads` per
     (head, member scope).  Both depend only on the entries, their super
-    templates and the view's clauses, and none of these changes once a
+    templates and the view's variables, and none of these changes once a
     view is queried: `build_class_table` adds every entry before the first
     chain is walked, later writes (the pipeline's inferred typings and
-    field types) touch only user entries' `methods` and `fields`, and
-    every view has caches of its own.  The built-in entries are shared by
-    every table of the process and never written.
+    field types) touch only user entries' `methods`, `fields` and
+    `generics`, and every view has caches of its own.  The built-in
+    entries are shared by every table of the process and never written.
     """
 
-    def __init__(self, entries, clauses=None):
+    def __init__(self, entries, typevars=None):
         self.entries = entries
-        self.clauses = clauses or {}
-        self.typevars = {n: b for clause in self.clauses.values()
-                         for n, b in clause}
-        # member scope -> the declared names it sees: the class's, its own
-        shared = {n for n, _ in self.clause(CLASS)}
-        self._seen = {scope: shared | {n for n, _ in clause}
-                      for scope, clause in self.clauses.items()}
+        self.typevars = typevars or {}
         self._chains = {}     # term -> tuple, see `supertype_chain`
         self._heads = {}      # (name, scope) -> tuple, see `subtype_heads`
 
     # -- basic lookup -------------------------------------------------------
 
     def has(self, name):
-        return name in self.entries or name in self.typevars
+        return name in self.entries
 
     def entry(self, name):
         return self.entries[name]
 
     def clause(self, scope):
-        """The declared clause of member `scope`."""
-        return self.clauses.get(scope, ())
+        """The declared (variable, bound) pairs of member `scope`."""
+        return tuple((v, b) for v, b in self.typevars.items()
+                     if v.owner == scope)
 
-    def in_scope(self, typevar, scope):
-        """Whether member `scope` sees declared variable `typevar`."""
-        return typevar in self._seen.get(scope, ())
-
-    def member(self, scope):
-        """The view of member `scope` alone: the variables it sees."""
-        return ClassTable(self.entries,
-                          {s: self.clause(s) for s in (CLASS, scope)})
-
-    def is_typevar(self, term):
-        return (isinstance(term, ClassType) and not term.args
-                and term.name in self.typevars)
+    def declared(self, name, scope):
+        """The declared variable `name` that member `scope` sees, its own
+        before the class's; None when it sees none."""
+        return next((v for v in reversed(self.typevars) if v.source == name
+                     and v.owner in (scope, CLASS)), None)
 
     # -- declared subtyping -------------------------------------------------
 
@@ -183,9 +174,8 @@ class ClassTable:
         is Object), or None."""
         if not isinstance(term, ClassType):
             return None
-        if self.is_typevar(term):
-            bound = self.typevars[term.name]
-            return bound if bound is not None else ClassType("Object")
+        if term in self.typevars:
+            return self.typevars[term] or ClassType("Object")
         entry = self.entries.get(term.name)
         if entry is None:
             return None
@@ -266,20 +256,13 @@ class ClassTable:
         return heads
 
     def _walk_subtype_heads(self, name, scope):
-        for cand in self.entries:
-            chain = self.supertype_chain(ClassType(
-                cand, tuple(TPH(f"?{i}") for i in
-                            range(self.entries[cand].arity))))
+        heads = [ClassType(cand, tuple(TPH(f"?{i}") for i in range(e.arity)))
+                 for cand, e in self.entries.items()]
+        heads += [v for v in self.typevars if v.owner in (scope, CLASS)]
+        for head in heads:
             if any(isinstance(t, ClassType) and t.name == name
-                   for t in chain):
-                yield cand
-        for tv in self.typevars:
-            if not self.in_scope(tv, scope):
-                continue
-            chain = self.supertype_chain(ClassType(tv))
-            if any(isinstance(t, ClassType) and t.name == name
-                   for t in chain):
-                yield tv
+                   for t in self.supertype_chain(head)):
+                yield head.name
 
     # -- member lookup ------------------------------------------------------
 
@@ -304,12 +287,13 @@ def resolve_src_type(src, table, scope=CLASS):
         raise UnsupportedFeature(
             "diamond type outside 'new'", src.pos.line, src.pos.col)
     name = src.name.rsplit(".", 1)[-1]
-    if table.in_scope(name, scope):
+    var = table.declared(name, scope)
+    if var is not None:
         if src.args:
             raise ArityMismatch(
                 f"type variable {name} takes no arguments",
                 src.pos.line, src.pos.col)
-        return ClassType(name)
+        return var
     entry = table.entries.get(name)
     if entry is None:
         raise UnknownImport(
@@ -380,6 +364,7 @@ def build_class_table(program, builtin_path=None):
     for cls in user:
         entry = entries[cls.name]
         view = class_view(cls, table)
+        entry.generics = [(v.name, b) for v, b in view.clause(CLASS)]
         for f in cls.fields:
             entry.fields[f.name] = (f.annotation and
                                     resolve_src_type(f.annotation, view))
@@ -391,31 +376,28 @@ def build_class_table(program, builtin_path=None):
                       for p in m.params]
             ret = resolve_src_type(m.ret, view, scope)
             entry.methods.append(MethodSig(
-                m.name, [*view.clause(CLASS), *view.clause(scope)],
+                m.name, [*entry.generics, *((v.name, b) for v, b
+                                            in view.clause(scope))],
                 params, ret))
     return table
 
 
 def class_view(cls, table):
-    """The view of `table` for class `cls`, holding the declared clause of
-    each member: the class and then each method.  A bound is resolved among
-    the variables its member sees, and an `Object` bound is no bound."""
-    generics = {CLASS: cls.generics}
-    for i, m in enumerate(cls.methods):
-        generics[("method", i)] = m.generics
-    if not any(generics.values()):
+    """The view of `table` for class `cls`, holding the declared variables
+    of the class and then of each method.  A bound is resolved among the
+    variables its member sees, all made first; an `Object` bound is none."""
+    members = [(CLASS, cls.generics), *((("method", i), m.generics)
+                                        for i, m in enumerate(cls.methods))]
+    if not any(gs for _, gs in members):
         return table
-    names = ClassTable(table.entries, {
-        scope: tuple((g.name, None) for g in gs)
-        for scope, gs in generics.items()})
-
-    def bound(g, scope):
-        b = g.bound and resolve_src_type(g.bound, names, scope)
-        return None if b is ClassType("Object") else b
-
-    return ClassTable(table.entries, {
-        scope: tuple((g.name, bound(g, scope)) for g in gs)
-        for scope, gs in generics.items()})
+    view = ClassTable(table.entries, {TypeVar(g.name, scope): None
+                                      for scope, gs in members for g in gs})
+    for scope, gs in members:
+        for g in gs:
+            b = g.bound and resolve_src_type(g.bound, view, scope)
+            view.typevars[TypeVar(g.name, scope)] = (
+                None if b is ClassType("Object") else b)
+    return view
 
 
 def _fun_entry(name):

@@ -7,8 +7,9 @@ reads share one member-access rule.  A call without receiver is a call on
 the class being inferred, and a declared variable has the members of the
 first type on its supertype chain that is no variable, so a field read on
 one types as a call does.  The class being inferred offers its slot terms,
-any other class its table entry's templates; a field is a signature
-without parameters.  A receiver with a known head takes its class's
+any other class its table entry's templates, which take the class's
+generics clause as type parameters; a field is a signature without
+parameters.  A receiver with a known head takes its class's
 candidates.  Any other receiver may be any class that declares the member,
 that class included: it becomes one `ReceiverGroup`, whose alternatives
 each bind the receiver to their class.  They share one block of fresh
@@ -29,8 +30,8 @@ from . import syntax as S
 from .classtable import MethodSig, resolve_src_type
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
-from .typeterms import (VOID, ClassType, TPH, fun_type, instantiate,
-                        is_ground, tph_name, tph_number)
+from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_type,
+                        instantiate, is_ground, tph_name, tph_number)
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,9 @@ class _Generator:
         else:
             ret = VOID
         self.slot(ret)
-        return MethodSig(m.name, list(self.table.clause(self.scope)), params,
-                         ret)
+        return MethodSig(m.name, [(v.name, b) for v, b
+                                  in self.table.clause(self.scope)],
+                         params, ret)
 
     # -- statements ----------------------------------------------------------
 
@@ -372,7 +374,7 @@ class _Generator:
 
     def _new(self, e, env):
         name = e.cls.name.rsplit(".", 1)[-1]
-        if not self.table.has(name) or self.table.is_typevar(ClassType(name)):
+        if not self.table.has(name) or self.table.declared(name, self.scope):
             raise UnknownIdentifier(
                 f"unknown class '{e.cls.name}'", e.pos.line, e.pos.col)
         entry = self.table.entry(name)
@@ -404,8 +406,9 @@ class _Generator:
         result = self.fresh.tph(self.scope)
 
         def alternative(rterm, sig, names):
-            return Alternative([doteq(
-                result, self.table.instantiate_method(sig, rterm).ret)])
+            _, ret, bounds = _freshen(
+                self.table.instantiate_method(sig, rterm), names)
+            return Alternative([*bounds, doteq(result, ret)])
 
         if not self._member(e, recv, alternative):
             raise UnknownMember(
@@ -453,9 +456,9 @@ class _Generator:
         takes its class's candidates, each with names of its own; any
         other becomes one `ReceiverGroup` over every class.  Adds the
         alternatives to the result; returns how many there are."""
-        if self.table.is_typevar(recv):
+        if isinstance(recv, TypeVar):
             recv = next(t for t in self.table.supertype_chain(recv)
-                        if not self.table.is_typevar(t))
+                        if not isinstance(t, TypeVar))
         if isinstance(recv, ClassType):
             alts = [alternative(recv, sig, [self.fresh.tph(self.scope)
                                             for _ in sig.typeparams])
@@ -485,13 +488,15 @@ class _Generator:
         `cname`, in declaration order: a call's methods of its name and
         arity, or a read's field of a known type, as a signature without
         parameters.  The class being inferred offers its slot terms, any
-        other class its entry's templates."""
+        other class its entry's templates; its field takes the class's
+        `generics` as type parameters, as its methods already do."""
         own = cname == self.cls.name
         entry = self.table.entry(cname)
         if isinstance(e, S.FieldAccess):
             term = (self.result.field_terms if own
                     else entry.fields).get(e.name)
-            return [] if term is None else [MethodSig(e.name, [], [], term)]
+            return [] if term is None else [MethodSig(
+                e.name, [] if own else entry.generics, [], term)]
         return [sig for sig in (self.result.methods if own else entry.methods)
                 if sig.name == e.name and len(sig.params) == len(e.args)]
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
-from .typeterms import VOID, ClassType, TPH, substitute, tph_name, tphs_of
+from .typeterms import (VOID, ClassType, TPH, TypeVar, substitute,
+                        tph_name, tphs_of)
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -18,7 +19,7 @@ _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 class MethodTyping:
     """One member of a method's intersection type."""
 
-    generics: tuple   # ((TPH/ClassType, bound-term-or-None), ...)
+    generics: tuple   # ((TPH/TypeVar, bound-term-or-None), ...)
     params: tuple     # TypeTerm per parameter
     ret: object       # TypeTerm
 
@@ -139,8 +140,8 @@ def signature_report(class_name, method_signatures):
 def term_to_srctype(term):
     if term is VOID:
         return S.SrcType("void")
-    if isinstance(term, TPH):
-        return S.SrcType(term.name)
+    if not isinstance(term, ClassType) or not term.args:
+        return S.SrcType(str(term))
     return S.SrcType(term.name, [term_to_srctype(a) for a in term.args])
 
 
@@ -171,10 +172,10 @@ def rename_apart(t, sigma, taken):
 
 
 def declared_names(rep):
-    """The declared type variables of `rep`'s class and methods."""
-    return {v.name for clause in (rep.class_generics,
+    """The names of the declared variables of `rep`'s class and methods."""
+    return {str(v) for clause in (rep.class_generics,
                                   *(t.generics for t in rep.methods))
-            for v, _ in clause if isinstance(v, ClassType)}
+            for v, _ in clause if isinstance(v, TypeVar)}
 
 
 def build_typed_class(cls, rep, classes=()):
@@ -249,14 +250,13 @@ def method_descriptor(typing, table=None):
 
 def emit_descriptors(class_name, method_signatures, table=None):
     """`Class.method : (Largs;)Lret;` lines; typings of one declaration
-    must map to pairwise distinct descriptors.  `table` is the class's
-    view: the declared variables a method sees erase like placeholders."""
+    must map to pairwise distinct descriptors.  `table` names the classes'
+    qualified names; declared variables erase like placeholders."""
     lines = []
-    for i, (mname, typings) in enumerate(method_signatures):
-        scoped = table and table.member(("method", i))
+    for mname, typings in method_signatures:
         seen = {}
         for t in typings:
-            d = method_descriptor(t, scoped)
+            d = method_descriptor(t, table)
             if d in seen and _canonical(seen[d]) != _canonical(t):
                 raise DescriptorCollision(
                     f"{class_name}.{mname}: descriptor {d} is shared by "

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import JtxError
-from .typeterms import (FUN_HEAD, VOID, ClassType, fun_subterms, is_fun,
-                        is_ground)
+from .typeterms import (FUN_HEAD, VOID, ClassType, TypeVar, fun_subterms,
+                        is_fun, is_ground)
 
 SEP = "$_$"
 
@@ -29,16 +29,16 @@ def _qualified(name, table):
 def mangle_funtype_name(t, table=None):
     """Mangled class name of a function type; erased root when any
     parameter is still a placeholder or type variable."""
-    if not t.args or not is_ground(t) or _has_typevar(t, table):
+    if not t.args or not _concrete(t):
         return t.name
     parts = [_mangle_term(a, table) for a in t.args]
     return t.name + SEP + SEP.join(parts) + SEP
 
 
-def _has_typevar(t, table):
-    if table is None or not isinstance(t, ClassType):
-        return False
-    return table.is_typevar(t) or any(_has_typevar(a, table) for a in t.args)
+def _concrete(t):
+    """True when `t` holds neither a placeholder nor a declared variable."""
+    return is_ground(t) and not isinstance(t, TypeVar) and all(
+        map(_concrete, t.args))
 
 
 def _mangle_term(t, table):
@@ -125,7 +125,7 @@ def fun_interface_hierarchy(used, table):
             continue
         supers = []
         above = [u for u in used
-                 if u is not t and is_ground(u) and is_ground(t)
+                 if u is not t and _concrete(u) and _concrete(t)
                  and table.is_subtype(t, u)]
         for u in above:
             if any(w is not u and w is not t and table.is_subtype(t, w)
@@ -149,8 +149,6 @@ def descriptor_term(t, table=None):
         return "V"
     if is_fun(t):
         return f"L{mangle_funtype_name(t, table)};"
-    if isinstance(t, ClassType):
-        if table is not None and table.is_typevar(t):
-            return "Ljava$lang$Object;"
+    if isinstance(t, ClassType) and not isinstance(t, TypeVar):
         return "L" + _qualified(t.name, table).replace(".", "$") + ";"
     return "Ljava$lang$Object;"

@@ -19,8 +19,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
 from .syntax import Program, print_program
-from .typeterms import (VOID, ClassType, TPH, instantiate, is_ground,
-                        substitute, tphs_of)
+from .typeterms import VOID, ClassType, TPH, substitute, tphs_of
 from .unify import format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
@@ -35,7 +34,7 @@ class SolvedClass:
 
     remaining: tuple
     # generics clause: ((variable, bound-or-None), ...) of terms; the
-    # variable is a TPH when inferred and a ClassType when declared
+    # variable is a TPH when inferred and a TypeVar when declared
     class_generics: tuple
     field_terms: dict           # field name -> term
     methods: list               # [emit.MethodTyping], one per method
@@ -46,7 +45,6 @@ class SolvedClass:
 @dataclass
 class ClassResult:
     cls: object
-    table: object                # the class's view, see `class_view`
     typed_cls: object            # annotated ClassDecl (representative)
     signatures: list             # [(method name, [MethodTyping])]
     used_terms: list = field(default_factory=list)
@@ -167,9 +165,8 @@ class _Solved:
             clauses[owner][n] = bound.get(n)
 
         def clause(scope, terms):
-            declared = [(ClassType(n), b) for n, b in view.clause(scope)]
             return _generics_clause(
-                declared + _clause_pairs(clauses[scope]), terms)
+                [*view.clause(scope), *_clause_pairs(clauses[scope])], terms)
 
         field_terms = {n: final(t) for n, t in gen.field_terms.items()}
         methods = []
@@ -268,32 +265,40 @@ def _assemble(cls, finished, table):
     used.extend(substitute(t, sigma) for t in (*rep.field_terms.values(),
                                                *rep.local_terms.values()))
     _register(cls, table, signatures, rep, sigma)
-    return ClassResult(cls=cls, table=table, typed_cls=typed_cls,
+    return ClassResult(cls=cls, typed_cls=typed_cls,
                        signatures=signatures, used_terms=used,
                        remainings=[s.remaining for s in finished])
 
 
 def _register(cls, table, signatures, rep, sigma):
-    """Make the inferred typings callable from later classes: they replace
-    the class entry's methods, and ground field types fill its fields;
-    `sigma` renames `rep`'s placeholders canonically."""
-    methods = []
+    """Make the inferred class usable from later classes: its typings
+    replace the class entry's methods, each with the class's declared
+    clause among its type parameters, as an annotated method has it; its
+    field types fill the entry's fields, and `rep`'s class clause is the
+    entry's `generics`, which another class's field read instantiates.  A
+    placeholder becomes a template variable of its name; `sigma` renames
+    `rep`'s placeholders canonically, as in `signatures`."""
+
+    def template(term):
+        return term and substitute(term, {n: ClassType(n) for n in term.tphs})
+
+    def renamed(term):
+        return template(term and substitute(term, sigma))
+
+    declared = [(v.name, b) for v, b in table.clause(CLASS)]
+    entry = table.entries[cls.name]
+    entry.methods = []
     for (mname, typings) in signatures:
         for t in typings:
             bound_by = {v.name: b for v, b in t.generics}
-            names = dict.fromkeys([*t.names(), *bound_by])
-            as_var = {n: ClassType(n) for n in names}
-            conv = lambda term: substitute(term, as_var)
-            tps = [(n, None if bound_by.get(n) is None
-                    else conv(bound_by[n])) for n in names]
-            methods.append(MethodSig(mname, tps, [conv(p) for p in t.params],
-                                     conv(t.ret)))
-    entry = table.entries[cls.name]
-    entry.methods = methods
+            entry.methods.append(MethodSig(
+                mname, declared + [(n, template(bound_by.get(n))) for n
+                                   in dict.fromkeys([*t.names(), *bound_by])],
+                [template(p) for p in t.params], template(t.ret)))
+    entry.generics = [(renamed(v).name, renamed(b))
+                      for v, b in rep.class_generics]
     for f in cls.fields:
-        term = substitute(rep.field_terms[f.name], sigma)
-        if is_ground(term):
-            entry.fields[f.name] = term
+        entry.fields[f.name] = renamed(rep.field_terms[f.name])
 
 
 # --- top-level outputs -----------------------------------------------------
@@ -323,17 +328,15 @@ def signature_lines(result):
 def descriptor_lines(result):
     lines = []
     for r in result.class_results:
-        lines.extend(E.emit_descriptors(r.cls.name, r.signatures, r.table))
+        lines.extend(E.emit_descriptors(r.cls.name, r.signatures,
+                                        result.table))
     return lines
 
 
 def funiface_manifest(result):
-    """The interfaces of the function types the classes use; a declared
-    variable counts as a placeholder, so a function type over one is its
-    erased root, as in descriptors."""
-    terms = []
-    for r in result.class_results:
-        as_tph = {v: TPH(v) for v in r.table.typevars}
-        terms.extend(instantiate(t, as_tph) for t in r.used_terms)
-    used = collect_used_funtypes(terms)
+    """The interfaces of the function types the classes use; one over a
+    placeholder or a declared variable is its erased root, as in
+    descriptors."""
+    used = collect_used_funtypes(
+        t for r in result.class_results for t in r.used_terms)
     return render_manifest(fun_interface_hierarchy(used, result.table))

@@ -1,4 +1,4 @@
-"""Type terms: class types, placeholders and void.
+"""Type terms: class types, declared type variables, placeholders and void.
 
 Terms are hash-consed: constructing a term returns the one object for its
 structure, a class type's `(name, args)` or a placeholder's name, and
@@ -45,9 +45,8 @@ _TPHS = {}          # name -> TPH
 
 
 class ClassType(TypeTerm):
-    """Named type, possibly generic; `args` is a tuple of terms.  Also used
-    for declared type variables, which are arity-0 entries in a scoped
-    class table."""
+    """Named type, possibly generic; `args` is a tuple of terms.  A
+    declared type variable is one too, a `TypeVar`."""
 
     __slots__ = ("name", "args")
 
@@ -68,7 +67,29 @@ class ClassType(TypeTerm):
         return (ClassType, (self.name, self.args))
 
     def __repr__(self):
-        return f"ClassType(name={self.name!r}, args={self.args!r})"
+        return f"{type(self).__name__}(name={self.name!r}, args={self.args!r})"
+
+
+class TypeVar(ClassType):
+    """A declared type variable of member `owner`, a member scope, so each
+    member's `T` is a term of its own.  Its `name`, which head tests
+    compare, holds the member behind an `@`, which no identifier contains;
+    it prints as `source`.  Terms are interned: `ClassType(var.name)` is
+    `var`."""
+
+    __slots__ = ("source", "owner")
+
+    def __new__(cls, source, owner):
+        name = "@".join([source, *map(str, owner)])
+        if (name, ()) not in _CLASS_TYPES:
+            term = super().__new__(cls, name)
+            _set(term, "_str", source)
+            _set(term, "source", source)
+            _set(term, "owner", owner)
+        return _CLASS_TYPES[name, ()]
+
+    def __reduce__(self):
+        return (TypeVar, (self.source, self.owner))
 
 
 class TPH(TypeTerm):
@@ -175,8 +196,9 @@ def substitute(term, sigma):
 
 
 def instantiate(term, mapping):
-    """Replace each type-variable reference (an arg-less ClassType whose
-    name is in `mapping`) by its image."""
+    """Replace each type-variable reference of a template (an arg-less
+    ClassType, a `TypeVar` among them, whose name is in `mapping`) by its
+    image."""
     if isinstance(term, ClassType):
         if not term.args:
             return mapping.get(term.name, term)

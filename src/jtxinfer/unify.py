@@ -74,9 +74,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .classtable import CLASS
 from .constraints import FreshNames, ReceiverGroup, doteq, lessdot
 from .errors import ResourceLimit
-from .typeterms import VOID, ClassType, TPH, substitute, tphs_of
+from .typeterms import VOID, ClassType, TPH, TypeVar, substitute, tphs_of
 
 # worklist pops per choice of or-group alternatives
 MAX_STEPS = 500_000
@@ -426,7 +427,7 @@ class _Unifier:
         they take the same path.  A declared type variable is offered only
         to placeholders of the members it is in scope for."""
         t = c.lhs if isinstance(c.lhs, TPH) else c.rhs
-        scope = self.fresh.scope_of(t.name) or ("class",)
+        scope = self.fresh.scope_of(t.name) or CLASS
         if t is c.lhs:
             bound = c.rhs
             for name in self.table.subtype_heads(bound.name, scope):
@@ -437,9 +438,8 @@ class _Unifier:
             seen = set()
             sups = []
             for sup in self.table.supertype_chain(low):
-                if sup.name in seen or (
-                        self.table.is_typevar(sup)
-                        and not self.table.in_scope(sup.name, scope)):
+                if sup.name in seen or (isinstance(sup, TypeVar) and
+                                        sup.owner not in (scope, CLASS)):
                     continue
                 seen.add(sup.name)
                 sups.append(sup)
@@ -478,9 +478,9 @@ class _Unifier:
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
         the placeholder being refined."""
-        if name in self.table.typevars:
+        entry = self.table.entries.get(name)
+        if entry is None:   # a declared variable
             return ClassType(name)
-        entry = self.table.entry(name)
         return ClassType(name, tuple(self._fresh_like(like)
                                      for _ in range(entry.arity)))
 

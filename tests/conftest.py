@@ -148,6 +148,13 @@ PINNED_SRCS = {
     "FieldBelowParam": "class C { f; m(x, y) { f = x; y = x; return y; } }",
     "FieldBelowChain": "class C { f; m(x, y, z) { f = x; y = x; z = y; "
                        "return z; } }",
+    # each method's declared variable is its own: two methods' `T` have a
+    # bound each, and a method's `T` hides no class `T` from the others
+    "SameNameBounds": "import java.lang.Number; "
+                      "class S { <T extends Number> a(T x) { Number y = x; "
+                      "return y; } <T> b(T y) { return y; } }",
+    "ClassNamedLikeVariable": "class T { } class C { <T> m(T x) { return x; } "
+                              "n(T y) { return y; } }",
 }
 
 ALL_GOLDEN_SRCS = {

@@ -11,7 +11,7 @@ from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
 from jtxinfer.errors import ArityMismatch, UnsupportedFeature
 from jtxinfer.pipeline import (descriptor_lines, funiface_manifest,
                                run_source, signature_lines, typed_source)
-from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
+from jtxinfer.typeterms import VOID, ClassType, TPH, TypeVar, fun_type
 
 from conftest import ALL_GOLDEN_SRCS, OLFUN_SRC, PINNED_SRCS
 
@@ -175,21 +175,20 @@ def test_cached_chains_equal_the_walk():
                                      for i in range(entry.arity)))
         assert table.supertype_chain(term) == _uncached_chain(table, term)
         assert table.supertype_chain(term) is table.supertype_chain(term)
-    view = ClassTable(table.entries, {("method", 0): (
-        ("T", ClassType("Integer")), ("U", None), ("V", ClassType("T")))})
-    for name in ("T", "U", "V"):
-        term = ClassType(name)
+    t, u, v = (TypeVar(name, ("method", 0)) for name in ("T", "U", "V"))
+    view = ClassTable(table.entries,
+                      {t: ClassType("Integer"), u: None, v: t})
+    for term in (t, u, v):
         assert view.supertype_chain(term) == _uncached_chain(view, term)
-    assert [str(x) for x in view.supertype_chain(ClassType("V"))] == [
+    assert [str(x) for x in view.supertype_chain(v)] == [
         "V", "T", "Integer", "Number", "Object"]
 
 
 def test_each_view_caches_its_own_chains():
     table = ClassTable(load_builtin_entries())
-    bounded = ClassTable(table.entries,
-                         {CLASS: (("T", ClassType("Number")),)})
-    unbounded = ClassTable(table.entries, {CLASS: (("T", None),)})
-    t = ClassType("T")
+    t = TypeVar("T", CLASS)
+    bounded = ClassTable(table.entries, {t: ClassType("Number")})
+    unbounded = ClassTable(table.entries, {t: None})
     assert [str(x) for x in bounded.supertype_chain(t)] == [
         "T", "Number", "Object"]
     assert [str(x) for x in unbounded.supertype_chain(t)] == ["T", "Object"]
@@ -236,11 +235,12 @@ def test_subtype_heads_below_number():
 
 def test_typevar_scope_subtyping():
     t = table_for("class A { m() { return 1; } }")
-    scoped = ClassTable(t.entries, {CLASS: (("T", ClassType("Number")),)})
-    assert scoped.is_typevar(ClassType("T"))
-    assert scoped.is_subtype(ClassType("T"), ClassType("Number"))
-    assert scoped.is_subtype(ClassType("T"), ClassType("Object"))
-    assert not scoped.is_subtype(ClassType("Number"), ClassType("T"))
+    var = TypeVar("T", CLASS)
+    scoped = ClassTable(t.entries, {var: ClassType("Number")})
+    assert scoped.clause(CLASS) == ((var, ClassType("Number")),)
+    assert scoped.is_subtype(var, ClassType("Number"))
+    assert scoped.is_subtype(var, ClassType("Object"))
+    assert not scoped.is_subtype(ClassType("Number"), var)
 
 
 def test_resolve_src_type_forms():

@@ -10,7 +10,7 @@ from jtxinfer.errors import JtxError
 from jtxinfer.funtypes import (collect_used_funtypes, decode_funtype_name,
                                descriptor_term, fun_interface_hierarchy,
                                mangle_funtype_name, render_manifest)
-from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
+from jtxinfer.typeterms import VOID, ClassType, TPH, TypeVar, fun_type
 
 DBL = ClassType("Double")
 INT = ClassType("Integer")
@@ -64,8 +64,8 @@ def test_nonground_erases_to_root():
 
 
 def test_typevar_erases_to_root(table):
-    scoped = ClassTable(table.entries, {CLASS: (("T", OBJ),)})
-    assert mangle_funtype_name(fun_type((ClassType("T"),), INT),
+    scoped = ClassTable(table.entries, {TypeVar("T", CLASS): OBJ})
+    assert mangle_funtype_name(fun_type((TypeVar("T", CLASS),), INT),
                                scoped) == "Fun1$$"
 
 
@@ -143,8 +143,9 @@ def test_descriptor_terms(table):
     assert descriptor_term(VOID) == "V"
     assert descriptor_term(INT, table) == "Ljava$lang$Integer;"
     assert descriptor_term(TPH("X"), table) == "Ljava$lang$Object;"
-    scoped = ClassTable(table.entries, {CLASS: (("T", OBJ),)})
-    assert descriptor_term(ClassType("T"), scoped) == "Ljava$lang$Object;"
+    scoped = ClassTable(table.entries, {TypeVar("T", CLASS): OBJ})
+    assert descriptor_term(TypeVar("T", CLASS),
+                           scoped) == "Ljava$lang$Object;"
     f = fun_type((DBL,), DBL)
     assert descriptor_term(f, table) == \
         "L" + mangle_funtype_name(f, table) + ";"

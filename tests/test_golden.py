@@ -3,11 +3,14 @@
 `tests/golden/<Name>.*` hold each program's four outputs and its
 `constraints`, `solutions` and `generics` dumps, as `tx-infer` writes and
 prints them; the dumps are compared stage by stage, so a failure names the
-stage.  `tests/golden/corpus.json` holds the sha256 of the same five texts
-for every program of the benchmark corpus (`perfbench/corpus.py`, imported
-read-only): each workload, seeds 1-3.  A change that alters an output on
-purpose regenerates both with `PYTHONPATH=src python tests/test_golden.py`
-and says why.
+stage.  `<Name>.reentry.sigs.txt` holds the `.sigs.txt` of the typed output
+run again, or the diagnostic that run raises.  `tests/golden/corpus.json`
+holds the sha256 of the first five texts for every program of the
+benchmark corpus (`perfbench/corpus.py`, imported read-only): each
+workload, seeds 1-3; `tests/golden/corpus_reentry.json` holds that of the
+re-entered `.sigs.txt`.  A change that alters an output on purpose
+regenerates them all with `PYTHONPATH=src python tests/test_golden.py` and
+says why.
 """
 
 import functools
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from jtxinfer.errors import JtxError
 from jtxinfer.pipeline import (DUMP_STAGES, descriptor_lines,
                                funiface_manifest, run_source,
                                signature_lines, typed_source)
@@ -27,6 +31,8 @@ from conftest import ALL_GOLDEN_SRCS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "corpus.json"
+CORPUS_REENTRY = GOLDEN / "corpus_reentry.json"
+REENTRY = "reentry.sigs.txt"
 WORKLOADS = ("paper-units", "ambiguity", "long-methods")
 SEEDS = (1, 2, 3)
 
@@ -37,14 +43,25 @@ import corpus  # noqa: E402
 def render(src):
     """Suffix -> text of every snapshot file of one program."""
     r = run_source(src, dump_stages=DUMP_STAGES)
+    typed = typed_source(r)
     return {
-        "typed.jtx": typed_source(r),
+        "typed.jtx": typed,
         "sigs.txt": "\n".join(signature_lines(r)) + "\n",
         "desc.txt": "\n".join(descriptor_lines(r)) + "\n",
         "funifaces.txt": funiface_manifest(r),
         "dumps.txt": "".join(f"== {s} ==\n{r.dumps[s]}\n"
                              for s in DUMP_STAGES),
+        REENTRY: reentered(typed),
     }
+
+
+def reentered(typed):
+    """The `.sigs.txt` of typed output `typed` run again, or the diagnostic
+    that run raises."""
+    try:
+        return "\n".join(signature_lines(run_source(typed))) + "\n"
+    except JtxError as exc:
+        return f"{type(exc).__name__} {exc}\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,9 +71,12 @@ def digests(src):
             for suffix, text in render(src).items()}
 
 
-def corpus_digests(workload, seed):
-    """Program name -> its digests, for one seeded pass of a workload."""
-    return {p.name: digests(p.source)
+def corpus_digests(workload, seed, reentry=False):
+    """Program name -> its digests, for one seeded pass of a workload: of
+    the re-entered `.sigs.txt` alone when `reentry`, else of the rest."""
+    return {p.name: {suffix: digest
+                     for suffix, digest in digests(p.source).items()
+                     if (suffix == REENTRY) == reentry}
             for p in corpus.workload(workload, seed)}
 
 
@@ -88,11 +108,19 @@ def test_corpus_digests(workload, seed):
             assert got[name][suffix] == digest, f"{name}: {suffix}"
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_corpus_reentry_digests(workload, seed):
+    want = json.loads(CORPUS_REENTRY.read_text())[workload][str(seed)]
+    assert corpus_digests(workload, seed, reentry=True) == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, src in ALL_GOLDEN_SRCS.items():
         for suffix, text in render(src).items():
             (GOLDEN / f"{name}.{suffix}").write_text(text)
-    CORPUS.write_text(json.dumps(
-        {w: {str(s): corpus_digests(w, s) for s in SEEDS}
-         for w in WORKLOADS}, indent=1, sort_keys=True) + "\n")
+    for path, reentry in ((CORPUS, False), (CORPUS_REENTRY, True)):
+        path.write_text(json.dumps(
+            {w: {str(s): corpus_digests(w, s, reentry) for s in SEEDS}
+             for w in WORKLOADS}, indent=1, sort_keys=True) + "\n")

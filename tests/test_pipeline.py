@@ -1,6 +1,7 @@
 """End-to-end inference on the reference programs."""
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import jtxinfer as J
 from jtxinfer.errors import (ResourceLimit, UnknownImport, UnknownMember,
                              Untypable)
 from jtxinfer.syntax import alpha_equivalent
-from jtxinfer.typeterms import ClassType
+from jtxinfer.typeterms import TypeVar
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
                       INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, PINNED_SRCS,
@@ -304,12 +305,58 @@ def test_declared_type_variables_erase_in_descriptors():
         "C.m : (Ljava$lang$Object;)Ljava$lang$Object;"]
 
 
+# each program once with a method's declared variable named `T`, once with
+# it named `U`: the variable is a term of its member, so the outcome is the
+# same up to that name
+RENAMED = [
+    ("class C { <T> m(T x) { return x; } <T> n(T y) { return m(y); } }",
+     "class C { <T> m(T x) { return x; } <U> n(U y) { return m(y); } }"),
+    ("class C<T> { T f; <T> m(T x) { f = x; return x; } }",
+     "class C<T> { T f; <U> m(U x) { f = x; return x; } }"),
+    (PINNED_SRCS["SameNameBounds"],
+     PINNED_SRCS["SameNameBounds"].replace("<T> b(T y)", "<U> b(U y)")),
+]
+
+
+def _outcome(src):
+    """The signature lines of `src`, or the name of the error it raises."""
+    try:
+        return J.signature_lines(run(src))
+    except J.JtxError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("src, renamed", RENAMED, ids=[
+    "same-class-call", "shadowed-class-variable", "two-bounds"])
+def test_renaming_a_declared_variable_changes_only_names(src, renamed):
+    got = _outcome(renamed)
+    if isinstance(got, list):
+        got = [re.sub(r"\bU\b", "T", line) for line in got]
+    assert got == _outcome(src)
+
+
+def test_method_variable_shadowing_a_class_one_is_untypable():
+    """The method's `T` hides the class's, and the field of the class's `T`
+    takes no method's `T`: Java rejects this program too."""
+    with pytest.raises(Untypable):
+        run(RENAMED[1][0])
+
+
+def test_same_class_call_to_a_generic_method_returns_object():
+    """`m(y)` gives `n` the return `Object`, as under any other name for
+    `n`'s variable: the Known defect "same-class call to a generic method"
+    (`m`'s return placeholder is bound to its rigid `T`), which `n`'s
+    variable sharing the name `T` used to hide."""
+    assert J.signature_lines(run(RENAMED[0][0])) == [
+        "C.m : <T> T -> T", "C.n : <T> T -> Object"]
+
+
 def test_object_bound_is_no_bound():
     sigs, r = _sigs_reenter(
         "class C { <T extends Object> m(T x) { return x; } }")
     assert sigs == ["C.m : <T> T -> T"]
     (typing,) = r.class_results[0].signatures[0][1]
-    assert typing.generics == ((ClassType("T"), None),)
+    assert typing.generics == ((TypeVar("T", ("method", 0)), None),)
 
 
 def test_member_call_on_declared_variable_uses_its_bound():
@@ -364,6 +411,21 @@ def test_call_to_later_annotated_method():
         "class A { m(x) { return new B().n(x); } } "
         "class B { Integer n(Integer y) { return y; } }")
     assert sigs == ["A.m : Integer -> Integer", "B.n : Integer -> Integer"]
+
+
+# a field read on another class instantiates that class's generics afresh,
+# as a call does; javac rejects the raw read `<C> C m(A a) { return a.f; }`
+# as it rejects `a.get()`, so these are not among PINNED_SRCS
+@pytest.mark.parametrize("src, sigs", [
+    ("class A<T> { T f; } class B { m(a) { return a.f; } }",
+     ["B.m : <C> A -> C"]),
+    ("import java.lang.Integer; class A<T extends Integer> { T f; } "
+     "class B { m(a) { return a.f; } }", ["B.m : A -> Integer"]),
+    ("class A { h; m() { return h; } } class C { n(d) { return d.h; } }",
+     ["A.m : () -> B", "C.n : <B> A -> B"]),
+], ids=["declared", "declared-bound", "inferred"])
+def test_field_of_a_generic_class_is_read_with_fresh_generics(src, sigs):
+    assert _sigs_reenter(src)[0] == sigs
 
 
 def test_annotated_lambda_parameter_pulls_in_its_type():
@@ -496,6 +558,9 @@ PINNED_SIGS = {
     "CallIntoField": ["C.m : <B extends A> B -> A", "C.n : A -> A"],
     "FieldBelowParam": ["C.m : (A, A) -> A"],
     "FieldBelowChain": ["C.m : (A, A, A) -> A"],
+    "SameNameBounds": ["S.a : <T extends Number> T -> Number",
+                       "S.b : <T> T -> T"],
+    "ClassNamedLikeVariable": ["C.m : <T> T -> T", "C.n : T -> T"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",

@@ -13,9 +13,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jtxinfer.typeterms import (VOID, ClassType, TPH, VoidType, fun_type,
-                                instantiate, is_ground, substitute, tph_name,
-                                tph_number, tphs_of)
+from jtxinfer.typeterms import (VOID, ClassType, TPH, TypeVar, VoidType,
+                                fun_type, instantiate, is_ground, substitute,
+                                tph_name, tph_number, tphs_of)
 from jtxinfer.unify import _age
 
 import reference_terms as ref
@@ -99,6 +99,23 @@ def test_interned_terms_agree_with_the_recursive_references(a, b, sigma):
     for same in (copy.copy(t), copy.deepcopy(t),
                  pickle.loads(pickle.dumps(t))):
         assert same is t
+
+
+def test_declared_variable_is_a_term_of_its_member():
+    """Two members' `T` are two terms, and neither is the class `T`; each
+    prints as `T`, and is found again by its internal name."""
+    m0, m1 = TypeVar("T", ("method", 0)), TypeVar("T", ("method", 1))
+    assert m0 is TypeVar("T", ("method", 0)) and m0 is not m1
+    assert m0 is not ClassType("T") and ClassType(m0.name) is m0
+    assert str(m0) == str(m1) == "T" and is_ground(m0) and not m0.args
+    pair = ClassType("Pair", (m0, TPH("A")))
+    assert substitute(pair, {"A": m1}) is ClassType("Pair", (m0, m1))
+    assert instantiate(pair, {m0.name: INT}) is ClassType("Pair",
+                                                          (INT, TPH("A")))
+    for same in (copy.copy(m0), copy.deepcopy(m0),
+                 pickle.loads(pickle.dumps(m0))):
+        assert same is m0
+    assert m0.__reduce__() == (TypeVar, ("T", ("method", 0)))
 
 
 def test_terms_are_immutable_and_void_is_one():

@@ -14,7 +14,7 @@ from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
 from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
                                   class_view)
 from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
-from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type
+from jtxinfer.typeterms import VOID, ClassType, TPH, TypeVar, fun_type
 from jtxinfer.unify import format_solution, transitive_closure
 
 # `jtxinfer.unify` is the function; the budget lives in the module
@@ -138,10 +138,9 @@ def test_placeholder_nested_in_parked_constraint_still_branches(table):
 
 def test_typevar_with_variant_bound_keeps_branching(table):
     # X's chain holds a shaped Fun1$$ choice, so T is no sink; S is one
-    scoped = ClassTable(table.entries,
-                        {CLASS: (("X", fun_type((INT,), INT)),)})
-    sols = unify([lessdot(INT, TPH("S")), lessdot(ClassType("X"), TPH("T"))],
-                 scoped)
+    x = TypeVar("X", CLASS)
+    scoped = ClassTable(table.entries, {x: fun_type((INT,), INT)})
+    sols = unify([lessdot(INT, TPH("S")), lessdot(x, TPH("T"))], scoped)
     assert {str(sigma_of(s)["T"]) for s in sols} == {
         "X", "Object", "Fun1$$<Integer, Integer>", "Fun1$$<Integer, Number>",
         "Fun1$$<Integer, Object>"}
