@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import syntax as S
-from .classtable import MethodSig, resolve_src_type
+from .classtable import (FIXED_OPERATORS, OVERLOADED_OPERATORS, RULES,
+                         MethodSig, resolve_src_type)
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
 from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_type,
@@ -258,14 +259,14 @@ class _Generator:
             value = self.expr(st.value, env)
             self.emit(flow(st.value, value, target))
         elif isinstance(st, S.Increment):
-            plus = S.Binary(op="+", left=st.target,
-                            right=S.IntLit(value=1), pos=st.pos)
+            # `x++` is `x = x + 1`, the 1 of the type the rule names
             target = self.expr(st.target, env)
-            value = self.expr(plus, env)
+            value = self._binary("+", self.expr(st.target, env),
+                                 self._typed(RULES[S.Increment]), st.pos)
             self.emit(lessdot(value, target))
         elif isinstance(st, S.While):
             cond = self.expr(st.cond, env)
-            self.emit(lessdot(cond, ClassType("Boolean")))
+            self.emit(lessdot(cond, ClassType(RULES[S.While])))
             inner = dict(env)
             for s in st.body:
                 self.stmt(s, inner, ret)
@@ -287,26 +288,23 @@ class _Generator:
 
     # -- expressions -----------------------------------------------------
 
+    def _typed(self, name):
+        """A fresh placeholder equal to built-in class `name`."""
+        t = self.fresh.tph(self.scope)
+        self.emit(doteq(t, ClassType(name)))
+        return t
+
     def expr(self, e, env):
-        if isinstance(e, S.IntLit):
-            t = self.fresh.tph(self.scope)
-            self.emit(doteq(t, ClassType("Integer")))
-            return t
-        if isinstance(e, S.BoolLit):
-            t = self.fresh.tph(self.scope)
-            self.emit(doteq(t, ClassType("Boolean")))
-            return t
-        if isinstance(e, S.StrLit):
-            t = self.fresh.tph(self.scope)
-            self.emit(doteq(t, ClassType("String")))
-            return t
+        if type(e) in RULES:
+            return self._typed(RULES[type(e)])
         if isinstance(e, S.Name):
             if e.ident in env:
                 return env[e.ident]
             raise UnknownIdentifier(
                 f"unknown identifier '{e.ident}'", e.pos.line, e.pos.col)
         if isinstance(e, S.Binary):
-            return self._binary(e, env)
+            return self._binary(e.op, self.expr(e.left, env),
+                                self.expr(e.right, env), e.pos)
         if isinstance(e, S.Lambda):
             return self._lambda(e, env)
         if isinstance(e, S.New):
@@ -317,35 +315,25 @@ class _Generator:
             return self._field_access(e, env)
         raise TypeError(f"unknown expression {e!r}")
 
-    def _binary(self, e, env):
-        left = self.expr(e.left, env)
-        right = self.expr(e.right, env)
+    def _binary(self, op, left, right, pos):
+        """The result of operator `op` on operand terms `left` and
+        `right`: an or-group over the visible candidate types of an
+        overloaded operator, the bounds and result of a fixed one."""
         result = self.fresh.tph(self.scope)
-        if e.op in ("+", "*"):
-            wanted = ["Integer", "Double"] + (["String"] if e.op == "+" else [])
-            alts = []
-            for name in wanted:
-                if not self.table.has(name):
-                    continue
-                ty = ClassType(name)
-                alts.append(Alternative(constraints=[
-                    lessdot(left, ty), lessdot(right, ty), doteq(result, ty),
-                ]))
+        if op in OVERLOADED_OPERATORS:
+            alts = [Alternative([lessdot(left, ty), lessdot(right, ty),
+                                 doteq(result, ty)])
+                    for ty in map(ClassType, OVERLOADED_OPERATORS[op])
+                    if self.table.has(ty.name)]
             if not alts:
-                raise Untypable(
-                    f"no visible operand type for '{e.op}'",
-                    e.pos.line, e.pos.col)
+                raise Untypable(f"no visible operand type for '{op}'",
+                                pos.line, pos.col)
             self._add_group(alts)
-        elif e.op == "<=":
-            self.emit(lessdot(left, ClassType("Number")))
-            self.emit(lessdot(right, ClassType("Number")))
-            self.emit(doteq(result, ClassType("Boolean")))
-        elif e.op == "||":
-            self.emit(lessdot(left, ClassType("Boolean")))
-            self.emit(lessdot(right, ClassType("Boolean")))
-            self.emit(doteq(result, ClassType("Boolean")))
         else:
-            raise TypeError(f"unknown operator {e.op!r}")
+            bound, res = map(ClassType, FIXED_OPERATORS[op])
+            self.emit(lessdot(left, bound))
+            self.emit(lessdot(right, bound))
+            self.emit(doteq(result, res))
         return result
 
     def _lambda(self, e, env):

@@ -249,18 +249,18 @@ def method_descriptor(typing, table=None):
 
 
 def emit_descriptors(class_name, method_signatures, table=None):
-    """`Class.method : (Largs;)Lret;` lines; typings of one declaration
-    must map to pairwise distinct descriptors.  `table` names the classes'
+    """`Class.method : (Largs;)Lret;` lines; the typings of one declaration,
+    deduplicated, must map to pairwise distinct descriptors.  `table` gives
     qualified names; declared variables erase like placeholders."""
     lines = []
     for mname, typings in method_signatures:
-        seen = {}
+        seen = set()
         for t in typings:
             d = method_descriptor(t, table)
-            if d in seen and _canonical(seen[d]) != _canonical(t):
+            if d in seen:
                 raise DescriptorCollision(
                     f"{class_name}.{mname}: descriptor {d} is shared by "
                     f"distinct typings")
-            seen[d] = t
+            seen.add(d)
             lines.append(f"{class_name}.{mname} : {d}")
     return lines

@@ -18,7 +18,8 @@ from .lexer import tokenize
 from . import syntax as S
 
 
-# the furthest any rule looks past the current token
+# the furthest any rule looks past the current token, or past a token it
+# has seen is no eof
 LOOKAHEAD = 1
 
 
@@ -255,12 +256,16 @@ class _Parser:
             self.expect("punct", ";")
             return S.Return(value=value, pos=pos)
         # `var` or an annotated local: type ident ('=' expr)? ';'; the
-        # subset has no `<` operator, so ident `<` here starts a type
+        # subset has no `<` operator, so a dotted name followed by an
+        # ident or `<` here starts a type
         ann = None
+        j = 1
+        while self.at_punct(".", j) and self.at("ident", offset=j + 1):
+            j += 2
         if keyword == "var":
             self.advance()
-        elif t.kind == "ident" and (self.at("ident", offset=1)
-                                    or self.at_punct("<", 1)):
+        elif t.kind == "ident" and (self.at("ident", offset=j)
+                                    or self.at_punct("<", j)):
             ann = self.type_ref()
         else:
             return self.expr_statement(pos)

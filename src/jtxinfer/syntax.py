@@ -185,8 +185,32 @@ class ClassDecl:
 
 @dataclass
 class Program:
-    imports: list = field(default_factory=list)
+    imports: list[str] = field(default_factory=list)
     classes: list = field(default_factory=list)
+
+
+# --- traversal -------------------------------------------------------------
+
+
+def walk(node, visit):
+    """Call `visit` on `node` and then, in field order, on every node
+    below it: declarations, statements, expressions, parameters and
+    written types."""
+    visit(node)
+    for name in _CHILDREN[type(node)]:
+        child = getattr(node, name)
+        if type(child) is list:
+            for c in child:
+                walk(c, visit)
+        elif child is not None:
+            walk(child, visit)
+
+
+# the fields of each node class that can hold a node or a list of them:
+# any whose annotation is none of these
+_LEAVES = {"str", "int", "bool", "Pos", "list[str]"}
+_CHILDREN = {cls: tuple(f.name for f in fields(cls) if f.type not in _LEAVES)
+             for cls in list(globals().values()) if is_dataclass(cls)}
 
 
 # --- printer ---------------------------------------------------------------

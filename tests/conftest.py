@@ -155,6 +155,9 @@ PINNED_SRCS = {
                       "return y; } <T> b(T y) { return y; } }",
     "ClassNamedLikeVariable": "class T { } class C { <T> m(T x) { return x; } "
                               "n(T y) { return y; } }",
+    # a local declared with a qualified type
+    "QualifiedLocal": "class C { m() { java.lang.Integer x = 1; "
+                      "return x; } }",
 }
 
 ALL_GOLDEN_SRCS = {

@@ -175,7 +175,9 @@ def test_emit_descriptors_lines_and_collision():
         emit_descriptors("C", clash)
 
 
-def test_duplicate_typings_share_descriptor_without_error():
+def test_repeated_descriptor_is_a_collision_even_for_one_typing():
+    """The typings reach `emit_descriptors` deduplicated, so any repeated
+    descriptor is a collision, even one typing given twice."""
     same = [("m", [mt([TPH("X")], TPH("X"), [(TPH("X"), None)])] * 2)]
-    lines = emit_descriptors("C", same)
-    assert len(lines) == 2
+    with pytest.raises(DescriptorCollision):
+        emit_descriptors("C", same)

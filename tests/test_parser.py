@@ -77,6 +77,21 @@ def test_var_local_and_while_and_increment():
     assert isinstance(body[2], S.Return)
 
 
+def test_qualified_type_starts_a_local_declaration():
+    """A dotted name followed by a name or `<` is a local's type; one
+    followed by anything else starts an expression statement."""
+    prog = parse("class A { m(d, f) { java.lang.Integer x = 1; "
+                 "java.util.Pair<Integer, Integer> p; d.f = 1; f.apply(1); "
+                 "d.f++; } }")
+    body = prog.classes[0].methods[0].body
+    assert [type(s) for s in body] == [S.LocalDecl, S.LocalDecl, S.Assign,
+                                       S.ExprStmt, S.Increment]
+    assert [str(s.annotation) for s in body[:2]] \
+        == ["java.lang.Integer", "java.util.Pair<Integer, Integer>"]
+    assert isinstance(body[2].target, S.FieldAccess)
+    assert body[3].expr.name == "apply"
+
+
 def test_lambda_forms():
     prog = parse("class A { f = x -> x; g = (x, y) -> x; }")
     cls = prog.classes[0]

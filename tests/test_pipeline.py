@@ -561,6 +561,7 @@ PINNED_SIGS = {
     "SameNameBounds": ["S.a : <T extends Number> T -> Number",
                        "S.b : <T> T -> T"],
     "ClassNamedLikeVariable": ["C.m : <T> T -> T", "C.n : T -> T"],
+    "QualifiedLocal": ["C.m : () -> Integer"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",
