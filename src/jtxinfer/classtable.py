@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import (ArityMismatch, DuplicateClass, JtxError,
-                     UnknownImport, UnsupportedFeature)
+                     UnknownIdentifier, UnknownImport, UnsupportedFeature)
 from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_head_arity,
                         instantiate)
 from . import syntax as S
@@ -178,9 +178,6 @@ class ClassTable:
 
     # -- declared subtyping -------------------------------------------------
 
-    def _instantiate(self, template, entry, args):
-        return instantiate(template, dict(zip(entry.params, args)))
-
     def direct_supertype(self, term):
         """Instantiated direct supertype of a ClassType (a function type's
         is Object), or None."""
@@ -195,9 +192,8 @@ class ClassTable:
             raise ArityMismatch(
                 f"{term.name} expects {entry.arity} type argument(s), "
                 f"got {len(term.args)}")
-        if entry.super_template is None:
-            return None
-        return self._instantiate(entry.super_template, entry, term.args)
+        return instantiate(entry.super_template,
+                           dict(zip(entry.params, term.args)))
 
     def supertype_chain(self, term):
         """Term followed by its instantiated supertypes up to Object, as a
@@ -278,29 +274,48 @@ class ClassTable:
 
     # -- member lookup ------------------------------------------------------
 
-    def instantiate_method(self, sig, term):
-        """Signature template `sig` of `term`'s entry with `term`'s type
-        arguments in place of the entry's parameters."""
-        entry = self.entries[term.name]
-        inst = lambda t: (None if t is None else
-                          self._instantiate(t, entry, term.args))
-        return MethodSig(sig.name, [(tp, inst(b)) for tp, b in sig.typeparams],
-                         [inst(p) for p in sig.params], inst(sig.ret))
+    def instantiate_method(self, sig, term, names):
+        """Signature template `sig` of `term`'s entry with, in one mapping,
+        `term`'s type arguments for the entry's parameters and `names` for
+        the signature's own: (parameters, return, (parameter, bound) pairs)."""
+        mapping = dict(zip(self.entries[term.name].params, term.args))
+        mapping.update(zip((tp for tp, _ in sig.typeparams), names))
+        return ([instantiate(p, mapping) for p in sig.params],
+                instantiate(sig.ret, mapping),
+                [(mapping[tp], instantiate(b, mapping))
+                 for tp, b in sig.typeparams if b is not None])
+
+    def constructor(self, term):
+        """The parameter types of class type `term`'s constructor."""
+        sig = MethodSig("new", [], self.entries[term.name].constructor, VOID)
+        return self.instantiate_method(sig, term, ())[0]
 
 
 # --- surface type resolution ----------------------------------------------
 
 
-def resolve_src_type(src, table, scope=CLASS):
-    """SrcType -> TypeTerm against view `table` in member `scope`."""
-    if src.name == "void":
+def qualified_names(entries):
+    """Qualified name -> entry name, for imports and dotted written names."""
+    return {e.qualified: name for name, e in entries.items()}
+
+
+def resolve_src_type(src, table, scope=CLASS, fresh=None):
+    """SrcType -> TypeTerm against view `table` in member `scope`.  A dotted
+    name is a qualified name of the table, never a variable.  With `fresh`,
+    `src` is the class of a `new`: it names no variable, and a diamond or raw
+    class takes a `fresh()` term per type argument."""
+    if src.name == "void" and fresh is None:
         return VOID
-    if src.args is None:
+    if src.args is None and fresh is None:
         raise UnsupportedFeature(
             "diamond type outside 'new'", src.pos.line, src.pos.col)
-    name = src.name.rsplit(".", 1)[-1]
-    var = table.declared(name, scope)
+    name = (qualified_names(table.entries).get(src.name) if "." in src.name
+            else src.name)
+    var = table.declared(src.name, scope)
     if var is not None:
+        if fresh is not None:
+            raise UnknownIdentifier(
+                f"unknown class '{src.name}'", src.pos.line, src.pos.col)
         if src.args:
             raise ArityMismatch(
                 f"type variable {name} takes no arguments",
@@ -310,6 +325,8 @@ def resolve_src_type(src, table, scope=CLASS):
     if entry is None:
         raise UnknownImport(
             f"unknown type '{src.name}'", src.pos.line, src.pos.col)
+    if fresh is not None and not src.args:
+        return ClassType(name, tuple(fresh() for _ in range(entry.arity)))
     args = tuple(resolve_src_type(a, table, scope) for a in src.args)
     if len(args) != entry.arity:
         raise ArityMismatch(
@@ -326,7 +343,7 @@ def build_class_table(program, builtin_path=None):
     literals/operators/lambdas, then the generated entries of the function
     heads they force, by `fun_head_arity`, then the user classes."""
     builtins = load_builtin_entries(builtin_path)
-    by_qualified = {e.qualified: e.name for e in builtins.values()}
+    by_qualified = qualified_names(builtins)
 
     wanted = {"Object"}
 
@@ -343,7 +360,7 @@ def build_class_table(program, builtin_path=None):
             raise UnknownImport(f"unresolvable import '{imp}'")
         want(short)
 
-    occ = _scan_occurrences(program)
+    occ = _scan_occurrences(program, by_qualified)
     for name in occ:
         if name in builtins:
             want(name)
@@ -430,9 +447,10 @@ def _fun_entry(name):
                                     [ClassType(p) for p in params], ret)])
 
 
-def _scan_occurrences(program):
+def _scan_occurrences(program, qualified):
     """Type names forced in by the constructs of `RULES`, written types,
-    lambdas and `apply` calls: built-in names and function-type heads."""
+    lambdas and `apply` calls: built-in names and function-type heads.  A
+    dotted written name forces the class `qualified` maps it to."""
     forced = set()
 
     def visit(node):
@@ -442,7 +460,8 @@ def _scan_occurrences(program):
         elif kind is S.Binary:
             forced.update(FIXED_OPERATORS.get(node.op, ()))
         elif kind is S.SrcType:
-            forced.add(node.name.rsplit(".", 1)[-1])
+            forced.add(qualified.get(node.name, node.name)
+                       if "." in node.name else node.name)
         elif kind is S.Lambda or kind is S.Call and node.name == "apply":
             n = len(node.params if kind is S.Lambda else node.args)
             forced.update((f"Fun{n}$$", f"FunVoid{n}$$"))

@@ -31,8 +31,8 @@ from .classtable import (FIXED_OPERATORS, OVERLOADED_OPERATORS, RULES,
                          MethodSig, resolve_src_type)
 from .errors import (ArityMismatch, UnknownIdentifier, UnknownMember,
                      Untypable)
-from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_type,
-                        instantiate, is_ground, tph_name, tph_number)
+from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_type, is_ground,
+                        tph_name, tph_number)
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,9 @@ class _Generator:
         self.result.slots[self.scope].append(term)
         return term
 
-    def resolve(self, src):
-        """Annotation `src` as a term in the current member's scope."""
-        return resolve_src_type(src, self.table, self.scope)
+    def resolve(self, src, fresh=None):
+        """Written type `src` as a term in the current member's scope."""
+        return resolve_src_type(src, self.table, self.scope, fresh)
 
     # -- driver ------------------------------------------------------------
 
@@ -261,7 +261,7 @@ class _Generator:
         elif isinstance(st, S.Increment):
             # `x++` is `x = x + 1`, the 1 of the type the rule names
             target = self.expr(st.target, env)
-            value = self._binary("+", self.expr(st.target, env),
+            value = self._binary("+", target,
                                  self._typed(RULES[S.Increment]), st.pos)
             self.emit(lessdot(value, target))
         elif isinstance(st, S.While):
@@ -271,16 +271,14 @@ class _Generator:
             for s in st.body:
                 self.stmt(s, inner, ret)
         elif isinstance(st, S.Return):
-            if st.value is None:
-                if ret is not VOID:
-                    self.emit(doteq(ret, VOID))
-                return
-            t = self.expr(st.value, env)
-            if ret is VOID:
-                raise Untypable(
-                    "value returned from a void method",
-                    st.pos.line, st.pos.col)
-            self.emit(flow(st.value, t, ret))
+            # a return has a value exactly when its method returns one
+            t = None if st.value is None else self.expr(st.value, env)
+            if (t is None) != (ret is VOID):
+                raise Untypable("missing return value" if t is None else
+                                "value returned from a void method",
+                                st.pos.line, st.pos.col)
+            if t is not None:
+                self.emit(flow(st.value, t, ret))
         elif isinstance(st, S.ExprStmt):
             self.expr(st.expr, env)
         else:
@@ -361,30 +359,14 @@ class _Generator:
         return fun_type(arg_components, ret)
 
     def _new(self, e, env):
-        name = e.cls.name.rsplit(".", 1)[-1]
-        if not self.table.has(name) or self.table.declared(name, self.scope):
-            raise UnknownIdentifier(
-                f"unknown class '{e.cls.name}'", e.pos.line, e.pos.col)
-        entry = self.table.entry(name)
-        if e.cls.args:
-            args = tuple(self.resolve(a) for a in e.cls.args)
-            if len(args) != entry.arity:
-                raise ArityMismatch(
-                    f"{name} expects {entry.arity} type argument(s)",
-                    e.pos.line, e.pos.col)
-        else:
-            args = tuple(self.fresh.tph(self.scope)
-                         for _ in range(entry.arity))
-        term = ClassType(name, args)
-        ctor = [self.table._instantiate(p, entry, args)
-                for p in entry.constructor]
+        term = self.resolve(e.cls, lambda: self.fresh.tph(self.scope))
+        ctor = self.table.constructor(term)
         if len(ctor) != len(e.args):
             raise ArityMismatch(
-                f"constructor of {name} expects {len(ctor)} argument(s), "
+                f"constructor of {term.name} expects {len(ctor)} argument(s), "
                 f"got {len(e.args)}", e.pos.line, e.pos.col)
         for arg, p in zip(e.args, ctor):
-            t = self.expr(arg, env)
-            self.emit(flow(arg, t, p))
+            self.emit(flow(arg, self.expr(arg, env), p))
         return term
 
     # -- member access -----------------------------------------------------
@@ -394,9 +376,9 @@ class _Generator:
         result = self.fresh.tph(self.scope)
 
         def alternative(rterm, sig, names):
-            _, ret, bounds = _freshen(
-                self.table.instantiate_method(sig, rterm), names)
-            return Alternative([*bounds, doteq(result, ret)])
+            _, ret, bounds = self.table.instantiate_method(sig, rterm, names)
+            return Alternative([*(lessdot(*b) for b in bounds),
+                                doteq(result, ret)])
 
         if not self._member(e, recv, alternative):
             raise UnknownMember(
@@ -415,7 +397,7 @@ class _Generator:
         def alternative(rterm, sig, names):
             return _sig_alternative(
                 e, arg_terms, result, caller,
-                *_freshen(self.table.instantiate_method(sig, rterm), names))
+                *self.table.instantiate_method(sig, rterm, names))
 
         if self._member(e, recv, alternative):
             return result
@@ -489,23 +471,12 @@ class _Generator:
                 if sig.name == e.name and len(sig.params) == len(e.args)]
 
 
-def _freshen(sig, names):
-    """Instantiate callee signature `sig`'s own type parameters with the
-    placeholders `names` at the call site; returns (params, ret, bound
-    constraints)."""
-    mapping = {tp: t for (tp, _), t in zip(sig.typeparams, names)}
-    bounds = [lessdot(mapping[tp], instantiate(bound, mapping))
-              for tp, bound in sig.typeparams if bound is not None]
-    return ([instantiate(p, mapping) for p in sig.params],
-            instantiate(sig.ret, mapping), bounds)
-
-
 def _sig_alternative(e, arg_terms, result, caller, params, ret, bounds):
     """The alternative of call `e` taking a signature from `params` to
-    `ret`: the type-parameter `bounds`, the arguments flowing into the
-    parameters and the result."""
+    `ret`: its (type parameter, bound) pairs `bounds`, the arguments
+    flowing into the parameters and the result."""
     return Alternative(
-        [*bounds,
+        [*(lessdot(*b) for b in bounds),
          *(flow(node, t, p) for node, t, p in zip(e.args, arg_terms, params)),
          doteq(result, ret)],
         [CallSite(caller=caller, arg_terms=list(arg_terms),

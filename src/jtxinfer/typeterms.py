@@ -198,7 +198,7 @@ def substitute(term, sigma):
 def instantiate(term, mapping):
     """Replace each type-variable reference of a template (an arg-less
     ClassType, a `TypeVar` among them, whose name is in `mapping`) by its
-    image."""
+    image.  Any other term, and a missing template (None), stays as it is."""
     if isinstance(term, ClassType):
         if not term.args:
             return mapping.get(term.name, term)

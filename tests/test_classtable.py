@@ -275,12 +275,14 @@ def test_resolve_arity_mismatch():
 def test_instantiated_methods_of_pair():
     t = table_for("import java.util.Pair;\nclass A { m() { return 1; } }")
     term = ClassType("Pair", (ClassType("Integer"), ClassType("Boolean")))
-    (fst,) = [t.instantiate_method(m, term) for m in t.entry("Pair").methods
+    (fst,) = [t.instantiate_method(m, term, ())[1]
+              for m in t.entry("Pair").methods
               if m.name == "fst" and not m.params]
-    assert fst.ret == ClassType("Integer")
-    (snd,) = [t.instantiate_method(m, term) for m in t.entry("Pair").methods
+    assert fst == ClassType("Integer")
+    (snd,) = [t.instantiate_method(m, term, ())[1]
+              for m in t.entry("Pair").methods
               if m.name == "snd" and not m.params]
-    assert snd.ret == ClassType("Boolean")
+    assert snd == ClassType("Boolean")
 
 
 def test_classes_with_method_apply():

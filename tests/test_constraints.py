@@ -2,7 +2,8 @@
 
 import pytest
 
-from jtxinfer import UnknownIdentifier, UnknownMember, parse
+from jtxinfer import (UnknownIdentifier, UnknownMember, parse, run_source,
+                      signature_lines)
 from jtxinfer.classtable import build_class_table
 from jtxinfer.constraints import flatten, generate_constraints
 from jtxinfer.errors import ArityMismatch, Untypable
@@ -189,3 +190,14 @@ def test_call_sites_recorded():
     sites = gen.base_call_sites
     assert len(sites) == 1
     assert sites[0].caller == 1
+
+
+def test_increment_reads_its_target_once():
+    """`d.f++` on a placeholder receiver makes one receiver group, not one
+    per read of the target."""
+    src = ("class A { Integer f; } class B { Integer f; } "
+           "class C { m(d) { d.f++; return d; } }")
+    gen, table = gen_for(src, 2)
+    assert [len(g) for g in gen.groups] == [2]
+    assert len(flatten(gen, table)) == 2
+    assert signature_lines(run_source(src))[-1] == "C.m : A -> A & B -> B"

@@ -1,15 +1,18 @@
 """End-to-end inference on the reference programs."""
 
 import importlib
+import json
 import re
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import jtxinfer as J
-from jtxinfer.errors import (ResourceLimit, UnknownImport, UnknownMember,
-                             Untypable)
+from jtxinfer.errors import (ArityMismatch, JtxError, JtxSyntaxError,
+                             ResourceLimit, UnknownIdentifier, UnknownImport,
+                             UnknownMember, UnsupportedFeature, Untypable)
 from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import TypeVar
 
@@ -206,6 +209,92 @@ def test_step_budget_is_a_resource_limit_not_untypable(monkeypatch):
 def test_deep_nesting_is_a_resource_limit():
     with pytest.raises(ResourceLimit, match="recursion"):
         run(DEEP_PARENS_SRC)
+
+
+# one program per diagnostic: its error class and `line:col`, None for a
+# resource limit, which has no position
+DIAGNOSTICS = {
+    "DuplicateLocal": ("class C { m() { var x = 1; var x = 2; return x; } }",
+                       UnknownIdentifier, "1:28"),
+    "NoVisiblePlus": ("class C { m(a, b) { return a + b; } }",
+                      Untypable, "1:30"),
+    "UnknownOwnMethod": ("class C { m() { return n(); } }",
+                         UnknownIdentifier, "1:24"),
+    "NewTypeVariable": ("class C<T> { m() { return new T(); } }",
+                        UnknownIdentifier, "1:31"),
+    "NewUnknownClass": ("class C { m() { return new Foo(); } }",
+                        UnknownImport, "1:28"),
+    "NewWrongArity": ("class C { m() { return new Pair<Integer>(1, 2); } }",
+                      ArityMismatch, "1:28"),
+    "DiamondOutsideNew": ("class C { m() { Pair<> x = new Pair<>(1, 2); "
+                          "return x; } }", UnsupportedFeature, "1:17"),
+    "TypeVariableWithArgs": ("class C<T> { T<Integer> f; }",
+                             ArityMismatch, "1:14"),
+    "DuplicateField": ("class C { f; f; }", JtxSyntaxError, "1:14"),
+    "AssignmentTarget": ("class C { m(a) { 1 = a; } }",
+                         JtxSyntaxError, "1:18"),
+    "IncrementTarget": ("class C { m(a) { a.m()++; } }",
+                        JtxSyntaxError, "1:18"),
+    "BareReturn": ("class C { m(a) { while (a) { return; } return 1; } }",
+                   Untypable, "1:30"),
+    "UnknownQualifiedLocal": ("class C { m() { java.util.Integer x = 1; "
+                              "return x; } }", UnknownImport, "1:17"),
+    "UnknownQualifiedParam": ("class C { m(foo.C c) { return c; } }",
+                              UnknownImport, "1:13"),
+    "DeepParens": ("class C { m() { return " + "(" * 3000 + "1" + ")" * 3000
+                   + "; } }", ResourceLimit, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+def test_diagnostic_has_its_class_and_position(name):
+    src, error, pos = DIAGNOSTICS[name]
+    with pytest.raises(JtxError) as info:
+        run(src)
+    exc = info.value
+    assert type(exc) is error, exc
+    assert (exc.line and f"{exc.line}:{exc.col}") == pos, exc
+
+
+@pytest.mark.parametrize("new, annotation", [
+    ("new Foo()", "Foo x = 1;"),
+    ("new Pair<Integer>(1, 2)", "Pair<Integer> x = 1;")])
+def test_new_reports_what_the_same_annotation_reports(new, annotation):
+    """The class of a `new` resolves as an annotation does."""
+    errors = []
+    for body in (f"return {new};", f"{annotation} return x;"):
+        with pytest.raises(JtxError) as info:
+            run(f"class C {{ m() {{ {body} }} }}")
+        errors.append((type(info.value), info.value.message))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("new", [
+    "new Pair<>(1, 2)", "new java.util.Pair<>(1, 2)", "new Pair(1, 2)"])
+def test_raw_and_qualified_new_type_as_the_diamond(new):
+    r = run(f"class C {{ m() {{ return {new}; }} }}")
+    assert J.signature_lines(r) == [
+        "C.m : () -> Object & () -> Pair<Integer, Integer>"]
+
+
+def test_one_mapping_keeps_a_class_argument_named_like_a_method_variable(
+        tmp_path):
+    """`Box<A>` declares `<T> T put(A a, T t)`; on `Box<T>` of a user class
+    `T` the class argument is not the method's `T`."""
+    bundled = resources.files("jtxinfer").joinpath("builtins.json")
+    table = json.loads(bundled.read_text())
+    table["classes"].append({
+        "name": "Box", "qualified": "java.util.Box", "params": ["A"],
+        "variance": [0], "super": {"class": "Object", "args": []},
+        "methods": [{"name": "put", "typeparams": ["T"],
+                     "params": [{"var": "A"}, {"var": "T"}],
+                     "return": {"var": "T"}}]})
+    path = tmp_path / "builtins.json"
+    path.write_text(json.dumps(table))
+    r = run("import java.util.Box; import java.lang.Integer; class T { } "
+            "class C { m(Box<T> b) { return b.put(new T(), 1); } }",
+            table_path=str(path))
+    assert J.signature_lines(r)[-1] == "C.m : Box<T> -> Integer"
 
 
 def test_recursion_in_a_class_names_it(monkeypatch):

@@ -16,7 +16,8 @@ import pytest
 import jtxinfer as J
 from jtxinfer import pipeline as P
 from jtxinfer.classtable import (FIXED_OPERATORS, OVERLOADED_OPERATORS,
-                                 _scan_occurrences)
+                                 _scan_occurrences, load_builtin_entries,
+                                 qualified_names)
 from jtxinfer.parser import parse
 from jtxinfer.syntax import BINARY_PREC
 from jtxinfer.typeterms import ClassType, TypeVar
@@ -49,6 +50,7 @@ CONSTRUCTS = {
     "Apply1": "class C { m(f) { return f.apply(1); } }",
     "Apply2": "class C { m(f, x) { return f.apply(x, true); } }",
     "NewPair": "class C { m() { return new Pair<>(1, 2); } }",
+    "NewQualified": "class C { m() { return new java.util.Pair<>(1, 2); } }",
     "Qualified": "class C { m(java.lang.Double d) { "
                  "java.lang.Integer x = 1; return d; } }",
 }
@@ -66,9 +68,10 @@ GENERATED = {**CONSTRUCTS, **ALL_GOLDEN_SRCS, **corpus_programs((1,))}
 def test_scan_forces_what_the_reference_scan_forces():
     progs = {**ALL_GOLDEN_SRCS, **PINNED_SRCS, **CONSTRUCTS,
              **corpus_programs((1, 2, 3))}
+    qualified = qualified_names(load_builtin_entries())
     for name, src in progs.items():
         prog = parse(src)
-        assert (_scan_occurrences(prog)
+        assert (_scan_occurrences(prog, qualified)
                 == reference_scan._scan_occurrences(prog)), name
 
 
