@@ -146,16 +146,21 @@ class ClassTable:
     templates and the view's variables, and none of these changes once a
     view is queried: `build_class_table` adds every entry before the first
     chain is walked, later writes (the pipeline's inferred typings and
-    field types) touch only user entries' `methods`, `fields` and
-    `generics`, and every view has caches of its own.  The built-in
-    entries are shared by every table of the process and never written.
+    field types, through `register`) touch only user entries' `methods`,
+    `fields` and `generics`, and every view has caches of its own.  The
+    built-in entries are shared by every table of the process and never
+    written.  The member index of `members` reads exactly what `register`
+    writes, so a table and its views share one, and `register` renews it.
     """
 
-    def __init__(self, entries, typevars=None):
+    def __init__(self, entries, typevars=None, members=None):
         self.entries = entries
         self.typevars = typevars or {}
         self._chains = {}     # term -> tuple, see `supertype_chain`
         self._heads = {}      # (name, scope) -> tuple, see `subtype_heads`
+        # (member name, arity) -> [(entry name, template)], see `members`;
+        # shared by the views over the same entries
+        self._members = {} if members is None else members
 
     # -- basic lookup -------------------------------------------------------
 
@@ -273,6 +278,54 @@ class ClassTable:
                 yield head.name
 
     # -- member lookup ------------------------------------------------------
+
+    @functools.cached_property
+    def order(self):
+        """Entry name -> its place in table order."""
+        return {name: i for i, name in enumerate(self.entries)}
+
+    def members(self, name, arity):
+        """The (entry name, signature template) pairs of member `name`, in
+        table order: each entry's methods of `arity` parameters, in
+        declaration order, or with `arity` None its field of a known type,
+        a signature without parameters that takes the entry's `generics`
+        as type parameters.  The index is made at the first call, each
+        entry's part once, and `register` renews an entry's part."""
+        index = self._members
+        if not index:
+            for cname in self.entries:
+                for key, sigs in self._entry_members(cname).items():
+                    index.setdefault(key, []).extend(
+                        (cname, sig) for sig in sigs)
+        return index.get((name, arity), ())
+
+    def _entry_members(self, cname):
+        """Entry `cname`'s signature templates by (member name, arity)."""
+        entry = self.entries[cname]
+        members = {}
+        for sig in entry.methods:
+            members.setdefault((sig.name, len(sig.params)), []).append(sig)
+        for fname, term in entry.fields.items():
+            if term is not None:
+                members[fname, None] = [MethodSig(fname, entry.generics, [],
+                                                  term)]
+        return members
+
+    def register(self, name, methods, fields, generics):
+        """Write the members the pipeline inferred for user entry `name`:
+        its method templates, field types and generics clause; and renew
+        the entry's part of the member index."""
+        index = self._members
+        old = self._entry_members(name) if index else {}
+        entry = self.entries[name]
+        entry.methods, entry.fields, entry.generics = methods, fields, generics
+        if not index:
+            return
+        new = self._entry_members(name)
+        for key in old.keys() | new.keys():
+            pairs = [p for p in index.get(key, ()) if p[0] != name]
+            pairs += [(name, sig) for sig in new.get(key, ())]
+            index[key] = sorted(pairs, key=lambda p: self.order[p[0]])
 
     def instantiate_method(self, sig, term, names):
         """Signature template `sig` of `term`'s entry with, in one mapping,
@@ -420,7 +473,8 @@ def class_view(cls, table):
     if not any(gs for _, gs in members):
         return table
     view = ClassTable(table.entries, {TypeVar(g.name, scope): None
-                                      for scope, gs in members for g in gs})
+                                      for scope, gs in members for g in gs},
+                      table._members)
     for scope, gs in members:
         for g in gs:
             b = g.bound and resolve_src_type(g.bound, view, scope)

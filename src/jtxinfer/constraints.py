@@ -424,18 +424,25 @@ class _Generator:
         A declared variable has the members of the first type on its
         supertype chain that is no variable.  A receiver with a known head
         takes its class's candidates, each with names of its own; any
-        other becomes one `ReceiverGroup` over every class.  Adds the
-        alternatives to the result; returns how many there are."""
+        other becomes one `ReceiverGroup` over every class that declares
+        the member, in table order.  Adds the alternatives to the result;
+        returns how many there are."""
         if isinstance(recv, TypeVar):
             recv = next(t for t in self.table.supertype_chain(recv)
                         if not isinstance(t, TypeVar))
+        own = self.cls.name
+        # the class being inferred offers its slot terms, any other class
+        # its entry's templates
+        declared = [p for p in self.table.members(
+            e.name, None if isinstance(e, S.FieldAccess) else len(e.args))
+            if p[0] != own] + [(own, sig) for sig in self._own_templates(e)]
         if isinstance(recv, ClassType):
             alts = [alternative(recv, sig, [self.fresh.tph(self.scope)
                                             for _ in sig.typeparams])
-                    for sig in self._templates(recv.name, e)]
+                    for cname, sig in declared if cname == recv.name]
         else:
-            candidates = [(cname, sig) for cname in self.table.entries
-                          for sig in self._templates(cname, e)]
+            candidates = sorted(declared,
+                                key=lambda p: self.table.order[p[0]])
             # one choice takes one candidate, so all share one block
             names = tuple(self.fresh.tph(self.scope) for _ in range(max(
                 (self.table.entry(cname).arity + len(sig.typeparams)
@@ -453,21 +460,15 @@ class _Generator:
             self._add_group(alts)
         return len(alts)
 
-    def _templates(self, cname, e):
-        """The signature templates member access `e` may take in class
-        `cname`, in declaration order: a call's methods of its name and
-        arity, or a read's field of a known type, as a signature without
-        parameters.  The class being inferred offers its slot terms, any
-        other class its entry's templates; its field takes the class's
-        `generics` as type parameters, as its methods already do."""
-        own = cname == self.cls.name
-        entry = self.table.entry(cname)
+    def _own_templates(self, e):
+        """The signature templates member access `e` may take in the class
+        being inferred, over its slot terms, in declaration order: a call's
+        methods of its name and arity, or a read's field, as a signature
+        without parameters."""
         if isinstance(e, S.FieldAccess):
-            term = (self.result.field_terms if own
-                    else entry.fields).get(e.name)
-            return [] if term is None else [MethodSig(
-                e.name, [] if own else entry.generics, [], term)]
-        return [sig for sig in (self.result.methods if own else entry.methods)
+            term = self.result.field_terms.get(e.name)
+            return [] if term is None else [MethodSig(e.name, [], [], term)]
+        return [sig for sig in self.result.methods
                 if sig.name == e.name and len(sig.params) == len(e.args)]
 
 

@@ -3,14 +3,15 @@ method descriptors."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
-from .typeterms import (VOID, ClassType, TPH, TypeVar, substitute,
-                        tph_name, tphs_of)
+from .typeterms import (VOID, ClassType, TPH, TypeVar, instantiate,
+                        substitute, tph_name, tphs_of)
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -137,12 +138,17 @@ def signature_report(class_name, method_signatures):
 # --- typed source ----------------------------------------------------------
 
 
-def term_to_srctype(term):
+def term_to_srctype(term, names=None):
+    """The written form of `term`; `names` maps a class name to the name it
+    is written with instead, the qualified one where a declared variable
+    hides it."""
     if term is VOID:
         return S.SrcType("void")
-    if not isinstance(term, ClassType) or not term.args:
+    if (not isinstance(term, ClassType) or not (term.args or names)
+            or isinstance(term, TypeVar)):
         return S.SrcType(str(term))
-    return S.SrcType(term.name, [term_to_srctype(a) for a in term.args])
+    return S.SrcType(names.get(term.name, term.name) if names else term.name,
+                     [term_to_srctype(a, names) for a in term.args])
 
 
 def canonical_renaming(names_in_order, reserved=()):
@@ -178,28 +184,102 @@ def declared_names(rep):
             for v, _ in clause if isinstance(v, TypeVar)}
 
 
+def _declared(clause):
+    """The names of the declared variables of a generics clause."""
+    return {str(v) for v, _ in clause if isinstance(v, TypeVar)}
+
+
+def _mentions(term, var):
+    return any(leaf is var for leaf in _leaves(term))
+
+
+def _local_uids(method):
+    """The uids of the locals a method declares."""
+    uids = []
+
+    def visit(node):
+        if isinstance(node, S.LocalDecl):
+            uids.append(node.uid)
+
+    S.walk(method, visit)
+    return uids
+
+
+def unshadow(cls, solved, classes=()):
+    """The solutions `solved` of class `cls` (each a `pipeline.SolvedClass`)
+    with each method variable renamed that hides a class variable which
+    the method's typing or one of its locals mentions in some solution; the
+    new name is the first of A, B, … that no declared variable of the class
+    and none of `classes` takes.  A declared variable is a term of its
+    member, so the rename changes only names, and the typed output can name
+    both variables."""
+    hidden = {str(v): v for v, _ in solved[0].class_generics
+              if isinstance(v, TypeVar)}
+    if not hidden:
+        return solved
+    taken = {*declared_names(solved[0]), *classes}
+    free = (n for n in map(tph_name, itertools.count()) if n not in taken)
+    mapping = {}
+    for i, m in enumerate(cls.methods):
+        uids = _local_uids(m)
+        for s in solved:
+            t = s.methods[i]
+            terms = [*t.params, t.ret, *clause_terms(t.generics),
+                     *(s.local_terms[u] for u in uids if u in s.local_terms)]
+            for v, _ in t.generics:
+                var = hidden.get(str(v)) if isinstance(v, TypeVar) else None
+                if (v.name not in mapping and var is not None
+                        and any(_mentions(x, var) for x in terms)):
+                    mapping[v.name] = TypeVar(next(free), v.owner)
+    if not mapping:
+        return solved
+
+    def rename(term):
+        return term and instantiate(term, mapping)
+
+    return [dataclasses.replace(
+        s, methods=[MethodTyping(tuple((rename(v), rename(b))
+                                       for v, b in t.generics),
+                                 tuple(map(rename, t.params)), rename(t.ret))
+                    for t in s.methods],
+        local_terms={u: rename(x) for u, x in s.local_terms.items()})
+        for s in solved]
+
+
 def build_typed_class(cls, rep, classes=()):
     """ClassDecl `cls` annotated (new AST) with the slot terms and generics
     clauses of `rep`, the class's representative `pipeline.SolvedClass`,
     under canonical placeholder names; a name takes neither a declared
-    variable's name nor one of `classes`."""
+    variable's name nor one of `classes`.  A class that a declared
+    variable of the member hides is written with its qualified name, which
+    `classes` (name -> `classtable.Entry`) gives."""
 
     order = [n for t in (*rep.field_terms.values(),
                          *clause_terms(rep.class_generics))
              for n in tphs_of(t)]
     order += [n for t in rep.methods for n in t.names()]
     order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
-    ren = canonical_renaming(order, {*declared_names(rep), *classes})
+    declared = declared_names(rep)
+    ren = canonical_renaming(order, {*declared, *classes})
     sigma = {old: TPH(new) for old, new in ren.items()}
+    hiding = any(n in classes for n in declared)
 
-    def conv(term):
-        return term_to_srctype(substitute(term, sigma))
+    def converter(*clauses):
+        """`conv` of a member that sees the declared variables of
+        `clauses`."""
+        names = hiding and {n: classes[n].qualified for clause in clauses
+                            for n in _declared(clause) if n in classes}
 
-    def gen_params(clause):
+        def conv(term):
+            return term_to_srctype(substitute(term, sigma), names)
+        return conv
+
+    def gen_params(clause, conv):
         return [S.GenericParam(conv(v).name,
                                None if bound is None else conv(bound))
                 for v, bound in clause]
 
+    conv = converter(rep.class_generics)
     fields = [
         S.FieldDecl(name=f.name, annotation=conv(rep.field_terms[f.name]),
                     init=f.init, pos=f.pos)
@@ -207,19 +287,21 @@ def build_typed_class(cls, rep, classes=()):
     ]
     methods = []
     for m, t in zip(cls.methods, rep.methods):
-        params = [S.Param(p.name, conv(x)) for p, x in zip(m.params, t.params)]
-        body = [_annotate_stmt(st, rep, conv) for st in m.body]
+        mconv = converter(rep.class_generics, t.generics) if hiding else conv
+        params = [S.Param(p.name, mconv(x))
+                  for p, x in zip(m.params, t.params)]
+        body = [_annotate_stmt(st, rep, mconv) for st in m.body]
         methods.append(S.MethodDecl(
             name=m.name,
-            generics=gen_params(t.generics),
-            ret=conv(t.ret),
+            generics=gen_params(t.generics, mconv),
+            ret=mconv(t.ret),
             params=params,
             body=body,
             pos=m.pos,
         ))
     typed = S.ClassDecl(
         name=cls.name,
-        generics=gen_params(rep.class_generics),
+        generics=gen_params(rep.class_generics, conv),
         fields=fields,
         methods=methods,
         pos=cls.pos,

@@ -6,6 +6,7 @@ class are registered in the table so later classes can call it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import emit as E
@@ -49,6 +50,7 @@ class ClassResult:
     signatures: list             # [(method name, [MethodTyping])]
     used_terms: list = field(default_factory=list)
     remainings: list = field(default_factory=list)  # per surviving solution
+    stats: Counter = None   # the unifier's counters
 
 
 @dataclass
@@ -57,6 +59,8 @@ class PipelineResult:
     table: object
     class_results: list
     dumps: dict = field(default_factory=dict)
+    # the unifier's counters (see `unify`), summed over the classes
+    stats: Counter = field(default_factory=Counter)
 
     @property
     def typed_classes(self):
@@ -64,7 +68,8 @@ class PipelineResult:
 
 
 def run_source(src, table_path=None, dump_stages=()):
-    """Infer every class of `src`.  Recursion deeper than the interpreter
+    """Infer every class of `src`; the result's `stats` sums the unifier's
+    counters of every class.  Recursion deeper than the interpreter
     allows, in the input's nesting or in a search, is a resource limit."""
     try:
         program = parse(src)
@@ -73,16 +78,19 @@ def run_source(src, table_path=None, dump_stages=()):
         raise ResourceLimit(_TOO_DEEP) from None
     dumps = {s: [] for s in dump_stages}
     results = []
+    stats = Counter()
     for cls in program.classes:
         try:
             results.append(_infer_class(cls, table, dumps))
+            stats.update(results[-1].stats)
         except RecursionError:
             raise ResourceLimit(f"class {cls.name}: {_TOO_DEEP}") from None
         except ResourceLimit as exc:
             raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
     return PipelineResult(program=program, table=table,
                           class_results=results,
-                          dumps={k: "\n".join(v) for k, v in dumps.items()})
+                          dumps={k: "\n".join(v) for k, v in dumps.items()},
+                          stats=stats)
 
 
 def _infer_class(cls, table, dumps):
@@ -93,7 +101,9 @@ def _infer_class(cls, table, dumps):
             dumps["constraints"].append(
                 f"# {cls.name} candidate {cand.choice}")
             dumps["constraints"].extend(str(c) for c in cand.constraints)
-    sols = unify(gen.base, scoped, gen.fresh.clone(), groups=gen.groups)
+    stats = Counter()
+    sols = unify(gen.base, scoped, gen.fresh.clone(), stats=stats,
+                 groups=gen.groups)
     solved = []
     for sol in sols:
         if "solutions" in dumps:
@@ -110,7 +120,7 @@ def _infer_class(cls, table, dumps):
     if "generics" in dumps:
         for s in finished:
             dumps["generics"] += [f"# {cls.name}", format_generics(s.clauses)]
-    return _assemble(cls, finished, scoped)
+    return _assemble(cls, finished, scoped, stats)
 
 
 class _Solved:
@@ -243,9 +253,9 @@ def _generics_clause(pairs, terms):
                         key=lambda pair: rank.get(pair[0], len(rank))))
 
 
-def _assemble(cls, finished, table):
-    finished = sorted(finished, key=lambda s: [
-        E.typing_sort_key(t) for t in s.methods])
+def _assemble(cls, finished, table, stats):
+    finished = E.unshadow(cls, sorted(finished, key=lambda s: [
+        E.typing_sort_key(t) for t in s.methods]), table.entries)
     rep = finished[0]
     # a generated name takes no declared variable's and no class's name
     typed_cls, ren = E.build_typed_class(cls, rep, table.entries)
@@ -267,7 +277,8 @@ def _assemble(cls, finished, table):
     _register(cls, table, signatures, rep, sigma)
     return ClassResult(cls=cls, typed_cls=typed_cls,
                        signatures=signatures, used_terms=used,
-                       remainings=[s.remaining for s in finished])
+                       remainings=[s.remaining for s in finished],
+                       stats=stats)
 
 
 def _register(cls, table, signatures, rep, sigma):
@@ -286,19 +297,19 @@ def _register(cls, table, signatures, rep, sigma):
         return template(term and substitute(term, sigma))
 
     declared = [(v.name, b) for v, b in table.clause(CLASS)]
-    entry = table.entries[cls.name]
-    entry.methods = []
+    methods = []
     for (mname, typings) in signatures:
         for t in typings:
             bound_by = {v.name: b for v, b in t.generics}
-            entry.methods.append(MethodSig(
+            methods.append(MethodSig(
                 mname, declared + [(n, template(bound_by.get(n))) for n
                                    in dict.fromkeys([*t.names(), *bound_by])],
                 [template(p) for p in t.params], template(t.ret)))
-    entry.generics = [(renamed(v).name, renamed(b))
-                      for v, b in rep.class_generics]
-    for f in cls.fields:
-        entry.fields[f.name] = renamed(rep.field_terms[f.name])
+    table.register(cls.name, methods,
+                   {f.name: renamed(rep.field_terms[f.name])
+                    for f in cls.fields},
+                   [(renamed(v).name, renamed(b))
+                    for v, b in rep.class_generics])
 
 
 # --- top-level outputs -----------------------------------------------------

@@ -21,11 +21,11 @@ The search works on one store and never copies it:
   parked constraints and nothing else.  An unparked constraint keeps its
   place in the index, flagged, until the park itself is undone.
 * A trail logs every bind, park, unpark and move of the branch queue's
-  head, and an explicit stack holds one frame per open branch point: its
-  trail mark and its untried alternatives.  Trying the next alternative
-  first undoes the trail to the frame's mark, which restores the store
-  exactly, the order of the parked constraints included; so a refuted
-  alternative costs only what it touched.
+  head, and an explicit stack holds one frame per open branch point with
+  alternatives left to try: its trail mark and its untried alternatives.
+  Trying the next alternative first undoes the trail to the frame's mark,
+  which restores the store exactly, the order of the parked constraints
+  included; so a refuted alternative costs only what it touched.
 
 The or-groups are the outermost branch points.  The base constraints are
 simplified once; then one frame per group is opened, in group order, each
@@ -51,7 +51,18 @@ alternative is built only when tried.
 
 The lessdot branch points are taken in parking order: the oldest one-sided
 lessdot still parked is next, its alternatives made lazily in `_branches`
-order.
+order.  Their number is known before any is made: the heads below a bound,
+or the filtered supertype chain above a lower bound, or at most one at a
+sink.
+Only a branch point with two or more opens a frame.  One alternative is
+taken as a step: it binds and queues its extra constraint under the
+enclosing frame's trail; none refutes at once.  The search is unchanged:
+a frame with one alternative would try it at once, undo to a mark that
+nothing before it needs, and close; the enclosing frame's undo covers the
+same trail.  The alternative is made when taken, as before, so the fresh
+names, the steps and every counter but `frames` stay the same.  Most
+branch points have at most one alternative: every sink, and a placeholder
+below a class that no other class or visible variable is below.
 
 An upper-bound expansion of a *sink* does not branch.  A sink is decided
 by its lower bounds alone: every lessdot parked with it on the upper side
@@ -75,12 +86,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classtable import CLASS
-from .constraints import FreshNames, ReceiverGroup, doteq, lessdot
+from .constraints import FreshNames, ReceiverGroup
 from .errors import ResourceLimit
 from .typeterms import VOID, ClassType, TPH, TypeVar, substitute, tphs_of
 
 # worklist pops per choice of or-group alternatives
 MAX_STEPS = 500_000
+
+_OBJECT = ClassType("Object")
 
 
 @dataclass(frozen=True)
@@ -128,29 +141,28 @@ class _Sigma(dict):
 
     def get(self, name, default=None):
         term = dict.get(self, name)
-        return default if term is None else substitute(term, self)
+        if term is None:
+            return default
+        return substitute(term, self) if term.tphs else term
 
 
 class _Parked:
-    """A stuck lessdot in the occurrence index."""
+    """A stuck lessdot in the occurrence index: `names` are the placeholders
+    on its two sides, which the index keys, and `nested` those inside its
+    headed side, which it does not."""
 
-    __slots__ = ("lhs", "rhs", "parked", "nested")
+    __slots__ = ("lhs", "rhs", "parked", "names", "nested")
 
     def __init__(self, lhs, rhs):
         self.lhs = lhs
         self.rhs = rhs
         self.parked = False
-        # the names inside a headed side, which the index does not key
-        self.nested = [n for t in (lhs, rhs) if not isinstance(t, TPH)
-                       for n in tphs_of(t)]
-
-    def names(self):
-        """The placeholder names on its two sides."""
-        if not isinstance(self.lhs, TPH):
-            return (self.rhs.name,)
-        if not isinstance(self.rhs, TPH):
-            return (self.lhs.name,)
-        return (self.lhs.name, self.rhs.name)
+        if type(lhs) is not TPH:
+            self.names, self.nested = (rhs.name,), lhs.tphs
+        elif type(rhs) is not TPH:
+            self.names, self.nested = (lhs.name,), rhs.tphs
+        else:
+            self.names, self.nested = (lhs.name, rhs.name), ()
 
 
 _BIND, _PARK, _UNPARK, _HEAD = range(4)
@@ -167,6 +179,7 @@ class _Unifier:
         self.choice = []      # the alternative taken in each group so far
         self.steps = 0
         self.branch_points = 0
+        self.frames = 0
         self.sinks = 0
         self.alternatives = 0
         self.pruned = 0
@@ -180,10 +193,9 @@ class _Unifier:
         self.branchable = []  # one-sided _Parked, in parking order
         self.head = 0         # all of branchable[:head] are unparked
         self.trail = []
-
-    def _fresh_like(self, tph):
-        scope = self.fresh.scope_of(tph.name) or ("class",)
-        return self.fresh.tph(scope)
+        # (lower bound, member scope) -> (its alternatives above, whether
+        # they and the bound are all atomic); see `_supertypes`
+        self.sups = {}
 
     def solve(self, cons):
         """Collect the solutions of `cons` plus one alternative of each
@@ -207,10 +219,8 @@ class _Unifier:
                 stack.pop()
                 continue
             if group is None:
-                name, term, extra = alt
-                if not self._bind(name, term):
+                if not self._take(alt):
                     continue
-                self._push(extra)
             else:
                 i, alt = alt
                 del self.choice[depth:]
@@ -225,30 +235,48 @@ class _Unifier:
         self.work.extend((c.kind, c.lhs, c.rhs) for c in reversed(cons))
 
     def _advance(self, stack):
-        """Simplify; then open the next or-group or branch point, or emit a
-        solution."""
-        if not self._simplify():
-            return
-        depth = len(self.choice)
-        if depth < len(self.groups):
-            stack.append((len(self.trail), self._tried(self.groups[depth]),
-                          (depth, self.fresh.mark(), self.limit - self.steps)))
-            return
-        queue, i = self.branchable, self.head
-        while i < len(queue) and not queue[i].parked:
-            i += 1
-        if i != self.head:
-            self.trail.append((_HEAD, self.head))
-            self.head = i
-        if i == len(queue):
-            self._emit()
-            return
-        c = queue[i]
-        self._unpark(c)
-        self.branch_points += 1
-        sigma = self.sigma
-        c = lessdot(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
-        stack.append((len(self.trail), self._branches(c), None))
+        """Simplify, and take each branch point with at most one alternative
+        as a step of its own; then open the next or-group or branch point,
+        or emit a solution."""
+        while self._simplify():
+            depth = len(self.choice)
+            if depth < len(self.groups):
+                stack.append((len(self.trail),
+                              self._tried(self.groups[depth]),
+                              (depth, self.fresh.mark(),
+                               self.limit - self.steps)))
+                return
+            queue, i = self.branchable, self.head
+            while i < len(queue) and not queue[i].parked:
+                i += 1
+            if i != self.head:
+                self.trail.append((_HEAD, self.head))
+                self.head = i
+            if i == len(queue):
+                self._emit()
+                return
+            c = queue[i]
+            self._unpark(c)
+            self.branch_points += 1
+            count, alternatives = self._branches(c)
+            if count > 1:
+                self.frames += 1
+                stack.append((len(self.trail), alternatives, None))
+                return
+            # one alternative is taken under the enclosing frame's trail,
+            # none refutes
+            if not count or not self._take(next(alternatives)):
+                return
+
+    def _take(self, alt):
+        """Bind as alternative `alt` of a branch point says and queue its
+        extra constraint; False when the bind fails the occurs check."""
+        name, term, extra = alt
+        if not self._bind(name, term):
+            return False
+        if extra is not None:
+            self.work.append(extra)
+        return True
 
     def _tried(self, group):
         """The (index, alternative) pairs an or-group's frame tries, in
@@ -286,16 +314,19 @@ class _Unifier:
     def _bind(self, name, term):
         """Bind `name` and re-queue its parked constraints; False when
         `name` occurs in `term`."""
-        names = tphs_of(term)
-        if name in names:
-            return False
+        names = term.tphs
+        if names:
+            if name in names:
+                return False
+            self._count(names, 1)
         self.sigma[name] = term
-        self._count(names, 1)
         self.trail.append((_BIND, name))
-        for c in self.index.get(name, ()):
-            if c.parked:
-                self._unpark(c)
-                self.work.append(("lessdot", c.lhs, c.rhs))
+        slot = self.index.get(name)
+        if slot:
+            for c in slot:
+                if c.parked:
+                    self._unpark(c)
+                    self.work.append(("lessdot", c.lhs, c.rhs))
         return True
 
     def _count(self, names, step):
@@ -305,21 +336,23 @@ class _Unifier:
 
     def _park(self, c):
         c.parked = True
-        self._count(c.nested, 1)
+        if c.nested:
+            self._count(c.nested, 1)
         index = self.index
-        names = c.names()
-        for n in names:
-            if n in index:
-                index[n][c] = None
-            else:
+        for n in c.names:
+            slot = index.get(n)
+            if slot is None:
                 index[n] = {c: None}
-        if len(names) == 1:
+            else:
+                slot[c] = None
+        if len(c.names) == 1:
             self.branchable.append(c)
         self.trail.append((_PARK, c))
 
     def _unpark(self, c):
         c.parked = False
-        self._count(c.nested, -1)
+        if c.nested:
+            self._count(c.nested, -1)
         self.trail.append((_UNPARK, c))
 
     def _undo(self, mark):
@@ -327,18 +360,21 @@ class _Unifier:
         while len(trail) > mark:
             op, x = trail.pop()
             if op == _BIND:
-                self._count(tphs_of(self.sigma.pop(x)), -1)
+                names = self.sigma.pop(x).tphs
+                if names:
+                    self._count(names, -1)
             elif op == _UNPARK:
                 x.parked = True
-                self._count(x.nested, 1)
+                if x.nested:
+                    self._count(x.nested, 1)
             elif op == _PARK:
                 # the newest entry of its index slots and of the queue
                 x.parked = False
-                self._count(x.nested, -1)
-                names = x.names()
-                for n in names:
+                if x.nested:
+                    self._count(x.nested, -1)
+                for n in x.names:
                     del self.index[n][x]
-                if len(names) == 1:
+                if len(x.names) == 1:
                     self.branchable.pop()
             else:
                 self.head = x
@@ -349,92 +385,125 @@ class _Unifier:
         """Apply non-branching rules until the worklist is empty; False on
         contradiction."""
         work, sigma = self.work, self.sigma
-        while work:
-            if self.steps == self.limit:
-                raise ResourceLimit(
-                    f"unification needs more than {MAX_STEPS} steps")
-            self.steps += 1
-            kind, a, b = work.pop()
-            if sigma:
-                a, b = substitute(a, sigma), substitute(b, sigma)
-            if a is b:
-                continue
-            if kind == "doteq":
-                out = self._step_doteq(a, b)
-            else:
-                out = self._step_lessdot(a, b)
-            if out == "keep":
-                self._park(_Parked(a, b))
-            elif out == "fail" or (isinstance(out, tuple)
-                                   and not self._bind(out[1], out[2])):
-                work.clear()
-                return False
-            elif isinstance(out, list):
-                # replacement constraints, in the popped one's place
-                work.extend((x.kind, x.lhs, x.rhs) for x in reversed(out))
+        steps, limit = self.steps, self.limit
+        try:
+            while work:
+                if steps == limit:
+                    raise ResourceLimit(
+                        f"unification needs more than {MAX_STEPS} steps")
+                steps += 1
+                kind, a, b = work.pop()
+                if sigma:
+                    if a.tphs:
+                        a = substitute(a, sigma)
+                    if b.tphs:
+                        b = substitute(b, sigma)
+                if a is b:
+                    continue
+                if not (self._step_doteq(a, b) if kind == "doteq"
+                        else self._step_lessdot(a, b)):
+                    work.clear()
+                    return False
+        finally:
+            self.steps = steps
         return True
 
+    # Each step binds, parks, or queues the replacement constraints in the
+    # popped one's place; False on contradiction.
+
     def _step_doteq(self, a, b):
-        if isinstance(a, TPH) and isinstance(b, TPH):
-            if _age(a.name) >= _age(b.name):
-                return ("bind", a.name, b)
-            return ("bind", b.name, a)
-        if isinstance(a, TPH):
-            return ("bind", a.name, b)
-        if isinstance(b, TPH):
-            return ("bind", b.name, a)
+        if type(a) is TPH:
+            if type(b) is TPH and _age(a.name) < _age(b.name):
+                return self._bind(b.name, a)
+            return self._bind(a.name, b)
+        if type(b) is TPH:
+            return self._bind(b.name, a)
         # a and b differ, so at most one is void
         if (a is VOID or b is VOID or a.name != b.name
                 or len(a.args) != len(b.args)):
-            return "fail"
-        return [doteq(x, y) for x, y in zip(a.args, b.args)]
+            return False
+        self.work.extend([("doteq", x, y)
+                          for x, y in zip(a.args, b.args)][::-1])
+        return True
 
     def _step_lessdot(self, a, b):
         if a is VOID or b is VOID:
-            return "fail"
-        if isinstance(b, ClassType) and b.name == "Object" and not b.args:
-            return []
-        if isinstance(a, TPH) or isinstance(b, TPH):
-            return "keep"  # one-sided: a branch point, handled later
+            return False
+        if b is _OBJECT:
+            return True
+        if type(a) is TPH or type(b) is TPH:
+            # one-sided: a branch point, handled later
+            self._park(_Parked(a, b))
+            return True
         # both headed: adapt along the supertype chain, then decompose
         for sup in self.table.supertype_chain(a):
             if sup.name == b.name:
                 return self._decompose(sup, b)
-        return "fail"
+        return False
 
     def _decompose(self, a, b):
         if len(a.args) != len(b.args):
-            return "fail"
+            return False
         variance = self.table.variance(a.name) or [0] * len(a.args)
-        out = []
-        for v, x, y in zip(variance, a.args, b.args):
-            if v == 0:
-                out.append(doteq(x, y))
-            elif v < 0:
-                out.append(lessdot(y, x))
-            else:
-                out.append(lessdot(x, y))
-        return out
+        self.work.extend([("doteq", x, y) if v == 0 else
+                          ("lessdot", y, x) if v < 0 else ("lessdot", x, y)
+                          for v, x, y in zip(variance, a.args, b.args)][::-1])
+        return True
 
     # -- branching --------------------------------------------------------
 
     def _branches(self, c):
-        """(bind name, term, extra constraints) triples for a constraint
-        with a placeholder on exactly one side.  Below a bound the choices
-        are the heads under its head, `subtype_heads`; above a lower bound
-        they are its supertype chain, a head with some variant parameter
-        shaped with fresh arguments.  Function types are table classes, so
-        they take the same path.  A declared type variable is offered only
-        to placeholders of the members it is in scope for."""
-        t = c.lhs if isinstance(c.lhs, TPH) else c.rhs
-        scope = self.fresh.scope_of(t.name) or CLASS
-        if t is c.lhs:
-            bound = c.rhs
-            for name in self.table.subtype_heads(bound.name, scope):
-                term = self._shape(name, t)
-                yield (t.name, term, [lessdot(term, bound)])
-        else:
-            low = c.lhs
+        """The alternatives of branch point `c`, a parked lessdot with a
+        placeholder on exactly one side: how many there are, and an
+        iterator that makes each, a (bind name, term, extra constraint or
+        None) triple, when it is read.  Below a bound the choices are the
+        heads under its head, `subtype_heads`; above a lower bound they are
+        `_supertypes`, a head with some variant parameter shaped with fresh
+        arguments, and at a sink only the least of them.  Function types
+        are table classes, so they take the same path.  A declared type
+        variable is offered only to placeholders of the members it is in
+        scope for."""
+        sigma = self.sigma
+        if type(c.lhs) is TPH:
+            t, bound = c.lhs, c.rhs
+            if bound.tphs:
+                bound = substitute(bound, sigma)
+            heads = self.table.subtype_heads(bound.name, self._scope(t))
+            return len(heads), self._below(t, heads, bound)
+        t, low = c.rhs, c.lhs
+        if low.tphs:
+            low = substitute(low, sigma)
+        sups, atomic = self._supertypes(low, self._scope(t))
+        lows = self._sink_lows(t) if atomic else None
+        if lows is not None:
+            # each other choice refutes or has a twin with the least
+            # feasible type at `t`; `low` is below every one of `sups`
+            self.sinks += 1
+            least = next((s for s in sups if all(
+                self.table.is_subtype(l, s) for l in lows)), None)
+            sups = () if least is None else (least,)
+        return len(sups), self._above(t, sups, low)
+
+    def _below(self, t, heads, bound):
+        for name in heads:
+            term = self._shape(name, t)
+            yield t.name, term, ("lessdot", term, bound)
+
+    def _above(self, t, sups, low):
+        for sup in sups:
+            if any(v != 0 for v in self.table.variance(sup.name)):
+                term = self._shape(sup.name, t)
+                yield t.name, term, ("lessdot", low, term)
+            else:
+                yield t.name, sup, None
+
+    def _supertypes(self, low, scope):
+        """The choices above lower bound `low` for a placeholder of member
+        `scope`: the first term of each head on its supertype chain, but no
+        declared variable of another member; and whether they and `low` are
+        all atomic.  Cached for the search."""
+        found = self.sups.get((low, scope))
+        if found is None:
             seen = set()
             sups = []
             for sup in self.table.supertype_chain(low):
@@ -443,37 +512,30 @@ class _Unifier:
                     continue
                 seen.add(sup.name)
                 sups.append(sup)
-            if self._is_sink(t, low, sups):
-                # each other choice refutes or has a twin with the least
-                # feasible type at `t`
-                self.sinks += 1
-                lows = [low] + [p.lhs for p in self.index.get(t.name, ())
-                                if p.parked and p.rhs is t]
-                least = next((s for s in sups if all(
-                    self.table.is_subtype(l, s) for l in lows)), None)
-                sups = [] if least is None else [least]
-            for sup in sups:
-                if any(v != 0 for v in self.table.variance(sup.name)):
-                    term = self._shape(sup.name, t)
-                    yield (t.name, term, [lessdot(low, term)])
-                else:
-                    yield (t.name, sup, [])
+            found = self.sups[low, scope] = (
+                tuple(sups), _atomic(low) and all(map(_atomic, sups)))
+        return found
 
-    def _is_sink(self, t, low, sups):
-        """Whether placeholder `t` above `low` is a sink, decided by its
-        lower bounds alone: `t` is not mentioned inside any bound term or
-        headed side, `low` and each of its choices `sups` are atomic, and
-        so is the lower side of every lessdot parked with `t` on its upper
-        side.  Its upper bounds, placeholders or class types, do not
-        matter.  A solution with T' at `t` has a twin with the least T
-        above the lower bounds, T <= T' by transitivity, and T meets every
-        upper bound that T' met.  No lower bound can come later: every
-        or-group has chosen and the worklist is empty, so all constraints
-        are in the store."""
-        return (not self.nested.get(t.name) and _atomic(low)
-                and all(_atomic(s) for s in sups)
-                and all(_atomic(p.lhs) for p in self.index.get(t.name, ())
-                        if p.parked and p.rhs is t))
+    def _sink_lows(self, t):
+        """The other lower bounds of placeholder `t` when it is a sink, given
+        one atomic lower bound whose choices are all atomic; else None.  A
+        sink is decided by its lower bounds alone: `t` is not mentioned
+        inside any bound term or headed side, and the lower side of every
+        lessdot parked with `t` on its upper side is atomic.  Its upper
+        bounds, placeholders or class types, do not matter.  A solution
+        with T' at `t` has a twin with the least T above the lower bounds,
+        T <= T' by transitivity, and T meets every upper bound that T' met.
+        No lower bound can come later: every or-group has chosen and the
+        worklist is empty, so all constraints are in the store."""
+        if self.nested.get(t.name):
+            return None
+        lows = [p.lhs for p in self.index.get(t.name, ())
+                if p.parked and p.rhs is t]
+        return lows if all(map(_atomic, lows)) else None
+
+    def _scope(self, t):
+        """The member scope of placeholder `t`."""
+        return self.fresh.scope_of(t.name) or CLASS
 
     def _shape(self, name, like):
         """A `name`-headed term with fresh placeholder arguments scoped like
@@ -481,7 +543,8 @@ class _Unifier:
         entry = self.table.entries.get(name)
         if entry is None:   # a declared variable
             return ClassType(name)
-        return ClassType(name, tuple(self._fresh_like(like)
+        scope = self._scope(like)
+        return ClassType(name, tuple(self.fresh.tph(scope)
                                      for _ in range(entry.arity)))
 
     # -- results -----------------------------------------------------------
@@ -523,9 +586,11 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
     Raises `ResourceLimit` when a choice takes more than `MAX_STEPS`
     worklist pops, the pops it shares with other choices included.  When
     `stats` (a `collections.Counter`) is given, the search adds its
-    `steps`, `branch_points`, `sinks` (the branch points resolved without
-    branching), `alternatives` (the or-group alternatives tried) and
-    `pruned` (the receiver alternatives skipped) to it."""
+    `steps`, `branch_points`, `frames` (the branch points with two or more
+    alternatives, each of which opens a search frame), `sinks` (the branch
+    points resolved without branching), `alternatives` (the or-group
+    alternatives tried) and `pruned` (the receiver alternatives skipped)
+    to it."""
     if fresh is None:
         fresh = FreshNames()
         for c in [*constraints, *(c for group in groups
@@ -537,9 +602,10 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
         u.solve(list(constraints))
     finally:
         if stats is not None:
-            stats.update(steps=u.steps, branch_points=u.branch_points,
-                         sinks=u.sinks, alternatives=u.alternatives,
-                         pruned=u.pruned)
+            stats.update({"steps": u.steps, "branch_points": u.branch_points,
+                          "frames": u.frames, "sinks": u.sinks,
+                          "alternatives": u.alternatives,
+                          "pruned": u.pruned})
     return u.solutions
 
 

@@ -158,6 +158,12 @@ PINNED_SRCS = {
     # a local declared with a qualified type
     "QualifiedLocal": "class C { m() { java.lang.Integer x = 1; "
                       "return x; } }",
+    # a method variable hides a class variable its typing mentions, and
+    # one hides the class its typing mentions: the typed output renames
+    # the first and writes the class's qualified name for the second
+    "ShadowedClassVariable": "class C<T> { T f; <T> m(T x) { return f; } }",
+    "ShadowedClass": "class C { <Integer> m(java.lang.Integer x) { "
+                     "return x; } }",
 }
 
 ALL_GOLDEN_SRCS = {

@@ -8,9 +8,11 @@ run again, or the diagnostic that run raises.  `tests/golden/corpus.json`
 holds the sha256 of the first five texts for every program of the
 benchmark corpus (`perfbench/corpus.py`, imported read-only): each
 workload, seeds 1-3; `tests/golden/corpus_reentry.json` holds that of the
-re-entered `.sigs.txt`.  A change that alters an output on purpose
-regenerates them all with `PYTHONPATH=src python tests/test_golden.py` and
-says why.
+re-entered `.sigs.txt`.  `tests/golden/unify_counts.json` holds the
+unifier's counters of every class of the same programs, so a change to the
+search's speed shows whether it changed the search.  A change that alters
+an output or a count on purpose regenerates them all with
+`PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
 import functools
@@ -32,6 +34,9 @@ from conftest import ALL_GOLDEN_SRCS
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "corpus.json"
 CORPUS_REENTRY = GOLDEN / "corpus_reentry.json"
+UNIFY_COUNTS = GOLDEN / "unify_counts.json"
+# the counters of `unify(stats=...)` the search is pinned by
+COUNTERS = ("steps", "branch_points", "sinks", "alternatives", "pruned")
 REENTRY = "reentry.sigs.txt"
 WORKLOADS = ("paper-units", "ambiguity", "long-methods")
 SEEDS = (1, 2, 3)
@@ -80,6 +85,24 @@ def corpus_digests(workload, seed, reentry=False):
             for p in corpus.workload(workload, seed)}
 
 
+@functools.lru_cache(maxsize=None)
+def class_stats(src):
+    """Class name -> the unifier's counters of that class of `src`."""
+    return {r.cls.name: r.stats for r in run_source(src).class_results}
+
+
+def unify_counts(programs):
+    """Program name -> class name -> `COUNTERS`, for (name, source) pairs."""
+    return {name: {cls: {k: stats[k] for k in COUNTERS}
+                   for cls, stats in class_stats(src).items()}
+            for name, src in programs}
+
+
+def workload_counts(workload, seed):
+    return unify_counts((p.name, p.source)
+                        for p in corpus.workload(workload, seed))
+
+
 def stages(dumps):
     """Stage name -> its section of a `dumps.txt` text."""
     parts = re.split(r"^== (\w+) ==\n", dumps, flags=re.M)
@@ -115,6 +138,27 @@ def test_corpus_reentry_digests(workload, seed):
     assert corpus_digests(workload, seed, reentry=True) == want
 
 
+def test_golden_unify_counts():
+    want = json.loads(UNIFY_COUNTS.read_text())["golden"]
+    assert unify_counts(ALL_GOLDEN_SRCS.items()) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_corpus_unify_counts(workload, seed):
+    want = json.loads(UNIFY_COUNTS.read_text())[workload][str(seed)]
+    assert workload_counts(workload, seed) == want
+
+
+# Few branch points have two or more alternatives, and only those open a
+# search frame; the straight-line methods of `long-methods` have none.
+@pytest.mark.parametrize("workload, frames", [
+    ("paper-units", 4), ("ambiguity", 3), ("long-methods", 0)])
+def test_search_frames(workload, frames):
+    assert sum(stats["frames"] for p in corpus.workload(workload, 1)
+               for stats in class_stats(p.source).values()) == frames
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, src in ALL_GOLDEN_SRCS.items():
@@ -124,3 +168,7 @@ if __name__ == "__main__":
         path.write_text(json.dumps(
             {w: {str(s): corpus_digests(w, s, reentry) for s in SEEDS}
              for w in WORKLOADS}, indent=1, sort_keys=True) + "\n")
+    UNIFY_COUNTS.write_text(json.dumps(
+        {"golden": unify_counts(ALL_GOLDEN_SRCS.items()),
+         **{w: {str(s): workload_counts(w, s) for s in SEEDS}
+            for w in WORKLOADS}}, indent=1, sort_keys=True) + "\n")

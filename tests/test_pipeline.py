@@ -14,7 +14,7 @@ from jtxinfer.errors import (ArityMismatch, JtxError, JtxSyntaxError,
                              ResourceLimit, UnknownIdentifier, UnknownImport,
                              UnknownMember, UnsupportedFeature, Untypable)
 from jtxinfer.syntax import alpha_equivalent
-from jtxinfer.typeterms import TypeVar
+from jtxinfer.typeterms import ClassType, TypeVar
 
 from conftest import (ALL_GOLDEN_SRCS, CAPTURE_SRC, CYCLE_SRC, FAC_SRC,
                       INFIMUM_SRC, MUTUAL_SRC, OL_SRC, OLFUN_SRC, PINNED_SRCS,
@@ -431,6 +431,30 @@ def test_method_variable_shadowing_a_class_one_is_untypable():
         run(RENAMED[1][0])
 
 
+def test_method_variable_hiding_a_class_variable_it_mentions_is_renamed():
+    sigs, r = _sigs_reenter(PINNED_SRCS["ShadowedClassVariable"])
+    assert sigs == ["C.m : <A> A -> T"]
+    assert "    <A> T m(A x) {" in J.typed_source(r)
+    # a local mentions the class's `T`, the typing only the method's
+    src = "class C<T> { T f; <T> m(T x) { var y = f; return x; } }"
+    sigs, r = _sigs_reenter(src)
+    assert sigs == ["C.m : <A> A -> A"]
+    assert "        T y = f;" in J.typed_source(r)
+    # nothing mentions the class's `T`: the method's keeps its name
+    sigs, _ = _sigs_reenter("class C<T> { T f; <T> m(T x) { return x; } }")
+    assert sigs == ["C.m : <T> T -> T"]
+
+
+def test_class_hidden_by_a_declared_variable_is_written_qualified():
+    sigs, r = _sigs_reenter(PINNED_SRCS["ShadowedClass"])
+    assert sigs == ["C.m : <Integer> Integer -> Integer"]
+    typed = J.typed_source(r)
+    assert "<Integer> java.lang.Integer m(java.lang.Integer x)" in typed
+    # and it means the class again, not the variable
+    (typing,) = run(typed).class_results[0].signatures[0][1]
+    assert typing.params[0] is typing.ret is ClassType("Integer")
+
+
 def test_same_class_call_to_a_generic_method_returns_object():
     """`m(y)` gives `n` the return `Object`, as under any other name for
     `n`'s variable: the Known defect "same-class call to a generic method"
@@ -651,6 +675,8 @@ PINNED_SIGS = {
                        "S.b : <T> T -> T"],
     "ClassNamedLikeVariable": ["C.m : <T> T -> T", "C.n : T -> T"],
     "QualifiedLocal": ["C.m : () -> Integer"],
+    "ShadowedClassVariable": ["C.m : <A> A -> T"],
+    "ShadowedClass": ["C.m : <Integer> Integer -> Integer"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",

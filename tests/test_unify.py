@@ -331,6 +331,26 @@ def test_surviving_family_solutions_are_all_kept(n, kept):
     assert sum(len(c.remainings) for c in r.class_results) == kept
 
 
+@pytest.mark.parametrize("n", (1, 40, 400))
+def test_long_method_opens_no_search_frame(n):
+    # every local and the return is a sink: n + 1 branch points, each with
+    # one alternative, taken as a step
+    _, stats = class_search(long_method(n))
+    assert stats["branch_points"] == stats["sinks"] == n + 1
+    assert stats["frames"] == 0
+
+
+def test_only_a_branch_point_with_alternatives_to_try_opens_a_frame(table):
+    # Integer is the one head below Integer, and Number has three
+    stats = Counter()
+    (sol,) = unify([lessdot(TPH("T"), INT)], table, stats=stats)
+    assert sigma_of(sol) == {"T": INT}
+    assert (stats["branch_points"], stats["frames"]) == (1, 0)
+    stats = Counter()
+    assert len(unify([lessdot(TPH("T"), NUM)], table, stats=stats)) == 3
+    assert (stats["branch_points"], stats["frames"]) == (1, 1)
+
+
 def test_work_grows_linearly_with_method_length():
     assert long_method_steps(400) <= 2.5 * long_method_steps(200)
 
