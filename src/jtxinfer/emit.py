@@ -1,5 +1,9 @@
 """Human-facing outputs: typed source, intersection-type reports and
-method descriptors."""
+method descriptors.
+
+`name_solutions` is the only step that picks printed names: of a class's
+declared variables, of its representative solution's placeholders and of
+the other solutions' typings.  Every output reads the terms it returns."""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import syntax as S
+from .classtable import CLASS
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
 from .typeterms import (VOID, ClassType, TPH, TypeVar, instantiate,
@@ -31,12 +36,15 @@ class MethodTyping:
             for n in tphs_of(x)))
 
 
+def _map_typing(t, f):
+    """Typing `t` with `f` applied to each of its terms."""
+    return MethodTyping(tuple((f(v), b and f(b)) for v, b in t.generics),
+                        tuple(map(f, t.params)), f(t.ret))
+
+
 def rename_typing(t, sigma):
     """`t` with its placeholders renamed by `sigma` (name -> TPH)."""
-    return MethodTyping(
-        tuple((substitute(v, sigma), b and substitute(b, sigma))
-              for v, b in t.generics),
-        tuple(substitute(p, sigma) for p in t.params), substitute(t.ret, sigma))
+    return _map_typing(t, lambda x: substitute(x, sigma))
 
 
 def _type_rank(term):
@@ -60,7 +68,7 @@ def _canonical(t):
     reached = []
 
     def reach(term):
-        for v in _leaves(term):
+        for v in _heads(term):
             if v in bounds and v not in reached:
                 reached.append(v)
 
@@ -80,11 +88,13 @@ def _canonical(t):
             tuple(canon(x) for x in t.params), canon(t.ret))
 
 
-def _leaves(term):
-    """The terms without arguments in `term`, left to right."""
+def _heads(term):
+    """The terms in `term`, left to right, each class type without its
+    arguments."""
     if isinstance(term, ClassType) and term.args:
+        yield ClassType(term.name)
         for a in term.args:
-            yield from _leaves(a)
+            yield from _heads(a)
     else:
         yield term
 
@@ -138,17 +148,13 @@ def signature_report(class_name, method_signatures):
 # --- typed source ----------------------------------------------------------
 
 
-def term_to_srctype(term, names=None):
-    """The written form of `term`; `names` maps a class name to the name it
-    is written with instead, the qualified one where a declared variable
-    hides it."""
+def term_to_srctype(term):
+    """The written form of `term`."""
     if term is VOID:
         return S.SrcType("void")
-    if (not isinstance(term, ClassType) or not (term.args or names)
-            or isinstance(term, TypeVar)):
+    if not isinstance(term, ClassType) or not term.args:
         return S.SrcType(str(term))
-    return S.SrcType(names.get(term.name, term.name) if names else term.name,
-                     [term_to_srctype(a, names) for a in term.args])
+    return S.SrcType(term.name, [term_to_srctype(a) for a in term.args])
 
 
 def canonical_renaming(names_in_order, reserved=()):
@@ -177,20 +183,80 @@ def rename_apart(t, sigma, taken):
     return rename_typing(t, sigma)
 
 
-def declared_names(rep):
-    """The names of the declared variables of `rep`'s class and methods."""
-    return {str(v) for clause in (rep.class_generics,
-                                  *(t.generics for t in rep.methods))
-            for v, _ in clause if isinstance(v, TypeVar)}
+def name_solutions(cls, solved, classes):
+    """The printed names of class `cls`'s solutions `solved` (each a
+    `pipeline.SolvedClass`, in output order): the representative
+    `solved[0]` named, and per method the named typings of every solution.
+    `classes` holds the table's class names.  In order:
+
+    (a) a declared variable whose member mentions, in some solution,
+        another class or a class variable printing under its name takes
+        the first of A, B, … that no declared variable and no class takes;
+        a class variable's member is the whole class;
+    (b) the representative's placeholders are named canonically, in order
+        of first use, taking no declared variable's or class's name;
+    (c) each typing of another solution is renamed apart from these."""
+    rep = solved[0]
+    declared = [v for clause in (rep.class_generics,
+                                 *(t.generics for t in rep.methods))
+                for v, _ in clause if isinstance(v, TypeVar)]
+    used = {*map(str, declared), *classes}
+    free = (n for n in map(tph_name, itertools.count()) if n not in used)
+    mapping = {v.name: TypeVar(next(free), v.owner)
+               for v in _hiders(cls, solved, declared)}
+    if mapping:
+        solved = [_map_solution(s, lambda x: instantiate(x, mapping))
+                  for s in solved]
+    reserved = {*(str(mapping.get(v.name, v)) for v in declared), *classes}
+
+    rep = solved[0]
+    order = [n for t in (*rep.field_terms.values(),
+                         *clause_terms(rep.class_generics))
+             for n in tphs_of(t)]
+    order += [n for t in rep.methods for n in t.names()]
+    order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
+    ren = canonical_renaming(order, reserved)
+    sigma = {old: TPH(new) for old, new in ren.items()}
+    named = _map_solution(rep, lambda x: substitute(x, sigma))
+    taken = {*ren.values(), *reserved}
+    typings = [[t, *(rename_apart(s.methods[i], sigma, taken)
+                     for s in solved[1:])]
+               for i, t in enumerate(named.methods)]
+    return named, typings
 
 
-def _declared(clause):
-    """The names of the declared variables of a generics clause."""
-    return {str(v) for v, _ in clause if isinstance(v, TypeVar)}
+def _map_solution(s, f):
+    """Solution `s` with `f` applied to each of its terms."""
+    return dataclasses.replace(
+        s, class_generics=tuple((f(v), b and f(b))
+                                for v, b in s.class_generics),
+        field_terms={n: f(x) for n, x in s.field_terms.items()},
+        methods=[_map_typing(t, f) for t in s.methods],
+        local_terms={u: f(x) for u, x in s.local_terms.items()})
 
 
-def _mentions(term, var):
-    return any(leaf is var for leaf in _leaves(term))
+def _hiders(cls, solved, declared):
+    """The variables of `declared` whose member mentions, in some solution
+    of `solved`, another class or a class variable printing under its
+    name; the whole class is a class variable's member."""
+    if not declared:
+        return []
+    uids = [_local_uids(m) for m in cls.methods]
+    found = set()
+    for s in solved:
+        members = {("method", i): [*t.params, t.ret, *clause_terms(t.generics),
+                                   *(s.local_terms[u] for u in uids[i]
+                                     if u in s.local_terms)]
+                   for i, t in enumerate(s.methods)}
+        members[CLASS] = [*clause_terms(s.class_generics),
+                          *s.field_terms.values(), *s.local_terms.values(),
+                          *(x for terms in members.values() for x in terms)]
+        for v in declared:
+            found.update(v for x in members[v.owner] for h in _heads(x)
+                          if h is not v and str(h) == str(v)
+                          and not isinstance(h, TPH)
+                          and (not isinstance(h, TypeVar) or h.owner == CLASS))
+    return [v for v in declared if v in found]
 
 
 def _local_uids(method):
@@ -205,119 +271,38 @@ def _local_uids(method):
     return uids
 
 
-def unshadow(cls, solved, classes=()):
-    """The solutions `solved` of class `cls` (each a `pipeline.SolvedClass`)
-    with each method variable renamed that hides a class variable which
-    the method's typing or one of its locals mentions in some solution; the
-    new name is the first of A, B, … that no declared variable of the class
-    and none of `classes` takes.  A declared variable is a term of its
-    member, so the rename changes only names, and the typed output can name
-    both variables."""
-    hidden = {str(v): v for v, _ in solved[0].class_generics
-              if isinstance(v, TypeVar)}
-    if not hidden:
-        return solved
-    taken = {*declared_names(solved[0]), *classes}
-    free = (n for n in map(tph_name, itertools.count()) if n not in taken)
-    mapping = {}
-    for i, m in enumerate(cls.methods):
-        uids = _local_uids(m)
-        for s in solved:
-            t = s.methods[i]
-            terms = [*t.params, t.ret, *clause_terms(t.generics),
-                     *(s.local_terms[u] for u in uids if u in s.local_terms)]
-            for v, _ in t.generics:
-                var = hidden.get(str(v)) if isinstance(v, TypeVar) else None
-                if (v.name not in mapping and var is not None
-                        and any(_mentions(x, var) for x in terms)):
-                    mapping[v.name] = TypeVar(next(free), v.owner)
-    if not mapping:
-        return solved
-
-    def rename(term):
-        return term and instantiate(term, mapping)
-
-    return [dataclasses.replace(
-        s, methods=[MethodTyping(tuple((rename(v), rename(b))
-                                       for v, b in t.generics),
-                                 tuple(map(rename, t.params)), rename(t.ret))
-                    for t in s.methods],
-        local_terms={u: rename(x) for u, x in s.local_terms.items()})
-        for s in solved]
-
-
-def build_typed_class(cls, rep, classes=()):
+def build_typed_class(cls, rep):
     """ClassDecl `cls` annotated (new AST) with the slot terms and generics
-    clauses of `rep`, the class's representative `pipeline.SolvedClass`,
-    under canonical placeholder names; a name takes neither a declared
-    variable's name nor one of `classes`.  A class that a declared
-    variable of the member hides is written with its qualified name, which
-    `classes` (name -> `classtable.Entry`) gives."""
+    clauses of `rep`, the class's representative `pipeline.SolvedClass` as
+    `name_solutions` names it."""
+    conv = term_to_srctype
 
-    order = [n for t in (*rep.field_terms.values(),
-                         *clause_terms(rep.class_generics))
-             for n in tphs_of(t)]
-    order += [n for t in rep.methods for n in t.names()]
-    order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
-    declared = declared_names(rep)
-    ren = canonical_renaming(order, {*declared, *classes})
-    sigma = {old: TPH(new) for old, new in ren.items()}
-    hiding = any(n in classes for n in declared)
-
-    def converter(*clauses):
-        """`conv` of a member that sees the declared variables of
-        `clauses`."""
-        names = hiding and {n: classes[n].qualified for clause in clauses
-                            for n in _declared(clause) if n in classes}
-
-        def conv(term):
-            return term_to_srctype(substitute(term, sigma), names)
-        return conv
-
-    def gen_params(clause, conv):
-        return [S.GenericParam(conv(v).name,
-                               None if bound is None else conv(bound))
+    def gen_params(clause):
+        return [S.GenericParam(str(v), bound and conv(bound))
                 for v, bound in clause]
 
-    conv = converter(rep.class_generics)
-    fields = [
-        S.FieldDecl(name=f.name, annotation=conv(rep.field_terms[f.name]),
-                    init=f.init, pos=f.pos)
-        for f in cls.fields
-    ]
-    methods = []
-    for m, t in zip(cls.methods, rep.methods):
-        mconv = converter(rep.class_generics, t.generics) if hiding else conv
-        params = [S.Param(p.name, mconv(x))
-                  for p, x in zip(m.params, t.params)]
-        body = [_annotate_stmt(st, rep, mconv) for st in m.body]
-        methods.append(S.MethodDecl(
-            name=m.name,
-            generics=gen_params(t.generics, mconv),
-            ret=mconv(t.ret),
-            params=params,
-            body=body,
-            pos=m.pos,
-        ))
-    typed = S.ClassDecl(
-        name=cls.name,
-        generics=gen_params(rep.class_generics, conv),
-        fields=fields,
-        methods=methods,
-        pos=cls.pos,
-    )
-    return typed, ren
+    fields = [S.FieldDecl(name=f.name, init=f.init, pos=f.pos,
+                          annotation=conv(rep.field_terms[f.name]))
+              for f in cls.fields]
+    methods = [S.MethodDecl(
+        name=m.name, generics=gen_params(t.generics), ret=conv(t.ret),
+        params=[S.Param(p.name, conv(x)) for p, x in zip(m.params, t.params)],
+        body=[_annotate_stmt(st, rep) for st in m.body], pos=m.pos)
+        for m, t in zip(cls.methods, rep.methods)]
+    return S.ClassDecl(name=cls.name, generics=gen_params(rep.class_generics),
+                       fields=fields, methods=methods, pos=cls.pos)
 
 
-def _annotate_stmt(st, rep, conv):
+def _annotate_stmt(st, rep):
     if isinstance(st, S.LocalDecl):
         term = rep.local_terms.get(st.uid)
-        annotation = conv(term) if term is not None else st.annotation
+        annotation = (term_to_srctype(term) if term is not None
+                      else st.annotation)
         return S.LocalDecl(name=st.name, annotation=annotation,
                            init=st.init, pos=st.pos, uid=st.uid)
     if isinstance(st, S.While):
         return S.While(cond=st.cond,
-                       body=[_annotate_stmt(s, rep, conv) for s in st.body],
+                       body=[_annotate_stmt(s, rep) for s in st.body],
                        pos=st.pos)
     return st
 

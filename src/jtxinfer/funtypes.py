@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .classtable import qualified_names
 from .errors import JtxError
 from .typeterms import (FUN_HEAD, VOID, ClassType, TypeVar, fun_subterms,
                         is_fun, is_ground)
@@ -49,13 +50,14 @@ def _mangle_term(t, table):
 
 def decode_funtype_name(name, table=None):
     """Inverse of `mangle_funtype_name` on ground names."""
-    term, rest = _decode(name, table)
+    term, rest = _decode(name, {} if table is None
+                         else qualified_names(table.entries))
     if rest:
         raise JtxError(f"trailing characters in mangled name: {rest!r}")
     return term
 
 
-def _decode(s, table):
+def _decode(s, by_qualified):
     m = FUN_HEAD.match(s)
     if not m:
         raise JtxError(f"not a mangled function-type name: {s!r}")
@@ -69,7 +71,7 @@ def _decode(s, table):
     parts = []
     for _ in range(count):
         if FUN_HEAD.match(rest):
-            inner, rest = _decode(rest, table)
+            inner, rest = _decode(rest, by_qualified)
             parts.append(inner)
             if not rest.startswith(SEP):
                 raise JtxError(f"missing separator in {s!r}")
@@ -79,17 +81,10 @@ def _decode(s, table):
             if idx < 0:
                 raise JtxError(f"missing separator in {s!r}")
             qualified = rest[:idx].replace("$", ".")
-            parts.append(_class_by_qualified(qualified, table))
+            parts.append(ClassType(by_qualified.get(
+                qualified, qualified.rsplit(".", 1)[-1])))
             rest = rest[idx + len(SEP):]
     return ClassType(m.group(0), tuple(parts)), rest
-
-
-def _class_by_qualified(qualified, table):
-    if table is not None:
-        for entry in table.entries.values():
-            if entry.qualified == qualified:
-                return ClassType(entry.name)
-    return ClassType(qualified.rsplit(".", 1)[-1])
 
 
 def collect_used_funtypes(terms):

@@ -20,7 +20,7 @@ clause is rendered (``format_generics``).
 from __future__ import annotations
 
 from .classtable import CLASS
-from .typeterms import tphs_of
+from .typeterms import TPH, tphs_of
 from .unify import transitive_closure
 
 
@@ -173,12 +173,15 @@ def _infimum(pairs):
     return None
 
 
-def format_generics(clauses):
-    """Debug rendering of clauses ({owner: {name: bound or None}}, in member
-    order): one ``T extends Bound`` line per name, by name within a member,
-    ``Object`` where it is unbounded."""
+def format_generics(solved):
+    """Debug rendering of the inferred variables of the clauses of
+    `solved`, a `pipeline.SolvedClass`: one ``T extends Bound`` line per
+    variable, the class's clause first and then each method's, by name
+    within a clause, ``Object`` where it is unbounded."""
     lines = []
-    for clause in clauses.values():
-        for name, bound in sorted(clause.items()):
-            lines.append(f"{name} extends {bound or 'Object'}")
+    for clause in (solved.class_generics,
+                   *(t.generics for t in solved.methods)):
+        for var, bound in sorted((p for p in clause if isinstance(p[0], TPH)),
+                                 key=lambda p: p[0].name):
+            lines.append(f"{var} extends {bound or 'Object'}")
     return "\n".join(lines)

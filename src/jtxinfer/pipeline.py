@@ -20,7 +20,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
 from .syntax import Program, print_program
-from .typeterms import VOID, ClassType, TPH, substitute, tphs_of
+from .typeterms import VOID, ClassType, TPH, TypeVar, substitute, tphs_of
 from .unify import format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
@@ -31,7 +31,7 @@ _TOO_DEEP = "recursion deeper than the interpreter's limit"
 class SolvedClass:
     """One surviving solution for a class, after generalization, under the
     solution's placeholder names: the class's generics clause and slot
-    terms, one typing per method, and the inferred clauses."""
+    terms, and one typing per method."""
 
     remaining: tuple
     # generics clause: ((variable, bound-or-None), ...) of terms; the
@@ -40,7 +40,6 @@ class SolvedClass:
     field_terms: dict           # field name -> term
     methods: list               # [emit.MethodTyping], one per method
     local_terms: dict           # LocalDecl uid -> term
-    clauses: dict               # member -> {name: bound or None}, in order
 
 
 @dataclass
@@ -119,7 +118,7 @@ def _infer_class(cls, table, dumps):
     finished = [s.generalize(scoped) for s in solved]
     if "generics" in dumps:
         for s in finished:
-            dumps["generics"] += [f"# {cls.name}", format_generics(s.clauses)]
+            dumps["generics"] += [f"# {cls.name}", format_generics(s)]
     return _assemble(cls, finished, scoped, stats)
 
 
@@ -170,13 +169,13 @@ class _Solved:
             return substitute(self.term(t), hmap)
 
         bound = dict(bounds)
-        clauses = {owner: {} for owner in gen.slots}
-        for n, owner in owners.items():
-            clauses[owner][n] = bound.get(n)
+        inferred = {owner: [] for owner in gen.slots}
+        for n, owner in sorted(owners.items()):
+            inferred[owner].append((TPH(n), bound.get(n) and TPH(bound[n])))
 
         def clause(scope, terms):
-            return _generics_clause(
-                [*view.clause(scope), *_clause_pairs(clauses[scope])], terms)
+            return _generics_clause([*view.clause(scope), *inferred[scope]],
+                                    terms)
 
         field_terms = {n: final(t) for n, t in gen.field_terms.items()}
         methods = []
@@ -192,7 +191,6 @@ class _Solved:
             methods=methods,
             local_terms={uid: final(t)
                          for uid, t in gen.local_terms.items()},
-            clauses=clauses,
         )
 
 
@@ -238,11 +236,6 @@ def _minimal(solved, table):
             if not any(below(b, a) for b in solved if b is not a)]
 
 
-def _clause_pairs(clause):
-    """An inferred clause as (variable, bound) term pairs, by name."""
-    return [(TPH(n), r and TPH(r)) for n, r in sorted(clause.items())]
-
-
 def _generics_clause(pairs, terms):
     """A member's generics clause: its (variable, bound) pairs in order of
     the placeholders' first use in the signature `terms`; declared and
@@ -254,49 +247,35 @@ def _generics_clause(pairs, terms):
 
 
 def _assemble(cls, finished, table, stats):
-    finished = E.unshadow(cls, sorted(finished, key=lambda s: [
-        E.typing_sort_key(t) for t in s.methods]), table.entries)
-    rep = finished[0]
-    # a generated name takes no declared variable's and no class's name
-    typed_cls, ren = E.build_typed_class(cls, rep, table.entries)
-    sigma = {old: TPH(new) for old, new in ren.items()}
-    # the other solutions' names outside `ren` must not meet its images
-    taken = {*ren.values(), *E.declared_names(rep), *table.entries}
-
-    signatures = []
-    used = []
-    for i, m in enumerate(cls.methods):
-        typings = E.assemble_intersection_types(
-            [E.rename_apart(s.methods[i], sigma, taken) for s in finished])
-        signatures.append((m.name, typings))
-        for t in typings:
-            used.extend(t.params)
-            used.append(t.ret)
-    used.extend(substitute(t, sigma) for t in (*rep.field_terms.values(),
-                                               *rep.local_terms.values()))
-    _register(cls, table, signatures, rep, sigma)
+    finished = sorted(finished, key=lambda s: [
+        E.typing_sort_key(t) for t in s.methods])
+    rep, typings = E.name_solutions(cls, finished, table.entries)
+    typed_cls = E.build_typed_class(cls, rep)
+    signatures = [(m.name, E.assemble_intersection_types(ts))
+                  for m, ts in zip(cls.methods, typings)]
+    used = [x for _, ts in signatures for t in ts for x in (*t.params, t.ret)]
+    used += [*rep.field_terms.values(), *rep.local_terms.values()]
+    _register(cls, table, signatures, rep)
     return ClassResult(cls=cls, typed_cls=typed_cls,
                        signatures=signatures, used_terms=used,
                        remainings=[s.remaining for s in finished],
                        stats=stats)
 
 
-def _register(cls, table, signatures, rep, sigma):
+def _register(cls, table, signatures, rep):
     """Make the inferred class usable from later classes: its typings
     replace the class entry's methods, each with the class's declared
     clause among its type parameters, as an annotated method has it; its
     field types fill the entry's fields, and `rep`'s class clause is the
     entry's `generics`, which another class's field read instantiates.  A
-    placeholder becomes a template variable of its name; `sigma` renames
-    `rep`'s placeholders canonically, as in `signatures`."""
+    placeholder becomes a template variable of its name; `rep` is named as
+    `signatures` are."""
 
     def template(term):
         return term and substitute(term, {n: ClassType(n) for n in term.tphs})
 
-    def renamed(term):
-        return template(term and substitute(term, sigma))
-
-    declared = [(v.name, b) for v, b in table.clause(CLASS)]
+    declared = [(v.name, b) for v, b in rep.class_generics
+                if isinstance(v, TypeVar)]
     methods = []
     for (mname, typings) in signatures:
         for t in typings:
@@ -306,10 +285,9 @@ def _register(cls, table, signatures, rep, sigma):
                                    in dict.fromkeys([*t.names(), *bound_by])],
                 [template(p) for p in t.params], template(t.ret)))
     table.register(cls.name, methods,
-                   {f.name: renamed(rep.field_terms[f.name])
+                   {f.name: template(rep.field_terms[f.name])
                     for f in cls.fields},
-                   [(renamed(v).name, renamed(b))
-                    for v, b in rep.class_generics])
+                   [(v.name, template(b)) for v, b in rep.class_generics])
 
 
 # --- top-level outputs -----------------------------------------------------

@@ -158,12 +158,17 @@ PINNED_SRCS = {
     # a local declared with a qualified type
     "QualifiedLocal": "class C { m() { java.lang.Integer x = 1; "
                       "return x; } }",
-    # a method variable hides a class variable its typing mentions, and
-    # one hides the class its typing mentions: the typed output renames
-    # the first and writes the class's qualified name for the second
+    # a declared variable whose member mentions a class or a class
+    # variable printing under its name is renamed: a method variable
+    # hiding a class variable, a built-in class or a user class, and a
+    # class variable hiding a class
     "ShadowedClassVariable": "class C<T> { T f; <T> m(T x) { return f; } }",
     "ShadowedClass": "class C { <Integer> m(java.lang.Integer x) { "
                      "return x; } }",
+    "ShadowedUserClass": "class T { } class C { f = new T(); "
+                         "<T> m(T x) { return f; } }",
+    "ClassVariableHidingClass": "class C<Integer> { java.lang.Integer f; "
+                                "m(x) { f = x; return f; } }",
 }
 
 ALL_GOLDEN_SRCS = {

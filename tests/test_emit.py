@@ -7,9 +7,9 @@ from jtxinfer.classtable import build_class_table
 from jtxinfer.emit import (MethodTyping,
                            assemble_intersection_types, build_typed_class,
                            canonical_renaming, emit_descriptors,
-                           format_typing,
-                           method_descriptor, signature_report,
-                           term_to_srctype, typing_sort_key)
+                           format_typing, method_descriptor, name_solutions,
+                           signature_report, term_to_srctype,
+                           typing_sort_key)
 from jtxinfer.errors import DescriptorCollision, Untypable
 from jtxinfer.pipeline import SolvedClass
 from jtxinfer.syntax import Program
@@ -112,40 +112,54 @@ def test_canonical_renaming_past_alphabet():
 def _solved(*methods):
     """A SolvedClass of a class without fields or locals."""
     return SolvedClass(remaining=(), class_generics=(), field_terms={},
-                       methods=list(methods), local_terms={}, clauses={})
+                       methods=list(methods), local_terms={})
 
 
-def _typed_identity():
+def _named_identity():
     cls = parse("class C { m(x) { return x; } }").classes[0]
-    return build_typed_class(cls, _solved(
-        mt([TPH("QQ")], TPH("QQ"), [(TPH("QQ"), None)])))
+    rep, typings = name_solutions(cls, [_solved(
+        mt([TPH("QQ")], TPH("QQ"), [(TPH("QQ"), None)]))], {})
+    return cls, rep, typings
 
 
-def test_build_typed_class_renames_canonically():
-    typed, ren = _typed_identity()
-    assert ren == {"QQ": "A"}
-    m = typed.methods[0]
+def test_name_solutions_names_canonically():
+    cls, rep, typings = _named_identity()
+    assert typings == [rep.methods]
+    assert format_typing(rep.methods[0]) == "<A> A -> A"
+    m = build_typed_class(cls, rep).methods[0]
     assert str(m.ret) == "A"
     assert [g.name for g in m.generics] == ["A"]
     assert str(m.params[0].annotation) == "A"
 
 
-def test_build_typed_class_bound_order_names_before_bounds():
+def test_name_solutions_bound_order_names_before_bounds():
     cls = parse("class C { m(x, y) { return x; } }").classes[0]
-    typed, _ = build_typed_class(cls, _solved(
+    rep, _ = name_solutions(cls, [_solved(
         mt([TPH("P"), TPH("Q")], TPH("P"),
            [(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
-            (TPH("R"), None), (TPH("S"), None)])))
+            (TPH("R"), None), (TPH("S"), None)]))], {})
     gens = [(g.name, str(g.bound) if g.bound else None)
-            for g in typed.methods[0].generics]
+            for g in build_typed_class(cls, rep).methods[0].generics]
     # every generic is introduced before any bound-only name
     assert gens == [("A", "C"), ("B", "D"), ("C", None), ("D", None)]
 
 
+def test_name_solutions_renames_other_solutions_apart():
+    """A placeholder of another solution keeps its name unless the
+    representative's naming, a declared variable or a class took it."""
+    cls = parse("class C { m(x) { return x; } }").classes[0]
+    rep = _solved(mt([TPH("Q")], TPH("Q"), [(TPH("Q"), None)]))
+    other = _solved(mt([TPH("A")], TPH("Z"),
+                       [(TPH("A"), TPH("Z")), (TPH("Z"), None)]))
+    _, typings = name_solutions(cls, [rep, other], {"B": None})
+    assert [format_typing(t) for t in typings[0]] == [
+        "<A> A -> A", "<C extends Z, Z> C -> Z"]
+
+
 def test_emit_typed_source_with_comment_block():
     prog = parse("class C { m(x) { return x; } }")
-    typed, _ = _typed_identity()
-    text = print_program(Program(prog.imports, [typed]),
+    cls, rep, _ = _named_identity()
+    text = print_program(Program(prog.imports, [build_typed_class(cls, rep)]),
                          {"C": {0: ["C.m : Integer -> Integer"]}})
     lines = text.splitlines()
     assert "    // C.m : Integer -> Integer" in lines

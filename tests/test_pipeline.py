@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import jtxinfer as J
+from jtxinfer.emit import clause_terms, format_typing
 from jtxinfer.errors import (ArityMismatch, JtxError, JtxSyntaxError,
                              ResourceLimit, UnknownIdentifier, UnknownImport,
                              UnknownMember, UnsupportedFeature, Untypable)
@@ -445,14 +446,20 @@ def test_method_variable_hiding_a_class_variable_it_mentions_is_renamed():
     assert sigs == ["C.m : <T> T -> T"]
 
 
-def test_class_hidden_by_a_declared_variable_is_written_qualified():
+def test_declared_variable_hiding_a_class_it_mentions_is_renamed():
     sigs, r = _sigs_reenter(PINNED_SRCS["ShadowedClass"])
-    assert sigs == ["C.m : <Integer> Integer -> Integer"]
+    assert sigs == ["C.m : <A> Integer -> Integer"]
     typed = J.typed_source(r)
-    assert "<Integer> java.lang.Integer m(java.lang.Integer x)" in typed
+    assert "    <A> Integer m(Integer x) {" in typed
     # and it means the class again, not the variable
     (typing,) = run(typed).class_results[0].signatures[0][1]
     assert typing.params[0] is typing.ret is ClassType("Integer")
+    # a user class, and a class variable whose class mentions the class
+    sigs, _ = _sigs_reenter(PINNED_SRCS["ShadowedUserClass"])
+    assert sigs == ["C.m : <A> A -> T"]
+    sigs, r = _sigs_reenter(PINNED_SRCS["ClassVariableHidingClass"])
+    assert sigs == ["C.m : Integer -> Integer"]
+    assert "class C<A> {" in J.typed_source(r)
 
 
 def test_same_class_call_to_a_generic_method_returns_object():
@@ -676,7 +683,9 @@ PINNED_SIGS = {
     "ClassNamedLikeVariable": ["C.m : <T> T -> T", "C.n : T -> T"],
     "QualifiedLocal": ["C.m : () -> Integer"],
     "ShadowedClassVariable": ["C.m : <A> A -> T"],
-    "ShadowedClass": ["C.m : <Integer> Integer -> Integer"],
+    "ShadowedClass": ["C.m : <A> Integer -> Integer"],
+    "ShadowedUserClass": ["C.m : <A> A -> T"],
+    "ClassVariableHidingClass": ["C.m : Integer -> Integer"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",
@@ -732,6 +741,35 @@ PROGRAMS = {**ALL_GOLDEN_SRCS, **{
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_no_clause_declares_a_name_twice(name):
     assert_no_clause_declares_a_name_twice(run(PROGRAMS[name]))
+
+
+def _heads(term):
+    """The class types, declared variables and placeholders in `term`, each
+    without its arguments."""
+    if isinstance(term, ClassType):
+        yield ClassType(term.name)
+        for a in term.args:
+            yield from _heads(a)
+    elif term is not J.VOID:
+        yield term
+
+
+WITH_PINNED = {**PROGRAMS, **PINNED_SRCS}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PINNED))
+def test_no_typing_prints_one_name_for_two_terms(name):
+    """Within one typing of the signature lines, a printed name stands for
+    one class, one declared variable or one placeholder."""
+    r = run(WITH_PINNED[name])
+    for c in r.class_results:
+        for mname, typings in c.signatures:
+            for t in typings:
+                heads = {h for x in (*t.params, t.ret,
+                                     *clause_terms(t.generics))
+                         for h in _heads(x)}
+                assert len({str(h) for h in heads}) == len(heads), (
+                    c.cls.name, mname, format_typing(t))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GOLDEN_SRCS))
