@@ -7,6 +7,7 @@ the other solutions' typings.  Every output reads the terms it returns."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass
@@ -40,11 +41,6 @@ def _map_typing(t, f):
     """Typing `t` with `f` applied to each of its terms."""
     return MethodTyping(tuple((f(v), b and f(b)) for v, b in t.generics),
                         tuple(map(f, t.params)), f(t.ret))
-
-
-def rename_typing(t, sigma):
-    """`t` with its placeholders renamed by `sigma` (name -> TPH)."""
-    return _map_typing(t, lambda x: substitute(x, sigma))
 
 
 def _type_rank(term):
@@ -180,14 +176,15 @@ def rename_apart(t, sigma, taken):
     if clash:
         more = canonical_renaming(clash, taken.union(names))
         sigma = {**sigma, **{n: TPH(m) for n, m in more.items()}}
-    return rename_typing(t, sigma)
+    return _map_typing(t, lambda x: substitute(x, sigma))
 
 
 def name_solutions(cls, solved, classes):
     """The printed names of class `cls`'s solutions `solved` (each a
     `pipeline.SolvedClass`, in output order): the representative
-    `solved[0]` named, and per method the named typings of every solution.
-    `classes` holds the table's class names.  In order:
+    `solved[0]` named, per method the named typings of every solution, and
+    `cls` with its declared variables' written names inside expressions
+    renamed to match.  `classes` holds the table's class names.  In order:
 
     (a) a declared variable whose member mentions, in some solution,
         another class or a class variable printing under its name takes
@@ -207,6 +204,8 @@ def name_solutions(cls, solved, classes):
     if mapping:
         solved = [_map_solution(s, lambda x: instantiate(x, mapping))
                   for s in solved]
+        cls = _rename_written(cls, {(v.source, v.owner): mapping[v.name].source
+                                    for v in declared if v.name in mapping})
     reserved = {*(str(mapping.get(v.name, v)) for v in declared), *classes}
 
     rep = solved[0]
@@ -222,7 +221,7 @@ def name_solutions(cls, solved, classes):
     typings = [[t, *(rename_apart(s.methods[i], sigma, taken)
                      for s in solved[1:])]
                for i, t in enumerate(named.methods)]
-    return named, typings
+    return cls, named, typings
 
 
 def _map_solution(s, f):
@@ -241,16 +240,20 @@ def _hiders(cls, solved, declared):
     name; the whole class is a class variable's member."""
     if not declared:
         return []
-    uids = [_local_uids(m) for m in cls.methods]
+    uids = [[] for _ in cls.methods]   # the locals each method declares
+    for i, m in enumerate(cls.methods):
+        S.walk(m, lambda n: isinstance(n, S.LocalDecl)
+               and uids[i].append(n.uid))
     found = set()
     for s in solved:
-        members = {("method", i): [*t.params, t.ret, *clause_terms(t.generics),
-                                   *(s.local_terms[u] for u in uids[i]
-                                     if u in s.local_terms)]
-                   for i, t in enumerate(s.methods)}
+        sigs = [[*t.params, t.ret, *clause_terms(t.generics)]
+                for t in s.methods]
+        members = {("method", i): [*sig, *(s.local_terms[u] for u in uids[i]
+                                           if u in s.local_terms)]
+                   for i, sig in enumerate(sigs)}
         members[CLASS] = [*clause_terms(s.class_generics),
                           *s.field_terms.values(), *s.local_terms.values(),
-                          *(x for terms in members.values() for x in terms)]
+                          *(x for sig in sigs for x in sig)]
         for v in declared:
             found.update(v for x in members[v.owner] for h in _heads(x)
                           if h is not v and str(h) == str(v)
@@ -259,16 +262,25 @@ def _hiders(cls, solved, declared):
     return [v for v in declared if v in found]
 
 
-def _local_uids(method):
-    """The uids of the locals a method declares."""
-    uids = []
+def _rename_written(cls, renamed):
+    """A copy of ClassDecl `cls` whose written types name each declared
+    variable as `renamed` ((source, owner) -> name) does; a member's own
+    variable hides the class's, as `ClassTable.declared` has it."""
+    cls = copy.deepcopy(cls)
 
-    def visit(node):
-        if isinstance(node, S.LocalDecl):
-            uids.append(node.uid)
+    def rename(member, owner, own=()):
+        def visit(node):
+            if isinstance(node, S.SrcType):
+                key = (node.name, owner if node.name in own else CLASS)
+                node.name = renamed.get(key, node.name)
 
-    S.walk(method, visit)
-    return uids
+        S.walk(member, visit)
+
+    for f in cls.fields:
+        rename(f, CLASS)
+    for i, m in enumerate(cls.methods):
+        rename(m, ("method", i), {g.name for g in m.generics})
+    return cls
 
 
 def build_typed_class(cls, rep):
@@ -294,16 +306,12 @@ def build_typed_class(cls, rep):
 
 
 def _annotate_stmt(st, rep):
-    if isinstance(st, S.LocalDecl):
-        term = rep.local_terms.get(st.uid)
-        annotation = (term_to_srctype(term) if term is not None
-                      else st.annotation)
-        return S.LocalDecl(name=st.name, annotation=annotation,
-                           init=st.init, pos=st.pos, uid=st.uid)
+    if isinstance(st, S.LocalDecl) and st.uid in rep.local_terms:
+        return S.LocalDecl(name=st.name, init=st.init, pos=st.pos, uid=st.uid,
+                           annotation=term_to_srctype(rep.local_terms[st.uid]))
     if isinstance(st, S.While):
-        return S.While(cond=st.cond,
-                       body=[_annotate_stmt(s, rep) for s in st.body],
-                       pos=st.pos)
+        return S.While(cond=st.cond, pos=st.pos,
+                       body=[_annotate_stmt(s, rep) for s in st.body])
     return st
 
 

@@ -173,14 +173,13 @@ def _infimum(pairs):
     return None
 
 
-def format_generics(solved):
-    """Debug rendering of the inferred variables of the clauses of
-    `solved`, a `pipeline.SolvedClass`: one ``T extends Bound`` line per
-    variable, the class's clause first and then each method's, by name
-    within a clause, ``Object`` where it is unbounded."""
+def format_generics(clauses):
+    """Debug rendering of the inferred variables of generics `clauses`
+    (each ((variable, bound-or-None), ...)): one ``T extends Bound`` line
+    per variable, clause by clause and by name within one, ``Object``
+    where it is unbounded."""
     lines = []
-    for clause in (solved.class_generics,
-                   *(t.generics for t in solved.methods)):
+    for clause in clauses:
         for var, bound in sorted((p for p in clause if isinstance(p[0], TPH)),
                                  key=lambda p: p[0].name):
             lines.append(f"{var} extends {bound or 'Object'}")

@@ -118,7 +118,8 @@ def _infer_class(cls, table, dumps):
     finished = [s.generalize(scoped) for s in solved]
     if "generics" in dumps:
         for s in finished:
-            dumps["generics"] += [f"# {cls.name}", format_generics(s)]
+            dumps["generics"] += [f"# {cls.name}", format_generics(
+                [s.class_generics, *(t.generics for t in s.methods)])]
     return _assemble(cls, finished, scoped, stats)
 
 
@@ -249,8 +250,8 @@ def _generics_clause(pairs, terms):
 def _assemble(cls, finished, table, stats):
     finished = sorted(finished, key=lambda s: [
         E.typing_sort_key(t) for t in s.methods])
-    rep, typings = E.name_solutions(cls, finished, table.entries)
-    typed_cls = E.build_typed_class(cls, rep)
+    written, rep, typings = E.name_solutions(cls, finished, table.entries)
+    typed_cls = E.build_typed_class(written, rep)
     signatures = [(m.name, E.assemble_intersection_types(ts))
                   for m, ts in zip(cls.methods, typings)]
     used = [x for _, ts in signatures for t in ts for x in (*t.params, t.ret)]

@@ -169,6 +169,20 @@ PINNED_SRCS = {
                          "<T> m(T x) { return f; } }",
     "ClassVariableHidingClass": "class C<Integer> { java.lang.Integer f; "
                                 "m(x) { f = x; return f; } }",
+    # a renamed variable written inside expressions: the type arguments of
+    # a `new` and an annotated lambda parameter, in a method and in a field
+    # initializer; a method's own variable of the name keeps it
+    "ShadowedClassInBody": "import java.util.Pair; class C { "
+                           "<Integer> m(java.lang.Integer x, y) { "
+                           "var g = (Integer z) -> z; "
+                           "return new Pair<Integer, Integer>(g.apply(y), y)"
+                           ".fst(); } }",
+    "ClassVariableInBody": "import java.util.Pair; class C<Integer> { "
+                           "java.lang.Integer f; g = (Integer z) -> z; "
+                           "<Integer> m(Integer y) { "
+                           "return new Pair<Integer, Integer>(y, y).fst(); } "
+                           "n(x) { return new Pair<Integer, Integer>"
+                           "(g.apply(x), x).snd(); } }",
 }
 
 ALL_GOLDEN_SRCS = {

@@ -117,9 +117,8 @@ def _solved(*methods):
 
 def _named_identity():
     cls = parse("class C { m(x) { return x; } }").classes[0]
-    rep, typings = name_solutions(cls, [_solved(
+    return name_solutions(cls, [_solved(
         mt([TPH("QQ")], TPH("QQ"), [(TPH("QQ"), None)]))], {})
-    return cls, rep, typings
 
 
 def test_name_solutions_names_canonically():
@@ -134,7 +133,7 @@ def test_name_solutions_names_canonically():
 
 def test_name_solutions_bound_order_names_before_bounds():
     cls = parse("class C { m(x, y) { return x; } }").classes[0]
-    rep, _ = name_solutions(cls, [_solved(
+    cls, rep, _ = name_solutions(cls, [_solved(
         mt([TPH("P"), TPH("Q")], TPH("P"),
            [(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
             (TPH("R"), None), (TPH("S"), None)]))], {})
@@ -151,7 +150,7 @@ def test_name_solutions_renames_other_solutions_apart():
     rep = _solved(mt([TPH("Q")], TPH("Q"), [(TPH("Q"), None)]))
     other = _solved(mt([TPH("A")], TPH("Z"),
                        [(TPH("A"), TPH("Z")), (TPH("Z"), None)]))
-    _, typings = name_solutions(cls, [rep, other], {"B": None})
+    _, _, typings = name_solutions(cls, [rep, other], {"B": None})
     assert [format_typing(t) for t in typings[0]] == [
         "<A> A -> A", "<C extends Z, Z> C -> Z"]
 

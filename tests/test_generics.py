@@ -11,8 +11,6 @@ from jtxinfer.constraints import CallSite, FreshNames
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
                                enforce_java_conformance, format_generics,
                                stated)
-from jtxinfer.emit import MethodTyping
-from jtxinfer.pipeline import SolvedClass
 from jtxinfer.typeterms import TPH, TypeVar, fun_type
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -184,13 +182,12 @@ def test_conformance_merges_after_a_collapse():
 
 
 def test_format_generics_lines():
-    """Only the inferred variables, the class's first and by name within
-    a clause; a declared variable is left out."""
-    t = MethodTyping(((TPH("B"), None), (TPH("A"), TPH("B")),
-                      (TypeVar("T", M0), None)), (TPH("A"),), TPH("B"))
-    solved = SolvedClass(remaining=(), class_generics=((TPH("C"), None),),
-                         field_terms={}, methods=[t], local_terms={})
-    assert format_generics(solved).splitlines() == [
+    """Only the inferred variables, clause by clause and by name within
+    one; a declared variable is left out."""
+    clauses = [((TPH("C"), None),),
+               ((TPH("B"), None), (TPH("A"), TPH("B")),
+                (TypeVar("T", M0), None))]
+    assert format_generics(clauses).splitlines() == [
         "C extends Object", "A extends B", "B extends Object"]
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jtxinfer as J
-from jtxinfer.emit import clause_terms, format_typing
+from jtxinfer.emit import _heads, clause_terms, format_typing
 from jtxinfer.errors import (ArityMismatch, JtxError, JtxSyntaxError,
                              ResourceLimit, UnknownIdentifier, UnknownImport,
                              UnknownMember, UnsupportedFeature, Untypable)
@@ -460,6 +460,14 @@ def test_declared_variable_hiding_a_class_it_mentions_is_renamed():
     sigs, r = _sigs_reenter(PINNED_SRCS["ClassVariableHidingClass"])
     assert sigs == ["C.m : Integer -> Integer"]
     assert "class C<A> {" in J.typed_source(r)
+    # the variable written inside expressions takes the new name too
+    typed = J.typed_source(run(PINNED_SRCS["ShadowedClassInBody"]))
+    assert "        Fun1$$<A, A> g = (A z) -> z;" in typed
+    assert "new Pair<A, A>(g.apply(y), y)" in typed
+    typed = J.typed_source(run(PINNED_SRCS["ClassVariableInBody"]))
+    assert "    Fun1$$<A, A> g = (A z) -> z;" in typed
+    assert "new Pair<Integer, Integer>(y, y)" in typed
+    assert "new Pair<A, A>(g.apply(x), x)" in typed
 
 
 def test_same_class_call_to_a_generic_method_returns_object():
@@ -686,6 +694,9 @@ PINNED_SIGS = {
     "ShadowedClass": ["C.m : <A> Integer -> Integer"],
     "ShadowedUserClass": ["C.m : <A> A -> T"],
     "ClassVariableHidingClass": ["C.m : Integer -> Integer"],
+    "ShadowedClassInBody": ["C.m : <A> (Integer, A) -> A"],
+    "ClassVariableInBody": ["C.m : <Integer> Integer -> Integer",
+                            "C.n : A -> A"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",
@@ -743,17 +754,6 @@ def test_no_clause_declares_a_name_twice(name):
     assert_no_clause_declares_a_name_twice(run(PROGRAMS[name]))
 
 
-def _heads(term):
-    """The class types, declared variables and placeholders in `term`, each
-    without its arguments."""
-    if isinstance(term, ClassType):
-        yield ClassType(term.name)
-        for a in term.args:
-            yield from _heads(a)
-    elif term is not J.VOID:
-        yield term
-
-
 WITH_PINNED = {**PROGRAMS, **PINNED_SRCS}
 
 
@@ -767,7 +767,7 @@ def test_no_typing_prints_one_name_for_two_terms(name):
             for t in typings:
                 heads = {h for x in (*t.params, t.ret,
                                      *clause_terms(t.generics))
-                         for h in _heads(x)}
+                         for h in _heads(x)} - {J.VOID}
                 assert len({str(h) for h in heads}) == len(heads), (
                     c.cls.name, mname, format_typing(t))
 
