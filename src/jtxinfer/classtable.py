@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import (ArityMismatch, DuplicateClass, JtxError,
@@ -37,29 +36,54 @@ OVERLOADED_OPERATORS = {"+": ("Integer", "Double", "String"),
 FIXED_OPERATORS = {"<=": ("Number", "Boolean"), "||": ("Boolean", "Boolean")}
 
 
-@dataclass
 class MethodSig:
-    name: str
-    typeparams: list  # list[(name, bound TypeTerm | None)]
-    params: list      # list[TypeTerm]
-    ret: object       # TypeTerm
+    """`typeparams` is [(name, bound TypeTerm or None)], `params` a
+    TypeTerm per parameter and `ret` a TypeTerm; equal to a signature of
+    equal parts."""
+
+    __slots__ = ("name", "typeparams", "params", "ret")
+
+    def __init__(self, name, typeparams, params, ret):
+        self.name, self.typeparams = name, typeparams
+        self.params, self.ret = params, ret
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.typeparams, self.params, self.ret)
+                == (other.name, other.typeparams, other.params, other.ret))
 
 
-@dataclass
 class Entry:
-    name: str
-    qualified: str = ""
-    params: list = field(default_factory=list)
-    variance: list = field(default_factory=list)
-    super_template: object = None  # TypeTerm over ClassType(param) refs
-    # list[MethodSig] templates; a user class holds its fully annotated
-    # methods until the pipeline replaces them with the inferred typings
-    methods: list = field(default_factory=list)
-    fields: dict = field(default_factory=dict)    # name -> TypeTerm | None
-    # a user class's generics clause, [(name, bound or None)]: the type
-    # parameters its methods and fields take besides their own
-    generics: list = field(default_factory=list)
-    constructor: list = field(default_factory=list)
+    """A class of the universe, equal to an entry of equal parts.
+    `super_template` is a TypeTerm over ClassType(param) refs; `methods`
+    holds MethodSig templates, and a user class its fully annotated methods
+    until the pipeline replaces them with the inferred typings; `fields`
+    maps a name to a TypeTerm or None; `generics` is a user class's
+    generics clause, [(name, bound or None)]: the type parameters its
+    methods and fields take besides their own."""
+
+    __slots__ = ("name", "qualified", "params", "variance", "super_template",
+                 "methods", "fields", "generics", "constructor")
+
+    def __init__(self, name, qualified="", params=None, variance=None,
+                 super_template=None, methods=None, fields=None,
+                 generics=None, constructor=None):
+        self.name = name
+        self.qualified = qualified
+        self.params = [] if params is None else params
+        self.variance = [] if variance is None else variance
+        self.super_template = super_template
+        self.methods = [] if methods is None else methods
+        self.fields = {} if fields is None else fields
+        self.generics = [] if generics is None else generics
+        self.constructor = [] if constructor is None else constructor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
     @property
     def arity(self):

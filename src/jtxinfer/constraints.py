@@ -24,7 +24,6 @@ against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import syntax as S
 from .classtable import (FIXED_OPERATORS, OVERLOADED_OPERATORS, RULES,
@@ -35,11 +34,23 @@ from .typeterms import (VOID, ClassType, TPH, TypeVar, fun_type, is_ground,
                         tph_name, tph_number)
 
 
-@dataclass(frozen=True)
 class Constraint:
-    kind: str  # 'lessdot' | 'doteq'
-    lhs: object
-    rhs: object
+    """`lhs < rhs` (kind 'lessdot') or `lhs = rhs` (kind 'doteq'); a value,
+    equal to and hashed as its three parts."""
+
+    __slots__ = ("kind", "lhs", "rhs")
+
+    def __init__(self, kind, lhs, rhs):
+        self.kind, self.lhs, self.rhs = kind, lhs, rhs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.lhs, self.rhs)
+                == (other.kind, other.lhs, other.rhs))
+
+    def __hash__(self):
+        return hash((self.kind, self.lhs, self.rhs))
 
     def __str__(self):
         op = "<" if self.kind == "lessdot" else "="
@@ -109,21 +120,24 @@ class FreshNames:
         return other
 
 
-@dataclass
 class CallSite:
     """One resolved callee alternative at a call expression; used when
-    completing method generics along the call graph."""
+    completing method generics along the call graph.  `caller` is the
+    method index of the calling method."""
 
-    caller: int                  # method index of the calling method
-    arg_terms: list
-    param_terms: list
-    ret_term: object
+    __slots__ = ("caller", "arg_terms", "param_terms", "ret_term")
+
+    def __init__(self, caller, arg_terms, param_terms, ret_term):
+        self.caller, self.ret_term = caller, ret_term
+        self.arg_terms, self.param_terms = arg_terms, param_terms
 
 
-@dataclass
 class Alternative:
-    constraints: list = field(default_factory=list)
-    call_sites: list = field(default_factory=list)
+    __slots__ = ("constraints", "call_sites")
+
+    def __init__(self, constraints=None, call_sites=None):
+        self.constraints = [] if constraints is None else constraints
+        self.call_sites = [] if call_sites is None else call_sites
 
 
 class ReceiverGroup:
@@ -152,24 +166,32 @@ class ReceiverGroup:
         return self.built[i]
 
 
-@dataclass
 class GenResult:
-    """The constraints of one class and the terms of its declaration slots.
+    """The constraints of one class and the terms of its declaration slots,
+    filled in by the generator: `groups` holds each or-group, a list of
+    Alternative or a ReceiverGroup; `methods` a MethodSig per method;
+    `local_terms` maps a LocalDecl uid to its term.
 
     `slots` maps each member scope, the class first and then the methods in
     order, to the slot terms its body creates: the fields, or the
     parameters and return, then the locals and lambda parameters (those in
     block-bodied lambdas too) in creation order."""
 
-    base: list = field(default_factory=list)
-    # each a list of Alternative or a ReceiverGroup
-    groups: list = field(default_factory=list)
-    base_call_sites: list = field(default_factory=list)
-    field_terms: dict = field(default_factory=dict)
-    methods: list = field(default_factory=list)       # [MethodSig]
-    local_terms: dict = field(default_factory=dict)   # LocalDecl uid -> term
-    slots: dict = field(default_factory=dict)         # scope -> [term]
-    fresh: FreshNames = None
+    __slots__ = ("base", "groups", "base_call_sites", "field_terms",
+                 "methods", "local_terms", "slots", "fresh")
+
+    def __init__(self, base=None, groups=None, base_call_sites=None,
+                 field_terms=None, methods=None, local_terms=None,
+                 slots=None, fresh=None):
+        self.base = [] if base is None else base
+        self.groups = [] if groups is None else groups
+        self.base_call_sites = ([] if base_call_sites is None
+                                else base_call_sites)
+        self.field_terms = {} if field_terms is None else field_terms
+        self.methods = [] if methods is None else methods
+        self.local_terms = {} if local_terms is None else local_terms
+        self.slots = {} if slots is None else slots
+        self.fresh = fresh
 
 
 class _Generator:
@@ -506,11 +528,15 @@ def generate_constraints(cls, table):
     return _Generator(cls, table, FreshNames()).run()
 
 
-@dataclass
 class Candidate:
-    constraints: list
-    call_sites: list
-    choice: tuple  # selected alternative index per group
+    """One plain constraint set of `flatten`; `choice` holds the alternative
+    it takes in each or-group."""
+
+    __slots__ = ("constraints", "call_sites", "choice")
+
+    def __init__(self, constraints, call_sites, choice):
+        self.constraints, self.call_sites = constraints, call_sites
+        self.choice = choice
 
 
 def flatten(result, table):

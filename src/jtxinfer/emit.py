@@ -8,9 +8,7 @@ the other solutions' typings.  Every output reads the terms it returns."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import itertools
-from dataclasses import dataclass
 
 from . import syntax as S
 from .classtable import CLASS
@@ -22,13 +20,25 @@ from .typeterms import (VOID, ClassType, TPH, TypeVar, instantiate,
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
 
-@dataclass(frozen=True)
 class MethodTyping:
-    """One member of a method's intersection type."""
+    """One member of a method's intersection type: `generics` is
+    ((TPH/TypeVar, bound-term-or-None), ...), `params` a tuple of a
+    TypeTerm per parameter and `ret` a TypeTerm.  A value, equal to and
+    hashed as its three parts."""
 
-    generics: tuple   # ((TPH/TypeVar, bound-term-or-None), ...)
-    params: tuple     # TypeTerm per parameter
-    ret: object       # TypeTerm
+    __slots__ = ("generics", "params", "ret")
+
+    def __init__(self, generics, params, ret):
+        self.generics, self.params, self.ret = generics, params, ret
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.generics, self.params, self.ret)
+                == (other.generics, other.params, other.ret))
+
+    def __hash__(self):
+        return hash((self.generics, self.params, self.ret))
 
     def names(self):
         """Placeholder names by first use: parameters, return, clause."""
@@ -225,13 +235,13 @@ def name_solutions(cls, solved, classes):
 
 
 def _map_solution(s, f):
-    """Solution `s` with `f` applied to each of its terms."""
-    return dataclasses.replace(
-        s, class_generics=tuple((f(v), b and f(b))
-                                for v, b in s.class_generics),
-        field_terms={n: f(x) for n, x in s.field_terms.items()},
-        methods=[_map_typing(t, f) for t in s.methods],
-        local_terms={u: f(x) for u, x in s.local_terms.items()})
+    """Solution `s`, a `pipeline.SolvedClass`, with `f` applied to each of
+    its terms."""
+    return type(s)(s.remaining,
+                   tuple((f(v), b and f(b)) for v, b in s.class_generics),
+                   {n: f(x) for n, x in s.field_terms.items()},
+                   [_map_typing(t, f) for t in s.methods],
+                   {u: f(x) for u, x in s.local_terms.items()})
 
 
 def _hiders(cls, solved, declared):

@@ -11,8 +11,6 @@ supported alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .classtable import qualified_names
 from .errors import JtxError
 from .typeterms import (FUN_HEAD, VOID, ClassType, TypeVar, fun_subterms,
@@ -97,11 +95,13 @@ def collect_used_funtypes(terms):
     return [seen[k] for k in sorted(seen)]
 
 
-@dataclass
 class FunInterfaceDecl:
-    name: str
-    direct_supers: list = field(default_factory=list)
-    root: str = ""
+    __slots__ = ("name", "direct_supers", "root")
+
+    def __init__(self, name, direct_supers=None, root=""):
+        self.name = name
+        self.direct_supers = [] if direct_supers is None else direct_supers
+        self.root = root
 
     def render(self):
         supers = list(self.direct_supers) + [self.root]

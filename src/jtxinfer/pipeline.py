@@ -7,7 +7,6 @@ class are registered in the table so later classes can call it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import emit as E
 from .classtable import CLASS, MethodSig, build_class_table, class_view
@@ -27,39 +26,53 @@ DUMP_STAGES = ("constraints", "solutions", "generics")
 _TOO_DEEP = "recursion deeper than the interpreter's limit"
 
 
-@dataclass
 class SolvedClass:
     """One surviving solution for a class, after generalization, under the
-    solution's placeholder names: the class's generics clause and slot
-    terms, and one typing per method."""
+    solution's placeholder names: the class's generics clause
+    `class_generics`, ((variable, bound-or-None), ...) of terms whose
+    variable is a TPH when inferred and a TypeVar when declared; its slot
+    terms, `field_terms` by field name and `local_terms` by LocalDecl uid;
+    and `methods`, one emit.MethodTyping per method."""
 
-    remaining: tuple
-    # generics clause: ((variable, bound-or-None), ...) of terms; the
-    # variable is a TPH when inferred and a TypeVar when declared
-    class_generics: tuple
-    field_terms: dict           # field name -> term
-    methods: list               # [emit.MethodTyping], one per method
-    local_terms: dict           # LocalDecl uid -> term
+    __slots__ = ("remaining", "class_generics", "field_terms", "methods",
+                 "local_terms")
+
+    def __init__(self, remaining, class_generics, field_terms, methods,
+                 local_terms):
+        self.remaining, self.class_generics = remaining, class_generics
+        self.field_terms, self.local_terms = field_terms, local_terms
+        self.methods = methods
 
 
-@dataclass
 class ClassResult:
-    cls: object
-    typed_cls: object            # annotated ClassDecl (representative)
-    signatures: list             # [(method name, [MethodTyping])]
-    used_terms: list = field(default_factory=list)
-    remainings: list = field(default_factory=list)  # per surviving solution
-    stats: Counter = None   # the unifier's counters
+    """What `run_source` keeps of one class: `typed_cls` is the annotated
+    ClassDecl of the representative solution, `signatures` holds
+    (method name, [MethodTyping]), `remainings` the remaining pairs of each
+    surviving solution and `stats` the unifier's counters."""
+
+    __slots__ = ("cls", "typed_cls", "signatures", "used_terms",
+                 "remainings", "stats")
+
+    def __init__(self, cls, typed_cls, signatures, used_terms=None,
+                 remainings=None, stats=None):
+        self.cls, self.typed_cls, self.signatures = cls, typed_cls, signatures
+        self.used_terms = [] if used_terms is None else used_terms
+        self.remainings = [] if remainings is None else remainings
+        self.stats = stats
 
 
-@dataclass
 class PipelineResult:
-    program: object
-    table: object
-    class_results: list
-    dumps: dict = field(default_factory=dict)
-    # the unifier's counters (see `unify`), summed over the classes
-    stats: Counter = field(default_factory=Counter)
+    """`stats` sums the unifier's counters (see `unify`) over the
+    classes."""
+
+    __slots__ = ("program", "table", "class_results", "dumps", "stats")
+
+    def __init__(self, program, table, class_results, dumps=None,
+                 stats=None):
+        self.program, self.table = program, table
+        self.class_results = class_results
+        self.dumps = {} if dumps is None else dumps
+        self.stats = Counter() if stats is None else stats
 
     @property
     def typed_classes(self):

@@ -9,26 +9,60 @@ during constraint generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Optional
+
+class Node:
+    """Base of the syntax classes.  A class's fields are its `__slots__`
+    after those of its bases, and `_children` names, in field order, those
+    that can hold a node or a list of them.  The repr writes every field;
+    `==` holds between nodes of one class whose fields other than `pos`
+    and `uid` are equal, so nodes stay unhashable."""
+
+    __slots__ = ()
+    _children = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in c.__dict__.get("__slots__", ()))
+        cls._compared = tuple(f for f in cls._fields
+                              if f not in ("pos", "uid"))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._compared]
+                == [getattr(other, f) for f in self._compared])
+
+    __hash__ = None
 
 
-@dataclass
-class Pos:
-    line: int = 0
-    col: int = 0
+class Pos(Node):
+    __slots__ = ("line", "col")
+
+    def __init__(self, line=0, col=0):
+        self.line, self.col = line, col
 
 
-@dataclass
-class SrcType:
+# a list or `Pos` field's default: a new one for each node
+_NEW = object()
+
+
+class SrcType(Node):
     """Surface type annotation: a (possibly generic) name, or 'void'.
 
     ``args=None`` marks a diamond (`new C<>`), distinct from raw `C`.
     """
 
-    name: str
-    args: Optional[list] = field(default_factory=list)
-    pos: Pos = field(default_factory=Pos, compare=False)
+    __slots__ = ("name", "args", "pos")
+    _children = ("args",)
+
+    def __init__(self, name, args=_NEW, pos=_NEW):
+        self.name = name
+        self.args = [] if args is _NEW else args
+        self.pos = Pos() if pos is _NEW else pos
 
     def __str__(self):
         if self.args is None:
@@ -38,155 +72,226 @@ class SrcType:
         return f"{self.name}<{', '.join(str(a) for a in self.args)}>"
 
 
-@dataclass
-class GenericParam:
-    name: str
-    bound: Optional[SrcType] = None
+class GenericParam(Node):
+    __slots__ = ("name", "bound")
+    _children = ("bound",)
+
+    def __init__(self, name, bound=None):
+        self.name, self.bound = name, bound
 
 
-@dataclass
-class Param:
-    name: str
-    annotation: Optional[SrcType] = None
+class Param(Node):
+    __slots__ = ("name", "annotation")
+    _children = ("annotation",)
+
+    def __init__(self, name, annotation=None):
+        self.name, self.annotation = name, annotation
 
 
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass
-class Expr:
-    pos: Pos = field(default_factory=Pos, compare=False)
+class Expr(Node):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos=_NEW):
+        self.pos = Pos() if pos is _NEW else pos
 
 
-@dataclass
 class IntLit(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, pos=_NEW, value=0):
+        self.pos = Pos() if pos is _NEW else pos
+        self.value = value
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool = False
+    __slots__ = ("value",)
+
+    def __init__(self, pos=_NEW, value=False):
+        self.pos = Pos() if pos is _NEW else pos
+        self.value = value
 
 
-@dataclass
 class StrLit(Expr):
-    value: str = ""
+    __slots__ = ("value",)
+
+    def __init__(self, pos=_NEW, value=""):
+        self.pos = Pos() if pos is _NEW else pos
+        self.value = value
 
 
-@dataclass
 class Name(Expr):
-    ident: str = ""
+    __slots__ = ("ident",)
+
+    def __init__(self, pos=_NEW, ident=""):
+        self.pos = Pos() if pos is _NEW else pos
+        self.ident = ident
 
 
-@dataclass
 class FieldAccess(Expr):
-    recv: Expr = None
-    name: str = ""
+    __slots__ = ("recv", "name")
+    _children = ("recv",)
+
+    def __init__(self, pos=_NEW, recv=None, name=""):
+        self.pos = Pos() if pos is _NEW else pos
+        self.recv, self.name = recv, name
 
 
-@dataclass
 class Call(Expr):
-    recv: Optional[Expr] = None
-    name: str = ""
-    args: list = field(default_factory=list)
+    __slots__ = ("recv", "name", "args")
+    _children = ("recv", "args")
+
+    def __init__(self, pos=_NEW, recv=None, name="", args=_NEW):
+        self.pos = Pos() if pos is _NEW else pos
+        self.recv, self.name = recv, name
+        self.args = [] if args is _NEW else args
 
 
-@dataclass
 class New(Expr):
-    cls: SrcType = None
-    args: list = field(default_factory=list)
+    __slots__ = ("cls", "args")
+    _children = ("cls", "args")
+
+    def __init__(self, pos=_NEW, cls=None, args=_NEW):
+        self.pos = Pos() if pos is _NEW else pos
+        self.cls = cls
+        self.args = [] if args is _NEW else args
 
 
-@dataclass
 class Lambda(Expr):
-    params: list = field(default_factory=list)  # list[Param]
-    body: object = None  # Expr or list[Stmt]
+    __slots__ = ("params", "body")   # [Param]; an Expr or [Stmt]
+    _children = ("params", "body")
+
+    def __init__(self, pos=_NEW, params=_NEW, body=None):
+        self.pos = Pos() if pos is _NEW else pos
+        self.params = [] if params is _NEW else params
+        self.body = body
 
 
-@dataclass
 class Binary(Expr):
-    op: str = ""
-    left: Expr = None
-    right: Expr = None
+    __slots__ = ("op", "left", "right")
+    _children = ("left", "right")
+
+    def __init__(self, pos=_NEW, op="", left=None, right=None):
+        self.pos = Pos() if pos is _NEW else pos
+        self.op, self.left, self.right = op, left, right
 
 
 # --- statements ------------------------------------------------------------
 
 
-@dataclass
-class Stmt:
-    pos: Pos = field(default_factory=Pos, compare=False)
+class Stmt(Node):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos=_NEW):
+        self.pos = Pos() if pos is _NEW else pos
 
 
-@dataclass
 class LocalDecl(Stmt):
-    name: str = ""
-    annotation: Optional[SrcType] = None  # None = `var` / to-infer
-    init: Optional[Expr] = None
-    uid: int = field(default=0, compare=False)
+    # annotation None = `var` / to-infer
+    __slots__ = ("name", "annotation", "init", "uid")
+    _children = ("annotation", "init")
+
+    def __init__(self, pos=_NEW, name="", annotation=None, init=None, uid=0):
+        self.pos = Pos() if pos is _NEW else pos
+        self.name, self.annotation, self.init = name, annotation, init
+        self.uid = uid
 
 
-@dataclass
 class Assign(Stmt):
-    target: Expr = None
-    value: Expr = None
+    __slots__ = ("target", "value")
+    _children = ("target", "value")
+
+    def __init__(self, pos=_NEW, target=None, value=None):
+        self.pos = Pos() if pos is _NEW else pos
+        self.target, self.value = target, value
 
 
-@dataclass
 class Increment(Stmt):
-    target: Expr = None
+    __slots__ = ("target",)
+    _children = ("target",)
+
+    def __init__(self, pos=_NEW, target=None):
+        self.pos = Pos() if pos is _NEW else pos
+        self.target = target
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr = None
-    body: list = field(default_factory=list)
+    __slots__ = ("cond", "body")
+    _children = ("cond", "body")
+
+    def __init__(self, pos=_NEW, cond=None, body=_NEW):
+        self.pos = Pos() if pos is _NEW else pos
+        self.cond = cond
+        self.body = [] if body is _NEW else body
 
 
-@dataclass
 class Return(Stmt):
-    value: Optional[Expr] = None
+    __slots__ = ("value",)
+    _children = ("value",)
+
+    def __init__(self, pos=_NEW, value=None):
+        self.pos = Pos() if pos is _NEW else pos
+        self.value = value
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr = None
+    __slots__ = ("expr",)
+    _children = ("expr",)
+
+    def __init__(self, pos=_NEW, expr=None):
+        self.pos = Pos() if pos is _NEW else pos
+        self.expr = expr
 
 
 # --- declarations ----------------------------------------------------------
 
 
-@dataclass
-class FieldDecl:
-    name: str
-    annotation: Optional[SrcType] = None
-    init: Optional[Expr] = None
-    pos: Pos = field(default_factory=Pos, compare=False)
+class FieldDecl(Node):
+    __slots__ = ("name", "annotation", "init", "pos")
+    _children = ("annotation", "init")
+
+    def __init__(self, name, annotation=None, init=None, pos=_NEW):
+        self.name, self.annotation, self.init = name, annotation, init
+        self.pos = Pos() if pos is _NEW else pos
 
 
-@dataclass
-class MethodDecl:
-    name: str
-    generics: list = field(default_factory=list)  # list[GenericParam]
-    ret: Optional[SrcType] = None  # None = to-infer; SrcType('void') = void
-    params: list = field(default_factory=list)
-    body: list = field(default_factory=list)
-    pos: Pos = field(default_factory=Pos, compare=False)
+class MethodDecl(Node):
+    # generics: [GenericParam]; ret None = to-infer, SrcType('void') = void
+    __slots__ = ("name", "generics", "ret", "params", "body", "pos")
+    _children = ("generics", "ret", "params", "body")
+
+    def __init__(self, name, generics=_NEW, ret=None, params=_NEW,
+                 body=_NEW, pos=_NEW):
+        self.name = name
+        self.generics = [] if generics is _NEW else generics
+        self.ret = ret
+        self.params = [] if params is _NEW else params
+        self.body = [] if body is _NEW else body
+        self.pos = Pos() if pos is _NEW else pos
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    generics: list = field(default_factory=list)
-    fields: list = field(default_factory=list)
-    methods: list = field(default_factory=list)
-    pos: Pos = field(default_factory=Pos, compare=False)
+class ClassDecl(Node):
+    __slots__ = ("name", "generics", "fields", "methods", "pos")
+    _children = ("generics", "fields", "methods")
+
+    def __init__(self, name, generics=_NEW, fields=_NEW, methods=_NEW,
+                 pos=_NEW):
+        self.name = name
+        self.generics = [] if generics is _NEW else generics
+        self.fields = [] if fields is _NEW else fields
+        self.methods = [] if methods is _NEW else methods
+        self.pos = Pos() if pos is _NEW else pos
 
 
-@dataclass
-class Program:
-    imports: list[str] = field(default_factory=list)
-    classes: list = field(default_factory=list)
+class Program(Node):
+    __slots__ = ("imports", "classes")   # imports: [str]
+    _children = ("classes",)
+
+    def __init__(self, imports=_NEW, classes=_NEW):
+        self.imports = [] if imports is _NEW else imports
+        self.classes = [] if classes is _NEW else classes
 
 
 # --- traversal -------------------------------------------------------------
@@ -197,20 +302,13 @@ def walk(node, visit):
     below it: declarations, statements, expressions, parameters and
     written types."""
     visit(node)
-    for name in _CHILDREN[type(node)]:
+    for name in node._children:
         child = getattr(node, name)
         if type(child) is list:
             for c in child:
                 walk(c, visit)
         elif child is not None:
             walk(child, visit)
-
-
-# the fields of each node class that can hold a node or a list of them:
-# any whose annotation is none of these
-_LEAVES = {"str", "int", "bool", "Pos", "list[str]"}
-_CHILDREN = {cls: tuple(f.name for f in fields(cls) if f.type not in _LEAVES)
-             for cls in list(globals().values()) if is_dataclass(cls)}
 
 
 # --- printer ---------------------------------------------------------------
@@ -352,7 +450,7 @@ def alpha_equivalent(a, b):
     Type variables are the names declared in class/method generics clauses.
     Generics clauses themselves are compared as sets (their declaration
     order carries no meaning); everything else is compared in lockstep
-    over the dataclass fields that take part in `==`.
+    over the fields that take part in `==`.
     """
     ta, tb = _declared_tvars(a), _declared_tvars(b)
     if len(ta) != len(tb):
@@ -378,7 +476,7 @@ def alpha_equivalent(a, b):
                         for j, c in enumerate(y))
                 for pair in reversed(list(zip(x, y))):
                     todo = (pair, todo)
-            elif is_dataclass(x):
+            elif isinstance(x, Node):
                 binds = isinstance(x, (SrcType, GenericParam))
                 if binds:
                     nx, ny = x.name, y.name
@@ -390,10 +488,9 @@ def alpha_equivalent(a, b):
                     elif fwd.setdefault(nx, ny) != ny \
                             or bwd.setdefault(ny, nx) != nx:
                         return False
-                for f in reversed(fields(x)):
-                    if f.compare and not (binds and f.name == "name"):
-                        todo = ((getattr(x, f.name), getattr(y, f.name)),
-                                todo)
+                for f in reversed(x._compared):
+                    if not (binds and f == "name"):
+                        todo = ((getattr(x, f), getattr(y, f)), todo)
             elif x != y:
                 return False
         return True

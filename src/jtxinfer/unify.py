@@ -83,8 +83,6 @@ scan of the store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .classtable import CLASS
 from .constraints import FreshNames, ReceiverGroup
 from .errors import ResourceLimit
@@ -96,13 +94,27 @@ MAX_STEPS = 500_000
 _OBJECT = ClassType("Object")
 
 
-@dataclass(frozen=True)
 class Solution:
-    remaining: tuple      # sorted tuple of (lhs name, rhs name)
-    sigma: tuple          # sorted tuple of (name, term)
-    choice: tuple = ()    # the alternative taken in each or-group
-    # the names drawn when the choice's search ended; clone it to draw more
-    fresh: FreshNames = field(default=None, compare=False, repr=False)
+    """`remaining` is a sorted tuple of (lhs name, rhs name), `sigma` a
+    sorted tuple of (name, term) and `choice` the alternative taken in each
+    or-group; `fresh` holds the names drawn when the choice's search ended,
+    to be cloned to draw more.  A value, equal to and hashed as its parts
+    other than `fresh`."""
+
+    __slots__ = ("remaining", "sigma", "choice", "fresh")
+
+    def __init__(self, remaining, sigma, choice=(), fresh=None):
+        self.remaining, self.sigma = remaining, sigma
+        self.choice, self.fresh = choice, fresh
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.remaining, self.sigma, self.choice)
+                == (other.remaining, other.sigma, other.choice))
+
+    def __hash__(self):
+        return hash((self.remaining, self.sigma, self.choice))
 
     def sigma_dict(self):
         return dict(self.sigma)

@@ -28,6 +28,31 @@ def test_parsing_twice_gives_equal_trees():
         == [1, 2, 3, 4]
 
 
+
+def test_nodes_compare_by_fields_other_than_pos_and_uid():
+    """`==` ignores positions and local uids and tells a diamond from a raw
+    type; nodes stay unhashable.  The repr writes every field, `pos` and
+    `uid` included: `tests/golden/parser_pin.json` hashes it."""
+    method = "m(x) { var a = x; return a; }"
+    first = parse(f"class A {{ {method} }}").classes[0].methods[0]
+    moved = parse(f"class A {{ f;\n g() {{ var b = 1; return b; }} "
+                  f"{method} }}").classes[0].methods[1]
+    assert (first.pos, first.body[0].uid) != (moved.pos, moved.body[0].uid)
+    assert first == moved
+    renamed = parse("class A { m(x) { var b = x; return b; } }")
+    assert first != renamed.classes[0].methods[0]
+    assert S.SrcType("C", None) != S.SrcType("C")
+    for node in (first, first.pos, S.SrcType("C")):
+        with pytest.raises(TypeError):
+            hash(node)
+    assert repr(parse("class C { m(x) { return x; } }")) == (
+        "Program(imports=[], classes=[ClassDecl(name='C', generics=[], "
+        "fields=[], methods=[MethodDecl(name='m', generics=[], ret=None, "
+        "params=[Param(name='x', annotation=None)], "
+        "body=[Return(pos=Pos(line=1, col=18), value=Name(pos=Pos(line=1, "
+        "col=25), ident='x'))], pos=Pos(line=1, col=11))], "
+        "pos=Pos(line=1, col=1))])")
+
 def test_imports_collected_in_order():
     prog = parse("import java.lang.Integer;\nimport java.util.Pair;\n"
                  "class A { }")

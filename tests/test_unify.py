@@ -13,7 +13,9 @@ from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
                       signature_lines, unify)
 from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
                                   class_view)
-from jtxinfer.constraints import doteq, flatten, generate_constraints, lessdot
+from jtxinfer.constraints import (FreshNames, doteq, flatten,
+                                  generate_constraints, lessdot)
+from jtxinfer.emit import MethodTyping
 from jtxinfer.typeterms import VOID, ClassType, TPH, TypeVar, fun_type
 from jtxinfer.unify import format_solution, transitive_closure
 
@@ -194,6 +196,30 @@ def test_format_solution(table):
     assert "  V -> Integer" in text
     assert "sigma:" in text
 
+
+
+def test_value_records_are_equal_and_hash_as_their_parts(table):
+    """Constraints, method typings and solutions are values; a solution's
+    `fresh` takes no part, so the unifier keeps one of equal solutions."""
+    pairs = [(lessdot(TPH("T"), INT), lessdot(TPH("T"), INT)),
+             (doteq(TPH("T"), INT), doteq(TPH("T"), INT)),
+             (MethodTyping(((TPH("A"), None),), (TPH("A"),), INT),
+              MethodTyping(((TPH("A"), None),), (TPH("A"),), INT)),
+             (UNIFY.Solution((("T", "U"),), (("V", INT),), (0,),
+                             FreshNames()),
+              UNIFY.Solution((("T", "U"),), (("V", INT),), (0,),
+                             FreshNames()))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert lessdot(TPH("T"), INT) != doteq(TPH("T"), INT)
+    assert UNIFY.Solution((), ()) != UNIFY.Solution((), (), (1,))
+    assert [str(c) for c, _ in pairs[:2]] == ["T < Integer", "T = Integer"]
+    u = UNIFY._Unifier(table, FreshNames(), ())
+    u.solve([lessdot(TPH("T"), TPH("U"))])
+    assert len(u.solutions) == 1
+    u._emit()
+    u._emit()
+    assert list(u.found) == [u.solutions[0]]
 
 def test_transitive_closure():
     rel = transitive_closure([("A", "B"), ("B", "C")])
