@@ -128,7 +128,8 @@ def load_builtin_entries(path=None):
 @functools.cache
 def _bundled_entries():
     return _entries_from_json(json.loads(
-        resources.files("jtxinfer").joinpath("builtins.json").read_text()))
+        resources.files("jtxinfer").joinpath("builtins.json")
+        .read_text(encoding="utf-8")))
 
 
 def _entries_from_json(data):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -91,8 +92,19 @@ def main(argv=None):
             print(f"== {stage} ==")
             print(result.dumps.get(stage, ""))
         stem = path.with_suffix("")
-        for suffix, text in texts.items():
-            Path(f"{stem}.{suffix}").write_text(text)
+        written = []
+        try:
+            for suffix, text in texts.items():
+                with open(f"{stem}.{suffix}", "w", encoding="utf-8") as fh:
+                    written.append(fh.name)
+                    fh.write(text)
+        except OSError as exc:
+            # a failed write leaves none either: remove what it opened
+            for name in written:
+                with contextlib.suppress(OSError):
+                    os.remove(name)
+            print(f"tx-infer: {path.name}: {exc}", file=sys.stderr)
+            status = max(status, 2)
     return status
 
 

@@ -284,7 +284,7 @@ class _Generator:
             # `x++` is `x = x + 1`, the 1 of the type the rule names
             target = self.expr(st.target, env)
             value = self._binary("+", target,
-                                 self._typed(RULES[S.Increment]), st.pos)
+                                 ClassType(RULES[S.Increment]), st.pos)
             self.emit(lessdot(value, target))
         elif isinstance(st, S.While):
             cond = self.expr(st.cond, env)
@@ -308,15 +308,10 @@ class _Generator:
 
     # -- expressions -----------------------------------------------------
 
-    def _typed(self, name):
-        """A fresh placeholder equal to built-in class `name`."""
-        t = self.fresh.tph(self.scope)
-        self.emit(doteq(t, ClassType(name)))
-        return t
-
     def expr(self, e, env):
+        # a literal has the class its rule names
         if type(e) in RULES:
-            return self._typed(RULES[type(e)])
+            return ClassType(RULES[type(e)])
         if isinstance(e, S.Name):
             if e.ident in env:
                 return env[e.ident]
@@ -337,23 +332,31 @@ class _Generator:
 
     def _binary(self, op, left, right, pos):
         """The result of operator `op` on operand terms `left` and
-        `right`: an or-group over the visible candidate types of an
-        overloaded operator, the bounds and result of a fixed one."""
-        result = self.fresh.tph(self.scope)
+        `right`.  An overloaded operator with one visible candidate type
+        bounds both operands by it and is of it; with more, it is an
+        or-group over them.  A fixed operator bounds its operands and its
+        result is a placeholder equal to its result class."""
         if op in OVERLOADED_OPERATORS:
-            alts = [Alternative([lessdot(left, ty), lessdot(right, ty),
-                                 doteq(result, ty)])
-                    for ty in map(ClassType, OVERLOADED_OPERATORS[op])
-                    if self.table.has(ty.name)]
-            if not alts:
+            types = [ty for ty in map(ClassType, OVERLOADED_OPERATORS[op])
+                     if self.table.has(ty.name)]
+            if not types:
                 raise Untypable(f"no visible operand type for '{op}'",
                                 pos.line, pos.col)
-            self._add_group(alts)
-        else:
-            bound, res = map(ClassType, FIXED_OPERATORS[op])
-            self.emit(lessdot(left, bound))
-            self.emit(lessdot(right, bound))
-            self.emit(doteq(result, res))
+            if len(types) == 1:
+                self.emit(lessdot(left, types[0]))
+                self.emit(lessdot(right, types[0]))
+                return types[0]
+            result = self.fresh.tph(self.scope)
+            self._add_group([Alternative([lessdot(left, ty),
+                                          lessdot(right, ty),
+                                          doteq(result, ty)])
+                             for ty in types])
+            return result
+        bound, res = map(ClassType, FIXED_OPERATORS[op])
+        result = self.fresh.tph(self.scope)
+        self.emit(lessdot(left, bound))
+        self.emit(lessdot(right, bound))
+        self.emit(doteq(result, res))
         return result
 
     def _lambda(self, e, env):

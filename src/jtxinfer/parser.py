@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import JtxSyntaxError
+from .errors import JtxSyntaxError, UnsupportedFeature
 from .lexer import tokenize
 from . import syntax as S
 
@@ -21,6 +21,10 @@ from . import syntax as S
 # the furthest any rule looks past the current token, or past a token it
 # has seen is no eof
 LOOKAHEAD = 1
+
+# the largest int literal Java takes without a unary minus, which this
+# language does not have
+MAX_INT = 2**31 - 1
 
 
 def parse(source):
@@ -335,6 +339,15 @@ class _Parser:
                 return S.Call(recv=None, name=t.text, args=args, pos=pos)
             return S.Name(ident=t.text, pos=pos)
         if kind == "int":
+            # Java reads a leading 0 as octal
+            if t.text[0] == "0" and len(t.text) > 1:
+                raise UnsupportedFeature(
+                    "integer literals with a leading 0 are not supported",
+                    t.line, t.col)
+            # the length test keeps `int` off a string of any size
+            if len(t.text) > 10 or int(t.text) > MAX_INT:
+                raise JtxSyntaxError("integer number too large",
+                                     t.line, t.col)
             self.advance()
             return S.IntLit(value=int(t.text), pos=pos)
         if kind == "string":

@@ -121,6 +121,32 @@ def test_error_while_emitting_exits_2_and_writes_nothing(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["Coll.jtx"]
 
 
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    p = write(tmp_path, "W.jtx", "class Café { m(x) { return x; } }")
+    # an ASCII locale, neither coerced nor overridden by UTF-8 mode
+    proc = python(["-X", "utf8=0", "-m", "jtxinfer.cli", str(p)],
+                  LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "W.sigs.txt").read_text(encoding="utf-8") == \
+        "Café.m : <A extends B, B> A -> B\n"
+    assert "class Café" in (tmp_path / "W.typed.jtx").read_text(
+        encoding="utf-8")
+
+
+def test_failed_write_exits_2_and_leaves_no_outputs(tmp_path):
+    p = write(tmp_path, "W.jtx", FAC_SRC.replace("Fac", "W"))
+    (tmp_path / "W.sigs.txt").mkdir()
+    proc = tx_infer([str(p), str(write(tmp_path, "Fac.jtx", FAC_SRC))])
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("tx-infer: W.jtx: [Errno 21] Is a directory: ")
+    # the typed output written before the failure is gone again, and the
+    # batch goes on
+    assert sorted(f.name for f in tmp_path.iterdir() if f.name[0] == "W") \
+        == ["W.jtx", "W.sigs.txt"]
+    assert (tmp_path / "Fac.sigs.txt").exists()
+
+
 def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setattr(UNIFY, "MAX_STEPS", 3)

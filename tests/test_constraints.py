@@ -6,7 +6,7 @@ from jtxinfer import (UnknownIdentifier, UnknownMember, parse, run_source,
                       signature_lines)
 from jtxinfer.classtable import build_class_table
 from jtxinfer.constraints import flatten, generate_constraints
-from jtxinfer.errors import ArityMismatch, Untypable
+from jtxinfer.errors import ArityMismatch, JtxError, Untypable
 from jtxinfer.typeterms import VOID, ClassType, TPH
 
 from conftest import FAC_SRC
@@ -42,10 +42,15 @@ def test_fac_base_constraints_cover_figure_shapes():
 
 
 def test_literal_constraints():
+    # a literal is its class: it flows into its slot, with no placeholder
+    # of its own and no equality
     gen, _ = gen_for('class A { m() { var s = "x"; var b = true; '
                      "var i = 1; return i; } }")
-    kinds = [str(c.rhs) for c in gen.base if c.kind == "doteq"]
-    assert "String" in kinds and "Boolean" in kinds and "Integer" in kinds
+    s, b, i = map(str, gen.local_terms.values())
+    assert [str(c) for c in gen.base] == [
+        f"String < {s}", f"Boolean < {b}", f"Integer < {i}",
+        f"{i} < {gen.methods[0].ret}"]
+    assert gen.fresh.mark() == 4
 
 
 def test_plus_or_group_with_all_types_visible():
@@ -76,9 +81,46 @@ def test_lambda_is_target_typed():
 
 def test_increment_desugars_to_plus_one():
     gen, _ = gen_for("class A { m(i) { i++; return i; } }")
-    # the desugared literal 1 produces an Integer equality
-    assert any(c.kind == "doteq" and c.rhs == ClassType("Integer")
-               for c in gen.base)
+    # `i = i + 1`: the `+` of the one visible candidate, Integer, bounds
+    # its operands by it and is of it, so no placeholder stands for the 1
+    # or for the sum
+    i, ret = gen.methods[0].params[0], gen.methods[0].ret
+    assert [str(c) for c in gen.base] == [
+        f"{i} < Integer", "Integer < Integer", f"Integer < {i}",
+        f"{i} < {ret}"]
+    assert gen.groups == []
+
+
+# literals and operators at their edges: each program's signature lines,
+# or its diagnostic
+LITERAL_AND_OPERATOR_CASES = [
+    ("class C { f; m() { f++; return f; } }", ["C.m : () -> Integer"]),
+    ("class C { m(x) { while (true) { return x; } return x; } }",
+     ["C.m : <A extends B, B> A -> B"]),
+    ('class C { m() { return "a" + 1; } }',
+     "Untypable class C has no typing"),
+    ("class C { m(x) { return x <= 1; } }", ["C.m : Integer -> Boolean"]),
+    ("class C { m() { return () -> 1; } }", ["C.m : () -> Fun0$$<Integer>"]),
+    ("class D { n(y) { return y; } }\n"
+     "class C { m(d) { return d.n(1); } }",
+     ["D.n : <A extends B, B> A -> B", "C.m : D -> Integer"]),
+    ('class C { m() { return new Pair<>(1, "s"); } }',
+     ["C.m : () -> Pair<Integer, String>"]),
+    ("import java.lang.Integer;\nimport java.lang.Double;\n"
+     "class C { m(x) { return x * 2; } }", ["C.m : Integer -> Integer"]),
+    # the receiver's class is known, so the member lookup fails at once
+    ("class C { m() { return (1).m(); } }",
+     "UnknownMember 1:27: no member 'm' taking 0 argument(s) on Integer"),
+]
+
+
+@pytest.mark.parametrize("src,want", LITERAL_AND_OPERATOR_CASES)
+def test_literal_and_operator_edges(src, want):
+    try:
+        got = signature_lines(run_source(src))
+    except JtxError as exc:
+        got = f"{type(exc).__name__} {exc}"
+    assert got == want
 
 
 def test_void_method_inferred():

@@ -18,6 +18,7 @@ an output or a count on purpose regenerates them all with
 import functools
 import hashlib
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -157,6 +158,22 @@ def test_corpus_unify_counts(workload, seed):
 def test_search_frames(workload, frames):
     assert sum(stats["frames"] for p in corpus.workload(workload, 1)
                for stats in class_stats(p.source).values()) == frames
+
+
+# A straight-line method of n statements costs the unifier steps linear in
+# n, with no clock to read: exact laws over n = 10, 20 and 40.  A `+ 1` or
+# `* 2` chain's locals are each a sink of their own, and the method's
+# return one more; the one local of `self` is one sink, its return another.
+@pytest.mark.parametrize("shape, steps, branch_points", [
+    ("add", lambda n: 4 * n - 1, lambda n: n + 1),
+    ("mul", lambda n: 4 * n - 1, lambda n: n + 1),
+    ("self", lambda n: 5 * n - 2, lambda n: 2)])
+def test_long_method_counts_are_linear(shape, steps, branch_points):
+    for n in (10, 20, 40):
+        unit = corpus.long_unit(n, shape, random.Random(n))
+        (stats,) = class_stats(unit.source).values()
+        assert (stats["steps"], stats["branch_points"]) \
+            == (steps(n), branch_points(n)), n
 
 
 if __name__ == "__main__":

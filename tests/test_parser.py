@@ -290,6 +290,34 @@ def test_lexer_diagnostics(src, cls, message, line, col):
         == (cls, message, line, col)
 
 
+@pytest.mark.parametrize("src, cls, message, col", [
+    # javac rejects an int literal past 2^31 - 1, and this language has no
+    # unary minus to make -2147483648 of one
+    ("class C { m() { return 2147483648; } }", JtxSyntaxError,
+     "integer number too large", 24),
+    ("class C { m() { return 1 + 9" + "0" * 5000 + "; } }", JtxSyntaxError,
+     "integer number too large", 28),
+    # Java reads `010` as octal 8 and rejects `09`
+    ("class C { m() { return 010; } }", UnsupportedFeature,
+     "integer literals with a leading 0 are not supported", 24),
+    ("class C { m() { var x = 09; return x; } }", UnsupportedFeature,
+     "integer literals with a leading 0 are not supported", 25),
+])
+def test_int_literals_java_rejects_or_reads_otherwise(src, cls, message, col):
+    with pytest.raises(JtxError) as info:
+        parse(src)
+    exc = info.value
+    assert (type(exc), exc.message, exc.line, exc.col) \
+        == (cls, message, 1, col)
+
+
+def test_int_literal_bounds_that_parse():
+    m = parse("class C { m() { return 2147483647 + 0; } }").classes[0] \
+        .methods[0]
+    assert [e.value for e in (m.body[0].value.left, m.body[0].value.right)] \
+        == [2147483647, 0]
+
+
 def test_eof_after_trailing_line_comment():
     """End of input sits after the comment that runs into it."""
     eof = tokenize("class A { } // end")[-1]
