@@ -39,6 +39,17 @@ def _parser():
     return p
 
 
+def _print_utf8(text):
+    """Write `text` to stdout as UTF-8 whatever the locale, as the outputs
+    are written; a stdout that takes no bytes gets it as text."""
+    out = getattr(sys.stdout, "buffer", None)
+    sys.stdout.flush()
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write(text.encode("utf-8"))
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     emits = [e.strip() for e in args.emit.split(",") if e.strip()]
@@ -89,8 +100,7 @@ def main(argv=None):
             status = max(status, 2)
             continue
         for stage in args.dump_stages:
-            print(f"== {stage} ==")
-            print(result.dumps.get(stage, ""))
+            _print_utf8(f"== {stage} ==\n{result.dumps.get(stage, '')}\n")
         stem = path.with_suffix("")
         written = []
         try:

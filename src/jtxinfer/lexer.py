@@ -27,17 +27,16 @@ UNSUPPORTED = {
     "package", "enum", "record",
 }
 
-# Blanks other than a newline, then one alternative per token kind, tried in
-# order.  `space` is a newline with all blanks after it, or the end of input,
-# so blanks at the end are matched there and never backtracked into `other`.
-# The groups after `string` match only where no token can start, and
-# `_ERRORS` names what each means.  A word must start with a letter, '_' or
-# '$': `[^\W\d]` also takes digits such as '²', which `tokenize` reports as
-# unexpected.
-_TOKEN = re.compile(r"""[^\S\n]*(?:
+# Blanks, then one alternative per token kind, tried in order.  `eof`
+# matches only at the end of input, after all blanks there, so they are
+# never backtracked into `other`.  The groups after `string` match only
+# where no token can start, and `_ERRORS` names what each means.  A word
+# must start with a letter, '_' or '$': `[^\W\d]` also takes digits such as
+# '²', which `tokenize` reports as unexpected.
+_TOKEN = re.compile(r"""\s*(?:
       (?P<word>(?:[^\W\d]|\$)[\w$]*)
     | (?P<punct>->|<=|\+\+|\|\||==|[(){}<>;,.=+*])
-    | (?P<space>\n\s*|\Z)
+    | (?P<eof>\Z)
     | (?P<comment>//[^\n]*|/\*.*?\*/)
     | (?P<float>\d+\.)
     | (?P<int>\d+)
@@ -56,43 +55,47 @@ _ERRORS = {
 }
 
 
-class Token:
-    # kind: 'ident', 'keyword', 'int', 'string', 'punct' or 'eof'
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind, self.text = kind, text
-        self.line, self.col = line, col
-
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})"
+# a word's kind by its text, None where it is unsupported
+_WORD_KINDS = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(UNSUPPORTED)
 
 
 def tokenize(source):
+    """The tokens of `source` as `(kind, text, line, col)` tuples: kind is
+    'ident', 'keyword', 'int', 'string', 'punct' or 'eof', and a string's
+    text leaves out its quotes.  The list ends with the one eof token."""
     tokens = []
-    line, line_start = 1, 0
+    append = tokens.append
+    find, size = source.find, len(source)
+    # `base` is the offset before column 1 of `line`, and `nl` that of the
+    # first newline after it; past the last one `find` gives -1, which the
+    # `% (size + 1)` makes the size of the source
+    line, base, nl = 1, -1, find("\n") % (size + 1)
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        text, start = m[kind], m.start(kind)
-        col = start - line_start + 1
-        if kind == "word" and (text[0].isalpha() or text[0] in "_$"):
-            if text in UNSUPPORTED:
+        text = m[kind]
+        start = m.end() - len(text)  # a token ends where its match does
+        while nl < start:
+            line, base, nl = line + 1, nl, find("\n", nl + 1) % (size + 1)
+        # a word starting with an ASCII character starts with a letter, '_'
+        # or '$'
+        if kind == "word" and (text < "\x80" or text[0].isalpha()):
+            kind = _WORD_KINDS.get(text, "ident")
+            if kind is None:
                 raise UnsupportedFeature(
-                    f"'{text}' is not part of the supported subset", line, col)
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident",
-                                text, line, col))
+                    f"'{text}' is not part of the supported subset",
+                    line, start - base)
         elif kind == "punct" or kind == "int":
-            tokens.append(Token(kind, text, line, col))
-        elif kind == "space" or kind == "comment":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
+            pass  # taken as matched
+        elif kind == "comment":
+            continue
+        elif kind == "eof":
+            break
         elif kind == "string":
-            tokens.append(Token(kind, text[1:-1], line, col))
+            text = text[1:-1]
         else:
             cls, message = _ERRORS.get(kind) or (
                 JtxSyntaxError, f"unexpected character {text[0]!r}")
-            raise cls(message, line, col)
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            raise cls(message, line, start - base)
+        append((kind, text, line, start - base))
+    append(("eof", "", line, start - base))
     return tokens

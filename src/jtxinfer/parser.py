@@ -38,97 +38,97 @@ class _Parser:
         self.uids = itertools.count(1)  # local declarations, in order
 
     # -- token helpers ------------------------------------------------------
+    # A token is `(kind, text, line, col)`.  The rules read `toks[i]` and
+    # step `self.i` past a token they have tested, never past eof.  A test
+    # for a punctuator or keyword compares the text first, which rules the
+    # token out more often than its kind.
 
     def at(self, kind, text=None, offset=0):
         t = self.toks[self.i + offset]
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
     def at_punct(self, text, offset=0):
         t = self.toks[self.i + offset]
-        return t.text == text and t.kind == "punct"
+        return t[1] == text and t[0] == "punct"
 
-    def advance(self):
+    def expect(self, text, kind="punct"):
+        """Step past the token, which must be of `kind` and read `text`
+        unless that is None, and return its text."""
         t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        if t[0] != kind or (text is not None and t[1] != text):
+            raise JtxSyntaxError(f"expected {text or kind!r}, found "
+                                 f"{t[1]!r}", t[2], t[3])
+        self.i += 1
+        return t[1]
 
-    def expect(self, kind, text=None):
-        t = self.toks[self.i]
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            raise JtxSyntaxError(f"expected {want!r}, found {t.text!r}",
-                                 t.line, t.col)
-        return self.advance()
+    def ident(self):
+        return self.expect(None, "ident")
 
     def pos(self):
         t = self.toks[self.i]
-        return S.Pos(t.line, t.col)
+        return S.Pos(t[2], t[3])
 
     # -- grammar ------------------------------------------------------------
 
     def program(self):
         imports = []
         while self.at("keyword", "import"):
-            self.advance()
+            self.i += 1
             imports.append(self.qualname())
-            self.expect("punct", ";")
+            self.expect(";")
         classes = []
         while self.at("keyword", "class"):
             classes.append(self.class_decl())
-        self.expect("eof")
+        self.expect(None, "eof")
         return S.Program(imports=imports, classes=classes)
 
     def qualname(self):
-        parts = [self.expect("ident").text]
+        parts = [self.ident()]
         while self.at_punct("."):
-            self.advance()
-            parts.append(self.expect("ident").text)
+            self.i += 1
+            parts.append(self.ident())
         return ".".join(parts)
 
     def class_decl(self):
         pos = self.pos()
-        self.expect("keyword", "class")
-        name = self.expect("ident").text
+        self.i += 1  # `class`
+        name = self.ident()
         generics = self.generics_clause() if self.at_punct("<") else []
-        self.expect("punct", "{")
+        self.expect("{")
         fields, methods = [], []
-        seen_fields = set()
         while not self.at_punct("}"):
             member = self.member()
             if isinstance(member, S.FieldDecl):
-                if member.name in seen_fields:
+                if any(f.name == member.name for f in fields):
                     raise JtxSyntaxError(f"duplicate field '{member.name}'",
                                          member.pos.line, member.pos.col)
-                seen_fields.add(member.name)
                 fields.append(member)
             else:
                 methods.append(member)
-        self.expect("punct", "}")
+        self.i += 1
         return S.ClassDecl(name=name, generics=generics, fields=fields,
                            methods=methods, pos=pos)
 
     def generics_clause(self):
-        self.expect("punct", "<")
+        self.i += 1  # `<`
         params = []
         while True:
             npos = self.pos()
-            name = self.expect("ident").text
+            name = self.ident()
             if any(p.name == name for p in params):
                 raise JtxSyntaxError(f"duplicate type parameter '{name}'",
                                      npos.line, npos.col)
             bound = None
             if self.at("keyword", "extends"):
-                self.advance()
+                self.i += 1
                 bound = self.type_ref()
                 if bound.name == "Object" and not bound.args:
                     bound = None
             params.append(S.GenericParam(name=name, bound=bound))
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
-        self.expect("punct", ">")
+            if not self.at_punct(","):
+                break
+            self.i += 1
+        self.expect(">")
         # no chain of bare-variable bounds may lead back to where it starts
         up = {p.name: p.bound for p in params if p.bound and not p.bound.args}
         for p in params:
@@ -145,15 +145,15 @@ class _Parser:
         pos = self.pos()
         generics = self.generics_clause() if self.at_punct("<") else []
         if self.at("keyword", "void"):
-            self.advance()
-            name = self.expect("ident").text
+            self.i += 1
+            name = self.ident()
             return self.method_rest(name, S.SrcType("void"), generics, pos)
         # a bare name before '(' is a method, before '=' or ';' a field;
         # either leaves its type to infer
         ann = None
         if not (self.at("ident") and any(self.at_punct(p, 1) for p in "(=;")):
             ann = self.type_ref()
-        name = self.expect("ident").text
+        name = self.ident()
         if self.at_punct("("):
             return self.method_rest(name, ann, generics, pos)
         init = self.initializer()
@@ -164,10 +164,11 @@ class _Parser:
     def initializer(self):
         """`('=' expr)? ';'` after the name of a field or local."""
         init = None
-        if self.at_punct("="):
-            self.advance()
+        t = self.toks[self.i]
+        if t[1] == "=" and t[0] == "punct":
+            self.i += 1
             init = self.expr()
-        self.expect("punct", ";")
+        self.expect(";")
         return init
 
     def method_rest(self, name, ret, generics, pos):
@@ -199,199 +200,193 @@ class _Parser:
                                  or self.at_punct("<", 1)
                                  or self.at_punct(".", 1)):
             ann = self.type_ref()
-        return S.Param(name=self.expect("ident").text, annotation=ann)
+        return S.Param(name=self.ident(), annotation=ann)
 
     def paren_list(self, item):
         """`(` items separated by `,` `)`: a missing or trailing comma is a
         syntax error at the token where the next comma or item should be."""
-        self.expect("punct", "(")
+        self.expect("(")
         items = []
         if not self.at_punct(")"):
             items.append(item())
             while self.at_punct(","):
-                self.advance()
+                self.i += 1
                 items.append(item())
-        self.expect("punct", ")")
+        self.expect(")")
         return items
 
     def type_ref(self):
         pos = self.pos()
         if self.at("keyword", "void"):
-            self.advance()
+            self.i += 1
             return S.SrcType("void", [], pos)
         name = self.qualname()
         args = []
         if self.at_punct("<"):
-            self.advance()
+            self.i += 1
             if self.at_punct(">"):  # diamond
-                self.advance()
+                self.i += 1
                 return S.SrcType(name, None, pos)
             args.append(self.type_ref())
             while self.at_punct(","):
-                self.advance()
+                self.i += 1
                 args.append(self.type_ref())
-            self.expect("punct", ">")
+            self.expect(">")
         return S.SrcType(name, args, pos)
 
     def block(self):
-        self.expect("punct", "{")
-        stmts = []
-        while not self.at_punct("}"):
-            stmts.append(self.statement())
-        self.expect("punct", "}")
+        self.expect("{")
+        toks, stmts, statement = self.toks, [], self.statement
+        t = toks[self.i]
+        while t[1] != "}" or t[0] != "punct":
+            stmts.append(statement())
+            t = toks[self.i]
+        self.i += 1
         return stmts
 
     def statement(self):
-        t = self.toks[self.i]
-        pos = S.Pos(t.line, t.col)
-        keyword = t.text if t.kind == "keyword" else None
-        if keyword == "while":
-            self.advance()
-            self.expect("punct", "(")
-            cond = self.expr()
-            self.expect("punct", ")")
-            body = self.block()
-            return S.While(cond=cond, body=body, pos=pos)
-        if keyword == "return":
-            self.advance()
-            value = None
-            if not self.at_punct(";"):
-                value = self.expr()
-            self.expect("punct", ";")
-            return S.Return(value=value, pos=pos)
+        toks, i = self.toks, self.i
+        t = toks[i]
+        kind, text = t[0], t[1]
+        pos = S.Pos(t[2], t[3])
+        if kind == "keyword":
+            if text == "while":
+                self.i = i + 1
+                self.expect("(")
+                cond = self.expr()
+                self.expect(")")
+                return S.While(pos, cond, self.block())
+            if text == "return":
+                self.i = i + 1
+                value = None if self.at_punct(";") else self.expr()
+                self.expect(";")
+                return S.Return(pos, value)
         # `var` or an annotated local: type ident ('=' expr)? ';'; the
         # subset has no `<` operator, so a dotted name followed by an
         # ident or `<` here starts a type
         ann = None
-        j = 1
-        while self.at_punct(".", j) and self.at("ident", offset=j + 1):
-            j += 2
-        if keyword == "var":
-            self.advance()
-        elif t.kind == "ident" and (self.at("ident", offset=j)
-                                    or self.at_punct("<", j)):
+        if kind == "keyword" and text == "var":
+            self.i = i + 1
+        elif kind == "ident":
+            j = i + 1
+            while toks[j][1] == "." and toks[j][0] == "punct" \
+                    and toks[j + 1][0] == "ident":
+                j += 2
+            t = toks[j]
+            if t[0] != "ident" and (t[1] != "<" or t[0] != "punct"):
+                return self.expr_statement(pos)
             ann = self.type_ref()
         else:
             return self.expr_statement(pos)
-        name = self.expect("ident").text
+        name = self.ident()
         init = self.initializer()  # its block lambdas' locals come first
-        return S.LocalDecl(name=name, annotation=ann, init=init, pos=pos,
-                           uid=next(self.uids))
+        return S.LocalDecl(pos, name, ann, init, next(self.uids))
 
     def expr_statement(self, pos):
-        expr = self.expr()
-        if self.at_punct("="):
-            self.advance()
-            value = self.expr()
-            self.expect("punct", ";")
+        expr = self.expr(1, pos)
+        t = self.toks[self.i]
+        if t[0] == "punct" and t[1] in ("=", "++"):
+            self.i += 1
+            value = self.expr() if t[1] == "=" else None
+            self.expect(";")
             if not isinstance(expr, (S.Name, S.FieldAccess)):
-                raise JtxSyntaxError("invalid assignment target",
+                what = "increment" if value is None else "assignment"
+                raise JtxSyntaxError(f"invalid {what} target",
                                      pos.line, pos.col)
-            return S.Assign(target=expr, value=value, pos=pos)
-        if self.at_punct("++"):
-            self.advance()
-            self.expect("punct", ";")
-            if not isinstance(expr, (S.Name, S.FieldAccess)):
-                raise JtxSyntaxError("invalid increment target",
-                                     pos.line, pos.col)
-            return S.Increment(target=expr, pos=pos)
-        self.expect("punct", ";")
-        return S.ExprStmt(expr=expr, pos=pos)
+            return (S.Increment(pos, expr) if value is None
+                    else S.Assign(pos, expr, value))
+        self.expect(";")
+        return S.ExprStmt(pos, expr)
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self, min_prec=1):
+    def expr(self, min_prec=1, pos=None):
         """Precedence climbing over `syntax.BINARY_PREC`: every operator
-        binds left to right."""
-        left = self.postfix_expr()
-        while True:
-            t = self.toks[self.i]
-            prec = t.kind == "punct" and S.BINARY_PREC.get(t.text)
-            if not prec or prec < min_prec:
-                return left
-            self.advance()
-            right = self.expr(prec + 1)
-            left = S.Binary(op=t.text, left=left, right=right,
-                            pos=S.Pos(t.line, t.col))
-
-    def postfix_expr(self):
-        e = self.primary()
-        while self.at_punct("."):
-            pos = self.pos()
-            self.advance()
-            name = self.expect("ident").text
-            if self.at_punct("("):
-                args = self.paren_list(self.expr)
-                e = S.Call(recv=e, name=name, args=args, pos=pos)
+        binds left to right.  An operand is a primary with its `.name` and
+        `.name(args)` suffixes; `pos` is the position of its first token
+        where the caller has made it."""
+        toks = self.toks
+        e = self.primary(pos)
+        t = toks[self.i]
+        while t[1] == "." and t[0] == "punct":
+            pos = S.Pos(t[2], t[3])
+            self.i += 1
+            name = self.ident()
+            t = toks[self.i]
+            if t[1] == "(" and t[0] == "punct":
+                e = S.Call(pos, e, name, self.paren_list(self.expr))
+                t = toks[self.i]
             else:
-                e = S.FieldAccess(recv=e, name=name, pos=pos)
-        return e
+                e = S.FieldAccess(pos, e, name)
+        while True:
+            prec = S.BINARY_PREC.get(t[1])
+            if not prec or prec < min_prec or t[0] != "punct":
+                return e
+            self.i += 1
+            e = S.Binary(S.Pos(t[2], t[3]), t[1], e, self.expr(prec + 1))
+            t = toks[self.i]
 
-    def primary(self):
-        t = self.toks[self.i]
-        kind, pos = t.kind, S.Pos(t.line, t.col)
+    def primary(self, pos=None):
+        toks, i = self.toks, self.i
+        t = toks[i]
+        kind, text = t[0], t[1]
+        if pos is None:
+            pos = S.Pos(t[2], t[3])
         if kind == "ident":
-            if self.at_punct("->", 1):
-                return self.lambda_expr(pos)
-            self.advance()
-            if self.at_punct("("):
-                args = self.paren_list(self.expr)
-                return S.Call(recv=None, name=t.text, args=args, pos=pos)
-            return S.Name(ident=t.text, pos=pos)
+            t = toks[i + 1]
+            if t[0] == "punct":
+                if t[1] == "->":
+                    return self.lambda_expr(pos)
+                if t[1] == "(":
+                    self.i = i + 1
+                    return S.Call(pos, None, text, self.paren_list(self.expr))
+            self.i = i + 1
+            return S.Name(pos, text)
         if kind == "int":
             # Java reads a leading 0 as octal
-            if t.text[0] == "0" and len(t.text) > 1:
+            if text[0] == "0" and len(text) > 1:
                 raise UnsupportedFeature(
                     "integer literals with a leading 0 are not supported",
-                    t.line, t.col)
+                    pos.line, pos.col)
             # the length test keeps `int` off a string of any size
-            if len(t.text) > 10 or int(t.text) > MAX_INT:
+            if len(text) > 10 or (value := int(text)) > MAX_INT:
                 raise JtxSyntaxError("integer number too large",
-                                     t.line, t.col)
-            self.advance()
-            return S.IntLit(value=int(t.text), pos=pos)
+                                     pos.line, pos.col)
+            self.i = i + 1
+            return S.IntLit(pos, value)
         if kind == "string":
-            self.advance()
-            return S.StrLit(value=t.text, pos=pos)
-        if kind == "keyword" and t.text in ("true", "false"):
-            self.advance()
-            return S.BoolLit(value=(t.text == "true"), pos=pos)
-        if kind == "keyword" and t.text == "new":
-            self.advance()
-            cls = self.type_ref()
-            args = self.paren_list(self.expr)
-            return S.New(cls=cls, args=args, pos=pos)
-        if kind == "punct" and t.text == "(":
+            self.i = i + 1
+            return S.StrLit(pos, text)
+        if kind == "keyword":
+            if text == "true" or text == "false":
+                self.i = i + 1
+                return S.BoolLit(pos, text == "true")
+            if text == "new":
+                self.i = i + 1
+                cls = self.type_ref()
+                return S.New(pos, cls, self.paren_list(self.expr))
+        elif kind == "punct" and text == "(":
             if self._lambda_ahead():
                 return self.lambda_expr(pos)
-            self.advance()
+            self.i = i + 1
             e = self.expr()
-            self.expect("punct", ")")
+            self.expect(")")
             return e
-        raise JtxSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+        raise JtxSyntaxError(f"unexpected token {text!r}", pos.line, pos.col)
 
     def _lambda_ahead(self):
         """At '(': scan to the matching ')' and test for '->'."""
-        depth = 0
-        j = self.i
-        while True:
-            tok = self.toks[j]
-            if tok.kind == "punct" and tok.text == "(":
-                depth += 1
-            elif tok.kind == "punct" and tok.text == ")":
-                depth -= 1
+        depth, toks = 0, self.toks
+        for j in range(self.i, len(toks)):
+            kind, text = toks[j][:2]
+            if kind == "punct" and text in ("(", ")"):
+                depth += 1 if text == "(" else -1
                 if depth == 0:
-                    nxt = self.toks[j + 1]
-                    return nxt.kind == "punct" and nxt.text == "->"
-            elif tok.kind == "eof":
-                return False
-            j += 1
+                    return toks[j + 1][:2] == ("punct", "->")
+        return False
 
     def lambda_expr(self, pos):
         params = self.params() if self.at_punct("(") else [self.param()]
-        self.expect("punct", "->")
-        if self.at_punct("{"):
-            body = self.block()
-        else:
-            body = self.expr()
+        self.expect("->")
+        body = self.block() if self.at_punct("{") else self.expr()
         return S.Lambda(params=params, body=body, pos=pos)

@@ -9,6 +9,8 @@ during constraint generation.
 
 from __future__ import annotations
 
+import copy
+
 
 class Node:
     """Base of the syntax classes.  A class's fields are its `__slots__`
@@ -37,6 +39,14 @@ class Node:
                 == [getattr(other, f) for f in self._compared])
 
     __hash__ = None
+
+    def __deepcopy__(self, memo):
+        """A copy of every field, made with `memo`; without it `copy` goes
+        by way of `copyreg`'s reduce protocol, about five times slower."""
+        new = memo[id(self)] = object.__new__(type(self))
+        for f in self._fields:
+            setattr(new, f, copy.deepcopy(getattr(self, f), memo))
+        return new
 
 
 class Pos(Node):
@@ -94,58 +104,49 @@ class Param(Node):
 class Expr(Node):
     __slots__ = ("pos",)
 
-    def __init__(self, pos=_NEW):
-        self.pos = Pos() if pos is _NEW else pos
-
 
 class IntLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, pos=_NEW, value=0):
-        self.pos = Pos() if pos is _NEW else pos
-        self.value = value
+    def __init__(self, pos, value=0):
+        self.pos, self.value = pos, value
 
 
 class BoolLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, pos=_NEW, value=False):
-        self.pos = Pos() if pos is _NEW else pos
-        self.value = value
+    def __init__(self, pos, value=False):
+        self.pos, self.value = pos, value
 
 
 class StrLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, pos=_NEW, value=""):
-        self.pos = Pos() if pos is _NEW else pos
-        self.value = value
+    def __init__(self, pos, value=""):
+        self.pos, self.value = pos, value
 
 
 class Name(Expr):
     __slots__ = ("ident",)
 
-    def __init__(self, pos=_NEW, ident=""):
-        self.pos = Pos() if pos is _NEW else pos
-        self.ident = ident
+    def __init__(self, pos, ident=""):
+        self.pos, self.ident = pos, ident
 
 
 class FieldAccess(Expr):
     __slots__ = ("recv", "name")
     _children = ("recv",)
 
-    def __init__(self, pos=_NEW, recv=None, name=""):
-        self.pos = Pos() if pos is _NEW else pos
-        self.recv, self.name = recv, name
+    def __init__(self, pos, recv=None, name=""):
+        self.pos, self.recv, self.name = pos, recv, name
 
 
 class Call(Expr):
     __slots__ = ("recv", "name", "args")
     _children = ("recv", "args")
 
-    def __init__(self, pos=_NEW, recv=None, name="", args=_NEW):
-        self.pos = Pos() if pos is _NEW else pos
-        self.recv, self.name = recv, name
+    def __init__(self, pos, recv=None, name="", args=_NEW):
+        self.pos, self.recv, self.name = pos, recv, name
         self.args = [] if args is _NEW else args
 
 
@@ -153,9 +154,8 @@ class New(Expr):
     __slots__ = ("cls", "args")
     _children = ("cls", "args")
 
-    def __init__(self, pos=_NEW, cls=None, args=_NEW):
-        self.pos = Pos() if pos is _NEW else pos
-        self.cls = cls
+    def __init__(self, pos, cls=None, args=_NEW):
+        self.pos, self.cls = pos, cls
         self.args = [] if args is _NEW else args
 
 
@@ -163,19 +163,17 @@ class Lambda(Expr):
     __slots__ = ("params", "body")   # [Param]; an Expr or [Stmt]
     _children = ("params", "body")
 
-    def __init__(self, pos=_NEW, params=_NEW, body=None):
-        self.pos = Pos() if pos is _NEW else pos
+    def __init__(self, pos, params=_NEW, body=None):
+        self.pos, self.body = pos, body
         self.params = [] if params is _NEW else params
-        self.body = body
 
 
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
     _children = ("left", "right")
 
-    def __init__(self, pos=_NEW, op="", left=None, right=None):
-        self.pos = Pos() if pos is _NEW else pos
-        self.op, self.left, self.right = op, left, right
+    def __init__(self, pos, op="", left=None, right=None):
+        self.pos, self.op, self.left, self.right = pos, op, left, right
 
 
 # --- statements ------------------------------------------------------------
@@ -184,46 +182,39 @@ class Binary(Expr):
 class Stmt(Node):
     __slots__ = ("pos",)
 
-    def __init__(self, pos=_NEW):
-        self.pos = Pos() if pos is _NEW else pos
-
 
 class LocalDecl(Stmt):
     # annotation None = `var` / to-infer
     __slots__ = ("name", "annotation", "init", "uid")
     _children = ("annotation", "init")
 
-    def __init__(self, pos=_NEW, name="", annotation=None, init=None, uid=0):
-        self.pos = Pos() if pos is _NEW else pos
+    def __init__(self, pos, name="", annotation=None, init=None, uid=0):
+        self.pos, self.uid = pos, uid
         self.name, self.annotation, self.init = name, annotation, init
-        self.uid = uid
 
 
 class Assign(Stmt):
     __slots__ = ("target", "value")
     _children = ("target", "value")
 
-    def __init__(self, pos=_NEW, target=None, value=None):
-        self.pos = Pos() if pos is _NEW else pos
-        self.target, self.value = target, value
+    def __init__(self, pos, target=None, value=None):
+        self.pos, self.target, self.value = pos, target, value
 
 
 class Increment(Stmt):
     __slots__ = ("target",)
     _children = ("target",)
 
-    def __init__(self, pos=_NEW, target=None):
-        self.pos = Pos() if pos is _NEW else pos
-        self.target = target
+    def __init__(self, pos, target=None):
+        self.pos, self.target = pos, target
 
 
 class While(Stmt):
     __slots__ = ("cond", "body")
     _children = ("cond", "body")
 
-    def __init__(self, pos=_NEW, cond=None, body=_NEW):
-        self.pos = Pos() if pos is _NEW else pos
-        self.cond = cond
+    def __init__(self, pos, cond=None, body=_NEW):
+        self.pos, self.cond = pos, cond
         self.body = [] if body is _NEW else body
 
 
@@ -231,18 +222,16 @@ class Return(Stmt):
     __slots__ = ("value",)
     _children = ("value",)
 
-    def __init__(self, pos=_NEW, value=None):
-        self.pos = Pos() if pos is _NEW else pos
-        self.value = value
+    def __init__(self, pos, value=None):
+        self.pos, self.value = pos, value
 
 
 class ExprStmt(Stmt):
     __slots__ = ("expr",)
     _children = ("expr",)
 
-    def __init__(self, pos=_NEW, expr=None):
-        self.pos = Pos() if pos is _NEW else pos
-        self.expr = expr
+    def __init__(self, pos, expr=None):
+        self.pos, self.expr = pos, expr
 
 
 # --- declarations ----------------------------------------------------------

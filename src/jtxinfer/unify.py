@@ -187,7 +187,7 @@ class _Unifier:
         self.groups = groups
         self.limit = MAX_STEPS  # `steps` at which the current choice is out
         self.solutions = []   # of the finished choices, in choice order
-        self.found = {}       # the current choice's: an ordered set
+        self.found = []       # the current choice's, see `_emit`
         self.choice = []      # the alternative taken in each group so far
         self.steps = 0
         self.branch_points = 0
@@ -562,13 +562,16 @@ class _Unifier:
     # -- results -----------------------------------------------------------
 
     def _emit(self):
+        """Add the store's solution to the current choice's, which has no
+        equal one: two leaves of a choice's search part at a frame that
+        binds one placeholder to terms of distinct heads, for good."""
         pairs = {(c.lhs.name, c.rhs.name)
                  for slot in self.index.values() for c in slot if c.parked}
         sigma = self.sigma
         sol = Solution(tuple(sorted(pairs)),
                        tuple((n, substitute(sigma[n], sigma))
                              for n in sorted(sigma)))
-        self.found.setdefault(sol)
+        self.found.append(sol)
 
     def _close_choice(self):
         """Move the current choice's solutions to `solutions`, sorted, each
@@ -578,7 +581,7 @@ class _Unifier:
         choice, fresh = tuple(self.choice), self.fresh.clone()
         self.solutions.extend(Solution(s.remaining, s.sigma, choice, fresh)
                               for s in sorted(self.found, key=_sort_key))
-        self.found = {}
+        self.found = []
 
 
 def unify(constraints, table, fresh=None, stats=None, groups=()):

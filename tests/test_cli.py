@@ -1,7 +1,9 @@
 """The tx-infer command line front end."""
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -35,13 +37,14 @@ def write(tmp_path, name, src):
     return p
 
 
-def python(args, **env):
-    """Run a child interpreter with `args`."""
+def python(args, text=True, **env):
+    """Run a child interpreter with `args`; its output is decoded unless
+    `text` is false."""
     # the child finds the package the way this test run does, installed or not
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True,
+                          capture_output=True, text=text,
                           env=dict(os.environ, PYTHONPATH=path, **env))
 
 
@@ -133,6 +136,23 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
         encoding="utf-8")
 
 
+def test_dumps_are_utf8_whatever_the_locale(tmp_path):
+    p = write(tmp_path, "W.jtx", "class Café { m(x) { return x; } }")
+    proc = python(["-X", "utf8=0", "-m", "jtxinfer.cli", str(p),
+                   "--dump-stage", "constraints"], text=False,
+                  LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = proc.stdout.decode("utf-8")
+    assert out.startswith("== constraints ==\n") and "Café" in out
+
+
+def test_dumps_go_to_a_text_stdout(tmp_path):
+    p = write(tmp_path, "Fac.jtx", FAC_SRC)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([str(p), "--dump-stage", "solutions"]) == 0
+    assert out.getvalue().startswith("== solutions ==\n")
+
+
 def test_failed_write_exits_2_and_leaves_no_outputs(tmp_path):
     p = write(tmp_path, "W.jtx", FAC_SRC.replace("Fac", "W"))
     (tmp_path / "W.sigs.txt").mkdir()
@@ -162,7 +182,7 @@ def test_step_budget_exits_3_without_saying_untypable(tmp_path, capsys,
 
 def test_deep_nesting_exits_3(tmp_path, capsys):
     p = write(tmp_path, "Deep.jtx", "class C { m(x) { return "
-              + "(" * 400 + "x" + ")" * 400 + "; } }")
+              + "(" * 1000 + "x" + ")" * 1000 + "; } }")
     assert main([str(p)]) == 3
     assert "Deep.jtx: resource limit: " in capsys.readouterr().err
 

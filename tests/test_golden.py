@@ -21,6 +21,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,22 @@ def test_long_method_counts_are_linear(shape, steps, branch_points):
         (stats,) = class_stats(unit.source).values()
         assert (stats["steps"], stats["branch_points"]) \
             == (steps(n), branch_points(n)), n
+
+
+# The `depth` family, summed over its n classes.  `D_0` takes one step and
+# every later `D_i` eight.  `D_i` reads `.f` on a local of class `D_{i-1}`:
+# its receiver group has one alternative per class declaring `f` so far,
+# its own included, and the unifier tries one and prunes the other i.  No
+# branch point is left to search.
+def test_depth_counts_are_linear_and_pruned_quadratic():
+    for n in (10, 20, 40):
+        unit = corpus.depth_unit(n, random.Random(n))
+        total = Counter()
+        for stats in class_stats(unit.source).values():
+            total.update(stats)
+        assert [total[k] for k in ("steps", "alternatives", "pruned",
+                                   "branch_points")] \
+            == [8 * n - 7, n - 1, n * (n - 1) // 2, 0], n
 
 
 if __name__ == "__main__":

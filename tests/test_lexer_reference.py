@@ -35,15 +35,19 @@ PIECES = WORDS + NUMBERS + STRINGS + COMMENTS + PUNCTS + BLANKS
 CHARS = sorted(set("".join(PIECES)))
 
 
-def lex(tokenize_fn, src):
+def lex(tokenize_fn, src, fields=lambda t: t):
+    """The tokens of `src` as `(kind, text, line, col)`, each made by
+    `fields` from one token, or the diagnostic."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize_fn(src)]
+        return [fields(t) for t in tokenize_fn(src)]
     except JtxError as exc:
         return (type(exc), exc.message, exc.line, exc.col)
 
 
 def assert_same(src):
-    assert lex(tokenize, src) == lex(reference_lexer.tokenize, src)
+    assert lex(tokenize, src) == lex(
+        reference_lexer.tokenize, src,
+        lambda t: (t.kind, t.text, t.line, t.col))
 
 
 @settings(max_examples=600, deadline=None)

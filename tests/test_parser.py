@@ -1,11 +1,18 @@
 """Lexer/parser/printer round trips and alpha-equivalence."""
 
+import copy
+import sys
+from pathlib import Path
+
 import pytest
 
 from jtxinfer import (JtxError, JtxSyntaxError, UnsupportedFeature, parse,
                       print_program, tokenize)
 from jtxinfer import syntax as S
 from jtxinfer.syntax import alpha_equivalent
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 
 def test_minimal_class():
@@ -52,6 +59,26 @@ def test_nodes_compare_by_fields_other_than_pos_and_uid():
         "body=[Return(pos=Pos(line=1, col=18), value=Name(pos=Pos(line=1, "
         "col=25), ident='x'))], pos=Pos(line=1, col=11))], "
         "pos=Pos(line=1, col=1))])")
+
+def test_deepcopy_is_equal_and_shares_no_node_or_list():
+    """`copy.deepcopy` of every seed-1 corpus class (emit copies a class
+    before it renames its written types) keeps every field, `pos` and `uid`
+    included, and shares no node or list with the original."""
+    for prog in (p for w in corpus.WORKLOADS for p in corpus.workload(w, 1)):
+        for cls in parse(prog.source).classes:
+            dup = copy.deepcopy(cls)
+            assert dup == cls and repr(dup) == repr(cls)
+            nodes, dups = [], []
+            S.walk(cls, nodes.append)
+            S.walk(dup, dups.append)
+            assert len(nodes) == len(dups)
+            for node, twin in zip(nodes, dups):
+                assert twin is not node
+                for f in node._fields:
+                    value = getattr(node, f)
+                    if isinstance(value, (S.Node, list)):
+                        assert getattr(twin, f) is not value
+
 
 def test_imports_collected_in_order():
     prog = parse("import java.lang.Integer;\nimport java.util.Pair;\n"
@@ -251,16 +278,16 @@ PINNED_SRC = ('// header\n'
 def test_token_stream_positions():
     """Tabs count one column; comments, strings and newlines move the
     position of the token after them."""
-    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(PINNED_SRC)] \
-        == [("keyword", "class", 2, 1), ("ident", "A", 2, 7),
-            ("punct", "{", 2, 9), ("ident", "f", 3, 2), ("punct", "=", 3, 4),
-            ("string", "a b", 3, 6), ("punct", ";", 3, 11),
-            ("ident", "m", 4, 11), ("punct", "(", 4, 12),
-            ("ident", "x", 4, 13), ("punct", ")", 4, 14),
-            ("punct", "{", 4, 16), ("keyword", "return", 5, 3),
-            ("ident", "x", 5, 10), ("punct", "<=", 5, 12),
-            ("int", "10", 5, 15), ("punct", ";", 5, 17),
-            ("punct", "}", 6, 2), ("punct", "}", 7, 1), ("eof", "", 7, 2)]
+    assert tokenize(PINNED_SRC) == [
+        ("keyword", "class", 2, 1), ("ident", "A", 2, 7),
+        ("punct", "{", 2, 9), ("ident", "f", 3, 2), ("punct", "=", 3, 4),
+        ("string", "a b", 3, 6), ("punct", ";", 3, 11),
+        ("ident", "m", 4, 11), ("punct", "(", 4, 12),
+        ("ident", "x", 4, 13), ("punct", ")", 4, 14),
+        ("punct", "{", 4, 16), ("keyword", "return", 5, 3),
+        ("ident", "x", 5, 10), ("punct", "<=", 5, 12),
+        ("int", "10", 5, 15), ("punct", ";", 5, 17),
+        ("punct", "}", 6, 2), ("punct", "}", 7, 1), ("eof", "", 7, 2)]
 
 
 @pytest.mark.parametrize("src, cls, message, line, col", [
@@ -320,8 +347,8 @@ def test_int_literal_bounds_that_parse():
 
 def test_eof_after_trailing_line_comment():
     """End of input sits after the comment that runs into it."""
-    eof = tokenize("class A { } // end")[-1]
-    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 19)
+    kind, _, line, col = tokenize("class A { } // end")[-1]
+    assert (kind, line, col) == ("eof", 1, 19)
 
 
 def test_string_with_punctuator_text_is_a_literal():

@@ -50,9 +50,9 @@ def token_spans(src):
     """(start, end) source offsets of every token but the eof."""
     line_starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
     spans = []
-    for t in tokenize(src)[:-1]:
-        start = line_starts[t.line - 1] + t.col - 1
-        width = len(t.text) + 2 if t.kind == "string" else len(t.text)
+    for kind, text, line, col in tokenize(src)[:-1]:
+        start = line_starts[line - 1] + col - 1
+        width = len(text) + 2 if kind == "string" else len(text)
         spans.append((start, start + width))
     return spans
 

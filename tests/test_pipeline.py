@@ -29,7 +29,7 @@ UNIFY = importlib.import_module("jtxinfer.unify")
 PIPELINE = importlib.import_module("jtxinfer.pipeline")
 
 # a method body nested deeper than the interpreter's recursion limit
-DEEP_PARENS_SRC = ("class C { m(x) { return " + "(" * 400 + "x" + ")" * 400
+DEEP_PARENS_SRC = ("class C { m(x) { return " + "(" * 1000 + "x" + ")" * 1000
                    + "; } }")
 
 FAC_TYPED = """\

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jtxinfer import (ResourceLimit, Untypable, parse, run_source,
-                      signature_lines, unify)
+from jtxinfer import (JtxError, ResourceLimit, Untypable, parse,
+                      run_source, signature_lines, unify)
 from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
                                   class_view)
 from jtxinfer.constraints import (FreshNames, doteq, flatten,
@@ -21,9 +21,11 @@ from jtxinfer.unify import format_solution, transitive_closure
 
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
+PIPELINE = importlib.import_module("jtxinfer.pipeline")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus  # noqa: E402
+from conftest import ALL_GOLDEN_SRCS, PINNED_SRCS  # noqa: E402
 
 INT = ClassType("Integer")
 NUM = ClassType("Number")
@@ -200,7 +202,9 @@ def test_format_solution(table):
 
 def test_value_records_are_equal_and_hash_as_their_parts(table):
     """Constraints, method typings and solutions are values; a solution's
-    `fresh` takes no part, so the unifier keeps one of equal solutions."""
+    `fresh` takes no part, so the solution emitted at a leaf equals the one
+    its choice closes with.  Each emit adds one: no choice's search reaches
+    one solution twice (see below)."""
     pairs = [(lessdot(TPH("T"), INT), lessdot(TPH("T"), INT)),
              (doteq(TPH("T"), INT), doteq(TPH("T"), INT)),
              (MethodTyping(((TPH("A"), None),), (TPH("A"),), INT),
@@ -219,7 +223,33 @@ def test_value_records_are_equal_and_hash_as_their_parts(table):
     assert len(u.solutions) == 1
     u._emit()
     u._emit()
-    assert list(u.found) == [u.solutions[0]]
+    assert u.found == [u.solutions[0]] * 2
+
+
+def test_no_choice_reaches_one_solution_twice(monkeypatch):
+    """Over the goldens, `PINNED_SRCS` and the seed-1 programs of the two
+    workloads whose searches open frames, every solution `unify` returns
+    differs from the others of its choice, so `_Unifier._emit` keeps them
+    all without a dedup."""
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(unify(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(PIPELINE, "unify", spy)
+    for src in [*ALL_GOLDEN_SRCS.values(), *PINNED_SRCS.values(),
+                *(p.source for w in ("paper-units", "ambiguity")
+                  for p in corpus.workload(w, 1))]:
+        try:
+            run_source(src)
+        except JtxError:
+            pass
+    # choices with two or more solutions, where a dedup could drop one
+    assert sum(n > 1 for sols in returned
+               for n in Counter(s.choice for s in sols).values()) >= 10
+    for sols in returned:
+        assert len(set(sols)) == len(sols)
 
 def test_transitive_closure():
     rel = transitive_closure([("A", "B"), ("B", "C")])

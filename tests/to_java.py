@@ -72,7 +72,7 @@ def to_java(typed, package):
         if isinstance(s, S.LocalDecl):
             s.annotation = ty(s.annotation)
             if s.init is None:
-                s.init = S.Name(ident="null")
+                s.init = S.Name(S.Pos(), "null")
             expr(s.init)
         elif isinstance(s, S.Assign):
             expr(s.target)
