@@ -1,10 +1,9 @@
 """Tokenizer for `.jtx` compilation units.
 
-One regex match per token: each match skips the blanks before its token.
-A newline together with the blank lines and indentation after it is one
-match of its own, as are the blanks at the end of input, so lines are
-counted only there and in block comments.  The list ends with one `eof`
-token at the end of input.
+One regex match per token: each match skips the blanks and newlines
+before its token, and one more matches the end of input.  A token's line
+counts the newlines before it, each found with `str.find` once a token
+starts past it, so a newline costs no match of its own.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ def tokenize(source):
         elif kind == "comment":
             continue
         elif kind == "eof":
-            break
+            break  # after blanks at the end an empty `eof` can match again
         elif kind == "string":
             text = text[1:-1]
         else:
