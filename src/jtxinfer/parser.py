@@ -375,14 +375,14 @@ class _Parser:
         raise JtxSyntaxError(f"unexpected token {text!r}", pos.line, pos.col)
 
     def _lambda_ahead(self):
-        """At '(': scan to the matching ')' and test for '->'."""
-        depth, toks = 0, self.toks
-        for j in range(self.i, len(toks)):
+        """At '(': test for a ')' followed by '->' before any other '(',
+        since a lambda's parameter list holds no parentheses.  A token is
+        scanned at most once, from the nearest '(' before it."""
+        toks = self.toks
+        for j in range(self.i + 1, len(toks)):
             kind, text = toks[j][:2]
             if kind == "punct" and text in ("(", ")"):
-                depth += 1 if text == "(" else -1
-                if depth == 0:
-                    return toks[j + 1][:2] == ("punct", "->")
+                return text == ")" and toks[j + 1][:2] == ("punct", "->")
         return False
 
     def lambda_expr(self, pos):

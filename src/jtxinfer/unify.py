@@ -79,6 +79,38 @@ returns, which the pipeline's minimality would drop; and none draws a
 fresh name.  The search counts, per placeholder, the bound terms and the
 headed sides of parked constraints that mention it, so the test costs no
 scan of the store.
+
+A placeholder's *class bounds* may decide it before it is parked.  A
+class bound of `t` is a one-sided lessdot `t < C` or `C < t` with `C` a
+class type without arguments, so an atomic class (the table resolves no
+generic class without its arguments).  Each bound admits a set of heads
+for `t`: below `C`, the heads whose supertype chain reaches `C`, the
+`subtype_heads` that `_branches` offers plus the declared variables of
+other members below `C`, which a `doteq` might still bind `t` to; above
+`C`, the heads on its chain and `Object`, as `_supertypes` offers them.
+Every solution of the subtree binds `t`, at its branch point or by a
+`doteq`, and re-checks each bound against the term, so the term's head
+lies in every set.  When a new class bound of `t` comes to be parked,
+the sets of the class bounds already parked on `t` are intersected with
+its own: when none is left the step fails, counted as `pruned`; when one
+class `h` of the table is left, `h` is the only term `t` can take, so `t`
+is bound to it at once and the bound is not parked (`forced`); `C < t`
+with `t < C` parked is the case `h = C`.  Otherwise the bound is parked.
+So two or more class bounds parked on an unbound `t` always leave two or
+more heads, or one that is no class, and a copy of one of them changes
+nothing.  The rule draws no name.
+
+The rule runs only when no class of the table is generic.  Binding `t`
+early changes when the constraints it meets are taken: one that would
+have waited parked on `t` may instead park on another placeholder at
+once, so the branch points can come in another order, and a subtree can
+end before it would have drawn names.  Lessdot frames do not reset the
+names, so with a generic class a later alternative could draw other names
+than before, and the pipeline's minimality compares solutions by their
+names.  Without one, no alternative draws a name, and the search keeps
+its solutions, except that a placeholder bounded below by `h` rather
+than by `t` may become a sink earlier, which only drops solutions that
+one with its least type dominates.
 """
 
 from __future__ import annotations
@@ -195,6 +227,7 @@ class _Unifier:
         self.sinks = 0
         self.alternatives = 0
         self.pruned = 0
+        self.forced = 0
         self.sigma = _Sigma()
         self.work = []        # stack of (kind, lhs, rhs), next last
         # placeholder name -> {_Parked: None}, in parking order
@@ -208,6 +241,12 @@ class _Unifier:
         # (lower bound, member scope) -> (its alternatives above, whether
         # they and the bound are all atomic); see `_supertypes`
         self.sups = {}
+        # (upper, class bound, member scope) -> frozenset of heads; see
+        # `_bound_heads`
+        self.bound_heads = {}
+        # whether class bounds decide placeholders: no table class is
+        # generic, so the search draws no name
+        self.deciding = not any(e.arity for e in table.entries.values())
 
     def solve(self, cons):
         """Collect the solutions of `cons` plus one alternative of each
@@ -444,7 +483,16 @@ class _Unifier:
         if b is _OBJECT:
             return True
         if type(a) is TPH or type(b) is TPH:
-            # one-sided: a branch point, handled later
+            # one-sided: a branch point, handled later, unless the
+            # placeholder's class bounds decide it now
+            decided = None
+            if self.deciding:
+                if type(b) is ClassType and not b.args:
+                    decided = self._decide(a, b, True)
+                elif type(a) is ClassType and not a.args:
+                    decided = self._decide(b, a, False)
+            if decided is not None:
+                return decided
             self._park(_Parked(a, b))
             return True
         # both headed: adapt along the supertype chain, then decompose
@@ -461,6 +509,60 @@ class _Unifier:
                           ("lessdot", y, x) if v < 0 else ("lessdot", x, y)
                           for v, x, y in zip(variance, a.args, b.args)][::-1])
         return True
+
+    def _decide(self, t, bound, upper):
+        """Class bound `t < bound` (`upper`) or `bound < t` against those
+        parked on `t`: True when it binds `t` to the one class they
+        leave, False when they leave no head, None when it is to be
+        parked.  See the module docstring."""
+        others = []
+        again = False   # `bound` is parked on the same side already
+        for p in self.index.get(t.name, ()):
+            if p.parked:
+                up = p.lhs is t
+                other = p.rhs if up else p.lhs
+                if type(other) is ClassType and not other.args:
+                    if other is bound:
+                        if up is not upper:
+                            self.forced += 1
+                            return self._bind(t.name, bound)
+                        again = True
+                    others.append((up, other))
+                    if again and len(others) > 1:
+                        # two parked class bounds leave two or more heads
+                        return None
+        if not others:
+            return None
+        scope = self._scope(t)
+        heads = self._bound_heads(upper, bound, scope)
+        for up, other in others:
+            heads = heads & self._bound_heads(up, other, scope)
+        if not heads:
+            self.pruned += 1
+            return False
+        if len(heads) == 1:
+            (name,) = heads
+            if name in self.table.entries:
+                self.forced += 1
+                return self._bind(t.name, ClassType(name))
+        return None
+
+    def _bound_heads(self, upper, bound, scope):
+        """The heads a placeholder of member `scope` can take below class
+        bound `bound` (`upper`) or above it.  Cached for the search."""
+        key = (upper, bound, scope)
+        heads = self.bound_heads.get(key)
+        if heads is None:
+            table = self.table
+            if upper:
+                heads = frozenset(table.subtype_heads(bound.name, scope))
+                heads |= {v.name for v in table.typevars
+                          if bound in table.supertype_chain(v)}
+            else:
+                sups, _ = self._supertypes(bound, scope)
+                heads = frozenset(["Object", *(s.name for s in sups)])
+            self.bound_heads[key] = heads
+        return heads
 
     # -- branching --------------------------------------------------------
 
@@ -604,8 +706,9 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
     `steps`, `branch_points`, `frames` (the branch points with two or more
     alternatives, each of which opens a search frame), `sinks` (the branch
     points resolved without branching), `alternatives` (the or-group
-    alternatives tried) and `pruned` (the receiver alternatives skipped)
-    to it."""
+    alternatives tried), `pruned` (the receiver alternatives skipped and
+    the class bounds that leave a placeholder no head) and `forced` (the
+    placeholders bound by their class bounds) to it."""
     if fresh is None:
         fresh = FreshNames()
         for c in [*constraints, *(c for group in groups
@@ -620,7 +723,7 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
             stats.update({"steps": u.steps, "branch_points": u.branch_points,
                           "frames": u.frames, "sinks": u.sinks,
                           "alternatives": u.alternatives,
-                          "pruned": u.pruned})
+                          "pruned": u.pruned, "forced": u.forced})
     return u.solutions
 
 

@@ -38,7 +38,8 @@ CORPUS = GOLDEN / "corpus.json"
 CORPUS_REENTRY = GOLDEN / "corpus_reentry.json"
 UNIFY_COUNTS = GOLDEN / "unify_counts.json"
 # the counters of `unify(stats=...)` the search is pinned by
-COUNTERS = ("steps", "branch_points", "sinks", "alternatives", "pruned")
+COUNTERS = ("steps", "branch_points", "sinks", "alternatives", "pruned",
+            "forced")
 REENTRY = "reentry.sigs.txt"
 WORKLOADS = ("paper-units", "ambiguity", "long-methods")
 SEEDS = (1, 2, 3)
@@ -162,19 +163,25 @@ def test_search_frames(workload, frames):
 
 
 # A straight-line method of n statements costs the unifier steps linear in
-# n, with no clock to read: exact laws over n = 10, 20 and 40.  A `+ 1` or
-# `* 2` chain's locals are each a sink of their own, and the method's
-# return one more; the one local of `self` is one sink, its return another.
-@pytest.mark.parametrize("shape, steps, branch_points", [
-    ("add", lambda n: 4 * n - 1, lambda n: n + 1),
-    ("mul", lambda n: 4 * n - 1, lambda n: n + 1),
-    ("self", lambda n: 5 * n - 2, lambda n: 2)])
-def test_long_method_counts_are_linear(shape, steps, branch_points):
+# n, with no clock to read: exact laws over n = 10, 20 and 40.  In a `+ 1`
+# or `* 2` chain, `var v = prev + 1;` puts `Integer < v` and the next
+# statement `v < Integer`, which binds `v` to `Integer` at once (`forced`);
+# only the last local and the method's return are left, two sinks.  The
+# one local of `self` is bound by its first `x * 2`, and its return is the
+# one sink.
+@pytest.mark.parametrize("shape, steps, decided", [
+    ("add", lambda n: 4 * n - 1, lambda n: (2, n - 1)),
+    ("mul", lambda n: 4 * n - 1, lambda n: (2, n - 1)),
+    ("self", lambda n: 3 * n, lambda n: (1, 1))])
+def test_long_method_counts_are_linear(shape, steps, decided):
+    # `decided` gives the branch points, each a sink, and the `forced`
     for n in (10, 20, 40):
         unit = corpus.long_unit(n, shape, random.Random(n))
         (stats,) = class_stats(unit.source).values()
-        assert (stats["steps"], stats["branch_points"]) \
-            == (steps(n), branch_points(n)), n
+        branch_points, forced = decided(n)
+        assert [stats[k] for k in ("steps", "branch_points", "sinks",
+                                   "frames", "forced")] \
+            == [steps(n), branch_points, branch_points, 0, forced], n
 
 
 # The `depth` family, summed over its n classes.  `D_0` takes one step and

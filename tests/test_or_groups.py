@@ -290,3 +290,27 @@ def test_receiver_group_tries_the_classes_its_receiver_allows(
     gen, stats = _searched(TWO_FS + f"class C {{ {body} }}")[-1]
     assert (stats["alternatives"], stats["pruned"]) == (tried, pruned)
     assert _built(gen) == built
+
+
+# --- class bounds refute the alternatives a shared operand rules out --------
+
+def _shared_operands(n):
+    """n locals `var vi = a + b;` over the same two parameters, with the
+    Integer, Double and String `+` visible."""
+    body = " ".join(f"var v{i} = a + b;" for i in range(n))
+    return ("import java.lang.Integer;\nimport java.lang.Double;\n"
+            "import java.lang.String;\n"
+            f"class C {{ m(a, b) {{ {body} return a; }} }}")
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_shared_operands_try_linearly_many_alternatives(n):
+    # the first `+` tries its three alternatives; under each, every later
+    # `+` tries three, and the two whose class differs from the one `a`
+    # and `b` are already below fail on their class bounds at once: 9n - 6
+    # alternatives, no search frame, one typing per class
+    ((_, stats),) = _searched(_shared_operands(n))
+    assert (stats["alternatives"], stats["frames"]) == (9 * n - 6, 0)
+    assert P.signature_lines(P.run_source(_shared_operands(n))) == [
+        "C.m : (Integer, Integer) -> Integer & (Double, Double) -> Double"
+        " & (String, String) -> String"]

@@ -8,7 +8,7 @@ import pytest
 
 from jtxinfer import (JtxError, JtxSyntaxError, UnsupportedFeature, parse,
                       print_program, tokenize)
-from jtxinfer import syntax as S
+from jtxinfer import parser, syntax as S
 from jtxinfer.syntax import alpha_equivalent
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -152,6 +152,35 @@ def test_lambda_forms():
     assert [p.name for p in lam.params] == ["x"]
     lam2 = cls.fields[1].init
     assert [p.name for p in lam2.params] == ["x", "y"]
+
+
+def test_parenthesized_lambdas_and_groupings():
+    prog = parse("class A { f = ((x) -> x); g = ((x)); h = (((x, y) -> y)); }")
+    inits = [f.init for f in prog.classes[0].fields]
+    assert [type(e).__name__ for e in inits] == ["Lambda", "Name", "Lambda"]
+
+
+def test_lambda_lookahead_reads_tokens_linearly():
+    # at each '(' that starts an expression the parser looks for ')' and
+    # '->' before the next '(', so `((...(x)...))` of depth n costs reads
+    # linear in n, not a scan to each matching ')'
+    class Counted(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counted.reads += 1
+            return super().__getitem__(i)
+
+    def reads(depth):
+        p = parser._Parser(tokenize(
+            f"class A {{ m(x) {{ return {'(' * depth}x{')' * depth}; }} }}"))
+        p.toks = Counted(p.toks)
+        Counted.reads = 0
+        p.program()
+        return Counted.reads
+
+    r10, r20, r40 = map(reads, (10, 20, 40))
+    assert r40 - r20 == 2 * (r20 - r10)
 
 
 def test_new_with_diamond_and_explicit_args():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jtxinfer import parse
 from jtxinfer.classtable import build_class_table
-from jtxinfer.constraints import FreshNames, doteq, lessdot
+from jtxinfer.constraints import Alternative, FreshNames, doteq, lessdot
 from jtxinfer.generics import enforce_java_conformance
 from jtxinfer.typeterms import ClassType, TPH
 from jtxinfer.unify import transitive_closure, unify
@@ -80,13 +80,19 @@ def _admitted(solutions, names):
                    for sol in solutions)}
 
 
-def _check_against_oracle(cons, names=TPHS):
+def _check_against_oracle(cons, names=TPHS, groups=()):
     """Sound, complete up to dominance, and exact when no sink was given
     its least type: a pruned choice lies above a kept one.  `names` are
-    the placeholders `cons` may mention."""
+    the placeholders `cons` may mention.  With or-`groups` (lists of
+    alternatives, each a constraint list) the oracle is the union over
+    their choices."""
     stats = Counter()
-    admitted = _admitted(unify(list(cons), _TABLE, stats=stats), names)
-    oracle = _oracle(cons, names)
+    admitted = _admitted(unify(list(cons), _TABLE, stats=stats, groups=[
+        [Alternative(constraints=alt) for alt in group]
+        for group in groups]), names)
+    oracle = set().union(*(
+        _oracle([*cons, *(c for alt in choice for c in alt)], names)
+        for choice in itertools.product(*groups)))
     assert admitted <= oracle
     for values in oracle - admitted:
         assert any(all(_SUBTYPE[(a, v)] for a, v in zip(low, values))
@@ -117,7 +123,11 @@ def test_branching_search_vs_brute_force(branch_points, others, rnd):
     cons = branch_points + others
     rnd.shuffle(cons)
     stats = _check_against_oracle(cons)
-    assume(stats["branch_points"] > 1)
+    # class bounds on two or more placeholders, and the search decided one
+    # by a branch point or bound it as its bounds leave one class
+    assume(len({c.lhs if isinstance(c.lhs, TPH) else c.rhs
+                for c in branch_points}) > 1
+           and stats["branch_points"] + stats["forced"] > 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,6 +141,25 @@ def test_placeholder_chains_vs_brute_force(ground, others, rnd):
     cons = chain + others
     rnd.shuffle(cons)
     _check_against_oracle(cons, TPHS4)
+
+
+alternative_st = st.lists(constraint_st, min_size=1, max_size=2)
+group_st = st.lists(alternative_st, min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(constraint_st, max_size=3), group_st, group_st,
+       st.lists(group_st, max_size=1), st.sampled_from(TPHS),
+       st.lists(st.sampled_from(GROUND[:-1]), min_size=2, max_size=2,
+                unique=True))
+def test_or_groups_vs_brute_force(base, first, second, rest, shared,
+                                  uppers):
+    # two groups each put a distinct class above one placeholder in their
+    # first alternative, so the class bounds of the choices can refute or
+    # decide it
+    bounded = [[[lessdot(TPH(shared), ClassType(upper)), *group[0]],
+                *group[1:]] for group, upper in zip((first, second), uppers)]
+    _check_against_oracle(base, groups=[*bounded, *rest])
 
 
 # --- conformance repair map -------------------------------------------------

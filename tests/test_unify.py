@@ -389,11 +389,56 @@ def test_surviving_family_solutions_are_all_kept(n, kept):
 
 @pytest.mark.parametrize("n", (1, 40, 400))
 def test_long_method_opens_no_search_frame(n):
-    # every local and the return is a sink: n + 1 branch points, each with
-    # one alternative, taken as a step
+    # `v(i-1) * 2` puts `v(i-1) < Integer` on a local below `Integer`, which
+    # binds it to `Integer` without a branch point; the last local and the
+    # return are two sinks, each with one alternative, taken as a step
     _, stats = class_search(long_method(n))
-    assert stats["branch_points"] == stats["sinks"] == n + 1
-    assert stats["frames"] == 0
+    assert [stats[k] for k in ("steps", "branch_points", "sinks", "frames",
+                               "forced")] == [4 * n - 1, 2, 2, 0, n - 1]
+
+
+# Class bounds bind `v0` to Integer only when no class of the table is
+# generic; here `Fun1$$` is one.  Binding `v0` early would take
+# `Integer < R` (R the lambda's result) before the branch point of `v2`,
+# so each alternative of R would draw other names for the arguments of
+# `v2`'s function type, and the pipeline's minimality, which compares
+# solutions by their names, would keep two more typings.
+LAMBDA_AFTER_BOUNDS = ("class C { m() { var v0 = 1; v0 = v0 * 2; "
+                       "var v2 = (p -> v0); return v2; } }")
+
+
+def _outputs(src):
+    try:
+        r = run_source(src, dump_stages=("solutions", "generics"))
+    except JtxError as exc:
+        return f"{type(exc).__name__} {exc}"
+    return (PIPELINE.typed_source(r), signature_lines(r),
+            PIPELINE.descriptor_lines(r), PIPELINE.funiface_manifest(r),
+            r.dumps)
+
+
+@pytest.mark.parametrize("src", [*ALL_GOLDEN_SRCS.values(),
+                                 *PINNED_SRCS.values(), LAMBDA_AFTER_BOUNDS])
+def test_class_bounds_change_no_output(src, monkeypatch):
+    # the outputs and dumps are those of parking every class bound
+    with_rule = _outputs(src)
+    monkeypatch.setattr(UNIFY._Unifier, "_decide",
+                        lambda self, t, bound, upper: None)
+    assert with_rule == _outputs(src)
+
+
+def test_class_bounds_leave_room_for_another_members_variable():
+    # Integer is the one class below Integer and Number, but a `doteq` may
+    # still bind the class-scoped P to `m`'s variable T, which is below both
+    program = parse("import java.lang.Integer;\n"
+                    "class A { <T extends Integer> m(T x) { return x; } }")
+    view = class_view(program.classes[0], build_class_table(program))
+    (var,) = view.typevars
+    stats = Counter()
+    (sol,) = unify([lessdot(TPH("P"), INT), lessdot(TPH("P"), NUM),
+                    doteq(TPH("P"), var)], view, stats=stats)
+    assert sigma_of(sol) == {"P": var}
+    assert stats["forced"] == 0
 
 
 def test_only_a_branch_point_with_alternatives_to_try_opens_a_frame(table):
