@@ -347,10 +347,20 @@ class ClassTable:
         if not index:
             return
         new = self._entry_members(name)
+        order, rank = self.order, self.order[name]
         for key in old.keys() | new.keys():
-            pairs = [p for p in index.get(key, ()) if p[0] != name]
-            pairs += [(name, sig) for sig in new.get(key, ())]
-            index[key] = sorted(pairs, key=lambda p: self.order[p[0]])
+            # a key's pairs are in table order, so the entry's part is one
+            # run; classes register in order, so it is found from the end
+            pairs = index.get(key, [])
+            end = len(pairs)
+            while end and order[pairs[end - 1][0]] > rank:
+                end -= 1
+            start = end
+            while start and pairs[start - 1][0] == name:
+                start -= 1
+            index[key] = [*pairs[:start], *((name, sig) for sig
+                                            in new.get(key, ())),
+                          *pairs[end:]]
 
     def instantiate_method(self, sig, term, names):
         """Signature template `sig` of `term`'s entry with, in one mapping,

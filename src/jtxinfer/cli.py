@@ -50,6 +50,24 @@ def _print_utf8(text):
         out.write(text.encode("utf-8"))
 
 
+def output_texts(result, emits=EMIT_TARGETS):
+    """Output file suffix -> text, for each target of `emits` of pipeline
+    `result`.  `.sigs.txt` and `.desc.txt` hold one line per method
+    declaration or typing, so a unit without methods writes them empty."""
+    texts = {}
+    if "typed" in emits:
+        texts["typed.jtx"] = typed_source(result)
+    if "sigs" in emits:
+        texts["sigs.txt"] = "".join(f"{line}\n"
+                                    for line in signature_lines(result))
+    if "desc" in emits:
+        texts["desc.txt"] = "".join(f"{line}\n"
+                                    for line in descriptor_lines(result))
+    if "funifaces" in emits:
+        texts["funifaces.txt"] = funiface_manifest(result)
+    return texts
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     emits = [e.strip() for e in args.emit.split(",") if e.strip()]
@@ -73,18 +91,10 @@ def main(argv=None):
             continue
         # every text is built before any is written: a diagnostic leaves
         # no partial set of outputs
-        texts = {}
         try:
             result = run_source(src, table_path=table,
                                 dump_stages=tuple(args.dump_stages))
-            if "typed" in emits:
-                texts["typed.jtx"] = typed_source(result)
-            if "sigs" in emits:
-                texts["sigs.txt"] = "\n".join(signature_lines(result)) + "\n"
-            if "desc" in emits:
-                texts["desc.txt"] = "\n".join(descriptor_lines(result)) + "\n"
-            if "funifaces" in emits:
-                texts["funifaces.txt"] = funiface_manifest(result)
+            texts = output_texts(result, emits)
         except Untypable as exc:
             print(f"tx-infer: {path.name}: untypable: {exc}",
                   file=sys.stderr)

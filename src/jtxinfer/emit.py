@@ -15,7 +15,7 @@ from .classtable import CLASS
 from .errors import DescriptorCollision, Untypable
 from .funtypes import descriptor_term
 from .typeterms import (VOID, ClassType, TPH, TypeVar, instantiate,
-                        substitute, tph_name, tphs_of)
+                        substitute, tph_name)
 
 _BUILTIN_ORDER = ["Integer", "Double", "String", "Boolean"]
 
@@ -26,10 +26,11 @@ class MethodTyping:
     TypeTerm per parameter and `ret` a TypeTerm.  A value, equal to and
     hashed as its three parts."""
 
-    __slots__ = ("generics", "params", "ret")
+    __slots__ = ("generics", "params", "ret", "_names")
 
     def __init__(self, generics, params, ret):
         self.generics, self.params, self.ret = generics, params, ret
+        self._names = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -41,10 +42,14 @@ class MethodTyping:
         return hash((self.generics, self.params, self.ret))
 
     def names(self):
-        """Placeholder names by first use: parameters, return, clause."""
-        return list(dict.fromkeys(
-            n for x in (*self.params, self.ret, *clause_terms(self.generics))
-            for n in tphs_of(x)))
+        """Placeholder names by first use: parameters, return, clause;
+        made once, as naming and registration both read them."""
+        if self._names is None:
+            self._names = tuple(dict.fromkeys(
+                n for x in (*self.params, self.ret,
+                            *clause_terms(self.generics))
+                for n in x.tphs))
+        return self._names
 
 
 def _map_typing(t, f):
@@ -163,11 +168,13 @@ def term_to_srctype(term):
     return S.SrcType(term.name, [term_to_srctype(a) for a in term.args])
 
 
-def canonical_renaming(names_in_order, reserved=()):
+def canonical_renaming(names_in_order, reserved=(), classes=()):
     """First-use order renaming onto the alphabetic sequence A, B, …
-    skipping any name in `reserved` (declared type variables, classes)."""
+    skipping any name in `reserved` (declared type variables) or in
+    `classes` (class names, such as a class table's entries, which are
+    only asked whether they hold a name)."""
     free = (name for name in map(tph_name, itertools.count())
-            if name not in reserved)
+            if name not in reserved and name not in classes)
     ren = {}
     for n in names_in_order:
         if n not in ren:
@@ -175,16 +182,17 @@ def canonical_renaming(names_in_order, reserved=()):
     return ren
 
 
-def rename_apart(t, sigma, taken):
+def rename_apart(t, sigma, taken, classes):
     """Typing `t` renamed by `sigma` (name -> TPH) without capture.  A
     placeholder outside `sigma`'s domain keeps its name unless that name
-    is `taken` (one `sigma` maps onto, a declared variable's or a class's);
-    then it takes the first name of the sequence A, B, … that is neither
-    taken nor in `t`."""
+    is `taken` (one `sigma` maps onto or a declared variable's) or a class
+    of `classes`; then it takes the first name of the sequence A, B, …
+    that is none of these and not in `t`."""
     names = t.names()
-    clash = [n for n in names if n not in sigma and n in taken]
+    clash = [n for n in names
+             if n not in sigma and (n in taken or n in classes)]
     if clash:
-        more = canonical_renaming(clash, taken.union(names))
+        more = canonical_renaming(clash, taken.union(names), classes)
         sigma = {**sigma, **{n: TPH(m) for n, m in more.items()}}
     return _map_typing(t, lambda x: substitute(x, sigma))
 
@@ -194,7 +202,9 @@ def name_solutions(cls, solved, classes):
     `pipeline.SolvedClass`, in output order): the representative
     `solved[0]` named, per method the named typings of every solution, and
     `cls` with its declared variables' written names inside expressions
-    renamed to match.  `classes` holds the table's class names.  In order:
+    renamed to match.  `classes` holds the table's class names; it is only
+    asked whether it holds a name, so naming costs nothing per class of
+    the table.  In order:
 
     (a) a declared variable whose member mentions, in some solution,
         another class or a class variable printing under its name takes
@@ -207,31 +217,37 @@ def name_solutions(cls, solved, classes):
     declared = [v for clause in (rep.class_generics,
                                  *(t.generics for t in rep.methods))
                 for v, _ in clause if isinstance(v, TypeVar)]
-    used = {*map(str, declared), *classes}
-    free = (n for n in map(tph_name, itertools.count()) if n not in used)
-    mapping = {v.name: TypeVar(next(free), v.owner)
-               for v in _hiders(cls, solved, declared)}
+    mapping = {}
+    if declared:
+        used = set(map(str, declared))
+        free = (n for n in map(tph_name, itertools.count())
+                if n not in used and n not in classes)
+        mapping = {v.name: TypeVar(next(free), v.owner)
+                   for v in _hiders(cls, solved, declared)}
     if mapping:
         solved = [_map_solution(s, lambda x: instantiate(x, mapping))
                   for s in solved]
         cls = _rename_written(cls, {(v.source, v.owner): mapping[v.name].source
                                     for v in declared if v.name in mapping})
-    reserved = {*(str(mapping.get(v.name, v)) for v in declared), *classes}
+    reserved = {str(mapping.get(v.name, v)) for v in declared}
 
     rep = solved[0]
     order = [n for t in (*rep.field_terms.values(),
                          *clause_terms(rep.class_generics))
-             for n in tphs_of(t)]
+             for n in t.tphs]
     order += [n for t in rep.methods for n in t.names()]
-    order += [n for t in rep.local_terms.values() for n in tphs_of(t)]
-    ren = canonical_renaming(order, reserved)
+    order += [n for t in rep.local_terms.values() for n in t.tphs]
+    ren = canonical_renaming(order, reserved, classes)
     sigma = {old: TPH(new) for old, new in ren.items()}
-    named = _map_solution(rep, lambda x: substitute(x, sigma))
+    # fresh names are drawn in order of first use, so the renaming usually
+    # keeps every name, and then the representative is named already
+    if any(old != new for old, new in ren.items()):
+        rep = _map_solution(rep, lambda x: substitute(x, sigma))
     taken = {*ren.values(), *reserved}
-    typings = [[t, *(rename_apart(s.methods[i], sigma, taken)
+    typings = [[t, *(rename_apart(s.methods[i], sigma, taken, classes)
                      for s in solved[1:])]
-               for i, t in enumerate(named.methods)]
-    return cls, named, typings
+               for i, t in enumerate(rep.methods)]
+    return cls, rep, typings
 
 
 def _map_solution(s, f):
@@ -334,18 +350,21 @@ def method_descriptor(typing, table=None):
 
 
 def emit_descriptors(class_name, method_signatures, table=None):
-    """`Class.method : (Largs;)Lret;` lines; the typings of one declaration,
-    deduplicated, must map to pairwise distinct descriptors.  `table` gives
-    qualified names; declared variables erase like placeholders."""
+    """`Class.method : (Largs;)Lret;` lines; the typings of one method name,
+    deduplicated within each declaration, must map to pairwise distinct
+    descriptors across the class's declarations of that name, as a JVM
+    class cannot hold one method twice.  `table` gives qualified names;
+    declared variables erase like placeholders."""
     lines = []
+    seen = {}   # method name -> the descriptors of its typings so far
     for mname, typings in method_signatures:
-        seen = set()
+        taken = seen.setdefault(mname, set())
         for t in typings:
             d = method_descriptor(t, table)
-            if d in seen:
+            if d in taken:
                 raise DescriptorCollision(
                     f"{class_name}.{mname}: descriptor {d} is shared by "
                     f"distinct typings")
-            seen.add(d)
+            taken.add(d)
             lines.append(f"{class_name}.{mname} : {d}")
     return lines

@@ -31,7 +31,7 @@ def compute_owners(slot_groups):
     owners = {}
     for owner, terms in slot_groups:
         for term in terms:
-            for name in tphs_of(term):
+            for name in term.tphs:
                 owners.setdefault(name, owner)
     return owners
 
@@ -60,32 +60,39 @@ def complete_fgg(pairs, remaining, owners, call_sites):
     an argument placeholder below a callee parameter whose bound chain
     reaches the callee return, which flows back into a caller placeholder.
     The chain is read within the callee's own stated pairs.  Iterated to a
-    fixpoint since conditions reference callee results."""
+    fixpoint since conditions reference callee results.  The closures
+    are taken only when some argument placeholder is left to bound."""
     out = set(pairs)
     sites = [site for site in call_sites if site.caller is not None]
     if not sites:
         return out
-    cs_closure = transitive_closure(remaining)
+    cs_closure = None
     changed = True
     while changed:
         changed = False
         family = {}
         for l, r in stated(out, owners):
             family.setdefault(owners[l], set()).add((l, r))
-        closures = {o: transitive_closure(ps) for o, ps in family.items()}
         bounded = {l for ps in family.values() for l, _ in ps}
-        for site in sites:
-            owner = ("method", site.caller)
-            for arg, param in zip(site.arg_terms, site.param_terms):
-                for t in tphs_of(arg):
-                    if owners.get(t) != owner or t in bounded:
-                        continue
-                    rs = _qualifying_bounds(t, param, site.ret_term, owners,
-                                            cs_closure, closures)
-                    if rs:
-                        out |= {(t, r) for r in rs}
-                        bounded.add(t)
-                        changed = True
+        todo = [(t, param, site.ret_term) for site in sites
+                for arg, param in zip(site.arg_terms, site.param_terms)
+                for t in tphs_of(arg)
+                if owners.get(t) == ("method", site.caller)
+                and t not in bounded]
+        if not todo:
+            break
+        if cs_closure is None:
+            cs_closure = transitive_closure(remaining)
+        closures = {o: transitive_closure(ps) for o, ps in family.items()}
+        for t, param, ret in todo:
+            if t in bounded:   # at an earlier site of this pass
+                continue
+            rs = _qualifying_bounds(t, param, ret, owners, cs_closure,
+                                    closures)
+            if rs:
+                out |= {(t, r) for r in rs}
+                bounded.add(t)
+                changed = True
     return out
 
 

@@ -19,7 +19,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
 from .syntax import Program, print_program
-from .typeterms import VOID, ClassType, TPH, TypeVar, substitute, tphs_of
+from .typeterms import VOID, ClassType, TPH, TypeVar, substitute
 from .unify import format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
@@ -151,12 +151,23 @@ class _Solved:
         self.sites = sites
         self.fresh = fresh
         self.gen = gen
+        self._slot_terms = None
 
     def term(self, t):
         return substitute(t, self.sigma)
 
+    def slot_terms(self):
+        """Each slot term -> its term under the substitution, made once:
+        the terms are interned, so the map serves every slot of a term."""
+        if self._slot_terms is None:
+            sigma = self.sigma
+            self._slot_terms = {t: substitute(t, sigma)
+                                for ts in self.gen.slots.values() for t in ts}
+        return self._slot_terms
+
     def slot_groups(self):
-        return [(owner, [self.term(t) for t in terms])
+        done = self.slot_terms()
+        return [(owner, [done[t] for t in terms])
                 for owner, terms in self.gen.slots.items()]
 
     def key(self):
@@ -177,25 +188,27 @@ class _Solved:
                              sites)
         bounds, h, owners = enforce_java_conformance(pairs, self.fresh,
                                                      owners)
-        hmap = {old: TPH(new) for old, new in h.items()}
+        final = self.slot_terms()
+        if h:
+            hmap = {old: TPH(new) for old, new in h.items()}
+            final = {t: substitute(x, hmap) for t, x in final.items()}
 
-        def final(t):
-            return substitute(self.term(t), hmap)
-
+        # each member's declared (variable, bound) pairs, then its inferred
         bound = dict(bounds)
-        inferred = {owner: [] for owner in gen.slots}
+        clauses = {owner: [] for owner in gen.slots}
+        for v, b in view.typevars.items():
+            clauses[v.owner].append((v, b))
         for n, owner in sorted(owners.items()):
-            inferred[owner].append((TPH(n), bound.get(n) and TPH(bound[n])))
+            clauses[owner].append((TPH(n), bound.get(n) and TPH(bound[n])))
 
         def clause(scope, terms):
-            return _generics_clause([*view.clause(scope), *inferred[scope]],
-                                    terms)
+            return _generics_clause(clauses[scope], terms)
 
-        field_terms = {n: final(t) for n, t in gen.field_terms.items()}
+        field_terms = {n: final[t] for n, t in gen.field_terms.items()}
         methods = []
         for i, m in enumerate(gen.methods):
-            params = tuple(final(t) for t in m.params)
-            ret = final(m.ret)
+            params = tuple(final[t] for t in m.params)
+            ret = final[m.ret]
             methods.append(E.MethodTyping(
                 clause(("method", i), [*params, ret]), params, ret))
         return SolvedClass(
@@ -203,7 +216,7 @@ class _Solved:
             class_generics=clause(CLASS, field_terms.values()),
             field_terms=field_terms,
             methods=methods,
-            local_terms={uid: final(t)
+            local_terms={uid: final[t]
                          for uid, t in gen.local_terms.items()},
         )
 
@@ -254,15 +267,18 @@ def _generics_clause(pairs, terms):
     """A member's generics clause: its (variable, bound) pairs in order of
     the placeholders' first use in the signature `terms`; declared and
     unused variables last, as given."""
-    rank = {TPH(n): i for i, n in enumerate(
-        dict.fromkeys(n for t in terms for n in tphs_of(t)))}
-    return tuple(sorted(dict(pairs).items(),
-                        key=lambda pair: rank.get(pair[0], len(rank))))
+    if len(pairs) < 2:
+        return tuple(pairs)
+    # a declared variable's name holds an `@`, which no placeholder's does
+    rest = {v.name: (v, b) for v, b in pairs}
+    used = [rest.pop(n) for t in terms for n in t.tphs if n in rest]
+    return (*used, *rest.values())
 
 
 def _assemble(cls, finished, table, stats):
-    finished = sorted(finished, key=lambda s: [
-        E.typing_sort_key(t) for t in s.methods])
+    if len(finished) > 1:
+        # the solutions' output order; a lone solution needs none
+        finished.sort(key=lambda s: [E.typing_sort_key(t) for t in s.methods])
     written, rep, typings = E.name_solutions(cls, finished, table.entries)
     typed_cls = E.build_typed_class(written, rep)
     signatures = [(m.name, E.assemble_intersection_types(ts))
@@ -282,22 +298,26 @@ def _register(cls, table, signatures, rep):
     clause among its type parameters, as an annotated method has it; its
     field types fill the entry's fields, and `rep`'s class clause is the
     entry's `generics`, which another class's field read instantiates.  A
-    placeholder becomes a template variable of its name; `rep` is named as
-    `signatures` are."""
+    placeholder becomes a template variable of its name, by one map for
+    the class; `rep` is named as `signatures` are."""
+    typings = [(mname, t, t.names()) for mname, ts in signatures for t in ts]
+    tvars = {n: ClassType(n) for x in (*rep.field_terms.values(),
+                                       *E.clause_terms(rep.class_generics))
+             for n in x.tphs}
+    tvars.update((n, ClassType(n)) for *_, names in typings for n in names)
 
     def template(term):
-        return term and substitute(term, {n: ClassType(n) for n in term.tphs})
+        return term and substitute(term, tvars)
 
     declared = [(v.name, b) for v, b in rep.class_generics
                 if isinstance(v, TypeVar)]
     methods = []
-    for (mname, typings) in signatures:
-        for t in typings:
-            bound_by = {v.name: b for v, b in t.generics}
-            methods.append(MethodSig(
-                mname, declared + [(n, template(bound_by.get(n))) for n
-                                   in dict.fromkeys([*t.names(), *bound_by])],
-                [template(p) for p in t.params], template(t.ret)))
+    for mname, t, names in typings:
+        bound_by = {v.name: b for v, b in t.generics}
+        methods.append(MethodSig(
+            mname, declared + [(n, template(bound_by.get(n))) for n
+                               in dict.fromkeys([*names, *bound_by])],
+            [template(p) for p in t.params], template(t.ret)))
     table.register(cls.name, methods,
                    {f.name: template(rep.field_terms[f.name])
                     for f in cls.fields},

@@ -124,6 +124,40 @@ def test_error_while_emitting_exits_2_and_writes_nothing(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["Coll.jtx"]
 
 
+@pytest.mark.parametrize("src, erased", [
+    ("import java.lang.Integer; class C { m(x) { return x + 1; } "
+     "m(y) { return y + 2; } }", "Ljava$lang$Integer;"),
+    ("class C { m(x) { return x; } m(x) { return x; } }",
+     "Ljava$lang$Object;")])
+def test_two_declarations_with_one_descriptor_collide(tmp_path, src, erased):
+    """A JVM class holds no method twice, so two declarations whose
+    typings share a descriptor are an error, not two equal lines."""
+    p = write(tmp_path, "Twice.jtx", src)
+    proc = tx_infer([str(p)])
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line == (f"tx-infer: Twice.jtx: error: C.m: descriptor "
+                    f"({erased}){erased} is shared by distinct typings")
+    assert [f.name for f in tmp_path.iterdir()] == ["Twice.jtx"]
+
+
+def test_overloads_of_one_name_with_distinct_descriptors_type(tmp_path):
+    p = write(tmp_path, "OL.jtx", ALL_GOLDEN_SRCS["OL"])
+    assert main([str(p)]) == 0
+    lines = (tmp_path / "OL.desc.txt").read_text().splitlines()
+    assert len(lines) == len(set(lines)) > 1
+
+
+@pytest.mark.parametrize("src", ["", "class C { }", "class C { f; }"])
+def test_a_unit_without_methods_writes_empty_line_outputs(tmp_path, src):
+    p = write(tmp_path, "Empty.jtx", src)
+    proc = tx_infer([str(p)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "Empty.sigs.txt").read_bytes() == b""
+    assert (tmp_path / "Empty.desc.txt").read_bytes() == b""
+    assert (tmp_path / "Empty.funifaces.txt").read_bytes() == b""
+
+
 def test_outputs_are_utf8_whatever_the_locale(tmp_path):
     p = write(tmp_path, "W.jtx", "class Café { m(x) { return x; } }")
     # an ASCII locale, neither coerced nor overridden by UTF-8 mode

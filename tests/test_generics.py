@@ -210,11 +210,11 @@ def test_classes_without_calls_take_no_closure(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", corpus.DEPTH_SIZES)
-def test_depth_takes_two_closures_per_calling_class(n, monkeypatch):
-    """Each class but the first calls its predecessor's `f` once:
-    completion closes the remaining pairs, then `f`'s stated pairs, its
-    one bound; the callee, another class's, has its chain read in the
-    first closure.  No name is both below and above another, so there is
-    no cycle to look for."""
+def test_depth_takes_no_closure(n, monkeypatch):
+    """Each class but the first calls its predecessor's `f` once, with
+    `f`'s parameter as the argument; that parameter is bounded by `f`'s
+    return in its own member's stated pairs already, so completion has no
+    placeholder to bound and closes no relation.  No name is both below
+    and above another, so there is no cycle to look for."""
     unit = corpus.depth_unit(n, random.Random(n))
-    assert _closures(unit.source, monkeypatch) == 2 * (n - 1)
+    assert _closures(unit.source, monkeypatch) == 0

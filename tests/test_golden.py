@@ -26,10 +26,10 @@ from pathlib import Path
 
 import pytest
 
+from jtxinfer import emit, pipeline
+from jtxinfer.cli import output_texts
 from jtxinfer.errors import JtxError
-from jtxinfer.pipeline import (DUMP_STAGES, descriptor_lines,
-                               funiface_manifest, run_source,
-                               signature_lines, typed_source)
+from jtxinfer.pipeline import DUMP_STAGES, run_source
 
 from conftest import ALL_GOLDEN_SRCS
 
@@ -51,15 +51,12 @@ import corpus  # noqa: E402
 def render(src):
     """Suffix -> text of every snapshot file of one program."""
     r = run_source(src, dump_stages=DUMP_STAGES)
-    typed = typed_source(r)
+    texts = output_texts(r)
     return {
-        "typed.jtx": typed,
-        "sigs.txt": "\n".join(signature_lines(r)) + "\n",
-        "desc.txt": "\n".join(descriptor_lines(r)) + "\n",
-        "funifaces.txt": funiface_manifest(r),
+        **texts,
         "dumps.txt": "".join(f"== {s} ==\n{r.dumps[s]}\n"
                              for s in DUMP_STAGES),
-        REENTRY: reentered(typed),
+        REENTRY: reentered(texts["typed.jtx"]),
     }
 
 
@@ -67,7 +64,7 @@ def reentered(typed):
     """The `.sigs.txt` of typed output `typed` run again, or the diagnostic
     that run raises."""
     try:
-        return "\n".join(signature_lines(run_source(typed))) + "\n"
+        return output_texts(run_source(typed), ("sigs",))["sigs.txt"]
     except JtxError as exc:
         return f"{type(exc).__name__} {exc}\n"
 
@@ -198,6 +195,30 @@ def test_depth_counts_are_linear_and_pruned_quadratic():
         assert [total[k] for k in ("steps", "alternatives", "pruned",
                                    "branch_points")] \
             == [8 * n - 7, n - 1, n * (n - 1) // 2, 0], n
+
+
+# After unification each term of a class solution is substituted once and
+# turned into a table template once, so `pipeline` and `emit` call
+# `substitute` a fixed number of times per class, with no clock to read.
+# A `classes` class has 8 slot terms (5 parameters, 3 returns), each
+# substituted by the solution and then templated, and 3 inferred bounds,
+# templated: 19.  `D_0` of `depth` has 2 slot terms and 3 templates; each
+# later `D_i` 3 slot terms (its local too), the 3 terms of the call site of
+# `.f` and 3 templates: 9n - 4 in all.
+@pytest.mark.parametrize("family, law", [
+    (corpus.classes_unit, lambda n: 19 * n),
+    (corpus.depth_unit, lambda n: 9 * n - 4)])
+def test_substitutions_per_class_are_constant(family, law, monkeypatch):
+    calls = Counter()
+    for module in (pipeline, emit):
+        def counted(term, sigma, substitute=module.substitute):
+            calls["substitute"] += 1
+            return substitute(term, sigma)
+        monkeypatch.setattr(module, "substitute", counted)
+    for n in (10, 20, 40):
+        calls.clear()
+        run_source(family(n, random.Random(n)).source)
+        assert calls["substitute"] == law(n), n
 
 
 if __name__ == "__main__":
