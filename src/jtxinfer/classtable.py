@@ -176,11 +176,16 @@ class ClassTable:
     built-in entries are shared by every table of the process and never
     written.  The member index of `members` reads exactly what `register`
     writes, so a table and its views share one, and `register` renews it.
+    `generic` tells whether some entry takes type arguments; only
+    built-in and function-type entries do, and those are in place when
+    `build_class_table` makes the table, so its views take its flag.
     """
 
-    def __init__(self, entries, typevars=None, members=None):
+    def __init__(self, entries, typevars=None, members=None, generic=None):
         self.entries = entries
         self.typevars = typevars or {}
+        self.generic = (any(e.arity for e in entries.values())
+                        if generic is None else generic)
         self._chains = {}     # term -> tuple, see `supertype_chain`
         self._heads = {}      # (name, scope) -> tuple, see `subtype_heads`
         # (member name, arity) -> [(entry name, template)], see `members`;
@@ -509,7 +514,7 @@ def class_view(cls, table):
         return table
     view = ClassTable(table.entries, {TypeVar(g.name, scope): None
                                       for scope, gs in members for g in gs},
-                      table._members)
+                      table._members, table.generic)
     for scope, gs in members:
         for g in gs:
             b = g.bound and resolve_src_type(g.bound, view, scope)

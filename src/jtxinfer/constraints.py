@@ -144,18 +144,33 @@ class ReceiverGroup:
     """The or-group of a member access on a receiver `recv` whose head is
     not yet known, a sequence of alternatives: one per (class name,
     signature template) in `candidates`, in table order, each binding
-    `recv` to its class.  A choice takes one alternative, so all of them
-    draw on one block of names, reserved at generation and sized by the
-    largest candidate.  `build(cname, sig)` makes a candidate's
-    alternative the first time it is read and `built` keeps it, by
-    index, so an alternative the unifier never tries is never built, and
-    the names are the same either way."""
+    `recv` to its class; the candidates span two or more classes.  A
+    choice takes one alternative, so all of them draw on one block of
+    names, reserved at generation and sized by the largest candidate.
+    `build(cname, sig)` makes a candidate's alternative the first time it
+    is read and `built` keeps it, by index, so an alternative the unifier
+    never tries is never built, and the names are the same either way.
+    Besides the receiver and the block, an alternative can mention the
+    access's argument terms and result, `terms`, and the slot terms in the
+    templates of the class being inferred, `owned`; no other class's
+    templates hold a placeholder."""
 
-    def __init__(self, recv, candidates, build):
+    def __init__(self, recv, candidates, build, terms=(), owned=()):
         self.recv = recv
         self.candidates = candidates
         self.build = build
         self.built = {}
+        self.terms = terms
+        self.owned = owned
+
+    def tphs(self):
+        """The placeholders its alternatives can share with the class's
+        other constraints, found without building one: those of the
+        receiver, `terms` and `owned`.  The block's names are the group's
+        own."""
+        terms = [*self.terms, *(t for sig in self.owned
+                                for t in (*sig.params, sig.ret))]
+        return {*self.recv.tphs, *(n for t in terms for n in t.tphs)}
 
     def __len__(self):
         return len(self.candidates)
@@ -405,7 +420,7 @@ class _Generator:
             return Alternative([*(lessdot(*b) for b in bounds),
                                 doteq(result, ret)])
 
-        if not self._member(e, recv, alternative):
+        if not self._member(e, recv, alternative, (result,)):
             raise UnknownMember(
                 f"no field '{e.name}' on {_receiver(e, recv)}",
                 e.pos.line, e.pos.col)
@@ -424,7 +439,7 @@ class _Generator:
                 e, arg_terms, result, caller,
                 *self.table.instantiate_method(sig, rterm, names))
 
-        if self._member(e, recv, alternative):
+        if self._member(e, recv, alternative, (*arg_terms, result)):
             return result
         if e.recv is None:
             raise UnknownIdentifier(
@@ -441,26 +456,42 @@ class _Generator:
         else:
             self.result.groups.append(alts)
 
-    def _member(self, e, recv, alternative):
+    def _member(self, e, recv, alternative, terms):
         """Resolve member access `e`, a call or a field read, on receiver
         term `recv`; `alternative(rterm, sig, names)` makes the
         alternative of signature template `sig` of class term `rterm`, its
-        own type parameters instantiated with the placeholders `names`.
-        A declared variable has the members of the first type on its
-        supertype chain that is no variable.  A receiver with a known head
-        takes its class's candidates, each with names of its own; any
-        other becomes one `ReceiverGroup` over every class that declares
-        the member, in table order.  Adds the alternatives to the result;
-        returns how many there are."""
+        own type parameters instantiated with the placeholders `names`; it
+        mentions no placeholder but those of `rterm`, `names`, `sig` and
+        `terms`.  A declared variable has the members of the first type on
+        its supertype chain that is no variable.  A receiver with a known
+        head takes its class's candidates, each with names of its own.  So
+        does any other receiver whose candidates are all of one class `C`:
+        every alternative would bind it to `C`, so `recv = C<...>` over
+        fresh arguments joins the base instead.  Any other receiver becomes
+        one `ReceiverGroup` over every class that declares the member, in
+        table order.  Adds the alternatives to the result; returns how many
+        there are."""
         if isinstance(recv, TypeVar):
             recv = next(t for t in self.table.supertype_chain(recv)
                         if not isinstance(t, TypeVar))
         own = self.cls.name
         # the class being inferred offers its slot terms, any other class
         # its entry's templates
+        owned = self._own_templates(e)
         declared = [p for p in self.table.members(
             e.name, None if isinstance(e, S.FieldAccess) else len(e.args))
-            if p[0] != own] + [(own, sig) for sig in self._own_templates(e)]
+            if p[0] != own] + [(own, sig) for sig in owned]
+        # the table's candidates come in table order, a run per class, and
+        # the class's own last: the first and the last are of one class
+        # exactly when all are
+        if (not isinstance(recv, ClassType) and declared
+                and declared[0][0] == declared[-1][0]):
+            head = declared[0][0]
+            rterm = ClassType(head, tuple(
+                self.fresh.tph(self.scope)
+                for _ in range(self.table.entry(head).arity)))
+            self.emit(doteq(recv, rterm))
+            recv = rterm
         if isinstance(recv, ClassType):
             alts = [alternative(recv, sig, [self.fresh.tph(self.scope)
                                             for _ in sig.typeparams])
@@ -480,7 +511,7 @@ class _Generator:
                 alt.constraints.insert(0, doteq(recv, rterm))
                 return alt
 
-            alts = ReceiverGroup(recv, candidates, build)
+            alts = ReceiverGroup(recv, candidates, build, terms, owned)
         if alts:
             self._add_group(alts)
         return len(alts)

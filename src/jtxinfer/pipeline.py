@@ -6,11 +6,12 @@ class are registered in the table so later classes can call it.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from . import emit as E
 from .classtable import CLASS, MethodSig, build_class_table, class_view
-from .constraints import (CallSite, call_sites, flatten,
+from .constraints import (CallSite, ReceiverGroup, call_sites, flatten,
                           generate_constraints)
 from .errors import ResourceLimit, Untypable
 from .generics import (build_fgg, complete_fgg, compute_owners,
@@ -20,7 +21,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
 from .parser import parse
 from .syntax import Program, print_program
 from .typeterms import VOID, ClassType, TPH, TypeVar, substitute
-from .unify import format_solution, unify
+from .unify import Solution, format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
 _TOO_DEEP = "recursion deeper than the interpreter's limit"
@@ -114,18 +115,13 @@ def _infer_class(cls, table, dumps):
                 f"# {cls.name} candidate {cand.choice}")
             dumps["constraints"].extend(str(c) for c in cand.constraints)
     stats = Counter()
-    sols = unify(gen.base, scoped, gen.fresh.clone(), stats=stats,
-                 groups=gen.groups)
-    solved = []
-    for sol in sols:
-        if "solutions" in dumps:
+    parts = _search(gen, scoped, stats)
+    if "solutions" in dumps:
+        for s in _join(parts, gen):
             dumps["solutions"].append(f"# {cls.name}")
-            dumps["solutions"].append(format_solution(sol))
-        solved.append(_Solved(sol.sigma_dict(), set(sol.remaining),
-                              call_sites(gen, sol.choice), sol.fresh.clone(),
-                              gen))
-    solved = _dedup(solved)
-    solved = _minimal(solved, scoped)
+            dumps["solutions"].append(format_solution(s.solution()))
+    solved = _join([(groups, _minimal(_dedup(sols), scoped))
+                    for groups, sols in parts], gen)
     if not solved:
         raise Untypable(f"class {cls.name} has no typing")
     finished = [s.generalize(scoped) for s in solved]
@@ -136,22 +132,174 @@ def _infer_class(cls, table, dumps):
     return _assemble(cls, finished, scoped, stats)
 
 
+def _components(gen):
+    """The class's constraints split into components that share no
+    placeholder: [(base constraints, indices of the or-groups)], in the
+    order of their first group.  A base constraint goes with the
+    component of its placeholders; one without any, and a component
+    without a group, go with the first.  Found only for two or more
+    groups, from what each group's alternatives can mention, so that no
+    receiver alternative is built; with fewer than two components holding
+    a group, the class is one component."""
+    groups = gen.groups
+    whole = [(gen.base, range(len(groups)))]
+    if len(groups) < 2:
+        return whole
+    names = [g.tphs() if isinstance(g, ReceiverGroup) else
+             set().union(*[c.lhs.tphs + c.rhs.tphs
+                           for alt in g for c in alt.constraints])
+             for g in groups]
+    # each group shares a placeholder with those before it: one component
+    joined = set(names[0])
+    for ns in names[1:]:
+        if joined.isdisjoint(ns):
+            break
+        joined |= ns
+    else:
+        return whole
+    parent = {}   # a name -> a name of its component, until its root
+
+    def root(n):
+        while n in parent:
+            n = parent[n]
+        return n
+
+    def link(ns):
+        first = None
+        for n in ns:
+            n = root(n)
+            if first is None:
+                first = n
+            elif n != first:
+                parent[n] = first
+        return first
+
+    for c in gen.base:
+        link(c.lhs.tphs + c.rhs.tphs)
+    roots = [link(ns) for ns in names]
+    roots = [root(r) for r in roots]
+    order = {r: i for i, r in enumerate(dict.fromkeys(roots))}
+    if len(order) < 2:
+        return whole
+    parts = [([], []) for _ in order]
+    for c in gen.base:
+        ns = c.lhs.tphs or c.rhs.tphs
+        parts[order.get(root(ns[0]), 0) if ns else 0][0].append(c)
+    for i, r in enumerate(roots):
+        parts[order[r]][1].append(i)
+    return parts
+
+
+def _search(gen, view, stats):
+    """The class's search: one `unify` call per component of its
+    constraints (see `_components`), each through this module's `unify`.
+    Returns [(the component's group indices, its solutions as `_Solved`,
+    each with its choice over those groups)].  Each component draws its
+    names after every name drawn by the components before it.  A
+    component without a solution leaves the class without one, so the
+    search stops there; one that runs out of steps is reported only when
+    every other component has a solution."""
+    fresh = gen.fresh.clone()
+    parts = []
+    limit = None
+    components = _components(gen)
+    for k, (base, indices) in enumerate(components, 1):
+        try:
+            sols = unify(base, view, fresh, stats=stats,
+                         groups=[gen.groups[i] for i in indices])
+        except ResourceLimit as exc:
+            limit = limit or exc   # the first
+            continue
+        parts.append((indices, [_Solved(s.sigma_dict(), set(s.remaining),
+                                        s.choice, s.fresh, gen)
+                                for s in sols]))
+        if not sols:
+            return parts
+        if k < len(components):
+            mark = max(s.fresh.mark() for s in sols)
+            fresh = gen.fresh.clone()
+            fresh.scopes += [None] * (mark - fresh.mark())
+    if limit is not None:
+        raise limit
+    return parts
+
+
+def _join(parts, gen):
+    """The class's solutions from those of its components (`_search`):
+    every combination of one solution per component, with the
+    substitutions and remaining pairs merged and the choices put in the
+    class's group order.  They come in the order `unify` gives: by
+    choice, then remaining pairs and substitution.  A combination's names
+    record each component's drawn names, which lie in ranges of their
+    own, so no later draw meets one of them.
+
+    `_dedup` and `_minimal` may run per component first.  The components
+    share no placeholder and draw their names apart, so each remaining
+    pair, each name of a substitution and each slot term's image belongs
+    to one component.  So two combinations have one `_dedup` key exactly
+    when their solutions in every component do.  And one combination is
+    below another (`_minimal`: the same remaining pairs and substituted
+    names, a subtype at every atomic position that differs, and one
+    such position at least) exactly when in every component its solution
+    is the other's or below it, and below it in some.  So a combination is
+    dominated exactly when one of its solutions is dominated in its
+    component, by the combination that swaps in the solution below: the
+    minimal combinations are the combinations of minimal solutions."""
+    if len(parts) == 1:
+        return parts[0][1]
+    width = len(gen.groups)
+    start = gen.fresh.mark()
+    out = []
+    for combo in itertools.product(*(sols for _, sols in parts)):
+        sigma, remaining, choice = {}, set(), [0] * width
+        for (indices, _), s in zip(parts, combo):
+            sigma.update(s.sigma)
+            remaining |= s.remaining
+            for i, c in zip(indices, s.choice):
+                choice[i] = c
+        drew = [s.fresh for s in combo if s.fresh.mark() > start]
+        fresh = drew[-1] if drew else combo[0].fresh
+        if len(drew) > 1:
+            fresh = fresh.clone()
+            for other in drew[:-1]:
+                for i in range(start, other.mark()):
+                    if other.scopes[i] is not None:
+                        fresh.scopes[i] = other.scopes[i]
+        out.append(_Solved(sigma, remaining, tuple(choice), fresh, gen))
+    out.sort(key=lambda s: s.choice)
+    if any(a.choice == b.choice for a, b in zip(out, out[1:])):
+        out.sort(key=lambda s: (s.choice, sorted(s.remaining), [
+            (n, str(t)) for n, t in sorted(s.sigma.items())]))
+    return out
+
+
 class _Solved:
     """Working state for one unifier solution of one choice of or-group
-    alternatives: its substitution, remaining placeholder pairs and call
-    sites.  `generalize` repairs the pairs as one graph for the whole
-    class (see `generics`): a clause states a pair within one member or
-    from a method placeholder to a class one, a method placeholder above
-    a class one is merged into it, and a collapse that takes in a class
-    placeholder is the class's."""
+    alternatives: its substitution, remaining placeholder pairs and
+    `choice`, whose call sites `sites` holds.  `fresh` holds the names
+    drawn so far, which `generalize` draws after, in a copy.  `generalize`
+    repairs the pairs as one graph for the whole class (see `generics`): a
+    clause states a pair within one member or from a method placeholder to
+    a class one, a method placeholder above a class one is merged into it,
+    and a collapse that takes in a class placeholder is the class's."""
 
-    def __init__(self, sigma, remaining, sites, fresh, gen):
+    def __init__(self, sigma, remaining, choice, fresh, gen):
         self.sigma = sigma
         self.remaining = remaining
-        self.sites = sites
+        self.choice = choice
         self.fresh = fresh
         self.gen = gen
         self._slot_terms = None
+
+    @property
+    def sites(self):
+        return call_sites(self.gen, self.choice)
+
+    def solution(self):
+        """The solution as `unify` gives one."""
+        return Solution(tuple(sorted(self.remaining)),
+                        tuple(sorted(self.sigma.items())), self.choice,
+                        self.fresh)
 
     def term(self, t):
         return substitute(t, self.sigma)
@@ -186,8 +334,8 @@ class _Solved:
                           self.term(s.ret_term)) for s in self.sites]
         pairs = complete_fgg(build_fgg(remaining, owners), remaining, owners,
                              sites)
-        bounds, h, owners = enforce_java_conformance(pairs, self.fresh,
-                                                     owners)
+        bounds, h, owners = enforce_java_conformance(
+            pairs, self.fresh.clone(), owners)
         final = self.slot_terms()
         if h:
             hmap = {old: TPH(new) for old, new in h.items()}

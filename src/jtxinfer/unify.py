@@ -35,10 +35,15 @@ picks one alternative per group; its subtree is the search that the
 flattened candidate of base plus chosen constraints would run on its own,
 step for step and name for name: undoing to a group frame also resets the
 fresh-name counter and the step budget to what they were at its mark.
+The choices multiply: groups that share no placeholder are still tried in
+every combination.  So the pipeline calls `unify` once per component of
+a class's constraints that share no placeholder and joins the solutions
+(`pipeline._search` and `_join`); one call here searches what it is given.
 
 A receiver group (a member access on a placeholder receiver, one
-candidate per class and template declaring the member; see
-`constraints.ReceiverGroup`) is filtered when its frame opens: it tries
+candidate per class and template declaring the member, of two or more
+classes; see `constraints.ReceiverGroup`) is filtered when its frame
+opens: it tries
 only the candidates whose class the receiver may still take, the head of
 the term it is bound to, or else a head on the supertype chain of every
 headed lower bound parked on it.  A skipped candidate is one whose first
@@ -246,7 +251,7 @@ class _Unifier:
         self.bound_heads = {}
         # whether class bounds decide placeholders: no table class is
         # generic, so the search draws no name
-        self.deciding = not any(e.arity for e in table.entries.values())
+        self.deciding = not table.generic
 
     def solve(self, cons):
         """Collect the solutions of `cons` plus one alternative of each

@@ -218,8 +218,8 @@ def stage_solutions(src, idx=0):
     gen = generate_constraints(cls, table)
     out = []
     for cand, sol, fresh in flattened_solutions(gen, table):
-        s = P._Solved(sol.sigma_dict(), set(sol.remaining),
-                      cand.call_sites, fresh.clone(), gen)
+        s = P._Solved(sol.sigma_dict(), set(sol.remaining), cand.choice,
+                      fresh.clone(), gen)
         out.append(s)
     return gen, table, P._minimal(P._dedup(out), table)
 

@@ -6,12 +6,15 @@ from importlib import resources
 import pytest
 
 from jtxinfer import DuplicateClass, UnknownImport, parse
-from jtxinfer.classtable import (CLASS, ClassTable, build_class_table,
-                                 load_builtin_entries, resolve_src_type)
+from jtxinfer.classtable import (CLASS, ClassTable, Entry, build_class_table,
+                                 class_view, load_builtin_entries,
+                                 resolve_src_type)
+from jtxinfer.constraints import doteq
 from jtxinfer.errors import ArityMismatch, UnsupportedFeature
 from jtxinfer.pipeline import (descriptor_lines, funiface_manifest,
                                run_source, signature_lines, typed_source)
 from jtxinfer.typeterms import VOID, ClassType, TPH, TypeVar, fun_type
+from jtxinfer.unify import unify
 
 from conftest import ALL_GOLDEN_SRCS, OLFUN_SRC, PINNED_SRCS
 
@@ -289,3 +292,19 @@ def test_classes_with_method_apply():
     t = table_for("class A { f = x -> x; }")
     assert any(m.name == "apply" and len(m.params) == 1
                for m in t.entry("Fun1$$").methods)
+
+
+def test_whether_a_class_is_generic_is_the_tables(monkeypatch):
+    """Only built-in and function-type entries take type arguments, and
+    they are in place when the table is made: it works the flag out once,
+    its views share it, and the unifier reads it instead of every
+    entry."""
+    assert not table_for("class C<T> { T f; m(x) { return x; } }").generic
+    assert table_for("class C { m() { return x -> x; } }").generic
+    prog = parse("import java.util.Pair;\nclass C<T> { <S> m(S x) "
+                 "{ return x; } }")
+    t = build_class_table(prog)
+    assert t.generic and class_view(prog.classes[0], t).generic
+    monkeypatch.setattr(Entry, "arity", property(
+        lambda entry: pytest.fail("an entry's arity was read")))
+    assert unify([doteq(TPH("A"), ClassType("Integer"))], t)

@@ -197,6 +197,25 @@ def test_depth_counts_are_linear_and_pruned_quadratic():
             == [8 * n - 7, n - 1, n * (n - 1) // 2, 0], n
 
 
+# The `surviving` family: Main calls the overloaded `OL.m` on each of its n
+# parameters through one local.  The local's candidates are all of `OL`, so
+# it is bound to `OL` in the base and each call is a group of four
+# alternatives that shares no placeholder with the others: one search each,
+# joined.  Main's counters grow linearly in n, where one search over every
+# combination took 4^(n+1)/3 - 4/3 alternatives, and Main still prints its
+# 4^n members in the README's order, which the corpus spells out.
+def test_surviving_counts_are_linear():
+    for n in (1, 2, 3, 4):
+        unit = corpus.surviving_unit(n, random.Random(n))
+        *_, stats = class_stats(unit.source).values()
+        assert [stats[k] for k in ("steps", "branch_points", "sinks",
+                                   "alternatives")] \
+            == [18 * n + 7, 8 * n + 4, 4 * n + 4, 4 * n], n
+        lines = pipeline.signature_lines(run_source(unit.source))
+        assert lines == list(unit.sigs)
+        assert lines[-1].count("->") == 4 ** n
+
+
 # After unification each term of a class solution is substituted once and
 # turned into a table template once, so `pipeline` and `emit` call
 # `substitute` a fixed number of times per class, with no clock to read.

@@ -4,20 +4,22 @@ and fresh names."""
 
 import importlib
 import itertools
+import re
 import sys
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jtxinfer import ResourceLimit, parse
 from jtxinfer import pipeline as P
 from jtxinfer.classtable import build_class_table
-from jtxinfer.constraints import (Alternative, FreshNames, call_sites, doteq,
-                                  flatten, generate_constraints, lessdot)
-from jtxinfer.typeterms import ClassType, TPH, fun_type
+from jtxinfer.constraints import (Alternative, FreshNames, GenResult,
+                                  call_sites, doteq, flatten,
+                                  generate_constraints, lessdot)
+from jtxinfer.typeterms import ClassType, TPH, fun_type, tph_number
 from jtxinfer.unify import Solution, unify
 
 from conftest import ALL_GOLDEN_SRCS, flattened_solutions
@@ -85,40 +87,51 @@ RECEIVER_CASES = [
     ("h; m(d) { return d.h; }", 3, 0, [[True, True, True]]),
 ]
 
+# two receiver groups over A and B: apart, and joined through the class's
+# own `f`, whose slot terms the alternatives of its candidate mention: its
+# parameter is above Integer and String at once when both calls take it
+SPLIT_CASES = [
+    "m(o, p, x, z) { var a = o.f(x); var b = p.f(z); return a; }",
+    "m(o, p) { var a = o.f(1); var b = p.f(\"s\"); return a; } "
+    "f(y) { return y; }",
+]
+
 PROGRAMS = list(ALL_GOLDEN_SRCS.items()) + [
     (f"{w}:{p.name}", p.source)
     for w in ("paper-units", "ambiguity", "long-methods")
     for p in corpus.workload(w, 1)] + [
     (f"receiver:{body}", TWO_FS + f"class C {{ {body} }}")
-    for body, *_ in RECEIVER_CASES]
+    for body, *_ in RECEIVER_CASES] + [
+    (f"split:{body}", TWO_FS + f"class C {{ {body} }}")
+    for body in SPLIT_CASES]
 
 
 def test_search_matches_flattened_candidates(monkeypatch):
     """Every class of the paper programs, of each workload's seed-1
     programs and of the receiver cases, in the pipeline's own table
-    state; the search prunes receiver groups, the reference does not."""
-    gens = []
+    state: the class's search, its components joined, against one
+    search per candidate.  The search prunes receiver groups, the
+    reference does not."""
     seen = Counter()
+    search = P._search
 
-    def generate(cls, table):
-        gens.append(generate_constraints(cls, table))
-        return gens[-1]
-
-    def checked_unify(constraints, table, fresh=None, stats=None,
-                      groups=()):
-        gen = gens[-1]
-        sols = unify(constraints, table, fresh, stats, groups)
-        assert _compared(sols, gen) == _reference(gen, table)
+    def checked_search(gen, view, stats):
+        parts = search(gen, view, stats)
+        sols = [s.solution() for s in P._join(parts, gen)]
+        assert _compared(sols, gen) == _reference(gen, view)
         seen["classes"] += 1
+        seen["split"] += len(parts) > 1
         seen["choices"] += len({s.choice for s in sols})
-        return sols
+        return parts
 
-    monkeypatch.setattr(P, "generate_constraints", generate)
-    monkeypatch.setattr(P, "unify", checked_unify)
-    for _, src in PROGRAMS:
-        P.run_source(src)
-    assert seen["classes"] == len(gens)
+    monkeypatch.setattr(P, "_search", checked_search)
+    classes = sum(len(P.run_source(src).class_results)
+                  for _, src in PROGRAMS)
+    assert seen["classes"] == classes
     assert seen["choices"] > seen["classes"]
+    # surviving/n2's two calls on `OL` and the first split case are
+    # searched apart
+    assert seen["split"] >= 2
 
 
 # --- random base and or-group constraint sets -------------------------------
@@ -222,6 +235,118 @@ def test_search_matches_flattened_random_sets(base, groups):
                                      groups=_wrapped(groups)))
         want = _outcome(lambda: _flattened(base, groups))
     assert got == want
+
+
+# --- independent or-groups searched apart ----------------------------------
+
+# three pools of placeholders that no constraint mixes; the names drawn
+# come after all of them
+_POOLS = [[TPH(n) for n in pool] for pool in ("AB", "CD", "EF")]
+
+
+def _pool_names():
+    fresh = FreshNames()
+    for pool in _POOLS:
+        for t in pool:
+            fresh.adopt(t.name)
+    return fresh
+
+
+def _pool_constraint(pool):
+    leaf = st.sampled_from(pool + _ATOMS)
+    term = st.one_of(
+        leaf,
+        st.builds(lambda a, b: ClassType("Pair", (a, b)), leaf, leaf),
+        st.builds(lambda a, b: fun_type([a], b), leaf, leaf))
+    tph = st.sampled_from(pool)
+    return st.one_of(st.builds(lessdot, tph, term),
+                     st.builds(lessdot, term, tph),
+                     st.builds(doteq, tph, term))
+
+
+@st.composite
+def _independent(draw):
+    """Base constraints and two or more or-groups over two or three pools,
+    each pool with a group, interleaved in a drawn order."""
+    pools = _POOLS[:draw(st.integers(2, 3))]
+    base, groups = [], []
+    for pool in pools:
+        c = _pool_constraint(pool)
+        base += draw(st.lists(c, max_size=2))
+        groups += draw(st.lists(st.lists(st.lists(c, min_size=1, max_size=2),
+                                         min_size=1, max_size=3),
+                                min_size=1, max_size=2))
+    return (draw(st.permutations(base)), draw(st.permutations(groups)))
+
+
+def _canonical(sol):
+    """A solution with the names drawn by its search renamed in order of
+    first use, by the substitution of the names it was given, then its
+    remaining pairs.  The drawn names that are bound come last, as the
+    sorted list of their renamed terms: the order of their names is the
+    order of the draws."""
+    given = _pool_names().mark()
+    drawn = {}
+
+    def renamed(term, new=True):
+        def name(m):
+            n = m.group()
+            if tph_number(n) < given:
+                return n
+            return (drawn.setdefault(n, f"#{len(drawn)}") if new
+                    else drawn.get(n, "#?"))
+        return re.sub(r"\b[A-Z]+\b", name, str(term))
+
+    sigma = [(n, renamed(t)) for n, t in sol.sigma if tph_number(n) < given]
+    remaining = sorted(renamed(f"{l} < {r}") for l, r in sol.remaining)
+    bound = sorted(renamed(t, new=False) for n, t in sol.sigma
+                   if tph_number(n) >= given)
+    return sol.choice, sigma, remaining, bound
+
+
+_A, _B = _POOLS[0]
+_C, _D = _POOLS[1]
+_STRING, _OBJECT = ClassType("String"), ClassType("Object")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_independent())
+# the groups of one component on both sides of the other's: the joined
+# choices are sorted, not taken in the order of the components' product
+@example(([lessdot(_A, _B)], [[[doteq(_A, _INT)], [doteq(_A, _STRING)]],
+                             [[doteq(_C, _INT)], [doteq(_C, _STRING)]],
+                             [[doteq(_B, _OBJECT)], [doteq(_B, _A)]]]))
+# the first component runs out of steps and the second has no solution:
+# the class has none, as one search finds
+@example(([], [[[lessdot(_A, fun_type([_A], _A))]],
+               [[lessdot(_C, ClassType("Pair", (_C, _C)))]]]))
+# both components draw the arguments of a Pair below a Pair: apart
+@example(([], [[[lessdot(_B, ClassType("Pair", (_A, _A)))]],
+               [[lessdot(_D, ClassType("Pair", (_C, _C)))]]]))
+def test_split_search_matches_one_search(sets):
+    """The pipeline's search of independent or-groups, one component at a
+    time and joined, gives the solutions of one search over them all: the
+    same choices in the same order, and the same solutions of each, up to
+    the names drawn.  Within a choice `unify` sorts the solutions by their
+    names, which the two searches draw apart, so a choice's solutions are
+    compared in a canonical order; where no name is drawn, the lists are
+    equal as they are."""
+    base, groups = sets
+    gen = GenResult(base=base, groups=_wrapped(groups), fresh=_pool_names())
+    assert len(P._components(gen)) > 1
+    with mock.patch.object(UNIFY, "MAX_STEPS", 2_000):
+        try:
+            whole = unify(base, _TABLE, _pool_names(), groups=gen.groups)
+        except ResourceLimit:
+            # a component's choice pops no more than the whole search's
+            return
+        split = [s.solution()
+                 for s in P._join(P._search(gen, _TABLE, Counter()), gen)]
+    given = _pool_names().mark()
+    if all(s.fresh.mark() == given for s in (*whole, *split)):
+        assert split == whole
+    assert [s.choice for s in split] == [s.choice for s in whole]
+    assert sorted(map(_canonical, split)) == sorted(map(_canonical, whole))
 
 
 # --- receiver groups filtered at their frame -------------------------------
