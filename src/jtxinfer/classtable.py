@@ -434,7 +434,8 @@ def resolve_src_type(src, table, scope=CLASS, fresh=None):
 def build_class_table(program, builtin_path=None):
     """Universe = built-ins reachable from imports and forced by occurring
     literals/operators/lambdas, then the generated entries of the function
-    heads they force, by `fun_head_arity`, then the user classes."""
+    heads they force, by `fun_head_arity`, then the user classes, none of
+    which may take a name `fun_head_arity` recognizes."""
     builtins = load_builtin_entries(builtin_path)
     by_qualified = qualified_names(builtins)
 
@@ -469,6 +470,10 @@ def build_class_table(program, builtin_path=None):
     seen = set()
     user = []
     for cls in program.classes:
+        if fun_head_arity(cls.name) is not None:
+            raise UnsupportedFeature(f"class name '{cls.name}' is reserved "
+                                     "for function types",
+                                     cls.pos.line, cls.pos.col)
         if cls.name in seen or cls.name in entries:
             raise DuplicateClass(f"duplicate class '{cls.name}'",
                                  cls.pos.line, cls.pos.col)

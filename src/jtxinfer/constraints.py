@@ -79,7 +79,9 @@ class FreshNames:
     Scopes are ``("class",)`` for field-level placeholders and
     ``("method", i)`` for the i-th method declaration; `scopes[n]` is the
     scope of the n-th name (`tph_name(n)`), None for a name that was only
-    skipped by `adopt`.
+    skipped by `adopt`.  Generation draws the class's names and the search
+    draws more from a clone; a solution keeps only the count, `mark()`,
+    after which generalization names its fresh parameters.
     """
 
     def __init__(self):

@@ -217,13 +217,10 @@ def name_solutions(cls, solved, classes):
     declared = [v for clause in (rep.class_generics,
                                  *(t.generics for t in rep.methods))
                 for v, _ in clause if isinstance(v, TypeVar)]
-    mapping = {}
-    if declared:
-        used = set(map(str, declared))
-        free = (n for n in map(tph_name, itertools.count())
-                if n not in used and n not in classes)
-        mapping = {v.name: TypeVar(next(free), v.owner)
-                   for v in _hiders(cls, solved, declared)}
+    hiders = _hiders(cls, solved, declared)
+    ren = canonical_renaming([v.name for v in hiders],
+                             set(map(str, declared)), classes)
+    mapping = {v.name: TypeVar(ren[v.name], v.owner) for v in hiders}
     if mapping:
         solved = [_map_solution(s, lambda x: instantiate(x, mapping))
                   for s in solved]

@@ -20,8 +20,27 @@ clause is rendered (``format_generics``).
 from __future__ import annotations
 
 from .classtable import CLASS
-from .typeterms import TPH, tphs_of
-from .unify import transitive_closure
+from .typeterms import TPH, tph_name, tphs_of
+
+
+def transitive_closure(pairs):
+    """Reflexive-transitive closure of a relation on placeholder names: the
+    pairs (a, b) with b reachable from a, by a search from each name."""
+    succ = {}
+    for l, r in pairs:
+        succ.setdefault(l, set()).add(r)
+        succ.setdefault(r, set())
+    rel = set()
+    for start in succ:
+        seen = {start}
+        todo = [start]
+        while todo:
+            for n in succ[todo.pop()]:
+                if n not in seen:
+                    seen.add(n)
+                    todo.append(n)
+        rel.update((start, n) for n in seen)
+    return rel
 
 
 def compute_owners(slot_groups):
@@ -119,13 +138,14 @@ def _qualifying_bounds(t, param, ret, owners, cs_closure, closures):
             if not any(s != r and (s, r) in cs_closure for s in out)}
 
 
-def enforce_java_conformance(pairs, fresh, owners):
+def enforce_java_conformance(pairs, drawn, owners):
     """Repair the pair graph until a clause can state it, one step at a
     time: merge the first method placeholder above a class placeholder
     into it, or else collapse the first cycle or name with several upper
     bounds among the stated pairs into a fresh placeholder, the class's
-    when it takes in a class placeholder and otherwise the member's.
-    Returns the stated bounds, in which each placeholder has at most one
+    when it takes in a class placeholder and otherwise the member's.  The
+    search drew `drawn` names, so the fresh ones are `tph_name(drawn)`,
+    `tph_name(drawn + 1)`, ….  Returns the stated bounds, in which each placeholder has at most one
     upper bound, the map h (old name -> final name, identity entries
     omitted) and the owners of the names that are left."""
     pairs = set(pairs)
@@ -144,7 +164,8 @@ def enforce_java_conformance(pairs, fresh, owners):
                 return bounds, h, owners
             scope = (CLASS if any(owners[n] == CLASS for n in names)
                      else owners[min(names)])
-            x = fresh.tph(scope).name
+            x = tph_name(drawn)
+            drawn += 1
             owners[x] = scope
         for n in names:
             del owners[n]

@@ -20,7 +20,7 @@ from .funtypes import (collect_used_funtypes, fun_interface_hierarchy,
                        render_manifest)
 from .parser import parse
 from .syntax import Program, print_program
-from .typeterms import VOID, ClassType, TPH, TypeVar, substitute
+from .typeterms import ClassType, TPH, TypeVar, is_atomic, substitute
 from .unify import Solution, format_solution, unify
 
 DUMP_STAGES = ("constraints", "solutions", "generics")
@@ -210,15 +210,15 @@ def _search(gen, view, stats):
         except ResourceLimit as exc:
             limit = limit or exc   # the first
             continue
-        parts.append((indices, [_Solved(s.sigma_dict(), set(s.remaining),
-                                        s.choice, s.fresh, gen)
+        parts.append((indices, [_Solved(s.sigma_dict(), s.remaining,
+                                        s.choice, s.drawn, gen)
                                 for s in sols]))
         if not sols:
             return parts
         if k < len(components):
-            mark = max(s.fresh.mark() for s in sols)
             fresh = gen.fresh.clone()
-            fresh.scopes += [None] * (mark - fresh.mark())
+            fresh.scopes += [None] * (max(s.drawn for s in sols)
+                                      - fresh.mark())
     if limit is not None:
         raise limit
     return parts
@@ -229,9 +229,10 @@ def _join(parts, gen):
     every combination of one solution per component, with the
     substitutions and remaining pairs merged and the choices put in the
     class's group order.  They come in the order `unify` gives: by
-    choice, then remaining pairs and substitution.  A combination's names
-    record each component's drawn names, which lie in ranges of their
-    own, so no later draw meets one of them.
+    choice, then remaining pairs and substitution.  Each component draws
+    its names after every name the components before it drew, so a
+    combination's count `drawn` is the largest of its parts', and no
+    later draw meets one of its names.
 
     `_dedup` and `_minimal` may run per component first.  The components
     share no placeholder and draw their names apart, so each remaining
@@ -248,46 +249,40 @@ def _join(parts, gen):
     if len(parts) == 1:
         return parts[0][1]
     width = len(gen.groups)
-    start = gen.fresh.mark()
     out = []
     for combo in itertools.product(*(sols for _, sols in parts)):
-        sigma, remaining, choice = {}, set(), [0] * width
+        sigma, choice = {}, [0] * width
         for (indices, _), s in zip(parts, combo):
             sigma.update(s.sigma)
-            remaining |= s.remaining
             for i, c in zip(indices, s.choice):
                 choice[i] = c
-        drew = [s.fresh for s in combo if s.fresh.mark() > start]
-        fresh = drew[-1] if drew else combo[0].fresh
-        if len(drew) > 1:
-            fresh = fresh.clone()
-            for other in drew[:-1]:
-                for i in range(start, other.mark()):
-                    if other.scopes[i] is not None:
-                        fresh.scopes[i] = other.scopes[i]
-        out.append(_Solved(sigma, remaining, tuple(choice), fresh, gen))
+        remaining = tuple(sorted(itertools.chain(*(s.remaining
+                                                   for s in combo))))
+        out.append(_Solved(sigma, remaining, tuple(choice),
+                           max(s.drawn for s in combo), gen))
     out.sort(key=lambda s: s.choice)
     if any(a.choice == b.choice for a, b in zip(out, out[1:])):
-        out.sort(key=lambda s: (s.choice, sorted(s.remaining), [
+        out.sort(key=lambda s: (s.choice, s.remaining, [
             (n, str(t)) for n, t in sorted(s.sigma.items())]))
     return out
 
 
 class _Solved:
     """Working state for one unifier solution of one choice of or-group
-    alternatives: its substitution, remaining placeholder pairs and
-    `choice`, whose call sites `sites` holds.  `fresh` holds the names
-    drawn so far, which `generalize` draws after, in a copy.  `generalize`
-    repairs the pairs as one graph for the whole class (see `generics`): a
-    clause states a pair within one member or from a method placeholder to
-    a class one, a method placeholder above a class one is merged into it,
-    and a collapse that takes in a class placeholder is the class's."""
+    alternatives: its substitution, its remaining placeholder pairs as the
+    sorted tuple `unify` gives, and `choice`, whose call sites `sites`
+    holds.  `drawn` counts the names its search drew, which `generalize`
+    draws after.  `generalize` repairs the pairs as one graph for the
+    whole class (see `generics`): a clause states a pair within one member
+    or from a method placeholder to a class one, a method placeholder
+    above a class one is merged into it, and a collapse that takes in a
+    class placeholder is the class's."""
 
-    def __init__(self, sigma, remaining, choice, fresh, gen):
+    def __init__(self, sigma, remaining, choice, drawn, gen):
         self.sigma = sigma
         self.remaining = remaining
         self.choice = choice
-        self.fresh = fresh
+        self.drawn = drawn
         self.gen = gen
         self._slot_terms = None
 
@@ -297,9 +292,8 @@ class _Solved:
 
     def solution(self):
         """The solution as `unify` gives one."""
-        return Solution(tuple(sorted(self.remaining)),
-                        tuple(sorted(self.sigma.items())), self.choice,
-                        self.fresh)
+        return Solution(self.remaining, tuple(sorted(self.sigma.items())),
+                        self.choice, self.drawn)
 
     def term(self, t):
         return substitute(t, self.sigma)
@@ -319,23 +313,22 @@ class _Solved:
                 for owner, terms in self.gen.slots.items()]
 
     def key(self):
-        return (tuple(sorted(self.remaining)),
+        return (self.remaining,
                 tuple(str(t) for _, ts in self.slot_groups() for t in ts))
 
     def generalize(self, view):
         """The solution's SolvedClass; `view` holds the declared clauses.
         Each member declares the names it owns once the pair graph is
         repaired, each bounded by its one stated upper bound."""
-        gen = self.gen
+        gen, remaining = self.gen, self.remaining
         owners = compute_owners(self.slot_groups())
-        remaining = sorted(self.remaining)
         sites = [CallSite(s.caller, [self.term(t) for t in s.arg_terms],
                           [self.term(t) for t in s.param_terms],
                           self.term(s.ret_term)) for s in self.sites]
         pairs = complete_fgg(build_fgg(remaining, owners), remaining, owners,
                              sites)
-        bounds, h, owners = enforce_java_conformance(
-            pairs, self.fresh.clone(), owners)
+        bounds, h, owners = enforce_java_conformance(pairs, self.drawn,
+                                                     owners)
         final = self.slot_terms()
         if h:
             hmap = {old: TPH(new) for old, new in h.items()}
@@ -360,7 +353,7 @@ class _Solved:
             methods.append(E.MethodTyping(
                 clause(("method", i), [*params, ret]), params, ret))
         return SolvedClass(
-            remaining=tuple(remaining),
+            remaining=remaining,
             class_generics=clause(CLASS, field_terms.values()),
             field_terms=field_terms,
             methods=methods,
@@ -376,10 +369,6 @@ def _dedup(solved):
     for s in solved:
         first.setdefault(s.key(), s)
     return list(first.values())
-
-
-def _atomic(t):
-    return (isinstance(t, ClassType) and not t.args) or t is VOID
 
 
 def _minimal(solved, table):
@@ -401,7 +390,7 @@ def _minimal(solved, table):
         strict = False
         for k, va in a.sigma.items():
             vb = b.sigma[k]
-            if vb is not va and _atomic(va) and _atomic(vb):
+            if vb is not va and is_atomic(va) and is_atomic(vb):
                 if not table.is_subtype(vb, va):
                     return False
                 strict = True

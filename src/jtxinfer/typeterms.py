@@ -158,6 +158,11 @@ def is_fun(term):
             and FUN_HEAD.fullmatch(term.name) is not None)
 
 
+def is_atomic(term):
+    """True when `term` is a class type without arguments, or void."""
+    return (isinstance(term, ClassType) and not term.args) or term is VOID
+
+
 # cached, as `tph_number` is: generation names every placeholder it draws
 @lru_cache(maxsize=1 << 16)
 def tph_name(n):

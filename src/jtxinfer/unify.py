@@ -123,7 +123,8 @@ from __future__ import annotations
 from .classtable import CLASS
 from .constraints import FreshNames, ReceiverGroup
 from .errors import ResourceLimit
-from .typeterms import VOID, ClassType, TPH, TypeVar, substitute, tphs_of
+from .typeterms import (VOID, ClassType, TPH, TypeVar, is_atomic, substitute,
+                        tphs_of)
 
 # worklist pops per choice of or-group alternatives
 MAX_STEPS = 500_000
@@ -134,15 +135,15 @@ _OBJECT = ClassType("Object")
 class Solution:
     """`remaining` is a sorted tuple of (lhs name, rhs name), `sigma` a
     sorted tuple of (name, term) and `choice` the alternative taken in each
-    or-group; `fresh` holds the names drawn when the choice's search ended,
-    to be cloned to draw more.  A value, equal to and hashed as its parts
-    other than `fresh`."""
+    or-group; `drawn` is the number of names drawn when the choice's search
+    ended, so a later draw starts at `tph_name(drawn)`.  A value, equal to
+    and hashed as its parts other than `drawn`."""
 
-    __slots__ = ("remaining", "sigma", "choice", "fresh")
+    __slots__ = ("remaining", "sigma", "choice", "drawn")
 
-    def __init__(self, remaining, sigma, choice=(), fresh=None):
+    def __init__(self, remaining, sigma, choice=(), drawn=0):
         self.remaining, self.sigma = remaining, sigma
-        self.choice, self.fresh = choice, fresh
+        self.choice, self.drawn = choice, drawn
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -178,10 +179,6 @@ def _age(name):
     """Creation-order key of a generated placeholder name (A < ... < Z <
     AA < ...)."""
     return (len(name), name)
-
-
-def _atomic(t):
-    return isinstance(t, ClassType) and not t.args
 
 
 class _Sigma(dict):
@@ -632,7 +629,7 @@ class _Unifier:
                 seen.add(sup.name)
                 sups.append(sup)
             found = self.sups[low, scope] = (
-                tuple(sups), _atomic(low) and all(map(_atomic, sups)))
+                tuple(sups), is_atomic(low) and all(map(is_atomic, sups)))
         return found
 
     def _sink_lows(self, t):
@@ -650,7 +647,7 @@ class _Unifier:
             return None
         lows = [p.lhs for p in self.index.get(t.name, ())
                 if p.parked and p.rhs is t]
-        return lows if all(map(_atomic, lows)) else None
+        return lows if all(map(is_atomic, lows)) else None
 
     def _scope(self, t):
         """The member scope of placeholder `t`."""
@@ -682,11 +679,11 @@ class _Unifier:
 
     def _close_choice(self):
         """Move the current choice's solutions to `solutions`, sorted, each
-        with the names drawn so far."""
+        with the number of names drawn so far."""
         if not self.found:
             return
-        choice, fresh = tuple(self.choice), self.fresh.clone()
-        self.solutions.extend(Solution(s.remaining, s.sigma, choice, fresh)
+        choice, drawn = tuple(self.choice), self.fresh.mark()
+        self.solutions.extend(Solution(s.remaining, s.sigma, choice, drawn)
                               for s in sorted(self.found, key=_sort_key))
         self.found = []
 
@@ -702,8 +699,9 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
 
     The search is the one `flatten` candidates would each get, merged: the
     solutions come grouped by their `choice` of alternatives, in the
-    candidates' order, and sorted within a choice.  A solution's `fresh`
-    holds the names drawn when its choice's search ended.
+    candidates' order, and sorted within a choice.  A solution's `drawn`
+    is `fresh.mark()` when its choice's search ended: every name the
+    solution holds comes before `tph_name(drawn)`.
 
     Raises `ResourceLimit` when a choice takes more than `MAX_STEPS`
     worklist pops, the pops it shares with other choices included.  When
@@ -730,23 +728,3 @@ def unify(constraints, table, fresh=None, stats=None, groups=()):
                           "alternatives": u.alternatives,
                           "pruned": u.pruned, "forced": u.forced})
     return u.solutions
-
-
-def transitive_closure(pairs):
-    """Reflexive-transitive closure of a relation on placeholder names: the
-    pairs (a, b) with b reachable from a, by a search from each name."""
-    succ = {}
-    for l, r in pairs:
-        succ.setdefault(l, set()).add(r)
-        succ.setdefault(r, set())
-    rel = set()
-    for start in succ:
-        seen = {start}
-        todo = [start]
-        while todo:
-            for n in succ[todo.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    todo.append(n)
-        rel.update((start, n) for n in seen)
-    return rel

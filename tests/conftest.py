@@ -198,14 +198,10 @@ ALL_GOLDEN_SRCS = {
 
 def flattened_solutions(gen, table):
     """The reference for the unifier's or-group search: one `unify` call
-    per `flatten` candidate.  [(candidate, solution, the names drawn when
-    the candidate's search ended)], in candidate order."""
-    out = []
-    for cand in flatten(gen, table):
-        fresh = gen.fresh.clone()
-        for sol in unify(cand.constraints, table, fresh):
-            out.append((cand, sol, fresh))
-    return out
+    per `flatten` candidate.  [(candidate, solution)], in candidate
+    order."""
+    return [(cand, sol) for cand in flatten(gen, table)
+            for sol in unify(cand.constraints, table, gen.fresh.clone())]
 
 
 def stage_solutions(src, idx=0):
@@ -216,11 +212,8 @@ def stage_solutions(src, idx=0):
     table = build_class_table(prog)
     cls = prog.classes[idx]
     gen = generate_constraints(cls, table)
-    out = []
-    for cand, sol, fresh in flattened_solutions(gen, table):
-        s = P._Solved(sol.sigma_dict(), set(sol.remaining), cand.choice,
-                      fresh.clone(), gen)
-        out.append(s)
+    out = [P._Solved(sol.sigma_dict(), sol.remaining, cand.choice, sol.drawn,
+                     gen) for cand, sol in flattened_solutions(gen, table)]
     return gen, table, P._minimal(P._dedup(out), table)
 
 

@@ -15,10 +15,9 @@ import jtxinfer as J
 from jtxinfer.constraints import CallSite
 from jtxinfer.funtypes import decode_funtype_name, mangle_funtype_name
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
-                               stated)
+                               stated, transitive_closure)
 from jtxinfer.syntax import alpha_equivalent
 from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type, tphs_of
-from jtxinfer.unify import transitive_closure
 
 from conftest import (ALL_GOLDEN_SRCS, CYCLE_SRC, FAC_SRC, INFIMUM_SRC,
                       MUTUAL_SRC, OL_SRC, OLFUN_SRC, TPHS_SRC,
@@ -115,7 +114,7 @@ def test_criterion_01_fac_single_unifier():
         # N (return), O (parameter), P (res), R (i) all map to Integer
         ok &= all(t == ClassType("Integer") for t in slots)
         # remaining is empty and T (the loop condition) maps to Boolean
-        ok &= s.remaining == set()
+        ok &= s.remaining == ()
         values = sorted(str(v) for v in s.sigma.values())
         ok &= values.count("Boolean") == 1
         ok &= set(values) == {"Boolean", "Integer"}

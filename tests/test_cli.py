@@ -148,6 +148,21 @@ def test_overloads_of_one_name_with_distinct_descriptors_type(tmp_path):
     assert len(lines) == len(set(lines)) > 1
 
 
+@pytest.mark.parametrize("src", [
+    # no function type is used: the class would be listed as one
+    "class Fun1$$ { f; } class C { m(x) { x.f = 1; return x; } }",
+    # a lambda uses Fun1$$: the class would be a duplicate of its entry
+    "class Fun1$$ { } class C { m() { return x -> x; } }"])
+def test_a_class_named_like_a_function_type_is_refused(tmp_path, capsys,
+                                                        src):
+    p = write(tmp_path, "Reserved.jtx", src)
+    assert main([str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "tx-infer: Reserved.jtx: error: 1:1: class name 'Fun1$$' is "
+        "reserved for function types\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["Reserved.jtx"]
+
+
 @pytest.mark.parametrize("src", ["", "class C { }", "class C { f; }"])
 def test_a_unit_without_methods_writes_empty_line_outputs(tmp_path, src):
     p = write(tmp_path, "Empty.jtx", src)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from jtxinfer import generics, run_source
-from jtxinfer.constraints import CallSite, FreshNames
+from jtxinfer.constraints import CallSite
 from jtxinfer.generics import (CLASS, build_fgg, complete_fgg, compute_owners,
                                enforce_java_conformance, format_generics,
                                stated)
@@ -98,40 +98,36 @@ def test_complete_fgg_reads_the_callee_chain_in_its_own_bounds():
 
 
 def test_conformance_collapses_cycle():
+    # the search drew 15 names, A to O: the collapse is named P
     owners = {"L": M0, "M": M0}
-    fresh = FreshNames()
     bounds, h, owners = enforce_java_conformance({("L", "M"), ("M", "L")},
-                                                 fresh, owners)
-    assert h["L"] == h["M"]
-    x = h["L"]
-    assert fresh.scope_of(x) == M0
-    assert owners == {x: M0}
-    # the collapsed pair disappears and leaves x unbounded
+                                                 15, owners)
+    assert h == {"L": "P", "M": "P"}
+    assert owners == {"P": M0}
+    # the collapsed pair disappears and leaves P unbounded
     assert bounds == set()
 
 
 def test_conformance_collapses_infimum():
+    # the search drew A to C: the collapse is named D
     owners = {"A": M0, "B": M0, "C": M0}
-    fresh = FreshNames()
     bounds, h, _ = enforce_java_conformance({("A", "B"), ("A", "C")},
-                                            fresh, owners)
-    assert h["A"] == h["B"] == h["C"]
+                                            3, owners)
+    assert h == {"A": "D", "B": "D", "C": "D"}
     assert all(l != r for l, r in bounds)
 
 
 def test_conformance_keeps_surrounding_bounds():
     owners = {"L": M0, "M": M0, "N": M0}
-    fresh = FreshNames()
     bounds, h, _ = enforce_java_conformance(
-        {("L", "M"), ("M", "L"), ("N", "L")}, fresh, owners)
+        {("L", "M"), ("M", "L"), ("N", "L")}, 15, owners)
     x = h["L"]
     assert bounds == {("N", x)}
 
 
 def test_conformance_identity_on_clean_family():
     owners = {"A": M0, "B": M0}
-    fresh = FreshNames()
-    bounds, h, out = enforce_java_conformance({("A", "B")}, fresh, owners)
+    bounds, h, out = enforce_java_conformance({("A", "B")}, 2, owners)
     assert h == {}
     assert bounds == {("A", "B")}
     assert out == owners
@@ -142,15 +138,11 @@ def test_conformance_leaves_owners_unchanged():
     # K: the merged name is a class generic, in the owners returned
     owners = {"K": CLASS, "L": M0, "M": M0}
     given = dict(owners)
-    fresh = FreshNames()
     bounds, h, out = enforce_java_conformance(
-        {("L", "K"), ("L", "M")}, fresh, owners)
+        {("L", "K"), ("L", "M")}, 13, owners)
     assert owners == given
-    x = h["K"]
-    assert x not in given
-    assert h == {"K": x, "L": x, "M": x}
-    assert fresh.scope_of(x) == CLASS
-    assert out == {x: CLASS}
+    assert h == {"K": "N", "L": "N", "M": "N"}
+    assert out == {"N": CLASS}
     assert bounds == set()
 
 
@@ -158,11 +150,9 @@ def test_conformance_merges_a_method_placeholder_above_a_class_one():
     # L sits above the class's K: it becomes K, draws no fresh name, and
     # M's bound becomes a method -> class bound
     owners = {"K": CLASS, "L": M0, "M": M0}
-    fresh = FreshNames()
     bounds, h, out = enforce_java_conformance({("K", "L"), ("M", "L")},
-                                              fresh, owners)
+                                              13, owners)
     assert h == {"L": "K"}
-    assert fresh.mark() == 0
     assert out == {"K": CLASS, "M": M0}
     assert bounds == {("M", "K")}
 
@@ -172,9 +162,8 @@ def test_conformance_merges_after_a_collapse():
     # sits below m1's N, which is merged into it, and m1's O < N becomes
     # a stated bound on the class name
     owners = {"K": CLASS, "L": M0, "M": M0, "N": M1, "O": M1}
-    fresh = FreshNames()
     bounds, h, out = enforce_java_conformance(
-        {("L", "K"), ("L", "M"), ("M", "N"), ("O", "N")}, fresh, owners)
+        {("L", "K"), ("L", "M"), ("M", "N"), ("O", "N")}, 15, owners)
     x = h["K"]
     assert h == {"K": x, "L": x, "M": x, "N": x}
     assert out == {x: CLASS, "O": M1}

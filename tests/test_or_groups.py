@@ -4,6 +4,7 @@ and fresh names."""
 
 import importlib
 import itertools
+import random
 import re
 import sys
 from collections import Counter
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jtxinfer import ResourceLimit, parse
-from jtxinfer import pipeline as P
+from jtxinfer import generics, pipeline as P
 from jtxinfer.classtable import build_class_table
 from jtxinfer.constraints import (Alternative, FreshNames, GenResult,
                                   call_sites, doteq, flatten,
@@ -38,14 +39,13 @@ def _wrapped(groups):
 
 
 def _compared(sols, gen):
-    return [(s.choice, s.remaining, s.sigma, s.fresh.mark(), s.fresh.scopes,
+    return [(s.choice, s.remaining, s.sigma, s.drawn,
              call_sites(gen, s.choice)) for s in sols]
 
 
 def _reference(gen, table):
-    return [(cand.choice, s.remaining, s.sigma, fresh.mark(), fresh.scopes,
-             cand.call_sites)
-            for cand, s, fresh in flattened_solutions(gen, table)]
+    return [(cand.choice, s.remaining, s.sigma, s.drawn, cand.call_sites)
+            for cand, s in flattened_solutions(gen, table)]
 
 
 def test_refuted_alternatives_are_counted():
@@ -89,11 +89,13 @@ RECEIVER_CASES = [
 
 # two receiver groups over A and B: apart, and joined through the class's
 # own `f`, whose slot terms the alternatives of its candidate mention: its
-# parameter is above Integer and String at once when both calls take it
+# parameter is above Integer and String at once when both calls take it;
+# and apart, the second drawing names for the lambda's function type
 SPLIT_CASES = [
     "m(o, p, x, z) { var a = o.f(x); var b = p.f(z); return a; }",
     "m(o, p) { var a = o.f(1); var b = p.f(\"s\"); return a; } "
     "f(y) { return y; }",
+    "m(o, p, x) { var a = o.f(x); var b = p.f(y -> y); return b; }",
 ]
 
 PROGRAMS = list(ALL_GOLDEN_SRCS.items()) + [
@@ -171,8 +173,8 @@ def _names():
 
 def _outcome(search):
     try:
-        return [(s.choice, s.remaining, s.sigma, s.fresh.mark(),
-                 s.fresh.scopes) for s in search()]
+        return [(s.choice, s.remaining, s.sigma, s.drawn)
+                for s in search()]
     except ResourceLimit:
         return "ResourceLimit"
 
@@ -181,7 +183,7 @@ def _flattened(base, groups):
     out = []
     for choice in itertools.product(*(range(len(g)) for g in groups)):
         cons = base + [c for g, i in zip(groups, choice) for c in g[i]]
-        out.extend(Solution(s.remaining, s.sigma, choice, s.fresh)
+        out.extend(Solution(s.remaining, s.sigma, choice, s.drawn)
                    for s in unify(cons, _TABLE, _names()))
     return out
 
@@ -343,10 +345,56 @@ def test_split_search_matches_one_search(sets):
         split = [s.solution()
                  for s in P._join(P._search(gen, _TABLE, Counter()), gen)]
     given = _pool_names().mark()
-    if all(s.fresh.mark() == given for s in (*whole, *split)):
+    if all(s.drawn == given for s in (*whole, *split)):
         assert split == whole
     assert [s.choice for s in split] == [s.choice for s in whole]
     assert sorted(map(_canonical, split)) == sorted(map(_canonical, whole))
+
+
+def _held(s):
+    """The placeholder names `_Solved` `s` holds: its substitution's keys
+    and terms and its remaining pairs."""
+    return {*s.sigma, *(n for t in s.sigma.values() for n in t.tphs),
+            *(n for pair in s.remaining for n in pair)}
+
+
+def test_joined_solutions_hold_only_names_they_counted(monkeypatch):
+    """Every generated name a joined solution holds comes before its count
+    `drawn`, and generalization, which draws after it, draws none of them:
+    the paper programs, the split cases and surviving/n1..n3.  The dump
+    runs `_join` on the solutions before `_minimal` too."""
+    seen = Counter()
+    held = []   # the names of the solution being generalized
+    join, generalize, name = P._join, P._Solved.generalize, generics.tph_name
+
+    def checked_join(parts, gen):
+        out = join(parts, gen)
+        for s in out:
+            assert all(tph_number(n) < s.drawn for n in _held(s))
+            seen["split"] += len(parts) > 1
+            seen["late"] += s.drawn > gen.fresh.mark()
+        return out
+
+    def checked_generalize(self, view):
+        held.append(_held(self))
+        return generalize(self, view)
+
+    def checked_name(n):
+        assert name(n) not in held[-1]
+        seen["collapses"] += 1
+        return name(n)
+
+    monkeypatch.setattr(P, "_join", checked_join)
+    monkeypatch.setattr(P._Solved, "generalize", checked_generalize)
+    monkeypatch.setattr(generics, "tph_name", checked_name)
+    for src in [*ALL_GOLDEN_SRCS.values(),
+                *(TWO_FS + f"class C {{ {body} }}" for body in SPLIT_CASES),
+                *(corpus.surviving_unit(n, random.Random(n)).source
+                  for n in (1, 2, 3))]:
+        P.run_source(src, dump_stages=("solutions",))
+    # the last split case's second component draws names, which its
+    # joined solutions count
+    assert seen["split"] and seen["late"] and seen["collapses"]
 
 
 # --- receiver groups filtered at their frame -------------------------------

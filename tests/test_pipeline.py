@@ -232,6 +232,8 @@ DIAGNOSTICS = {
     "TypeVariableWithArgs": ("class C<T> { T<Integer> f; }",
                              ArityMismatch, "1:14"),
     "DuplicateField": ("class C { f; f; }", JtxSyntaxError, "1:14"),
+    "FunctionTypeClass": ("class C { } class FunVoid0$$ { }",
+                          UnsupportedFeature, "1:13"),
     "AssignmentTarget": ("class C { m(a) { 1 = a; } }",
                          JtxSyntaxError, "1:18"),
     "IncrementTarget": ("class C { m(a) { a.m()++; } }",

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jtxinfer import parse
 from jtxinfer.classtable import build_class_table
-from jtxinfer.constraints import Alternative, FreshNames, doteq, lessdot
-from jtxinfer.generics import enforce_java_conformance
+from jtxinfer.constraints import Alternative, doteq, lessdot
+from jtxinfer.generics import enforce_java_conformance, transitive_closure
 from jtxinfer.typeterms import ClassType, TPH
-from jtxinfer.unify import transitive_closure, unify
+from jtxinfer.unify import unify
 
 # --- unification vs. brute force -------------------------------------------
 
@@ -182,8 +182,7 @@ def _refl_closure(pairs, names):
 @given(graph_st)
 def test_conformance_repair_is_monotone_and_java_conform(pairs):
     owners = {n: M0 for n in NODES}
-    fresh = FreshNames()
-    out, h, _ = enforce_java_conformance(set(pairs), fresh, owners)
+    out, h, _ = enforce_java_conformance(set(pairs), 0, owners)
 
     def H(n):
         return h.get(n, n)

@@ -17,7 +17,8 @@ from jtxinfer.constraints import (FreshNames, doteq, flatten,
                                   generate_constraints, lessdot)
 from jtxinfer.emit import MethodTyping
 from jtxinfer.typeterms import VOID, ClassType, TPH, TypeVar, fun_type
-from jtxinfer.unify import format_solution, transitive_closure
+from jtxinfer.generics import transitive_closure
+from jtxinfer.unify import format_solution
 
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
@@ -202,17 +203,15 @@ def test_format_solution(table):
 
 def test_value_records_are_equal_and_hash_as_their_parts(table):
     """Constraints, method typings and solutions are values; a solution's
-    `fresh` takes no part, so the solution emitted at a leaf equals the one
+    `drawn` takes no part, so the solution emitted at a leaf equals the one
     its choice closes with.  Each emit adds one: no choice's search reaches
     one solution twice (see below)."""
     pairs = [(lessdot(TPH("T"), INT), lessdot(TPH("T"), INT)),
              (doteq(TPH("T"), INT), doteq(TPH("T"), INT)),
              (MethodTyping(((TPH("A"), None),), (TPH("A"),), INT),
               MethodTyping(((TPH("A"), None),), (TPH("A"),), INT)),
-             (UNIFY.Solution((("T", "U"),), (("V", INT),), (0,),
-                             FreshNames()),
-              UNIFY.Solution((("T", "U"),), (("V", INT),), (0,),
-                             FreshNames()))]
+             (UNIFY.Solution((("T", "U"),), (("V", INT),), (0,), 22),
+              UNIFY.Solution((("T", "U"),), (("V", INT),), (0,), 23))]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b)
     assert lessdot(TPH("T"), INT) != doteq(TPH("T"), INT)
