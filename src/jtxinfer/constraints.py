@@ -211,6 +211,17 @@ class GenResult:
         self.fresh = fresh
 
 
+class _Unread:
+    """The entry of a field, of term `term`, in the scope of a field
+    initializer that may not read it; `message` says why.  The field can
+    still be assigned."""
+
+    __slots__ = ("term", "message")
+
+    def __init__(self, term, message):
+        self.term, self.message = term, message
+
+
 class _Generator:
     def __init__(self, cls, table, fresh):
         self.cls = cls
@@ -245,9 +256,18 @@ class _Generator:
             res.methods.append(self._method_signature(m))
         self.scope = ("class",)
         self.method_index = None
-        for f in self.cls.fields:
+        for i, f in enumerate(self.cls.fields):
             if f.init is not None:
-                t = self.expr(f.init, dict(res.field_terms))
+                # as in Java, an initializer reads no field declared at or
+                # after its own by simple name, in a lambda body too
+                env = dict(res.field_terms)
+                env[f.name] = _Unread(env[f.name], "self-reference in "
+                                      f"initializer of field '{f.name}'")
+                for g in self.cls.fields[i + 1:]:
+                    env[g.name] = _Unread(
+                        env[g.name], f"illegal forward reference to field "
+                        f"'{g.name}' in initializer of field '{f.name}'")
+                t = self.expr(f.init, env)
                 self.emit(flow(f.init, t, res.field_terms[f.name]))
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
@@ -294,7 +314,13 @@ class _Generator:
                 t = self.expr(st.init, env)
                 self.emit(flow(st.init, t, term))
         elif isinstance(st, S.Assign):
-            target = self.expr(st.target, env)
+            name = st.target
+            if name.__class__ is S.Name and name.ident in env:
+                target = env[name.ident]
+                if target.__class__ is _Unread:   # assigned, not read
+                    target = target.term
+            else:
+                target = self.expr(name, env)
             value = self.expr(st.value, env)
             self.emit(flow(st.value, value, target))
         elif isinstance(st, S.Increment):
@@ -331,7 +357,10 @@ class _Generator:
             return ClassType(RULES[type(e)])
         if isinstance(e, S.Name):
             if e.ident in env:
-                return env[e.ident]
+                t = env[e.ident]
+                if t.__class__ is _Unread:
+                    raise UnknownIdentifier(t.message, e.pos.line, e.pos.col)
+                return t
             raise UnknownIdentifier(
                 f"unknown identifier '{e.ident}'", e.pos.line, e.pos.col)
         if isinstance(e, S.Binary):

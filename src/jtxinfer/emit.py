@@ -58,7 +58,7 @@ def _map_typing(t, f):
                         tuple(map(f, t.params)), f(t.ret))
 
 
-def _type_rank(term):
+def type_rank(term):
     s = str(term)
     if s in _BUILTIN_ORDER:
         return (_BUILTIN_ORDER.index(s), s)
@@ -66,7 +66,7 @@ def _type_rank(term):
 
 
 def typing_sort_key(t):
-    return tuple(_type_rank(x) for x in t.params) + (_type_rank(t.ret),)
+    return tuple(type_rank(x) for x in t.params) + (type_rank(t.ret),)
 
 
 def _canonical(t):
@@ -197,14 +197,17 @@ def rename_apart(t, sigma, taken, classes):
     return _map_typing(t, lambda x: substitute(x, sigma))
 
 
-def name_solutions(cls, solved, classes):
-    """The printed names of class `cls`'s solutions `solved` (each a
-    `pipeline.SolvedClass`, in output order): the representative
-    `solved[0]` named, per method the named typings of every solution, and
-    `cls` with its declared variables' written names inside expressions
-    renamed to match.  `classes` holds the table's class names; it is only
-    asked whether it holds a name, so naming costs nothing per class of
-    the table.  In order:
+def name_solutions(cls, rep, typings, classes, parts):
+    """The printed names of class `cls`'s solutions: the representative
+    `rep`, a `pipeline.SolvedClass`, named; per method the named typings
+    of `typings`, which holds the method's typings in every solution, in
+    output order, the representative's first; and `cls` with its declared
+    variables' written names inside expressions renamed to match.
+    `parts` holds the terms the solutions print besides: objects with
+    `field_terms` and `local_terms`, which together with `rep` cover the
+    fields and locals of every solution.  `classes` holds the table's
+    class names; it is only asked whether it holds a name, so naming
+    costs nothing per class of the table.  In order:
 
     (a) a declared variable whose member mentions, in some solution,
         another class or a class variable printing under its name takes
@@ -213,22 +216,23 @@ def name_solutions(cls, solved, classes):
     (b) the representative's placeholders are named canonically, in order
         of first use, taking no declared variable's or class's name;
     (c) each typing of another solution is renamed apart from these."""
-    rep = solved[0]
     declared = [v for clause in (rep.class_generics,
                                  *(t.generics for t in rep.methods))
                 for v, _ in clause if isinstance(v, TypeVar)]
-    hiders = _hiders(cls, solved, declared)
+    hiders = _hiders(cls, rep, typings, parts, declared)
     ren = canonical_renaming([v.name for v in hiders],
                              set(map(str, declared)), classes)
     mapping = {v.name: TypeVar(ren[v.name], v.owner) for v in hiders}
     if mapping:
-        solved = [_map_solution(s, lambda x: instantiate(x, mapping))
-                  for s in solved]
+        def rename(x):
+            return instantiate(x, mapping)
+
+        rep = _map_solution(rep, rename)
+        typings = [[_map_typing(t, rename) for t in ts] for ts in typings]
         cls = _rename_written(cls, {(v.source, v.owner): mapping[v.name].source
                                     for v in declared if v.name in mapping})
     reserved = {str(mapping.get(v.name, v)) for v in declared}
 
-    rep = solved[0]
     order = [n for t in (*rep.field_terms.values(),
                          *clause_terms(rep.class_generics))
              for n in t.tphs]
@@ -241,47 +245,49 @@ def name_solutions(cls, solved, classes):
     if any(old != new for old, new in ren.items()):
         rep = _map_solution(rep, lambda x: substitute(x, sigma))
     taken = {*ren.values(), *reserved}
-    typings = [[t, *(rename_apart(s.methods[i], sigma, taken, classes)
-                     for s in solved[1:])]
-               for i, t in enumerate(rep.methods)]
+    typings = [[t, *(rename_apart(o, sigma, taken, classes) for o in ts[1:])]
+               for t, ts in zip(rep.methods, typings)]
     return cls, rep, typings
 
 
 def _map_solution(s, f):
     """Solution `s`, a `pipeline.SolvedClass`, with `f` applied to each of
     its terms."""
-    return type(s)(s.remaining,
-                   tuple((f(v), b and f(b)) for v, b in s.class_generics),
+    return type(s)(tuple((f(v), b and f(b)) for v, b in s.class_generics),
                    {n: f(x) for n, x in s.field_terms.items()},
                    [_map_typing(t, f) for t in s.methods],
                    {u: f(x) for u, x in s.local_terms.items()})
 
 
-def _hiders(cls, solved, declared):
-    """The variables of `declared` whose member mentions, in some solution
-    of `solved`, another class or a class variable printing under its
-    name; the whole class is a class variable's member."""
+def _hiders(cls, rep, typings, parts, declared):
+    """The variables of `declared` whose member mentions, in some solution,
+    another class or a class variable printing under its name; the whole
+    class is a class variable's member.  The solutions' terms are those
+    of `rep`, of the typings `typings` and of the fields and locals of
+    `parts` (see `name_solutions`); the clauses' other terms are declared
+    variables and bounds, which `rep` holds, and placeholders."""
     if not declared:
         return []
     uids = [[] for _ in cls.methods]   # the locals each method declares
     for i, m in enumerate(cls.methods):
         S.walk(m, lambda n: isinstance(n, S.LocalDecl)
                and uids[i].append(n.uid))
-    found = set()
-    for s in solved:
-        sigs = [[*t.params, t.ret, *clause_terms(t.generics)]
-                for t in s.methods]
-        members = {("method", i): [*sig, *(s.local_terms[u] for u in uids[i]
-                                           if u in s.local_terms)]
-                   for i, sig in enumerate(sigs)}
-        members[CLASS] = [*clause_terms(s.class_generics),
-                          *s.field_terms.values(), *s.local_terms.values(),
-                          *(x for sig in sigs for x in sig)]
-        for v in declared:
-            found.update(v for x in members[v.owner] for h in _heads(x)
-                          if h is not v and str(h) == str(v)
-                          and not isinstance(h, TPH)
-                          and (not isinstance(h, TypeVar) or h.owner == CLASS))
+    sols = [rep, *parts]
+    sigs = [[x for t in ts for x in (*t.params, t.ret,
+                                     *clause_terms(t.generics))]
+            for ts in typings]
+    members = {("method", i): [*sig, *(s.local_terms[u] for s in sols
+                                       for u in uids[i]
+                                       if u in s.local_terms)]
+               for i, sig in enumerate(sigs)}
+    members[CLASS] = [*clause_terms(rep.class_generics),
+                      *(x for s in sols for x in (*s.field_terms.values(),
+                                                  *s.local_terms.values())),
+                      *(x for sig in sigs for x in sig)]
+    found = {v for v in declared for x in members[v.owner]
+             for h in _heads(x)
+             if h is not v and str(h) == str(v) and not isinstance(h, TPH)
+             and (not isinstance(h, TypeVar) or h.owner == CLASS)}
     return [v for v in declared if v in found]
 
 

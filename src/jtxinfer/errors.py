@@ -39,7 +39,8 @@ class ArityMismatch(JtxError):
 
 
 class UnknownIdentifier(JtxError):
-    """Variable reference that resolves to no parameter, local or field."""
+    """Variable reference that resolves to no parameter, local or field, or
+    to a field that the initializer it is in may not read yet."""
 
 
 class UnknownMember(JtxError):

@@ -37,8 +37,8 @@ step for step and name for name: undoing to a group frame also resets the
 fresh-name counter and the step budget to what they were at its mark.
 The choices multiply: groups that share no placeholder are still tried in
 every combination.  So the pipeline calls `unify` once per component of
-a class's constraints that share no placeholder and joins the solutions
-(`pipeline._search` and `_join`); one call here searches what it is given.
+a class's constraints that share no placeholder and never joins the
+solutions (`pipeline._search`); one call here searches what it is given.
 
 A receiver group (a member access on a placeholder receiver, one
 candidate per class and template declaring the member, of two or more

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from jtxinfer import pipeline as P
@@ -155,6 +157,11 @@ PINNED_SRCS = {
                       "return y; } <T> b(T y) { return y; } }",
     "ClassNamedLikeVariable": "class T { } class C { <T> m(T x) { return x; } "
                               "n(T y) { return y; } }",
+    # a field initializer calls a method that reads a later field, assigns
+    # a later field in a lambda and reads an earlier one
+    "FieldInitializers": "class A { f = m(); g = 1; "
+                         "h = x -> { k = g; return x; }; k = g; "
+                         "m() { return k; } }",
     # a local declared with a qualified type
     "QualifiedLocal": "class C { m() { java.lang.Integer x = 1; "
                       "return x; } }",
@@ -185,6 +192,18 @@ PINNED_SRCS = {
                            "(g.apply(x), x).snd(); } }",
 }
 
+
+
+def independent_sums(k):
+    """A class of k methods `mi(a, b) { return a + b; }` with the Integer,
+    Double and String `+` visible: k components of three solutions each,
+    and 3k members printed, one method's typings not depending on
+    another's."""
+    methods = " ".join(f"m{i}(a, b) {{ return a + b; }}" for i in range(k))
+    return ("import java.lang.Integer;\nimport java.lang.Double;\n"
+            f"import java.lang.String;\nclass C {{ {methods} }}\n")
+
+
 ALL_GOLDEN_SRCS = {
     "Fac": FAC_SRC,
     "TPHsToGenerics": TPHS_SRC,
@@ -212,9 +231,47 @@ def stage_solutions(src, idx=0):
     table = build_class_table(prog)
     cls = prog.classes[idx]
     gen = generate_constraints(cls, table)
+    whole = P._whole(gen)
     out = [P._Solved(sol.sigma_dict(), sol.remaining, cand.choice, sol.drawn,
-                     gen) for cand, sol in flattened_solutions(gen, table)]
+                     gen, whole)
+           for cand, sol in flattened_solutions(gen, table)]
     return gen, table, P._minimal(P._dedup(out), table)
+
+
+def joined_solutions(parts, gen):
+    """The reference for the solutions of a class from those of its
+    components (`pipeline._search`): every combination of one solution
+    per component, as a `_Solved` of the class as one component, with the
+    substitutions and remaining pairs merged, the choices put in the
+    class's group order and the largest count `drawn` of its parts.  They
+    come in the order one search gives: by choice, then remaining pairs
+    and substitution."""
+    whole = P._whole(gen)
+    out = []
+    for combo in itertools.product(*parts):
+        sigma, choice = {}, [0] * len(gen.groups)
+        for s in combo:
+            sigma.update(s.sigma)
+            for i, c in zip(s.comp.indices, s.choice):
+                choice[i] = c
+        remaining = tuple(sorted(itertools.chain(*(s.remaining
+                                                   for s in combo))))
+        out.append(P._Solved(sigma, remaining, tuple(choice),
+                             max(s.drawn for s in combo), gen, whole))
+    out.sort(key=lambda s: s.choice)
+    if any(a.choice == b.choice for a, b in zip(out, out[1:])):
+        out.sort(key=lambda s: (s.choice, s.remaining, [
+            (n, str(t)) for n, t in sorted(s.sigma.items())]))
+    return out
+
+
+def typings_of_every_combination(gen, view, parts):
+    """The reference for `pipeline._typings` on the components' kept
+    solutions `parts`: every combination joined (`joined_solutions`),
+    each generalized on its own after its count, and all of them taken
+    as the solutions of one component."""
+    joined = [s.generalize(s.drawn) for s in joined_solutions(parts, gen)]
+    return P._typings(gen, view, [joined])
 
 
 @pytest.fixture(scope="session")

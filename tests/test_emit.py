@@ -111,14 +111,21 @@ def test_canonical_renaming_past_alphabet():
 
 def _solved(*methods):
     """A SolvedClass of a class without fields or locals."""
-    return SolvedClass(remaining=(), class_generics=(), field_terms={},
+    return SolvedClass(class_generics=(), field_terms={},
                        methods=list(methods), local_terms={})
+
+
+def _named(cls, rep, *others, classes=()):
+    """`name_solutions` of `rep` and other solutions of `cls`."""
+    typings = [[t, *(o.methods[i] for o in others)]
+               for i, t in enumerate(rep.methods)]
+    return name_solutions(cls, rep, typings, classes, ())
 
 
 def _named_identity():
     cls = parse("class C { m(x) { return x; } }").classes[0]
-    return name_solutions(cls, [_solved(
-        mt([TPH("QQ")], TPH("QQ"), [(TPH("QQ"), None)]))], {})
+    return _named(cls, _solved(
+        mt([TPH("QQ")], TPH("QQ"), [(TPH("QQ"), None)])))
 
 
 def test_name_solutions_names_canonically():
@@ -133,10 +140,10 @@ def test_name_solutions_names_canonically():
 
 def test_name_solutions_bound_order_names_before_bounds():
     cls = parse("class C { m(x, y) { return x; } }").classes[0]
-    cls, rep, _ = name_solutions(cls, [_solved(
+    cls, rep, _ = _named(cls, _solved(
         mt([TPH("P"), TPH("Q")], TPH("P"),
            [(TPH("P"), TPH("R")), (TPH("Q"), TPH("S")),
-            (TPH("R"), None), (TPH("S"), None)]))], {})
+            (TPH("R"), None), (TPH("S"), None)])))
     gens = [(g.name, str(g.bound) if g.bound else None)
             for g in build_typed_class(cls, rep).methods[0].generics]
     # every generic is introduced before any bound-only name
@@ -150,7 +157,7 @@ def test_name_solutions_renames_other_solutions_apart():
     rep = _solved(mt([TPH("Q")], TPH("Q"), [(TPH("Q"), None)]))
     other = _solved(mt([TPH("A")], TPH("Z"),
                        [(TPH("A"), TPH("Z")), (TPH("Z"), None)]))
-    _, _, typings = name_solutions(cls, [rep, other], {"B": None})
+    _, _, typings = _named(cls, rep, other, classes={"B": None})
     assert [format_typing(t) for t in typings[0]] == [
         "<A> A -> A", "<C extends Z, Z> C -> Z"]
 

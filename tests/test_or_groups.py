@@ -15,15 +15,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jtxinfer import ResourceLimit, parse
-from jtxinfer import generics, pipeline as P
-from jtxinfer.classtable import build_class_table
+from jtxinfer import emit, generics, pipeline as P
+from jtxinfer.classtable import CLASS, MethodSig, build_class_table
 from jtxinfer.constraints import (Alternative, FreshNames, GenResult,
                                   call_sites, doteq, flatten,
                                   generate_constraints, lessdot)
-from jtxinfer.typeterms import ClassType, TPH, fun_type, tph_number
+from jtxinfer.typeterms import VOID, ClassType, TPH, fun_type, tph_number
 from jtxinfer.unify import Solution, unify
 
-from conftest import ALL_GOLDEN_SRCS, flattened_solutions
+from conftest import (ALL_GOLDEN_SRCS, flattened_solutions, independent_sums,
+                      joined_solutions, typings_of_every_combination)
 
 # `jtxinfer.unify` is the function; the budget lives in the module
 UNIFY = importlib.import_module("jtxinfer.unify")
@@ -90,12 +91,18 @@ RECEIVER_CASES = [
 # two receiver groups over A and B: apart, and joined through the class's
 # own `f`, whose slot terms the alternatives of its candidate mention: its
 # parameter is above Integer and String at once when both calls take it;
-# and apart, the second drawing names for the lambda's function type
+# apart, the second drawing names for the lambda's function type;
+# apart, each with a bound cycle, which each collapses; and apart, the
+# second with one solution, as its receiver is known to be an A
 SPLIT_CASES = [
     "m(o, p, x, z) { var a = o.f(x); var b = p.f(z); return a; }",
     "m(o, p) { var a = o.f(1); var b = p.f(\"s\"); return a; } "
     "f(y) { return y; }",
     "m(o, p, x) { var a = o.f(x); var b = p.f(y -> y); return b; }",
+    "m(o, p, x, y, z, w) { x = y; y = x; z = w; w = z; var a = o.f(x); "
+    "var b = p.f(z); return a; }",
+    "m(p, x, y) { var d = new A(); var a = p.f(x); var b = d.f(y); "
+    "return b; }",
 ]
 
 PROGRAMS = list(ALL_GOLDEN_SRCS.items()) + [
@@ -119,7 +126,7 @@ def test_search_matches_flattened_candidates(monkeypatch):
 
     def checked_search(gen, view, stats):
         parts = search(gen, view, stats)
-        sols = [s.solution() for s in P._join(parts, gen)]
+        sols = [s.solution() for s in joined_solutions(parts, gen)]
         assert _compared(sols, gen) == _reference(gen, view)
         seen["classes"] += 1
         seen["split"] += len(parts) > 1
@@ -342,8 +349,8 @@ def test_split_search_matches_one_search(sets):
         except ResourceLimit:
             # a component's choice pops no more than the whole search's
             return
-        split = [s.solution()
-                 for s in P._join(P._search(gen, _TABLE, Counter()), gen)]
+        split = [s.solution() for s in joined_solutions(
+            P._search(gen, _TABLE, Counter()), gen)]
     given = _pool_names().mark()
     if all(s.drawn == given for s in (*whole, *split)):
         assert split == whole
@@ -359,32 +366,44 @@ def _held(s):
 
 
 def test_joined_solutions_hold_only_names_they_counted(monkeypatch):
-    """Every generated name a joined solution holds comes before its count
-    `drawn`, and generalization, which draws after it, draws none of them:
-    the paper programs, the split cases and surviving/n1..n3.  The dump
-    runs `_join` on the solutions before `_minimal` too."""
+    """A class solution joins one solution per component, so no two of
+    them may share a name.  Every generated name a component's solution
+    holds comes before its count `drawn`, and generalization draws no
+    name that a solution of the class holds, nor one that another
+    component's generalization draws: the paper programs, the split cases
+    and surviving/n1..n3."""
     seen = Counter()
-    held = []   # the names of the solution being generalized
-    join, generalize, name = P._join, P._Solved.generalize, generics.tph_name
+    held = set()   # the names the solutions of the class hold
+    drawn = {}     # a name generalization drew -> its component
+    comp = []      # the component being generalized
+    search, generalize, name = P._search, P._Solved.generalize, \
+        generics.tph_name
 
-    def checked_join(parts, gen):
-        out = join(parts, gen)
-        for s in out:
-            assert all(tph_number(n) < s.drawn for n in _held(s))
-            seen["split"] += len(parts) > 1
-            seen["late"] += s.drawn > gen.fresh.mark()
-        return out
+    def checked_search(gen, view, stats):
+        parts = search(gen, view, stats)
+        held.clear()
+        drawn.clear()
+        for k, sols in enumerate(parts):
+            for s in sols:
+                assert all(tph_number(n) < s.drawn for n in _held(s))
+                held.update(_held(s))
+                seen["late"] += k > 0 and s.drawn > max(
+                    t.drawn for t in parts[k - 1])
+        seen["split"] += len(parts) > 1
+        return parts
 
-    def checked_generalize(self, view):
-        held.append(_held(self))
-        return generalize(self, view)
+    def checked_generalize(self, start):
+        comp[:] = [self.comp]
+        return generalize(self, start)
 
     def checked_name(n):
-        assert name(n) not in held[-1]
+        assert name(n) not in held
+        assert drawn.setdefault(name(n), comp[0]) is comp[0]
         seen["collapses"] += 1
+        seen["split collapses"] += len(set(map(id, drawn.values()))) > 1
         return name(n)
 
-    monkeypatch.setattr(P, "_join", checked_join)
+    monkeypatch.setattr(P, "_search", checked_search)
     monkeypatch.setattr(P._Solved, "generalize", checked_generalize)
     monkeypatch.setattr(generics, "tph_name", checked_name)
     for src in [*ALL_GOLDEN_SRCS.values(),
@@ -392,9 +411,145 @@ def test_joined_solutions_hold_only_names_they_counted(monkeypatch):
                 *(corpus.surviving_unit(n, random.Random(n)).source
                   for n in (1, 2, 3))]:
         P.run_source(src, dump_stages=("solutions",))
-    # the last split case's second component draws names, which its
-    # joined solutions count
-    assert seen["split"] and seen["late"] and seen["collapses"]
+    # the third split case's second component draws names for its lambda,
+    # and both components of the fourth collapse a cycle
+    assert seen["split"] and seen["late"] and seen["split collapses"]
+
+
+# --- components generalized apart ------------------------------------------
+
+_MEMBERS = [CLASS, ("method", 0), ("method", 1)]
+
+
+def _members_gen(base, groups, members):
+    """A class over the pools' constraints whose slot terms are the pools'
+    placeholders, each declared by the member `members` gives it: a field
+    of the class or a parameter of one of two void methods."""
+    slots = {m: [] for m in _MEMBERS}
+    for t, m in zip((t for pool in _POOLS for t in pool), members):
+        slots[m].append(t)
+    methods = [MethodSig(f"m{i}", [], list(slots[("method", i)]), VOID)
+               for i in range(2)]
+    for i in range(2):
+        slots[("method", i)].append(VOID)
+    return GenResult(base=base, groups=_wrapped(groups), fresh=_pool_names(),
+                     methods=methods, slots=slots,
+                     field_terms={f"f{i}": t
+                                  for i, t in enumerate(slots[CLASS])})
+
+
+def _printed(gen, rep, typings, parts):
+    """The class's printed typings per method, its field terms and its
+    class clause."""
+    _, rep, typings = emit.name_solutions(None, rep, typings, {}, parts)
+    return ([[emit.format_typing(t)
+              for t in emit.assemble_intersection_types(ts)]
+             for ts in typings],
+            [str(t) for t in rep.field_terms.values()],
+            str(rep.class_generics))
+
+
+def _check_typings(gen, view, done):
+    """`_typings` of the generalized components `done` against generalizing
+    every joined combination: for every method the same members up to
+    renaming, and the same printed typings, fields and class clause where
+    no component but the last collapses a name, as the joined
+    combinations name those after the last component's count too.
+    Returns whether the printed forms were compared."""
+    got = P._typings(gen, view, done)
+    want = typings_of_every_combination(
+        gen, view, [[g.solved for g in sols] for sols in done])
+    for mine, every in zip(got[1], want[1]):
+        assert ({emit._canonical(t) for t in mine}
+                == {emit._canonical(t) for t in every})
+    if any(g.drawn != g.solved.drawn for sols in done[:-1] for g in sols):
+        return False
+    assert (_printed(gen, *got, [g for sols in done for g in sols])
+            == _printed(gen, *want, []))
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_independent(),
+       st.lists(st.sampled_from(_MEMBERS), min_size=6, max_size=6))
+def test_components_generalized_apart_print_every_combination(sets,
+                                                              members):
+    """Each component's solutions generalized on their own print what
+    generalizing every joined combination prints (`_check_typings`)."""
+    gen = _members_gen(*sets, members)
+    with mock.patch.object(UNIFY, "MAX_STEPS", 2_000):
+        try:
+            parts = P._search(gen, _TABLE, Counter())
+        except ResourceLimit:
+            return
+    parts = [P._minimal(P._dedup(sols), _TABLE) for sols in parts]
+    if all(parts):
+        _check_typings(gen, _TABLE, P._generalize(parts))
+
+
+def test_split_programs_print_every_combination(monkeypatch):
+    """`_check_typings` on every class of the split cases, of surviving/n1..n3
+    and of the independent sums at k = 1..4, in the pipeline's own table
+    state: methods inside one component and across several, components of
+    one solution among them, and collapses in an earlier component."""
+    seen = Counter()
+    assemble = P._assemble
+
+    def checked(cls, gen, done, view, stats):
+        seen["classes"] += 1
+        seen["split"] += len(done) > 1
+        seen["single"] += len(done) > 1 and min(map(len, done)) == 1
+        seen["printed"] += _check_typings(gen, view, done)
+        return assemble(cls, gen, done, view, stats)
+
+    monkeypatch.setattr(P, "_assemble", checked)
+    for src in [*(TWO_FS + f"class C {{ {body} }}" for body in SPLIT_CASES),
+                *(corpus.surviving_unit(n, random.Random(n)).source
+                  for n in (1, 2, 3)),
+                *map(independent_sums, range(1, 5))]:
+        P.run_source(src)
+    assert seen["split"] >= 8 and seen["single"]
+    assert seen["classes"] > seen["printed"] > seen["split"]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_independent_sums_generalize_each_component_solution_once(
+        k, monkeypatch):
+    # k methods of three typings each: k components of three solutions,
+    # each generalized once, where every combination took 3^k
+    calls = Counter()
+    generalize = P._Solved.generalize
+
+    def counted(self, start):
+        calls["generalize"] += 1
+        return generalize(self, start)
+
+    monkeypatch.setattr(P._Solved, "generalize", counted)
+    lines = P.signature_lines(P.run_source(independent_sums(k)))
+    assert calls["generalize"] == 3 * k
+    assert lines == [f"C.m{i} : (Integer, Integer) -> Integer & "
+                     "(Double, Double) -> Double & (String, String) -> String"
+                     for i in range(k)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_surviving_main_generalizes_each_component_solution_once(
+        n, monkeypatch):
+    # Main's n calls are n components of four solutions: 4n
+    # generalizations, where every combination took 4^n; Main still
+    # prints its 4^n members
+    calls = Counter()
+    generalize = P._Solved.generalize
+
+    def counted(self, start):
+        calls[self.gen.methods[0].name] += 1
+        return generalize(self, start)
+
+    monkeypatch.setattr(P._Solved, "generalize", counted)
+    unit = corpus.surviving_unit(n, random.Random(n))
+    lines = P.signature_lines(P.run_source(unit.source))
+    assert calls["main"] == 4 * n
+    assert lines == list(unit.sigs)
 
 
 # --- receiver groups filtered at their frame -------------------------------

@@ -234,6 +234,14 @@ DIAGNOSTICS = {
     "DuplicateField": ("class C { f; f; }", JtxSyntaxError, "1:14"),
     "FunctionTypeClass": ("class C { } class FunVoid0$$ { }",
                           UnsupportedFeature, "1:13"),
+    # a field initializer reads no field declared at or after its own
+    "ForwardField": ("class A { f = g; g = 1; }", UnknownIdentifier, "1:15"),
+    "ForwardAnnotatedField": ("import java.lang.Integer; "
+                              "class A { Integer f = g; Integer g = 1; }",
+                              UnknownIdentifier, "1:49"),
+    "ForwardFieldInLambda": ("class A { f = x -> g; g = 1; }",
+                             UnknownIdentifier, "1:20"),
+    "SelfReferenceField": ("class A { f = f; }", UnknownIdentifier, "1:15"),
     "AssignmentTarget": ("class C { m(a) { 1 = a; } }",
                          JtxSyntaxError, "1:18"),
     "IncrementTarget": ("class C { m(a) { a.m()++; } }",
@@ -247,6 +255,18 @@ DIAGNOSTICS = {
     "DeepParens": ("class C { m() { return " + "(" * 3000 + "1" + ")" * 3000
                    + "; } }", ResourceLimit, None),
 }
+
+
+def test_field_initializer_names_the_reference_javac_refuses():
+    # javac: "illegal forward reference", "self-reference in initializer"
+    for src, message in [
+            ("class A { f = x -> g; g = 1; }", "1:20: illegal forward "
+             "reference to field 'g' in initializer of field 'f'"),
+            ("class A { f = x -> f.apply(x); }", "1:20: self-reference in "
+             "initializer of field 'f'")]:
+        with pytest.raises(UnknownIdentifier) as info:
+            run(src)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
@@ -699,6 +719,7 @@ PINNED_SIGS = {
     "ShadowedClassInBody": ["C.m : <A> (Integer, A) -> A"],
     "ClassVariableInBody": ["C.m : <Integer> Integer -> Integer",
                             "C.n : A -> A"],
+    "FieldInitializers": ["A.m : () -> Integer"],
 }
 PINNED_REENTRY = {
     "TwoParam": ["A.n : <C extends D, D> C -> D",

@@ -377,13 +377,19 @@ def test_independent_chain_methods_have_one_class_solution(m):
 
 @pytest.mark.parametrize("n, kept", [(1, 7), (2, 19), (3, 67)])
 def test_surviving_family_solutions_are_all_kept(n, kept):
-    # the unifier gives no solution that minimality drops
+    # the unifier gives no solution that minimality drops: `kept` class
+    # solutions, each one solution per component, OL's 3 and Main's 4^n
     r = run_source(corpus.surviving_unit(n, random.Random(0)).source,
                    dump_stages=("solutions",))
-    solutions = [line for line in r.dumps["solutions"].splitlines()
-                 if line.startswith("# ")]
-    assert len(solutions) == kept
-    assert sum(len(c.remainings) for c in r.class_results) == kept
+    heads = Counter(line for line in r.dumps["solutions"].splitlines()
+                    if line.startswith("# "))
+    combinations = {}
+    for head, count in heads.items():
+        cls = head.split()[1]
+        combinations[cls] = combinations.get(cls, 1) * count
+    assert sum(combinations.values()) == kept
+    assert sum(len(c.remainings) for c in r.class_results) \
+        == sum(heads.values()) == 3 + 4 * n
 
 
 @pytest.mark.parametrize("n", (1, 40, 400))
