@@ -64,7 +64,7 @@ class Entry:
     methods and fields take besides their own."""
 
     __slots__ = ("name", "qualified", "params", "variance", "super_template",
-                 "methods", "fields", "generics", "constructor")
+                 "methods", "fields", "generics", "constructor", "pending")
 
     def __init__(self, name, qualified="", params=None, variance=None,
                  super_template=None, methods=None, fields=None,
@@ -78,6 +78,7 @@ class Entry:
         self.fields = {} if fields is None else fields
         self.generics = [] if generics is None else generics
         self.constructor = [] if constructor is None else constructor
+        self.pending = None   # see `ClassTable.register`
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -166,31 +167,37 @@ class ClassTable:
     `TypeVar` of the class or of one of its methods, to its bound (None for
     none), in declaration order: the class's clause, then each method's.
 
-    Each view caches `supertype_chain` per term and `subtype_heads` per
-    (head, member scope).  Both depend only on the entries, their super
-    templates and the view's variables, and none of these changes once a
-    view is queried: `build_class_table` adds every entry before the first
-    chain is walked, later writes (the pipeline's inferred typings and
-    field types, through `register`) touch only user entries' `methods`,
-    `fields` and `generics`, and every view has caches of its own.  The
-    built-in entries are shared by every table of the process and never
-    written.  The member index of `members` reads exactly what `register`
-    writes, so a table and its views share one, and `register` renews it.
-    `generic` tells whether some entry takes type arguments; only
-    built-in and function-type entries do, and those are in place when
-    `build_class_table` makes the table, so its views take its flag.
+    Each view caches `supertype_chain` per term, `subtype_heads` per
+    (head, member scope) and the unifier's `sups` and `bound_heads` (see
+    `unify._Unifier`), so the searches of every component and class over
+    one view answer each query once.  These depend only on the entries,
+    their super templates and the view's variables, and none of these
+    changes once a view is queried: `build_class_table` adds every entry
+    before the first chain is walked, later writes (the pipeline's
+    inferred typings and field types, through `register`) touch only user
+    entries' `methods`, `fields` and `generics`, and every view has caches
+    of its own.  The built-in entries are shared by every table of the
+    process and never written.  A table and its views (`shared`) share
+    what depends on the entries alone: `generic`, whether some entry takes
+    type arguments (only built-in and function-type entries do, all in
+    place when `build_class_table` makes the table); `_below`, each head
+    -> the entries whose chain reaches it, in table order; and the member
+    index of `members`, which reads exactly what `register` writes, so
+    `register` renews it.
     """
 
-    def __init__(self, entries, typevars=None, members=None, generic=None):
+    def __init__(self, entries, typevars=None, shared=None):
         self.entries = entries
         self.typevars = typevars or {}
-        self.generic = (any(e.arity for e in entries.values())
-                        if generic is None else generic)
         self._chains = {}     # term -> tuple, see `supertype_chain`
         self._heads = {}      # (name, scope) -> tuple, see `subtype_heads`
-        # (member name, arity) -> [(entry name, template)], see `members`;
-        # shared by the views over the same entries
-        self._members = {} if members is None else members
+        self.sups, self.bound_heads = {}, {}   # see `unify._Unifier`
+        shared = shared or self
+        self.generic = (any(e.arity for e in entries.values())
+                        if shared is self else shared.generic)
+        self._below = {} if shared is self else shared._below
+        # (member name, arity) -> [(entry name, template)], see `members`
+        self._members = {} if shared is self else shared._members
 
     # -- basic lookup -------------------------------------------------------
 
@@ -290,22 +297,23 @@ class ClassTable:
 
     def subtype_heads(self, name, scope):
         """Entry names whose supertype chain reaches `name` (incl. itself),
-        in table order, plus the type variables below it that are in
-        scope for member `scope`; a tuple cached per view."""
+        in table order, from the index `_below`, made at the first call,
+        plus the type variables below it that are in scope for member
+        `scope`; a tuple cached per view."""
         heads = self._heads.get((name, scope))
         if heads is None:
-            heads = self._heads[name, scope] = tuple(
-                self._walk_subtype_heads(name, scope))
+            below = self._below
+            if not below:   # made once for the table and its views
+                for cand, e in self.entries.items():
+                    head = ClassType(cand, tuple(TPH(f"?{i}")
+                                                 for i in range(e.arity)))
+                    for n in dict.fromkeys(t.name for t in
+                                           self.supertype_chain(head)):
+                        below.setdefault(n, []).append(cand)
+            heads = self._heads[name, scope] = (*below.get(name, ()), *(
+                v.name for v in self.typevars if v.owner in (scope, CLASS)
+                and any(t.name == name for t in self.supertype_chain(v))))
         return heads
-
-    def _walk_subtype_heads(self, name, scope):
-        heads = [ClassType(cand, tuple(TPH(f"?{i}") for i in range(e.arity)))
-                 for cand, e in self.entries.items()]
-        heads += [v for v in self.typevars if v.owner in (scope, CLASS)]
-        for head in heads:
-            if any(isinstance(t, ClassType) and t.name == name
-                   for t in self.supertype_chain(head)):
-                yield head.name
 
     # -- member lookup ------------------------------------------------------
 
@@ -332,6 +340,9 @@ class ClassTable:
     def _entry_members(self, cname):
         """Entry `cname`'s signature templates by (member name, arity)."""
         entry = self.entries[cname]
+        if entry.pending is not None:
+            entry.methods, entry.fields, entry.generics = entry.pending()
+            entry.pending = None
         members = {}
         for sig in entry.methods:
             members.setdefault((sig.name, len(sig.params)), []).append(sig)
@@ -341,14 +352,14 @@ class ClassTable:
                                                   term)]
         return members
 
-    def register(self, name, methods, fields, generics):
-        """Write the members the pipeline inferred for user entry `name`:
-        its method templates, field types and generics clause; and renew
-        the entry's part of the member index."""
+    def register(self, name, members):
+        """Give user entry `name` the members the pipeline inferred:
+        `members()` makes (method templates, field types, generics clause)
+        to replace the entry's when the member index reads it, at once if
+        the index is made, and never if no later class reads members."""
         index = self._members
         old = self._entry_members(name) if index else {}
-        entry = self.entries[name]
-        entry.methods, entry.fields, entry.generics = methods, fields, generics
+        self.entries[name].pending = members
         if not index:
             return
         new = self._entry_members(name)
@@ -513,13 +524,13 @@ def class_view(cls, table):
     """The view of `table` for class `cls`, holding the declared variables
     of the class and then of each method.  A bound is resolved among the
     variables its member sees, all made first; an `Object` bound is none."""
+    if not cls.generics and not any(m.generics for m in cls.methods):
+        return table
     members = [(CLASS, cls.generics), *((("method", i), m.generics)
                                         for i, m in enumerate(cls.methods))]
-    if not any(gs for _, gs in members):
-        return table
     view = ClassTable(table.entries, {TypeVar(g.name, scope): None
                                       for scope, gs in members for g in gs},
-                      table._members, table.generic)
+                      table)
     for scope, gs in members:
         for g in gs:
             b = g.bound and resolve_src_type(g.bound, view, scope)

@@ -223,12 +223,18 @@ class _Unread:
 
 
 class _Generator:
+    """Names are scoped as in Java: `fields` maps each field the current
+    member reads by simple name to its term or an `_Unread`, and `env`
+    each parameter and local in scope, a lambda's too.  A local or a
+    lambda parameter may shadow a field, not a parameter or local."""
+
     def __init__(self, cls, table, fresh):
         self.cls = cls
         self.table = table
         self.fresh = fresh
         self.result = GenResult(fresh=fresh)
         self.scope = ("class",)
+        self.fields = {}
 
     def emit(self, c):
         self.result.base.append(c)
@@ -260,22 +266,21 @@ class _Generator:
             if f.init is not None:
                 # as in Java, an initializer reads no field declared at or
                 # after its own by simple name, in a lambda body too
-                env = dict(res.field_terms)
-                env[f.name] = _Unread(env[f.name], "self-reference in "
-                                      f"initializer of field '{f.name}'")
+                fields = self.fields = dict(res.field_terms)
+                fields[f.name] = _Unread(fields[f.name], "self-reference in "
+                                         f"initializer of field '{f.name}'")
                 for g in self.cls.fields[i + 1:]:
-                    env[g.name] = _Unread(
-                        env[g.name], f"illegal forward reference to field "
+                    fields[g.name] = _Unread(
+                        fields[g.name], f"illegal forward reference to field "
                         f"'{g.name}' in initializer of field '{f.name}'")
-                t = self.expr(f.init, env)
+                t = self.expr(f.init, {})
                 self.emit(flow(f.init, t, res.field_terms[f.name]))
+        self.fields = res.field_terms
         for i, m in enumerate(self.cls.methods):
             self.scope = ("method", i)
             self.method_index = i
             sig = res.methods[i]
-            env = dict(res.field_terms)
-            for p, t in zip(m.params, sig.params):
-                env[p.name] = t
+            env = {p.name: t for p, t in zip(m.params, sig.params)}
             for st in m.body:
                 self.stmt(st, env, sig.ret)
         return res
@@ -315,8 +320,9 @@ class _Generator:
                 self.emit(flow(st.init, t, term))
         elif isinstance(st, S.Assign):
             name = st.target
-            if name.__class__ is S.Name and name.ident in env:
-                target = env[name.ident]
+            target = (name.__class__ is S.Name and
+                      (env.get(name.ident) or self.fields.get(name.ident)))
+            if target:
                 if target.__class__ is _Unread:   # assigned, not read
                     target = target.term
             else:
@@ -356,13 +362,13 @@ class _Generator:
         if type(e) in RULES:
             return ClassType(RULES[type(e)])
         if isinstance(e, S.Name):
-            if e.ident in env:
-                t = env[e.ident]
-                if t.__class__ is _Unread:
-                    raise UnknownIdentifier(t.message, e.pos.line, e.pos.col)
-                return t
-            raise UnknownIdentifier(
-                f"unknown identifier '{e.ident}'", e.pos.line, e.pos.col)
+            t = env.get(e.ident) or self.fields.get(e.ident)
+            if t is None:
+                raise UnknownIdentifier(
+                    f"unknown identifier '{e.ident}'", e.pos.line, e.pos.col)
+            if t.__class__ is _Unread:
+                raise UnknownIdentifier(t.message, e.pos.line, e.pos.col)
+            return t
         if isinstance(e, S.Binary):
             return self._binary(e.op, self.expr(e.left, env),
                                 self.expr(e.right, env), e.pos)
@@ -409,6 +415,9 @@ class _Generator:
         arg_components = []
         inner = dict(env)
         for p in e.params:
+            if p.name in inner:
+                raise UnknownIdentifier(f"'{p.name}' is already defined",
+                                        e.pos.line, e.pos.col)
             if p.annotation is not None:
                 slot = self.resolve(p.annotation)
                 component = slot

@@ -219,11 +219,12 @@ def name_solutions(cls, rep, typings, classes, parts):
     declared = [v for clause in (rep.class_generics,
                                  *(t.generics for t in rep.methods))
                 for v, _ in clause if isinstance(v, TypeVar)]
-    hiders = _hiders(cls, rep, typings, parts, declared)
-    ren = canonical_renaming([v.name for v in hiders],
-                             set(map(str, declared)), classes)
-    mapping = {v.name: TypeVar(ren[v.name], v.owner) for v in hiders}
-    if mapping:
+    hiders, mapping = _hiders(cls, rep, typings, parts, declared), {}
+    if hiders:
+        ren = canonical_renaming([v.name for v in hiders],
+                                 set(map(str, declared)), classes)
+        mapping = {v.name: TypeVar(ren[v.name], v.owner) for v in hiders}
+
         def rename(x):
             return instantiate(x, mapping)
 
@@ -239,14 +240,17 @@ def name_solutions(cls, rep, typings, classes, parts):
     order += [n for t in rep.methods for n in t.names()]
     order += [n for t in rep.local_terms.values() for n in t.tphs]
     ren = canonical_renaming(order, reserved, classes)
-    sigma = {old: TPH(new) for old, new in ren.items()}
     # fresh names are drawn in order of first use, so the renaming usually
     # keeps every name, and then the representative is named already
-    if any(old != new for old, new in ren.items()):
-        rep = _map_solution(rep, lambda x: substitute(x, sigma))
-    taken = {*ren.values(), *reserved}
-    typings = [[t, *(rename_apart(o, sigma, taken, classes) for o in ts[1:])]
-               for t, ts in zip(rep.methods, typings)]
+    moved = {old: TPH(new) for old, new in ren.items() if old != new}
+    if moved:
+        rep = _map_solution(rep, lambda x: substitute(x, moved))
+    if moved or mapping or any(len(ts) > 1 for ts in typings):
+        sigma = {old: TPH(new) for old, new in ren.items()}
+        taken = {*ren.values(), *reserved}
+        typings = [[t, *(rename_apart(o, sigma, taken, classes)
+                         for o in ts[1:])]
+                   for t, ts in zip(rep.methods, typings)]
     return cls, rep, typings
 
 
@@ -315,32 +319,37 @@ def _rename_written(cls, renamed):
 def build_typed_class(cls, rep):
     """ClassDecl `cls` annotated (new AST) with the slot terms and generics
     clauses of `rep`, the class's representative `pipeline.SolvedClass` as
-    `name_solutions` names it."""
-    conv = term_to_srctype
+    `name_solutions` names it.  Each distinct term is written once: the
+    slots of one term share its `SrcType`."""
+    written = {}
+
+    def conv(term):
+        return written.get(term) or written.setdefault(term,
+                                                       term_to_srctype(term))
 
     def gen_params(clause):
         return [S.GenericParam(str(v), bound and conv(bound))
                 for v, bound in clause]
 
-    fields = [S.FieldDecl(name=f.name, init=f.init, pos=f.pos,
-                          annotation=conv(rep.field_terms[f.name]))
-              for f in cls.fields]
+    fields = [S.FieldDecl(f.name, conv(rep.field_terms[f.name]), f.init,
+                          f.pos) for f in cls.fields]
+    locals_ = rep.local_terms   # without locals, no statement has a slot
     methods = [S.MethodDecl(
-        name=m.name, generics=gen_params(t.generics), ret=conv(t.ret),
-        params=[S.Param(p.name, conv(x)) for p, x in zip(m.params, t.params)],
-        body=[_annotate_stmt(st, rep) for st in m.body], pos=m.pos)
-        for m, t in zip(cls.methods, rep.methods)]
-    return S.ClassDecl(name=cls.name, generics=gen_params(rep.class_generics),
-                       fields=fields, methods=methods, pos=cls.pos)
+        m.name, gen_params(t.generics), conv(t.ret),
+        [S.Param(p.name, conv(x)) for p, x in zip(m.params, t.params)],
+        [_annotate_stmt(st, locals_, conv) for st in m.body] if locals_
+        else list(m.body), m.pos) for m, t in zip(cls.methods, rep.methods)]
+    return S.ClassDecl(cls.name, gen_params(rep.class_generics), fields,
+                       methods, cls.pos)
 
 
-def _annotate_stmt(st, rep):
-    if isinstance(st, S.LocalDecl) and st.uid in rep.local_terms:
-        return S.LocalDecl(name=st.name, init=st.init, pos=st.pos, uid=st.uid,
-                           annotation=term_to_srctype(rep.local_terms[st.uid]))
+def _annotate_stmt(st, locals_, conv):
+    if isinstance(st, S.LocalDecl) and st.uid in locals_:
+        return S.LocalDecl(st.pos, st.name, conv(locals_[st.uid]), st.init,
+                           st.uid)
     if isinstance(st, S.While):
-        return S.While(cond=st.cond, pos=st.pos,
-                       body=[_annotate_stmt(s, rep) for s in st.body])
+        return S.While(st.pos, st.cond,
+                       [_annotate_stmt(s, locals_, conv) for s in st.body])
     return st
 
 

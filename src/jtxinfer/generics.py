@@ -67,11 +67,13 @@ def build_fgg(remaining, owners):
     is bridged: each of its lower bounds is joined to each of its upper
     bounds."""
     pairs = set(remaining)
-    for u in {n for pair in remaining for n in pair} - owners.keys():
+    bridged = {n for pair in remaining for n in pair} - owners.keys()
+    for u in bridged:
         lows = [l for l, r in pairs if r == u]
         highs = [r for l, r in pairs if l == u]
         pairs.update((l, r) for l in lows for r in highs if l != r)
-    return {(l, r) for l, r in pairs if l in owners and r in owners}
+    return {(l, r) for l, r in pairs if l in owners and r in owners
+            } if bridged else pairs   # else every name is an owner's
 
 
 def complete_fgg(pairs, remaining, owners, call_sites):
@@ -192,6 +194,8 @@ def _cycle(pairs):
 
 def _infimum(pairs):
     """A placeholder with several upper bounds, together with those bounds."""
+    if len({l for l, _ in pairs}) == len(pairs):   # one bound each
+        return None
     uppers = {}
     for (l, r) in pairs:
         uppers.setdefault(l, set()).add(r)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
 from . import emit as E
 from .classtable import CLASS, MethodSig, build_class_table, class_view
@@ -28,7 +29,7 @@ DUMP_STAGES = ("constraints", "solutions", "generics")
 _TOO_DEEP = "recursion deeper than the interpreter's limit"
 
 
-class SolvedClass:
+class SolvedClass(NamedTuple):
     """One class solution, after generalization, under the solution's
     placeholder names: the class's generics clause
     `class_generics`, ((variable, bound-or-None), ...) of terms whose
@@ -36,12 +37,10 @@ class SolvedClass:
     terms, `field_terms` by field name and `local_terms` by LocalDecl uid;
     and `methods`, one emit.MethodTyping per method."""
 
-    __slots__ = ("class_generics", "field_terms", "methods", "local_terms")
-
-    def __init__(self, class_generics, field_terms, methods, local_terms):
-        self.class_generics = class_generics
-        self.field_terms, self.local_terms = field_terms, local_terms
-        self.methods = methods
+    class_generics: tuple
+    field_terms: dict
+    methods: list
+    local_terms: dict
 
 
 class ClassResult:
@@ -53,35 +52,32 @@ class ClassResult:
     __slots__ = ("cls", "typed_cls", "signatures", "used_terms",
                  "remainings", "stats")
 
-    def __init__(self, cls, typed_cls, signatures, used_terms=None,
-                 remainings=None, stats=None):
+    def __init__(self, cls, typed_cls, signatures, used_terms, remainings,
+                 stats):
         self.cls, self.typed_cls, self.signatures = cls, typed_cls, signatures
-        self.used_terms = [] if used_terms is None else used_terms
-        self.remainings = [] if remainings is None else remainings
+        self.used_terms, self.remainings = used_terms, remainings
         self.stats = stats
 
 
 class PipelineResult:
-    """`stats` sums the unifier's counters (see `unify`) over the
-    classes."""
+    __slots__ = ("program", "table", "class_results", "dumps")
 
-    __slots__ = ("program", "table", "class_results", "dumps", "stats")
-
-    def __init__(self, program, table, class_results, dumps=None,
-                 stats=None):
+    def __init__(self, program, table, class_results, dumps):
         self.program, self.table = program, table
-        self.class_results = class_results
-        self.dumps = {} if dumps is None else dumps
-        self.stats = Counter() if stats is None else stats
+        self.class_results, self.dumps = class_results, dumps
 
     @property
     def typed_classes(self):
         return [r.typed_cls for r in self.class_results]
 
+    @property
+    def stats(self):
+        """The unifier's counters (see `unify`) summed over the classes."""
+        return sum((r.stats for r in self.class_results), Counter())
+
 
 def run_source(src, table_path=None, dump_stages=()):
-    """Infer every class of `src`; the result's `stats` sums the unifier's
-    counters of every class.  Recursion deeper than the interpreter
+    """Infer every class of `src`.  Recursion deeper than the interpreter
     allows, in the input's nesting or in a search, is a resource limit."""
     try:
         program = parse(src)
@@ -90,19 +86,15 @@ def run_source(src, table_path=None, dump_stages=()):
         raise ResourceLimit(_TOO_DEEP) from None
     dumps = {s: [] for s in dump_stages}
     results = []
-    stats = Counter()
     for cls in program.classes:
         try:
             results.append(_infer_class(cls, table, dumps))
-            stats.update(results[-1].stats)
         except RecursionError:
             raise ResourceLimit(f"class {cls.name}: {_TOO_DEEP}") from None
         except ResourceLimit as exc:
             raise ResourceLimit(f"class {cls.name}: {exc.message}") from None
-    return PipelineResult(program=program, table=table,
-                          class_results=results,
-                          dumps={k: "\n".join(v) for k, v in dumps.items()},
-                          stats=stats)
+    return PipelineResult(program, table, results,
+                          {k: "\n".join(v) for k, v in dumps.items()})
 
 
 def _infer_class(cls, table, dumps):
@@ -131,17 +123,16 @@ def _infer_class(cls, table, dumps):
 
 
 def _generalize(parts):
-    """Each component's kept solutions `parts` generalized.  The last
-    component's collapses are named after its own solution's names, as a
-    lone component's are; each earlier component's after every name that
-    a later one holds or drew.  So no two parts of a class solution share
-    a name."""
-    done, drawn = [], None
+    """Generalize each component's kept solutions `parts` in place and
+    return them.  The last component's collapses are named after its own
+    solution's names, as a lone component's are; each earlier
+    component's after every name that a later one holds or drew.  So no
+    two parts of a class solution share a name."""
+    drawn = None
     for sols in reversed(parts):
-        done.append([s.generalize(s.drawn if drawn is None else drawn)
+        drawn = max([s.generalize(s.drawn if drawn is None else drawn)
                      for s in sols])
-        drawn = max(g.drawn for g in done[-1])
-    return done[::-1]
+    return parts
 
 
 def _blocks(cls, parts):
@@ -299,15 +290,17 @@ class _Solved:
     below it, and below it in some, so a class solution is dominated
     exactly when one of its parts is, by the one that swaps in the part
     below; and `generalize`, whose owners, bridges, completion and
-    repairs never cross from one part's graph to another's."""
+    repairs never cross from one part's graph to another's.  `generalize`
+    sets `final`, each slot term of the component -> its term, and
+    `clauses`, each member -> the (placeholder, bound-or-None) pairs of
+    the inferred names it owns, by name."""
+
+    __slots__ = ("sigma", "remaining", "choice", "drawn", "gen", "comp",
+                 "_slot_terms", "final", "clauses")
 
     def __init__(self, sigma, remaining, choice, drawn, gen, comp):
-        self.sigma = sigma
-        self.remaining = remaining
-        self.choice = choice
-        self.drawn = drawn
-        self.gen = gen
-        self.comp = comp
+        self.sigma, self.remaining, self.choice = sigma, remaining, choice
+        self.drawn, self.gen, self.comp = drawn, gen, comp
         self._slot_terms = None
 
     @property
@@ -345,8 +338,9 @@ class _Solved:
                 tuple(str(t) for _, ts in self.slot_groups() for t in ts))
 
     def generalize(self, drawn):
-        """The solution generalized (see `generics`), its collapses named
-        from `tph_name(drawn)` on.  The pairs are repaired as one graph:
+        """Generalize the solution (see `generics`), naming its collapses
+        from `tph_name(drawn)` on, and return the count of names drawn,
+        the collapses' included.  The pairs are repaired as one graph:
         a clause states a pair within one member or from a method
         placeholder to a class one, a method placeholder above a class
         one is merged into it, and a collapse that takes in a class
@@ -354,14 +348,17 @@ class _Solved:
         owns once the graph is repaired, each bounded by its one stated
         upper bound."""
         remaining = self.remaining
-        owners = compute_owners(self.slot_groups())
-        sites = [CallSite(s.caller, [self.term(t) for t in s.arg_terms],
-                          [self.term(t) for t in s.param_terms],
-                          self.term(s.ret_term)) for s in self.sites]
+        final = self.slot_terms()
+        owners = compute_owners((owner, map(final.__getitem__, terms))
+                                for owner, terms in self.comp.slots.items())
+        # a call site without a caller bounds nothing (see `complete_fgg`)
+        sites = [CallSite(c.caller, [*map(self.term, c.arg_terms)],
+                          [*map(self.term, c.param_terms)],
+                          self.term(c.ret_term))
+                 for c in self.sites if c.caller is not None]
         pairs = complete_fgg(build_fgg(remaining, owners), remaining, owners,
                              sites)
         bounds, h, owners = enforce_java_conformance(pairs, drawn, owners)
-        final = self.slot_terms()
         if h:
             hmap = {old: TPH(new) for old, new in h.items()}
             final = {t: substitute(x, hmap) for t, x in final.items()}
@@ -370,33 +367,21 @@ class _Solved:
         bound = dict(bounds)
         clauses = {}
         for n, owner in sorted(owners.items()):
-            clauses.setdefault(owner, []).append(
-                (TPH(n), bound.get(n) and TPH(bound[n])))
-        return _Generalized(self, final, clauses, drawn)
-
-
-class _Generalized:
-    """A `_Solved` generalized: `final` maps each slot term of its
-    component to its term, collapses applied; `clauses` maps a member to
-    the (placeholder, bound-or-None) pairs of the inferred names it owns,
-    by name; `drawn` counts the names drawn, the collapses' included."""
-
-    __slots__ = ("solved", "final", "clauses", "drawn")
-
-    def __init__(self, solved, final, clauses, drawn):
-        self.solved, self.final = solved, final
-        self.clauses, self.drawn = clauses, drawn
+            b = bound.get(n)
+            clauses.setdefault(owner, []).append((TPH(n), b and TPH(b)))
+        self.final, self.clauses = final, clauses
+        return drawn
 
     @property
     def field_terms(self):
         final = self.final
-        return {n: final[t] for n, t in self.solved.gen.field_terms.items()
+        return {n: final[t] for n, t in self.gen.field_terms.items()
                 if t in final}
 
     @property
     def local_terms(self):
         final = self.final
-        return {u: final[t] for u, t in self.solved.gen.local_terms.items()
+        return {u: final[t] for u, t in self.gen.local_terms.items()
                 if t in final}
 
 
@@ -450,54 +435,45 @@ def _generics_clause(pairs, terms):
     return (*used, *rest.values())
 
 
-class _Joined:
-    """One generalized solution of each of some components, `parts`,
-    taken together: the terms of their slot terms, and each member's
-    clause, its declared pairs (`declared`, by member) and then the
-    inferred pairs of every part, by name."""
+def _joined(sols):
+    """The images of the slot terms and each member's inferred pairs, by
+    name, of one solution of each of some components `sols`, together."""
+    if len(sols) == 1:
+        return sols[0].final, sols[0].clauses
+    final, inferred = {}, {}
+    for s in sols:
+        final.update(s.final)
+        for owner, pairs in s.clauses.items():
+            inferred.setdefault(owner, []).extend(pairs)
+    for pairs in inferred.values():
+        pairs.sort(key=lambda p: p[0].name)
+    return final, inferred
 
-    def __init__(self, parts, declared):
-        self.declared = declared
-        if len(parts) == 1:
-            self.final, self.inferred = parts[0].final, parts[0].clauses
-            return
-        self.final, self.inferred = {}, {}
-        for g in parts:
-            self.final.update(g.final)
-            for owner, pairs in g.clauses.items():
-                self.inferred.setdefault(owner, []).extend(pairs)
-        for pairs in self.inferred.values():
-            pairs.sort(key=lambda p: p[0].name)
 
-    def clause(self, owner, terms):
-        pairs = self.inferred.get(owner, ())
-        declared = self.declared.get(owner)
-        return _generics_clause([*declared, *pairs] if declared else pairs,
-                                terms)
+def _clause(owner, view, inferred, terms):
+    """Member `owner`'s generics clause: its declared pairs, then its
+    `inferred` ones, ordered by first use in `terms`."""
+    pairs = inferred.get(owner, ())
+    if view.typevars:
+        pairs = [*view.clause(owner), *pairs]
+    return _generics_clause(pairs, terms)
 
-    def typing(self, i, sig):
-        # a slot term without a placeholder may be in no part here
-        final = self.final
-        params = tuple([final[t] if t.tphs else t for t in sig.params])
-        ret = final[sig.ret] if sig.ret.tphs else sig.ret
-        return E.MethodTyping(self.clause(("method", i), (*params, ret)),
-                              params, ret)
 
-    def solved_class(self, gen):
-        final = self.final
-        fields = {n: final[t] for n, t in gen.field_terms.items()}
-        return SolvedClass(
-            class_generics=self.clause(CLASS, fields.values()),
-            field_terms=fields,
-            methods=[self.typing(i, m) for i, m in enumerate(gen.methods)],
-            local_terms={u: final[t] for u, t in gen.local_terms.items()})
+def _typing(i, sig, view, final, inferred):
+    """Method `i`'s typing, of signature `sig`, under the slot images
+    `final`, in which a slot term without a placeholder may be missing."""
+    params = tuple([final.get(t, t) for t in sig.params])
+    ret = final.get(sig.ret, sig.ret)
+    return E.MethodTyping(_clause(("method", i), view, inferred,
+                                  (*params, ret)), params, ret)
 
 
 def _typings(gen, view, parts):
     """The class's representative SolvedClass and, per method, the typings
     of its class solutions, in output order, the representative's first.
     `parts` holds each component's generalized solutions; a class
-    solution takes one of each.
+    solution takes one of each.  Every class takes this one path, whose
+    ordering work is only for components of several solutions.
 
     Class solutions are ordered by the printed forms of the methods'
     parameters and returns, in order, then by their choices of
@@ -511,37 +487,36 @@ def _typings(gen, view, parts):
     component takes that component's typings, one that spans several
     takes the product of theirs, which it prints, and no product over the
     class's components is built."""
-    declared = {}
-    for v, b in view.typevars.items():
-        declared.setdefault(v.owner, []).append((v, b))
-    if max(map(len, parts)) == 1:
-        rep = _Joined([sols[0] for sols in parts], declared).solved_class(gen)
-        return rep, [[t] for t in rep.methods]
-    where = {t: k for k, sols in enumerate(parts) for t in sols[0].final}
-    positions = [t for m in gen.methods for t in (*m.params, m.ret)]
-    # each component's positions, and each solution's printed forms there
-    # and its choice
-    owned = [[j for j, t in enumerate(positions) if where.get(t) == k]
-             if len(sols) > 1 else [] for k, sols in enumerate(parts)]
-    keys = [[([E.type_rank(g.final[positions[j]]) for j in owned[k]],
-              g.solved.choice, i) for i, g in enumerate(sols)]
-            for k, sols in enumerate(parts)]
-    rep = _Joined([parts[k][min(ks)[2]] for k, ks in enumerate(keys)],
-                  declared).solved_class(gen)
+    multi = [k for k, sols in enumerate(parts) if len(sols) > 1]
+    positions = multi and [t for m in gen.methods for t in (*m.params, m.ret)]
+    # the positions of each component of several solutions, and each of its
+    # solutions' printed forms there and its choice
+    owned = {k: [j for j, t in enumerate(positions) if t in parts[k][0].final]
+             for k in multi}
+    keys = {k: [([E.type_rank(s.final[positions[j]]) for j in owned[k]],
+                 s.choice, i) for i, s in enumerate(parts[k])]
+            for k in multi}
+    final, inferred = _joined([sols[min(keys[k])[2]] if k in keys else sols[0]
+                               for k, sols in enumerate(parts)])
+    fields = {n: final[t] for n, t in gen.field_terms.items()}
+    rep = SolvedClass(
+        _clause(CLASS, view, inferred, fields.values()), fields,
+        [_typing(i, m, view, final, inferred)
+         for i, m in enumerate(gen.methods)],
+        {u: final[t] for u, t in gen.local_terms.items()})
     ordered = {}   # components -> their combinations of solutions, in order
-    typings = []
-    for i, sig in enumerate(gen.methods):
-        span = sorted({where[t] for t in gen.slots[("method", i)] if t.tphs})
+    typings = [[t] for t in rep.methods]
+    for i, sig in enumerate(gen.methods if multi else ()):
+        span = [k for k, sols in enumerate(parts)
+                if any(t.tphs for t in sols[0].comp.slots[("method", i)])]
         several = tuple(k for k in span if len(parts[k]) > 1)
         if several not in ordered:
             ordered[several] = _ordered(several, keys, owned, parts)
         # the first combination is the representative's
-        typings.append([rep.methods[i]])
         for c in ordered[several][1:]:
             chosen = dict(zip(several, c))
-            joined = _Joined([parts[k][chosen.get(k, 0)] for k in span],
-                             declared)
-            typings[-1].append(joined.typing(i, sig))
+            typings[i].append(_typing(i, sig, view, *_joined(
+                [parts[k][chosen.get(k, 0)] for k in span])))
     return rep, typings
 
 
@@ -550,14 +525,10 @@ def _ordered(span, keys, owned, parts):
     tuples of indices, in the order of `_typings`: the solutions' keys
     `keys` merged, the printed forms by position (`owned` holds each
     component's) and the choices by group."""
-    if len(span) == 1:
-        (k,) = span
-        return [(x,) for x in sorted(range(len(keys[k])),
-                                     key=keys[k].__getitem__)]
     at = sorted((j, s, n) for s, k in enumerate(span)
                 for n, j in enumerate(owned[k]))
     groups = sorted((g, s, n) for s, k in enumerate(span)
-                    for n, g in enumerate(parts[k][0].solved.comp.indices))
+                    for n, g in enumerate(parts[k][0].comp.indices))
 
     def order(c):
         ks = [keys[k][x] for k, x in zip(span, c)]
@@ -575,18 +546,15 @@ def _assemble(cls, gen, parts, table, stats):
     registered in `table` for later classes."""
     rep, typings = _typings(gen, table, parts)
     written, rep, typings = E.name_solutions(
-        cls, rep, typings, table.entries, [g for sols in parts for g in sols])
+        cls, rep, typings, table.entries, [s for sols in parts for s in sols])
     typed_cls = E.build_typed_class(written, rep)
     signatures = [(m.name, E.assemble_intersection_types(ts))
                   for m, ts in zip(cls.methods, typings)]
     used = [x for _, ts in signatures for t in ts for x in (*t.params, t.ret)]
     used += [*rep.field_terms.values(), *rep.local_terms.values()]
     _register(cls, table, signatures, rep)
-    return ClassResult(cls=cls, typed_cls=typed_cls,
-                       signatures=signatures, used_terms=used,
-                       remainings=[g.solved.remaining
-                                   for sols in parts for g in sols],
-                       stats=stats)
+    return ClassResult(cls, typed_cls, signatures, used,
+                       [s.remaining for sols in parts for s in sols], stats)
 
 
 def _register(cls, table, signatures, rep):
@@ -595,30 +563,28 @@ def _register(cls, table, signatures, rep):
     clause among its type parameters, as an annotated method has it; its
     field types fill the entry's fields, and `rep`'s class clause is the
     entry's `generics`, which another class's field read instantiates.  A
-    placeholder becomes a template variable of its name, by one map for
-    the class; `rep` is named as `signatures` are."""
-    typings = [(mname, t, t.names()) for mname, ts in signatures for t in ts]
-    tvars = {n: ClassType(n) for x in (*rep.field_terms.values(),
-                                       *E.clause_terms(rep.class_generics))
-             for n in x.tphs}
-    tvars.update((n, ClassType(n)) for *_, names in typings for n in names)
-
+    placeholder becomes the template variable of its name; `rep` is named
+    as `signatures` are.  The table makes the templates when the member
+    index first reads the entry (see `ClassTable.register`)."""
     def template(term):
-        return term and substitute(term, tvars)
+        return term and substitute(term, {n: ClassType(n) for n in term.tphs})
 
-    declared = [(v.name, b) for v, b in rep.class_generics
-                if isinstance(v, TypeVar)]
-    methods = []
-    for mname, t, names in typings:
-        bound_by = {v.name: b for v, b in t.generics}
-        methods.append(MethodSig(
-            mname, declared + [(n, template(bound_by.get(n))) for n
-                               in dict.fromkeys([*names, *bound_by])],
-            [template(p) for p in t.params], template(t.ret)))
-    table.register(cls.name, methods,
-                   {f.name: template(rep.field_terms[f.name])
-                    for f in cls.fields},
-                   [(v.name, template(b)) for v, b in rep.class_generics])
+    def members():
+        declared = [(v.name, b) for v, b in rep.class_generics
+                    if isinstance(v, TypeVar)]
+        methods = []
+        for mname, ts in signatures:
+            for t in ts:
+                bound_by = {v.name: b for v, b in t.generics}
+                methods.append(MethodSig(mname, declared + [
+                    (n, template(bound_by.get(n)))
+                    for n in dict.fromkeys([*t.names(), *bound_by])],
+                    [template(p) for p in t.params], template(t.ret)))
+        return (methods, {f.name: template(rep.field_terms[f.name])
+                          for f in cls.fields},
+                [(v.name, template(b)) for v, b in rep.class_generics])
+
+    table.register(cls.name, members)
 
 
 # --- top-level outputs -----------------------------------------------------

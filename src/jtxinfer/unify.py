@@ -241,11 +241,12 @@ class _Unifier:
         self.head = 0         # all of branchable[:head] are unparked
         self.trail = []
         # (lower bound, member scope) -> (its alternatives above, whether
-        # they and the bound are all atomic); see `_supertypes`
-        self.sups = {}
+        # they and the bound are all atomic); see `_supertypes`.  Both
+        # caches are the view's, shared by every search over it
+        self.sups = table.sups
         # (upper, class bound, member scope) -> frozenset of heads; see
         # `_bound_heads`
-        self.bound_heads = {}
+        self.bound_heads = table.bound_heads
         # whether class bounds decide placeholders: no table class is
         # generic, so the search draws no name
         self.deciding = not table.generic
@@ -551,7 +552,7 @@ class _Unifier:
 
     def _bound_heads(self, upper, bound, scope):
         """The heads a placeholder of member `scope` can take below class
-        bound `bound` (`upper`) or above it.  Cached for the search."""
+        bound `bound` (`upper`) or above it.  Cached on the view."""
         key = (upper, bound, scope)
         heads = self.bound_heads.get(key)
         if heads is None:
@@ -617,7 +618,7 @@ class _Unifier:
         """The choices above lower bound `low` for a placeholder of member
         `scope`: the first term of each head on its supertype chain, but no
         declared variable of another member; and whether they and `low` are
-        all atomic.  Cached for the search."""
+        all atomic.  Cached on the view."""
         found = self.sups.get((low, scope))
         if found is None:
             seen = set()

@@ -162,6 +162,13 @@ PINNED_SRCS = {
     "FieldInitializers": "class A { f = m(); g = 1; "
                          "h = x -> { k = g; return x; }; k = g; "
                          "m() { return k; } }",
+    # a local, in a method and in a lambda of a field initializer, and a
+    # lambda parameter shadow a field of their name, as in Java
+    "LocalShadowsField": "class A { f; m() { var f = 1; return f; } }",
+    "LambdaLocalShadowsField": "class A { f; g = () -> { var f = 1; "
+                               "return f; }; m() { return g.apply(); } }",
+    "LambdaParamShadowsField": "class A { f; m(x) { var g = f -> f; "
+                               "return g.apply(x); } }",
     # a local declared with a qualified type
     "QualifiedLocal": "class C { m() { java.lang.Integer x = 1; "
                       "return x; } }",
@@ -270,7 +277,9 @@ def typings_of_every_combination(gen, view, parts):
     solutions `parts`: every combination joined (`joined_solutions`),
     each generalized on its own after its count, and all of them taken
     as the solutions of one component."""
-    joined = [s.generalize(s.drawn) for s in joined_solutions(parts, gen)]
+    joined = joined_solutions(parts, gen)
+    for s in joined:
+        s.generalize(s.drawn)
     return P._typings(gen, view, [joined])
 
 

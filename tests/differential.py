@@ -8,11 +8,13 @@ outputs, the `constraints`, `solutions` and `generics` dumps and the
 `.sigs.txt` of the typed output run again (or the diagnostic a run
 raises).  The programs are the golden ones, the benchmark corpus of
 every workload at seeds 1-3, the pinned programs of `tests/conftest.py`,
-the `surviving` family at n = 1-4 and the independent-sums family at
-k = 1-7.  It prints one line per differing text and a summary, and exits
-with 1 when an output or a re-entered `.sigs.txt` differs; a dump that
-differs is reported, but a change may alter the dumps on purpose.  Not
-part of the test suite, as it needs a second checkout.
+the `surviving` family at n = 1-4, the independent-sums family at
+k = 1-7 and the `classes` and `depth` families at n = 80 and 160, past
+the corpus's sizes.  It prints one line per differing text and a
+summary, and exits with 1 when an output or a re-entered `.sigs.txt`
+differs; a dump that differs is reported, but a change may alter the
+dumps on purpose.  Not part of the test suite, as it needs a second
+checkout.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ def programs():
              .source) for n in range(1, 5)]
     out += [(f"independent-sums/k{k}", independent_sums(k))
             for k in range(1, 8)]
+    out += [(f"{family.__name__}/n{n}", family(n, random.Random(n)).source)
+            for family in (corpus.classes_unit, corpus.depth_unit)
+            for n in (80, 160)]
     return out
 
 

@@ -236,6 +236,33 @@ def test_subtype_heads_below_number():
     assert "Boolean" not in heads
 
 
+def _reaching(view, head, scope):
+    """The reference for `subtype_heads`: the entries, in table order, and
+    then the variables in scope for member `scope` whose supertype chain
+    reaches `head`, each chain walked."""
+    heads = [ClassType(n, tuple(TPH(f"?{i}") for i in range(e.arity)))
+             for n, e in view.entries.items()]
+    heads += [v for v in view.typevars if v.owner in (scope, CLASS)]
+    return tuple(h.name for h in heads
+                 if any(t.name == head for t in view.supertype_chain(h)))
+
+
+def test_subtype_heads_match_walking_every_chain():
+    """`subtype_heads` reads an index made once for a table and its views;
+    it matches `_reaching` on every class's view of each pinned and golden
+    program, in every member's scope."""
+    for src in [*ALL_GOLDEN_SRCS.values(), *PINNED_SRCS.values()]:
+        prog = parse(src)
+        table = build_class_table(prog)
+        for cls in prog.classes:
+            view = class_view(cls, table)
+            for scope in [CLASS, *(("method", i)
+                                   for i in range(len(cls.methods)))]:
+                for head in [*table.entries, *(v.name for v in view.typevars)]:
+                    assert (view.subtype_heads(head, scope)
+                            == _reaching(view, head, scope)), (head, scope)
+
+
 def test_typevar_scope_subtyping():
     t = table_for("class A { m() { return 1; } }")
     var = TypeVar("T", CLASS)

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from jtxinfer import emit, pipeline
+from jtxinfer import syntax as S
 from jtxinfer.cli import output_texts
 from jtxinfer.errors import JtxError
 from jtxinfer.pipeline import DUMP_STAGES, run_source
@@ -216,16 +217,17 @@ def test_surviving_counts_are_linear():
         assert lines[-1].count("->") == 4 ** n
 
 
-# After unification each term of a class solution is substituted once and
-# turned into a table template once, so `pipeline` and `emit` call
-# `substitute` a fixed number of times per class, with no clock to read.
-# A `classes` class has 8 slot terms (5 parameters, 3 returns), each
-# substituted by the solution and then templated, and 3 inferred bounds,
-# templated: 19.  `D_0` of `depth` has 2 slot terms and 3 templates; each
-# later `D_i` 3 slot terms (its local too), the 3 terms of the call site of
-# `.f` and 3 templates: 9n - 4 in all.
+# After unification each slot term of a class solution is substituted once
+# into its printed term, and a class's typings become table templates once,
+# when the member index first reads its entry, so `pipeline` and `emit`
+# call `substitute` a fixed number of times per class, with no clock to
+# read.  A `classes` class has 8 slot terms (5 parameters, 3 returns), each
+# substituted by the solution, and no later class reads its members: 8.
+# `D_0` of `depth` has 2 slot terms and 3 templates, made when `D_1` reads
+# the index; each later `D_i` 3 slot terms (its local too), the 3 terms of
+# the call site of `.f` and 3 templates: 9n - 4 in all.
 @pytest.mark.parametrize("family, law", [
-    (corpus.classes_unit, lambda n: 19 * n),
+    (corpus.classes_unit, lambda n: 8 * n),
     (corpus.depth_unit, lambda n: 9 * n - 4)])
 def test_substitutions_per_class_are_constant(family, law, monkeypatch):
     calls = Counter()
@@ -238,6 +240,28 @@ def test_substitutions_per_class_are_constant(family, law, monkeypatch):
         calls.clear()
         run_source(family(n, random.Random(n)).source)
         assert calls["substitute"] == law(n), n
+
+
+def _srctypes(classes):
+    """The ids of the `SrcType` nodes in `classes`."""
+    out = set()
+    for cls in classes:
+        S.walk(cls, lambda x: isinstance(x, S.SrcType) and out.add(id(x)))
+    return out
+
+
+# The typed class writes each distinct term of a class once, and its slots
+# share the node: a `classes` class prints 8 terms (its 3 bounds among
+# them), `D_0` of `depth` 2 and each later `D_i` 3 (parameter, return and
+# local), so the typed classes hold 8n and 3n - 1 nodes the input does not.
+@pytest.mark.parametrize("family, law", [
+    (corpus.classes_unit, lambda n: 8 * n),
+    (corpus.depth_unit, lambda n: 3 * n - 1)])
+def test_typed_class_nodes_per_class_are_constant(family, law):
+    for n in (10, 20, 40):
+        r = run_source(family(n, random.Random(n)).source)
+        assert len(_srctypes(r.typed_classes)
+                   - _srctypes(r.program.classes)) == law(n), n
 
 
 if __name__ == "__main__":

@@ -457,14 +457,14 @@ def _check_typings(gen, view, done):
     combinations name those after the last component's count too.
     Returns whether the printed forms were compared."""
     got = P._typings(gen, view, done)
-    want = typings_of_every_combination(
-        gen, view, [[g.solved for g in sols] for sols in done])
+    want = typings_of_every_combination(gen, view, done)
     for mine, every in zip(got[1], want[1]):
         assert ({emit._canonical(t) for t in mine}
                 == {emit._canonical(t) for t in every})
-    if any(g.drawn != g.solved.drawn for sols in done[:-1] for g in sols):
+    if any(tph_number(v.name) >= s.drawn for sols in done[:-1] for s in sols
+           for pairs in s.clauses.values() for v, _ in pairs):
         return False
-    assert (_printed(gen, *got, [g for sols in done for g in sols])
+    assert (_printed(gen, *got, [s for sols in done for s in sols])
             == _printed(gen, *want, []))
     return True
 

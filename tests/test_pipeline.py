@@ -217,6 +217,13 @@ def test_deep_nesting_is_a_resource_limit():
 DIAGNOSTICS = {
     "DuplicateLocal": ("class C { m() { var x = 1; var x = 2; return x; } }",
                        UnknownIdentifier, "1:28"),
+    # a lambda parameter redeclares no parameter or local in scope
+    "LambdaParamRedeclaresLocal": ("class A { m() { var x = 1; "
+                                   "var f = x -> x; return f; } }",
+                                   UnknownIdentifier, "1:36"),
+    "LambdaParamRedeclaresParam": ("class A { m(x) { var f = x -> x; "
+                                   "return f; } }", UnknownIdentifier,
+                                   "1:26"),
     "NoVisiblePlus": ("class C { m(a, b) { return a + b; } }",
                       Untypable, "1:30"),
     "UnknownOwnMethod": ("class C { m() { return n(); } }",
@@ -681,6 +688,11 @@ def test_other_solutions_are_renamed_apart():
 # signature lines of each pinned program, and those of its typed output
 # where that prints one member of an intersection
 PINNED_SIGS = {
+    "LocalShadowsField": ["A.m : () -> Integer"],
+    "LambdaLocalShadowsField": ["A.m : () -> Integer"],
+    "LambdaParamShadowsField": [
+        "A.m : <C extends E, D, E extends F, F extends G, G extends D> "
+        "C -> D"],
     "OwnLocal": ["C.m : <A extends B, B> A -> B",
                  "C.n : <D extends E, E> D -> E"],
     "OwnLocalPruned": ["A.n : <B extends D, D> B -> D",
